@@ -72,13 +72,11 @@ from .qubits import (
     Bb84Symbol,
     BranchWeights,
     QubitState,
-    SplitState,
     bob_measure,
     branch_weights,
     eve_dual_basis_measure,
     outcome_distribution,
     prepare,
-    split,
     state_overlap,
 )
 
@@ -108,7 +106,6 @@ __all__ = [
     "SWEEP_PARAMETERS",
     "SensorModel",
     "SessionStats",
-    "SplitState",
     "StrategyMode",
     "SweepSpec",
     "SYMBOLS",
@@ -143,7 +140,6 @@ __all__ = [
     "sense",
     "serialize_config",
     "signal_to_noise",
-    "split",
     "state_overlap",
     "sweep",
 ]

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats
 
 from .attack import SensorModel, analytic_accuracy, monte_carlo_accuracy
 from .errors import ValidationError
@@ -293,7 +293,7 @@ def exclusion_limit(
         or not 0.5 < float(confidence) < 1.0
     ):
         raise ValidationError(f"limit.confidence: must lie in (0.5, 1), got {confidence!r}")
-    z = float(stats.norm.ppf(confidence))
+    z = statistics.NormalDist().inv_cdf(float(confidence))
     mix_norm = float(
         np.linalg.norm(mix_field(branch_weights(experiment.preparation), experiment.geometry))
     )
@@ -306,5 +306,6 @@ def exclusion_limit(
     for lam in grid:
         quadrature_sum = sum(math.exp(-2.0 * lam * t) for t in experiment.delta_t_schedule)
         snr_per_b = root_samples * mix_norm * math.sqrt(quadrature_sum) / experiment.sensor.sigma
-        uppers.append(min(1.0, z / snr_per_b))
+        # a signal relaxed below double precision constrains nothing
+        uppers.append(min(1.0, z / snr_per_b) if snr_per_b > 0.0 else 1.0)
     return LimitResult(tuple(grid), tuple(uppers), float(confidence))

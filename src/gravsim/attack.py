@@ -1,10 +1,10 @@
 """Eve's attack round: interception, mass placement, field sensing, and inference.
 
-One round runs the pipeline prepare -> split -> dual-basis measurement
-(outcome s) -> mass moved to site s -> noisy field sensing -> Gaussian
-maximum-likelihood inference of Alice's preparation -> resend. The field
-Eve senses carries the nonlinear mixture term, so its residual after
-subtracting her own configuration field identifies the preparation.
+One round runs the pipeline prepare -> dual-basis measurement of the split
+qubit (outcome s) -> mass moved to site s -> noisy field sensing ->
+Gaussian maximum-likelihood inference of Alice's preparation -> resend.
+The field Eve senses carries the nonlinear mixture term, so its residual
+after subtracting her own configuration field identifies the preparation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import ValidationError
 from .gravity import Geometry, NonlinearParams, config_field, decay_factor, general_field
@@ -25,7 +24,6 @@ from .qubits import (
     branch_weights,
     eve_dual_basis_measure,
     prepare,
-    split,
     state_overlap,
 )
 
@@ -153,6 +151,23 @@ def hypothesis_residuals(params: NonlinearParams, geom: Geometry) -> np.ndarray:
     return decay_factor(params) * geom.mix_matrix
 
 
+def _logits(statistic, residuals, count: int, sigma: float, log_prior=0.0) -> np.ndarray:
+    """Hypothesis log-posteriors up to a shared constant, (..., field_dim) -> (..., 4).
+
+    statistic is the sum of `count` readings minus count times Eve's
+    configuration field. The Gaussian scores S.r_h - count * |r_h|^2 / 2 are
+    shifted in field units so that the best hypothesis the prior allows is
+    exactly 0 (one the prior rules out is capped at 0 and keeps its -inf
+    prior), and only then divided by sigma, once per factor: no sigma > 0
+    gives NaN, a hypothesis the data rule out scores -inf, and exact ties
+    stay exact.
+    """
+    score = statistic @ residuals.T - 0.5 * count * (residuals * residuals).sum(axis=1)
+    best = score.max(axis=-1, keepdims=True, where=log_prior != -np.inf, initial=-np.inf)
+    with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
+        return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
+
+
 def infer_alice_state(
     readings,
     eve_outcome: Bb84Symbol,
@@ -184,14 +199,14 @@ def infer_alice_state(
         )
     outcome = Bb84Symbol(eve_outcome)
     count = data.shape[0]
-    residuals = hypothesis_residuals(params, geom)
     statistic = data.sum(axis=0) - count * config_field(outcome, geom)
-    inv_var = 1.0 / (sensor.sigma * sensor.sigma)
-    logits = (
-        residuals @ statistic - 0.5 * count * (residuals * residuals).sum(axis=1)
-    ) * inv_var
-    if born_factor:
-        logits = logits + _OUTCOME_LOG_LIKELIHOOD[outcome]
+    logits = _logits(
+        statistic,
+        hypothesis_residuals(params, geom),
+        count,
+        sensor.sigma,
+        _OUTCOME_LOG_LIKELIHOOD[outcome] if born_factor else 0.0,
+    )
     peak = logits.max()
     weights = np.exp(logits - peak)
     posterior = weights / weights.sum()
@@ -221,8 +236,7 @@ def attack_round(
     prepared = Bb84Symbol(prepared)
     if not isinstance(strategy, EveStrategy):
         raise ValidationError(f"attack_round: strategy must be an EveStrategy, got {strategy!r}")
-    arms = split(prepare(prepared))
-    outcome = eve_dual_basis_measure(arms.internal, rng)
+    outcome = eve_dual_basis_measure(prepare(prepared), rng)
     true_field = general_field(outcome, branch_weights(prepared), params, geom)
     readings = sense(true_field, sensor, rng)
     inferred, posterior = infer_alice_state(
@@ -251,8 +265,8 @@ class AccuracyEstimate:
     per_hypothesis holds a union-bound lower bound on the accuracy for each
     true preparation; mean averages them over a uniform preparation. The
     closest hypothesis pair is reported with its separation d_min and the
-    exact two-hypothesis accuracy Phi(d_min / 2) evaluated by quadrature.
-    chance is the four-hypothesis guessing level.
+    exact two-hypothesis accuracy Phi(d_min / 2). chance is the
+    four-hypothesis guessing level.
     """
 
     per_hypothesis: tuple[float, float, float, float]
@@ -263,14 +277,9 @@ class AccuracyEstimate:
     two_hypothesis_exact: float
 
 
-def _phi_by_quadrature(x: float) -> float:
-    """Standard normal CDF evaluated by adaptive quadrature."""
-    if x > 12.0:
-        return 1.0  # tail mass below double precision
-    value, _ = integrate.quad(
-        lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi), -np.inf, x
-    )
-    return float(value)
+def _normal_tail(x: float) -> float:
+    """Standard normal upper tail Q(x) = 1 - Phi(x), accurate in both tails."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def analytic_accuracy(
@@ -297,7 +306,7 @@ def analytic_accuracy(
                 closest = (d, i, j)
     bounds = []
     for i in range(4):
-        tail_sum = sum(float(stats.norm.sf(separations[i, j] / 2.0)) for j in range(4) if j != i)
+        tail_sum = sum(_normal_tail(separations[i, j] / 2.0) for j in range(4) if j != i)
         bounds.append(max(0.0, 1.0 - min(1.0, tail_sum)))
     d_min, a, b = closest
     return AccuracyEstimate(
@@ -306,7 +315,7 @@ def analytic_accuracy(
         chance=CHANCE_LEVEL,
         closest_pair=(SYMBOLS[a], SYMBOLS[b]),
         d_min=d_min,
-        two_hypothesis_exact=_phi_by_quadrature(d_min / 2.0),
+        two_hypothesis_exact=_normal_tail(-d_min / 2.0),
     )
 
 
@@ -319,10 +328,10 @@ def monte_carlo_accuracy(
 ) -> float:
     """Monte Carlo accuracy of the field classifier over uniform preparations.
 
-    Vectorized replica of infer_alice_state's field scoring: the sufficient
-    statistic is sampled directly from its Gaussian law, so the outcome-based
-    factor plays no role (matching analytic_accuracy). Ties are broken
-    uniformly at random.
+    Vectorized over trials with infer_alice_state's scoring kernel: the
+    sufficient statistic is sampled directly from its Gaussian law, so the
+    outcome-based factor plays no role (matching analytic_accuracy). Ties
+    are broken uniformly at random.
     """
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"monte_carlo_accuracy: n_trials must be >= 1, got {n_trials!r}")
@@ -332,9 +341,7 @@ def monte_carlo_accuracy(
     truths = rng.integers(4, size=n_trials)
     noise = rng.standard_normal((int(n_trials), geom.field_dim))
     statistic = count * residuals[truths] + sigma * math.sqrt(count) * noise
-    logits = (
-        statistic @ residuals.T - 0.5 * count * (residuals * residuals).sum(axis=1)
-    ) / (sigma * sigma)
+    logits = _logits(statistic, residuals, count, sigma)
     peaks = logits.max(axis=1, keepdims=True)
     is_peak = logits == peaks
     n_ties = is_peak.sum(axis=1)

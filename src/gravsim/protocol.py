@@ -71,16 +71,18 @@ class SessionStats:
     """Aggregated security figures for one session.
 
     Rates are bits per sifted bit; eve_accuracy and eve_mutual_info are None
-    when no eavesdropper was configured.
+    when no eavesdropper was configured. A session with no sifted round has
+    no evidence about the channel: qber and both key rates are None, and it
+    counts as aborted because there is no sifted key to certify.
     """
 
     rounds: int
     sifted_count: int
-    qber: float
+    qber: float | None
     eve_accuracy: float | None
     eve_mutual_info: float | None
-    key_rate_theory: float
-    key_rate_attack: float
+    key_rate_theory: float | None
+    key_rate_attack: float | None
     aborted: bool
 
     def to_dict(self) -> dict:
@@ -227,7 +229,6 @@ def run_session(
                 joint[alice.bit, _eve_guess_category(eve_record, alice.basis)] += 1
         if records is not None:
             records.append(RoundRecord(i, alice, bob_basis, bob_bit, sifted, error, eve_record))
-    qber = error_count / sifted_count if sifted_count else 0.0
     eve_accuracy = (
         inferred_correct / attacked_count
         if (eve_config is not None and attacked_count)
@@ -236,7 +237,11 @@ def run_session(
     mutual_info = (
         _mutual_information(joint) if (eve_config is not None and sifted_count) else None
     )
-    theory, attack_rate = key_rate(qber, mutual_info if mutual_info is not None else 0.0)
+    if sifted_count:
+        qber = error_count / sifted_count
+        theory, attack_rate = key_rate(qber, mutual_info if mutual_info is not None else 0.0)
+    else:
+        qber = theory = attack_rate = None
     stats = SessionStats(
         rounds=int(n_rounds),
         sifted_count=sifted_count,
@@ -245,6 +250,6 @@ def run_session(
         eve_mutual_info=mutual_info,
         key_rate_theory=theory,
         key_rate_attack=attack_rate,
-        aborted=qber > ABORT_QBER,
+        aborted=qber is None or qber > ABORT_QBER,
     )
     return stats, (records if records is not None else [])

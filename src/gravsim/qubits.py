@@ -116,20 +116,6 @@ class QubitState:
 
 
 @dataclass(frozen=True)
-class SplitState:
-    """A qubit distributed over two spatial arms, each carrying the internal state."""
-
-    internal: QubitState
-    arm_amplitudes: tuple[float, float] = (INV_SQRT2, INV_SQRT2)
-    arm_positions: tuple[str, str] = ("x1", "x2")
-
-    @property
-    def norm_sq(self) -> float:
-        spatial = self.arm_amplitudes[0] ** 2 + self.arm_amplitudes[1] ** 2
-        return spatial * self.internal.norm_sq
-
-
-@dataclass(frozen=True)
 class BranchWeights:
     """Probability weight of each mass branch, in SYMBOLS order."""
 
@@ -173,16 +159,6 @@ def prepare(symbol: Bb84Symbol) -> QubitState:
         return _STATE_TABLE[Bb84Symbol(symbol)]
     except ValueError:
         raise ValidationError(f"prepare: not a BB84 symbol: {symbol!r}") from None
-
-
-def split(state: QubitState) -> SplitState:
-    """Distribute a qubit over two spatial arms with amplitude 1/sqrt(2) each.
-
-    The internal state rides along unchanged in both arms, so the total norm
-    is preserved. Raises ValidationError if the input is not unit norm.
-    """
-    _require_normalized(state, "split")
-    return SplitState(internal=state)
 
 
 def state_overlap(bra: QubitState, ket: QubitState) -> complex:

@@ -21,6 +21,7 @@ from gravsim import (
     cloning_fidelity,
     config_field,
     default_geometry,
+    eve_dual_basis_measure,
     general_field,
     hypothesis_residuals,
     infer_alice_state,
@@ -169,6 +170,40 @@ def test_infer_consumes_one_tie_break_draw_even_without_ties(geom):
     infer_alice_state(readings, Bb84Symbol.Z1, geom, params, sensor, used)
     shadow.random()
     assert used.random() == shadow.random()
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+def test_infer_tiny_sigma_identifies_the_preparation(geom, sigma):
+    # sigma**2 is subnormal at 1e-160 and zero at 1e-170
+    params = NonlinearParams(b=0.05)
+    sensor = SensorModel(sigma=sigma)
+    rng = np.random.default_rng(13)
+    for prepared in SYMBOLS:
+        outcome = eve_dual_basis_measure(prepare(prepared), rng)
+        field = general_field(outcome, branch_weights(prepared), params, geom)
+        readings = sense(field, sensor, rng)
+        inferred, posterior = infer_alice_state(readings, outcome, geom, params, sensor, rng)
+        assert inferred is prepared
+        assert posterior[prepared] == 1.0
+        assert posterior.sum() == 1.0
+
+
+def test_infer_born_factor_keeps_a_possible_preparation_at_tiny_sigma(geom):
+    # The readings match Z1, which Eve's outcome Z0 rules out. At this sigma
+    # the field scores every other preparation -inf against Z1, yet the
+    # posterior must stay a distribution over the possible ones.
+    params = NonlinearParams(b=0.05)
+    sensor = SensorModel(sigma=1e-200)
+    residuals = hypothesis_residuals(params, geom)
+    outcome = Bb84Symbol.Z0
+    readings = config_field(outcome, geom) + residuals[Bb84Symbol.Z1]
+    inferred, posterior = infer_alice_state(
+        readings, outcome, geom, params, sensor, np.random.default_rng(2)
+    )
+    assert inferred is not Bb84Symbol.Z1
+    assert posterior[Bb84Symbol.Z1] == 0.0
+    assert np.all(np.isfinite(posterior))
+    assert posterior.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_attack_round_draw_order_contract(geom):
@@ -395,6 +430,14 @@ def test_monte_carlo_accuracy_is_deterministic(geom):
     first = monte_carlo_accuracy(params, geom, sensor, 20_000, np.random.default_rng(70))
     second = monte_carlo_accuracy(params, geom, sensor, 20_000, np.random.default_rng(70))
     assert first == second
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+def test_monte_carlo_accuracy_at_tiny_sigma_is_perfect(geom, sigma):
+    params = NonlinearParams(b=0.05)
+    sensor = SensorModel(sigma=sigma)
+    assert analytic_accuracy(params, geom, sensor).mean == 1.0
+    assert monte_carlo_accuracy(params, geom, sensor, 4000, np.random.default_rng(71)) == 1.0
 
 
 def test_monte_carlo_accuracy_validates_trials(geom):

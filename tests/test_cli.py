@@ -42,6 +42,29 @@ def test_run_writes_stats_json_to_stdout(capsys):
     assert stats["rounds"] == 120
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+def test_run_at_tiny_sigma_exits_0(capsys, sigma):
+    config = json.dumps(
+        {"session": {"seed": 3, "rounds": 200}, "nonlinear": {"b": 0.05}, "sensor": {"sigma": sigma}}
+    )
+    code, out, err = run_main(["run", "--config", config], capsys)
+    assert code == 0, err
+    stats = json.loads(out)
+    assert stats["qber"] == 0.0
+    assert stats["eveAccuracy"] == 1.0
+
+
+def test_run_without_sifted_rounds_reports_no_verdict(capsys):
+    code, out, _ = run_main(["run", "--config", MINIMAL, "--rounds", "1"], capsys)
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["siftedCount"] == 0
+    assert stats["qber"] is None
+    assert stats["keyRateTheory"] is None
+    assert stats["keyRateAttack"] is None
+    assert stats["aborted"] is True
+
+
 def test_run_flags_override_session(capsys):
     code, out, _ = run_main(["run", "--config", MINIMAL, "--rounds", "60", "--seed", "8"], capsys)
     assert code == 0
@@ -242,6 +265,19 @@ def test_unwritable_out_exits_4(tmp_path, capsys):
     code, _, err = run_main(["run", "--config", MINIMAL, "--out", str(target)], capsys)
     assert code == 4
     assert err.startswith("gravsim: ")
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    probe = "import sys, gravsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=gravsim_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -258,6 +258,24 @@ def test_run_session_strong_coupling_breaks_the_protocol(geom):
     assert all(r.eve.resent is r.alice for r in records)
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+def test_run_session_tiny_sigma_breaks_the_protocol(geom, sigma):
+    cfg = eve_config(geom, b=0.05, sigma=sigma, mode="CloneInferred")
+    stats, _ = run_session(400, cfg, seed=9, with_records=False)
+    assert stats.qber == 0.0
+    assert stats.eve_accuracy == 1.0
+
+
+def test_run_session_without_sifted_rounds_has_no_verdict(geom):
+    stats, _ = run_session(3, eve_config(geom), seed=3)
+    assert stats.sifted_count == 0
+    assert stats.qber is None
+    assert stats.key_rate_theory is None
+    assert stats.key_rate_attack is None
+    assert stats.eve_mutual_info is None
+    assert stats.aborted
+
+
 def test_run_session_attack_fraction_half(geom):
     n = 6000
     cfg = eve_config(geom, attack_fraction=0.5)

@@ -18,7 +18,6 @@ from gravsim import (
     eve_dual_basis_measure,
     outcome_distribution,
     prepare,
-    split,
     state_overlap,
 )
 from gravsim.qubits import INV_SQRT2, as_symbol
@@ -85,15 +84,6 @@ def test_outcome_distribution_matches_oracle():
         # the orthogonal partner is impossible exactly, not approximately
         partner = dist[[t for t in SYMBOLS if t.basis is s.basis and t is not s][0]]
         assert partner == 0.0
-
-
-def test_split_preserves_norm_and_validates():
-    arms = split(prepare(Bb84Symbol.XP))
-    assert arms.norm_sq == pytest.approx(1.0, abs=1e-12)
-    assert arms.arm_amplitudes == (INV_SQRT2, INV_SQRT2)
-    assert arms.internal == prepare(Bb84Symbol.XP)
-    with pytest.raises(ValidationError, match="unit norm"):
-        split(QubitState(1.0, 1.0))
 
 
 def test_branch_weights_exact_table():
