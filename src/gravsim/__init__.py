@@ -70,14 +70,10 @@ from .qubits import (
     SYMBOLS,
     Basis,
     Bb84Symbol,
-    BranchWeights,
-    QubitState,
     bob_measure,
     branch_weights,
     eve_dual_basis_measure,
-    outcome_distribution,
     prepare,
-    state_overlap,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +83,6 @@ __all__ = [
     "AccuracyEstimate",
     "Basis",
     "Bb84Symbol",
-    "BranchWeights",
     "EveConfig",
     "EveRecord",
     "EveSettings",
@@ -99,7 +94,6 @@ __all__ = [
     "LimitResult",
     "LimitSettings",
     "NonlinearParams",
-    "QubitState",
     "RoundRecord",
     "RunConfig",
     "STAT_COLUMNS",
@@ -132,7 +126,6 @@ __all__ = [
     "min_detectable_b",
     "mix_field",
     "monte_carlo_accuracy",
-    "outcome_distribution",
     "parse_config",
     "point_mass_field",
     "prepare",
@@ -140,6 +133,5 @@ __all__ = [
     "sense",
     "serialize_config",
     "signal_to_noise",
-    "state_overlap",
     "sweep",
 ]

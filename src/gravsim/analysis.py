@@ -19,9 +19,9 @@ import numpy as np
 
 from .attack import SensorModel, analytic_accuracy, monte_carlo_accuracy
 from .errors import ValidationError
-from .gravity import Geometry, NonlinearParams, mix_field
+from .gravity import Geometry, NonlinearParams
 from .protocol import run_session
-from .qubits import Bb84Symbol, branch_weights
+from .qubits import Bb84Symbol
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -259,7 +259,7 @@ def signal_to_noise(
     signal = (
         float(b)
         * math.exp(-float(lam) * float(delta_t))
-        * float(np.linalg.norm(mix_field(branch_weights(preparation), geom)))
+        * float(np.linalg.norm(geom.mix_matrix[Bb84Symbol(preparation)]))
     )
     return math.sqrt(sensor.samples) * signal / sensor.sigma
 
@@ -294,9 +294,7 @@ def exclusion_limit(
     ):
         raise ValidationError(f"limit.confidence: must lie in (0.5, 1), got {confidence!r}")
     z = statistics.NormalDist().inv_cdf(float(confidence))
-    mix_norm = float(
-        np.linalg.norm(mix_field(branch_weights(experiment.preparation), experiment.geometry))
-    )
+    mix_norm = float(np.linalg.norm(experiment.geometry.mix_matrix[experiment.preparation]))
     if mix_norm == 0.0:
         raise ValidationError(
             "limit: the geometry gives a vanishing mixture signal; no limit can be set"

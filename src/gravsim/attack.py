@@ -17,15 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gravity import Geometry, NonlinearParams, config_field, decay_factor, general_field
-from .qubits import (
-    SYMBOLS,
-    Bb84Symbol,
-    QubitState,
-    branch_weights,
-    eve_dual_basis_measure,
-    prepare,
-    state_overlap,
-)
+from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, eve_dual_basis_measure, prepare
 
 POSTERIOR_TOLERANCE = 1e-9
 
@@ -113,32 +105,26 @@ class EveRecord:
         object.__setattr__(self, "posterior", values)
 
 
-def _outcome_log_likelihood() -> np.ndarray:
-    # log P(outcome s | preparation h) = log of the branch weight of s under h;
-    # zero-probability pairs get -inf so they can never be inferred.
-    table = np.empty((4, 4))
-    for s in SYMBOLS:
-        for h in SYMBOLS:
-            w = branch_weights(h).w[s]
-            table[s, h] = math.log(w) if w > 0.0 else -math.inf
-    table.setflags(write=False)
-    return table
-
-
-_OUTCOME_LOG_LIKELIHOOD = _outcome_log_likelihood()
+# Row s, column h: log P(outcome s | preparation h). Zero-probability pairs
+# get -inf so they can never be inferred.
+with np.errstate(divide="ignore"):
+    _OUTCOME_LOG_LIKELIHOOD = np.log(BRANCH_WEIGHTS.T)
+_OUTCOME_LOG_LIKELIHOOD.setflags(write=False)
 
 
 def sense(true_field, sensor: SensorModel, rng: np.random.Generator) -> np.ndarray:
     """Noisy sensor readings of a field, shape (samples, field_dim).
 
     Each reading is the true field plus independent zero-mean Gaussian noise
-    of standard deviation sensor.sigma per component.
+    of standard deviation sensor.sigma per component; a huge sigma may
+    overflow readings to inf, which the inference rejects.
     """
     field = np.asarray(true_field, dtype=np.float64)
     if field.ndim != 1:
         raise ValidationError("sense: true field must be a flat vector")
     noise = rng.standard_normal((sensor.samples, field.shape[0]))
-    return field + sensor.sigma * noise
+    with np.errstate(over="ignore"):
+        return field + sensor.sigma * noise
 
 
 def hypothesis_residuals(params: NonlinearParams, geom: Geometry) -> np.ndarray:
@@ -155,13 +141,16 @@ def _logits(statistic, residuals, count: int, sigma: float, log_prior=0.0) -> np
     """Hypothesis log-posteriors up to a shared constant, (..., field_dim) -> (..., 4).
 
     statistic is the sum of `count` readings minus count times Eve's
-    configuration field. The Gaussian scores S.r_h - count * |r_h|^2 / 2 are
-    shifted in field units so that the best hypothesis the prior allows is
-    exactly 0 (one the prior rules out is capped at 0 and keeps its -inf
-    prior), and only then divided by sigma, once per factor: no sigma > 0
-    gives NaN, a hypothesis the data rule out scores -inf, and exact ties
-    stay exact.
+    configuration field; a sigma too large for double precision makes it
+    non-finite, which raises ValidationError. The Gaussian scores
+    S.r_h - count * |r_h|^2 / 2 are shifted in field units so that the best
+    hypothesis the prior allows is exactly 0 (one the prior rules out is
+    capped at 0 and keeps its -inf prior), and only then divided by sigma,
+    once per factor: no sigma > 0 gives NaN, a hypothesis the data rule out
+    scores -inf, and exact ties stay exact.
     """
+    if not np.isfinite(statistic).all():
+        raise ValidationError(f"sensor.sigma: {sigma!r} overflows the sensor readings")
     score = statistic @ residuals.T - 0.5 * count * (residuals * residuals).sum(axis=1)
     best = score.max(axis=-1, keepdims=True, where=log_prior != -np.inf, initial=-np.inf)
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
@@ -199,7 +188,8 @@ def infer_alice_state(
         )
     outcome = Bb84Symbol(eve_outcome)
     count = data.shape[0]
-    statistic = data.sum(axis=0) - count * config_field(outcome, geom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistic = data.sum(axis=0) - count * config_field(outcome, geom)
     logits = _logits(
         statistic,
         hypothesis_residuals(params, geom),
@@ -224,8 +214,8 @@ def attack_round(
     strategy: EveStrategy,
     rng: np.random.Generator,
     born_factor: bool = True,
-) -> tuple[QubitState, EveRecord]:
-    """One full interception; returns (state resent to Bob, EveRecord).
+) -> tuple[Bb84Symbol, EveRecord]:
+    """One full interception; returns (symbol resent to Bob, EveRecord).
 
     Draw order from `rng`: one uniform for the dual-basis outcome, the sensor
     noise block, one uniform for inference tie-breaking. Resend rule:
@@ -233,11 +223,11 @@ def attack_round(
     Eve's measured outcome, Threshold forwards the inferred preparation only
     when the posterior peak reaches tau and the outcome otherwise.
     """
-    prepared = Bb84Symbol(prepared)
+    prepared = prepare(prepared)
     if not isinstance(strategy, EveStrategy):
         raise ValidationError(f"attack_round: strategy must be an EveStrategy, got {strategy!r}")
-    outcome = eve_dual_basis_measure(prepare(prepared), rng)
-    true_field = general_field(outcome, branch_weights(prepared), params, geom)
+    outcome = eve_dual_basis_measure(prepared, rng)
+    true_field = general_field(outcome, prepared, params, geom)
     readings = sense(true_field, sensor, rng)
     inferred, posterior = infer_alice_state(
         readings, outcome, geom, params, sensor, rng, born_factor
@@ -340,7 +330,8 @@ def monte_carlo_accuracy(
     sigma = sensor.sigma
     truths = rng.integers(4, size=n_trials)
     noise = rng.standard_normal((int(n_trials), geom.field_dim))
-    statistic = count * residuals[truths] + sigma * math.sqrt(count) * noise
+    with np.errstate(over="ignore"):
+        statistic = count * residuals[truths] + sigma * math.sqrt(count) * noise
     logits = _logits(statistic, residuals, count, sigma)
     peaks = logits.max(axis=1, keepdims=True)
     is_peak = logits == peaks
@@ -360,13 +351,12 @@ def cloning_fidelity(
     rng: np.random.Generator,
     born_factor: bool = True,
 ) -> float:
-    """Average |<prepared|resent>|^2 over uniformly drawn preparations."""
+    """Average |<prepared|resent>|^2, twice the resent symbol's branch weight, over preparations."""
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"cloning_fidelity: n_trials must be >= 1, got {n_trials!r}")
     total = 0.0
     for _ in range(int(n_trials)):
         prepared = SYMBOLS[int(rng.integers(4))]
-        resent_state, _ = attack_round(prepared, geom, params, sensor, strategy, rng, born_factor)
-        overlap = state_overlap(prepare(prepared), resent_state)
-        total += overlap.real**2 + overlap.imag**2
+        resent, _ = attack_round(prepared, geom, params, sensor, strategy, rng, born_factor)
+        total += 2.0 * float(BRANCH_WEIGHTS[prepared, resent])
     return total / int(n_trials)

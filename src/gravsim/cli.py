@@ -7,9 +7,9 @@ Subcommands:
   selftest  run built-in deterministic consistency checks
 
 Exit codes: 0 success, 1 selftest failure, 2 usage error, 3 invalid
-configuration or parameters, 4 runtime or I/O failure. All file output is
-UTF-8 with LF line endings; floats are written with repr so every digit
-round-trips.
+configuration or parameters, 4 runtime, I/O or internal failure. All file
+output is UTF-8 with LF line endings; floats are written with repr so every
+digit round-trips.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import STAT_COLUMNS, ExclusionExperiment, exclusion_limit, sweep
+from .analysis import STAT_COLUMNS, ExclusionExperiment, LimitResult, exclusion_limit, sweep
 from .attack import EveStrategy, SensorModel, StrategyMode, infer_alice_state, sense
 from .config import default_geometry, load_config
 from .errors import GravsimError, ValidationError
@@ -37,14 +37,7 @@ from .protocol import (
     key_rate,
     run_session,
 )
-from .qubits import (
-    SYMBOLS,
-    Bb84Symbol,
-    branch_weights,
-    eve_dual_basis_measure,
-    outcome_distribution,
-    prepare,
-)
+from .qubits import SYMBOLS, Bb84Symbol, branch_weights, eve_dual_basis_measure, prepare
 
 RECORD_COLUMNS = (
     "round",
@@ -188,10 +181,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_limit(args) -> int:
-    config = load_config(args.config, args.rounds, args.seed)
-    if config.limit is None:
-        raise ValidationError("limit: the config has no limit section")
+def _exclusion_result(config) -> LimitResult:
+    """The exclusion limit of a config's sensor, geometry and limit section."""
     settings = config.limit
     experiment = ExclusionExperiment(
         sensor=config.sensor,
@@ -200,7 +191,14 @@ def _cmd_limit(args) -> int:
         preparation=settings.preparation,
         null_observation=settings.null_observation,
     )
-    result = exclusion_limit(experiment, settings.lambda_grid, settings.confidence)
+    return exclusion_limit(experiment, settings.lambda_grid, settings.confidence)
+
+
+def _cmd_limit(args) -> int:
+    config = load_config(args.config, args.rounds, args.seed)
+    if config.limit is None:
+        raise ValidationError("limit: the config has no limit section")
+    result = _exclusion_result(config)
     if args.format == "csv":
         text = _csv_text(
             ("lambda", "bUpper"),
@@ -226,7 +224,7 @@ def _check_branch_weight_table() -> None:
         Bb84Symbol.XM: (0.25, 0.25, 0.0, 0.5),
     }
     for prepared, weights in expected.items():
-        got = branch_weights(prepared).w
+        got = tuple(branch_weights(prepared).tolist())
         if got != weights:
             raise AssertionError(f"{prepared.label}: {got} != {weights}")
 
@@ -234,7 +232,7 @@ def _check_branch_weight_table() -> None:
 def _check_measurement_frequencies() -> None:
     rng = np.random.default_rng(12345)
     state = prepare(Bb84Symbol.Z0)
-    probs = outcome_distribution(state)
+    probs = branch_weights(state)
     n = 100_000
     counts = [0, 0, 0, 0]
     for _ in range(n):
@@ -256,10 +254,9 @@ def _check_linear_limit_field() -> None:
     params = NonlinearParams(b=0.0, lam=0.7, delta_t=3.0)
     for prepared in SYMBOLS:
         for outcome in SYMBOLS:
-            weights = branch_weights(prepared)
-            if weights.w[outcome] == 0.0:
+            if branch_weights(prepared)[outcome] == 0.0:
                 continue
-            field = general_field(outcome.label, weights, params, geom)
+            field = general_field(outcome.label, prepared, params, geom)
             base = config_field(outcome.label, geom)
             if not np.array_equal(field, base):
                 raise AssertionError(f"b=0 field differs for {prepared.label}/{outcome.label}")
@@ -326,7 +323,7 @@ def _check_posterior_normalization() -> None:
         sensor = SensorModel(sigma=sigma, samples=3)
         for prepared in SYMBOLS:
             outcome = eve_dual_basis_measure(prepare(prepared), rng)
-            field = general_field(outcome.label, branch_weights(prepared), params, geom)
+            field = general_field(outcome.label, prepared, params, geom)
             readings = sense(field, sensor, rng)
             _, posterior = infer_alice_state(readings, outcome, geom, params, sensor, rng)
             if abs(sum(posterior) - 1.0) > 1e-9 or min(posterior) < 0.0:
@@ -335,16 +332,8 @@ def _check_posterior_normalization() -> None:
 
 def _check_exclusion_anchor() -> None:
     config = load_config("page_geilker.json")
-    settings = config.limit
-    experiment = ExclusionExperiment(
-        sensor=config.sensor,
-        geometry=config.geometry,
-        delta_t_schedule=settings.delta_t_schedule,
-        preparation=settings.preparation,
-        null_observation=settings.null_observation,
-    )
-    result = exclusion_limit(experiment, settings.lambda_grid, settings.confidence)
-    anchor = result.b_upper[settings.lambda_grid.index(0.0)]
+    result = _exclusion_result(config)
+    anchor = result.b_upper[config.limit.lambda_grid.index(0.0)]
     if not 0.05 <= anchor <= 0.2:
         raise AssertionError(f"lambda=0 bound {anchor} outside [0.05, 0.2]")
 
@@ -429,4 +418,7 @@ def main(argv=None) -> int:
         return 3
     except (GravsimError, OSError) as exc:
         print(f"gravsim: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a defect, not bad input: one line, no traceback
+        print(f"gravsim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

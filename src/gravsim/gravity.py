@@ -17,11 +17,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .qubits import SYMBOLS, Bb84Symbol, BranchWeights, as_symbol, branch_weights
+from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, as_symbol
 
 NEWTON_G = 6.674e-11
 
 MIN_PROBE_SEPARATION = 1e-6
+
+_WEIGHT_TOLERANCE = 1e-12
 
 # A field vector is a flat float64 array of 3 * n_probes acceleration
 # components; the alias documents intent in signatures.
@@ -140,7 +142,7 @@ class Geometry:
     @cached_property
     def mix_matrix(self) -> np.ndarray:
         """Read-only (4, field_dim) matrix; row s is mix_field(branch_weights(s))."""
-        matrix = np.array([branch_weights(s).as_array() @ self.config_matrix for s in SYMBOLS])
+        matrix = np.array([weights @ self.config_matrix for weights in BRANCH_WEIGHTS])
         matrix.setflags(write=False)
         return matrix
 
@@ -150,15 +152,21 @@ def config_field(label: Bb84Symbol, geom: Geometry) -> FieldVector:
     return geom.config_matrix[as_symbol(label)].copy()
 
 
-def mix_field(weights: BranchWeights, geom: Geometry) -> FieldVector:
+def mix_field(weights, geom: Geometry) -> FieldVector:
     """Branch-weighted mixture field: sum over s of w(s) * config_field(s).
 
-    Linear in the weights; a degenerate weight vector reproduces the matching
-    configuration field exactly.
+    `weights` is any four non-negative numbers in SYMBOLS order that sum to
+    1. Linear in the weights; a degenerate weight vector reproduces the
+    matching configuration field exactly.
     """
-    if not isinstance(weights, BranchWeights):
-        weights = BranchWeights(tuple(float(x) for x in weights))
-    return weights.as_array() @ geom.config_matrix
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (4,):
+        raise ValidationError(f"branch weights must have four entries, got {w.size}")
+    if not (w >= 0.0).all():
+        raise ValidationError(f"branch weights must be non-negative: {w.tolist()!r}")
+    if abs(w.sum() - 1.0) > _WEIGHT_TOLERANCE:
+        raise ValidationError(f"branch weights must sum to 1: {w.tolist()!r}")
+    return w @ geom.config_matrix
 
 
 @dataclass(frozen=True)
@@ -196,19 +204,19 @@ def decay_factor(params: NonlinearParams) -> float:
 
 def general_field(
     label: Bb84Symbol,
-    weights: BranchWeights,
+    prepared: Bb84Symbol,
     params: NonlinearParams,
     geom: Geometry,
 ) -> FieldVector:
-    """Post-attack field: config_field(label) + decay_factor(params) * mix_field(weights).
+    """Post-attack field: config_field(label) + decay_factor(params) * geom.mix_matrix[prepared].
 
-    `label` is the realized mass position (Eve's outcome) and `weights` are
-    the branch weights of the prepared state. When the decay factor is
-    exactly zero the configuration field is returned unchanged bit for bit,
-    which is the linear limit.
+    `label` is the realized mass position (Eve's outcome) and `prepared` is
+    Alice's preparation, whose branch weights source the mixture. When the
+    decay factor is exactly zero the configuration field is returned
+    unchanged bit for bit, which is the linear limit.
     """
     base = config_field(label, geom)
     factor = decay_factor(params)
     if factor == 0.0:
         return base
-    return base + factor * mix_field(weights, geom)
+    return base + factor * geom.mix_matrix[as_symbol(prepared)]

@@ -1,26 +1,21 @@
-"""Qubit states, the four BB84 preparations, and Born-rule measurements.
+"""The four BB84 preparations and their Born-rule measurements.
 
-Alice's signal states live in a two-dimensional Hilbert space spanned by
-|0> and |1>; the diagonal basis is |+> = (|0> + |1>)/sqrt(2) and
-|-> = (|0> - |1>)/sqrt(2). Eve's interception splits the qubit over two
-spatial arms and measures one arm per basis, which collapses the state to
-one of the four symbols with probability 0.5 * |<s|psi>|^2.
+Alice's signal states are |0>, |1>, |+> = (|0> + |1>)/sqrt(2) and
+|-> = (|0> - |1>)/sqrt(2). Every qubit on the channel is one of them, so a
+qubit is carried as its Bb84Symbol and every probability in a round is an
+entry of the exact table BRANCH_WEIGHTS. Eve's interception splits the
+qubit over two spatial arms and measures one arm per basis, which collapses
+the state to symbol s with probability 0.5 * |<s|psi>|^2.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
-import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-NORM_TOLERANCE = 1e-12
 
 
 class Basis(enum.Enum):
@@ -65,15 +60,10 @@ class Bb84Symbol(enum.IntEnum):
             ) from None
 
 
-_LABELS = {
-    Bb84Symbol.Z0: "Z0",
-    Bb84Symbol.Z1: "Z1",
-    Bb84Symbol.XP: "Xp",
-    Bb84Symbol.XM: "Xm",
-}
-_BY_LABEL = {label: symbol for symbol, label in _LABELS.items()}
-
 SYMBOLS: tuple[Bb84Symbol, ...] = tuple(Bb84Symbol)
+
+_LABELS = ("Z0", "Z1", "Xp", "Xm")
+_BY_LABEL = dict(zip(_LABELS, SYMBOLS))
 
 
 def as_symbol(value) -> Bb84Symbol:
@@ -88,144 +78,71 @@ def as_symbol(value) -> Bb84Symbol:
         raise ValidationError(f"not a BB84 symbol: {value!r}") from None
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Pure single-qubit state with complex amplitudes on |0> and |1>.
+# Born weights 0.5 * |<s|p>|^2 of every symbol s (column) for every prepared
+# symbol p (row): 1/2 for p itself, 0 for its orthogonal partner and 1/4 for
+# each symbol of the conjugate basis. The 0.5 is the weight of each spatial
+# arm, so every row sums to 1 exactly.
+BRANCH_WEIGHTS = np.array(
+    [
+        [0.5, 0.0, 0.25, 0.25],
+        [0.0, 0.5, 0.25, 0.25],
+        [0.25, 0.25, 0.5, 0.0],
+        [0.25, 0.25, 0.0, 0.5],
+    ]
+)
+BRANCH_WEIGHTS.setflags(write=False)
 
-    Construction does not normalize; operations that require a physical
-    state validate the norm and raise ValidationError otherwise.
-    """
+# Eve's outcome thresholds per prepared symbol: cumulative branch weights,
+# exact multiples of 1/4 that end at 1.
+_EVE_CUMULATIVE = tuple(tuple(row) for row in np.cumsum(BRANCH_WEIGHTS, axis=1).tolist())
 
-    amp0: complex
-    amp1: complex
-
-    @property
-    def norm_sq(self) -> float:
-        a0, a1 = complex(self.amp0), complex(self.amp1)
-        return a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
-
-    @cached_property
-    def _amplitudes(self) -> np.ndarray:
-        array = np.array([self.amp0, self.amp1], dtype=np.complex128)
-        array.setflags(write=False)
-        return array
-
-    def amplitudes(self) -> np.ndarray:
-        """The state as a read-only length-2 complex vector."""
-        return self._amplitudes
-
-
-@dataclass(frozen=True)
-class BranchWeights:
-    """Probability weight of each mass branch, in SYMBOLS order."""
-
-    w: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        values = tuple(float(x) for x in self.w)
-        if len(values) != 4:
-            raise ValidationError(f"branch weights must have four entries, got {len(values)}")
-        if any(x < 0.0 for x in values):
-            raise ValidationError(f"branch weights must be non-negative: {values!r}")
-        if abs(sum(values) - 1.0) > NORM_TOLERANCE:
-            raise ValidationError(f"branch weights must sum to 1: {values!r}")
-        object.__setattr__(self, "w", values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.w, dtype=np.float64)
-
-
-def _require_normalized(state: QubitState, where: str) -> None:
-    if abs(state.norm_sq - 1.0) > NORM_TOLERANCE:
-        raise ValidationError(f"{where}: state must have unit norm, got |amp|^2 = {state.norm_sq!r}")
-
-
-_STATE_TABLE = {
-    Bb84Symbol.Z0: QubitState(1.0 + 0.0j, 0.0 + 0.0j),
-    Bb84Symbol.Z1: QubitState(0.0 + 0.0j, 1.0 + 0.0j),
-    Bb84Symbol.XP: QubitState(INV_SQRT2 + 0.0j, INV_SQRT2 + 0.0j),
-    Bb84Symbol.XM: QubitState(INV_SQRT2 + 0.0j, -INV_SQRT2 + 0.0j),
+# P(bit 0) when Bob measures prepared symbol p in basis Z or X: the weight of
+# the basis's bit-0 symbol over the weight of the whole basis.
+_BOB_P0 = {
+    (p, basis): float(BRANCH_WEIGHTS[p, first] / BRANCH_WEIGHTS[p, first : first + 2].sum())
+    for p in SYMBOLS
+    for basis, first in ((Basis.Z, 0), (Basis.X, 2))
 }
 
-# Rows are <s| for s in SYMBOLS order. Conjugation is a no-op for these real
-# states but is kept because QubitState amplitudes are complex in general.
-_BASIS_BRA = np.conj(np.array([_STATE_TABLE[s].amplitudes() for s in SYMBOLS]))
-_BASIS_BRA.setflags(write=False)
+
+def _require_symbol(state, where: str) -> Bb84Symbol:
+    if not isinstance(state, Bb84Symbol):
+        raise ValidationError(f"{where}: expected a Bb84Symbol, got {state!r}")
+    return state
 
 
-def prepare(symbol: Bb84Symbol) -> QubitState:
-    """Return the signal state for one of the four BB84 symbols."""
+def prepare(symbol: Bb84Symbol) -> Bb84Symbol:
+    """Return the qubit Alice sends for a symbol; a qubit is carried as its symbol."""
     try:
-        return _STATE_TABLE[Bb84Symbol(symbol)]
+        return Bb84Symbol(symbol)
     except ValueError:
         raise ValidationError(f"prepare: not a BB84 symbol: {symbol!r}") from None
 
 
-def state_overlap(bra: QubitState, ket: QubitState) -> complex:
-    """Inner product <bra|ket>."""
-    return complex(bra.amp0).conjugate() * complex(ket.amp0) + complex(
-        bra.amp1
-    ).conjugate() * complex(ket.amp1)
+def branch_weights(prepared: Bb84Symbol) -> np.ndarray:
+    """Read-only row of BRANCH_WEIGHTS: the four mass-branch weights of a preparation.
 
-
-def _abs2(values: np.ndarray) -> np.ndarray:
-    return values.real**2 + values.imag**2
-
-
-def outcome_distribution(state: QubitState) -> np.ndarray:
-    """Eve's four-outcome probabilities 0.5 * |<s|state>|^2, in SYMBOLS order.
-
-    The 0.5 is the weight of each spatial arm: the Z pair shares one arm and
-    the X pair the other, so the four probabilities sum to 1 for a unit-norm
-    input. An outcome orthogonal to the input has probability exactly 0.
+    Every weight is one of {0, 1/4, 1/2} exactly, and the row is also the
+    outcome distribution of eve_dual_basis_measure.
     """
-    amps = _BASIS_BRA @ state.amplitudes()
-    return 0.5 * _abs2(amps)
+    return BRANCH_WEIGHTS[prepare(prepared)]
 
 
-def eve_dual_basis_measure(state: QubitState, rng: np.random.Generator) -> Bb84Symbol:
+def eve_dual_basis_measure(state: Bb84Symbol, rng: np.random.Generator) -> Bb84Symbol:
     """Sample Eve's interception outcome; consumes exactly one uniform draw.
 
     One spatial arm is measured in the Z basis and the other in X; exactly
-    one detection occurs per round, distributed per outcome_distribution.
+    one detection occurs per round, distributed per branch_weights(state).
     """
-    _require_normalized(state, "eve_dual_basis_measure")
-    cumulative = np.cumsum(outcome_distribution(state))
-    u = rng.random()
-    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
-    return SYMBOLS[min(index, 3)]
+    edges = _EVE_CUMULATIVE[_require_symbol(state, "eve_dual_basis_measure")]
+    return SYMBOLS[bisect.bisect_right(edges, rng.random())]
 
 
-def branch_weights(prepared: Bb84Symbol) -> BranchWeights:
-    """Weights of the four mass branches for a given preparation.
-
-    w(s) = 0.5 * |<s|prepared>|^2, which makes every weight one of
-    {0, 1/4, 1/2} exactly: 1/2 for the prepared symbol itself, 0 for its
-    orthogonal partner, and 1/4 for each symbol of the conjugate basis.
-    The weights match the outcome distribution of eve_dual_basis_measure.
-    """
-    prepared = Bb84Symbol(prepared)
-    values = []
-    for s in SYMBOLS:
-        if s == prepared:
-            values.append(0.5)
-        elif s.basis == prepared.basis:
-            values.append(0.0)
-        else:
-            values.append(0.25)
-    return BranchWeights(tuple(values))
-
-
-def bob_measure(state: QubitState, basis: Basis, rng: np.random.Generator) -> int:
+def bob_measure(state: Bb84Symbol, basis: Basis, rng: np.random.Generator) -> int:
     """Measure a qubit in the given basis; returns the outcome bit.
 
-    Outcome probabilities are the Born weights of the two basis states,
-    normalized by their sum so that eigenstates give a deterministic bit.
-    Consumes exactly one uniform draw.
+    An eigenstate of the basis gives its bit deterministically, a state of
+    the conjugate basis a fair coin. Consumes exactly one uniform draw.
     """
-    _require_normalized(state, "bob_measure")
-    basis = Basis(basis)
-    row = 0 if basis is Basis.Z else 2
-    amps = _BASIS_BRA[row : row + 2] @ state.amplitudes()
-    p0, p1 = _abs2(amps)
-    return 0 if rng.random() < p0 / (p0 + p1) else 1
+    p0 = _BOB_P0[_require_symbol(state, "bob_measure"), Basis(basis)]
+    return 0 if rng.random() < p0 else 1

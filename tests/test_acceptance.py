@@ -27,7 +27,6 @@ from gravsim import (
     SYMBOLS,
     SensorModel,
     analytic_accuracy,
-    branch_weights,
     cloning_fidelity,
     config_field,
     decay_factor,
@@ -108,9 +107,8 @@ def test_criterion_2_linear_limit_field_and_uniform_posterior():
     with criterion(2, "vanishing coupling: exact base field, uniform posterior"):
         params = NonlinearParams(b=0.0, lam=0.4, delta_t=2.0)
         for prepared in SYMBOLS:
-            weights = branch_weights(prepared)
             for outcome in SYMBOLS:
-                field = general_field(outcome, weights, params, GEOMETRY)
+                field = general_field(outcome, prepared, params, GEOMETRY)
                 assert np.array_equal(field, config_field(outcome, GEOMETRY))
         cfg = eve_config(b=0.0, sigma=2.5e-12, mode="CloneInferred", born_factor=False)
         _, records = run_session(10_000, cfg, seed=42)

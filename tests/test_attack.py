@@ -17,7 +17,6 @@ from gravsim import (
     ValidationError,
     analytic_accuracy,
     attack_round,
-    branch_weights,
     cloning_fidelity,
     config_field,
     default_geometry,
@@ -28,7 +27,6 @@ from gravsim import (
     monte_carlo_accuracy,
     prepare,
     sense,
-    state_overlap,
 )
 
 # |mix_field| distance between the closest residual pair at b=1 in the
@@ -119,7 +117,7 @@ def test_infer_validates_readings(geom):
 def test_infer_accepts_flat_single_reading(geom):
     params = NonlinearParams(b=0.1)
     sensor = SensorModel(sigma=1e-30)
-    field = general_field(Bb84Symbol.Z1, branch_weights(Bb84Symbol.Z1), params, geom)
+    field = general_field(Bb84Symbol.Z1, Bb84Symbol.Z1, params, geom)
     inferred, posterior = infer_alice_state(
         field.copy(), Bb84Symbol.Z1, geom, params, sensor, np.random.default_rng(4)
     )
@@ -162,7 +160,7 @@ def test_infer_born_factor_reweights_by_outcome_law(geom):
 def test_infer_consumes_one_tie_break_draw_even_without_ties(geom):
     params = NonlinearParams(b=0.1)
     sensor = SensorModel(sigma=1e-13)
-    field = general_field(Bb84Symbol.Z1, branch_weights(Bb84Symbol.Z1), params, geom)
+    field = general_field(Bb84Symbol.Z1, Bb84Symbol.Z1, params, geom)
     used = np.random.default_rng(21)
     shadow = np.random.default_rng(21)
     readings = sense(field, sensor, used)
@@ -180,12 +178,45 @@ def test_infer_tiny_sigma_identifies_the_preparation(geom, sigma):
     rng = np.random.default_rng(13)
     for prepared in SYMBOLS:
         outcome = eve_dual_basis_measure(prepare(prepared), rng)
-        field = general_field(outcome, branch_weights(prepared), params, geom)
+        field = general_field(outcome, prepared, params, geom)
         readings = sense(field, sensor, rng)
         inferred, posterior = infer_alice_state(readings, outcome, geom, params, sensor, rng)
         assert inferred is prepared
         assert posterior[prepared] == 1.0
         assert posterior.sum() == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_infer_rejects_readings_that_overflow(geom):
+    params = NonlinearParams(b=0.05)
+    sensor = SensorModel(sigma=1e308, samples=8)
+    rng = np.random.default_rng(4)
+    readings = sense(general_field(Bb84Symbol.Z0, Bb84Symbol.Z0, params, geom), sensor, rng)
+    with pytest.raises(ValidationError, match="sensor.sigma"):
+        infer_alice_state(readings, Bb84Symbol.Z0, geom, params, sensor, rng)
+    # each reading finite, but their sum is not
+    readings = np.full((2, geom.field_dim), 1e308)
+    with pytest.raises(ValidationError, match="sensor.sigma"):
+        infer_alice_state(readings, Bb84Symbol.Z0, geom, params, sensor, rng)
+
+
+@pytest.mark.filterwarnings("error")
+def test_monte_carlo_rejects_an_overflowing_statistic(geom):
+    sensor = SensorModel(sigma=1e308, samples=8)
+    with pytest.raises(ValidationError, match="sensor.sigma"):
+        monte_carlo_accuracy(NonlinearParams(b=0.05), geom, sensor, 4000, np.random.default_rng(1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_sigma_still_runs(geom):
+    params = NonlinearParams(b=0.05)
+    sensor = SensorModel(sigma=1e300, samples=8)
+    accuracy = monte_carlo_accuracy(params, geom, sensor, 4000, np.random.default_rng(1))
+    assert accuracy == pytest.approx(0.25, abs=4 * oracles.binomial_sigma(0.25, 4000))
+    rng = np.random.default_rng(5)
+    for prepared in SYMBOLS:
+        _, record = attack_round(prepared, geom, params, sensor, EveStrategy("Threshold"), rng)
+        assert abs(sum(record.posterior) - 1.0) <= 1e-9
 
 
 def test_infer_born_factor_keeps_a_possible_preparation_at_tiny_sigma(geom):

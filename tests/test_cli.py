@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import gravsim_env
+from gravsim import cli
 from gravsim import (
     ExclusionExperiment,
     exclusion_limit,
@@ -52,6 +53,42 @@ def test_run_at_tiny_sigma_exits_0(capsys, sigma):
     stats = json.loads(out)
     assert stats["qber"] == 0.0
     assert stats["eveAccuracy"] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_at_overflowing_sigma_exits_3_with_one_line(capsys):
+    config = (
+        '{"session": {"seed": 4}, "sensor": {"sigma": 1e308, "samples": 8},'
+        ' "nonlinear": {"b": 0.05}}'
+    )
+    code, out, err = run_main(["run", "--rounds", "50", "--config", config], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("gravsim: sensor.sigma: 1e+308")
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_at_sigma_1e300_exits_0(capsys):
+    config = (
+        '{"session": {"seed": 4}, "sensor": {"sigma": 1e300, "samples": 8},'
+        ' "nonlinear": {"b": 0.05}}'
+    )
+    code, out, err = run_main(["run", "--rounds", "50", "--config", config], capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["rounds"] == 50
+
+
+def test_unexpected_exception_exits_4_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_run", broken)
+    code, out, err = run_main(["run", "--config", MINIMAL], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "gravsim: internal error: RuntimeError: boom\n"
 
 
 def test_run_without_sifted_rounds_reports_no_verdict(capsys):

@@ -132,7 +132,7 @@ def test_mix_field_degenerate_weights_reproduce_config(geom):
 def test_mix_field_is_linear(geom):
     wa = branch_weights(Bb84Symbol.Z0)
     wb = branch_weights(Bb84Symbol.XM)
-    blended = mix_field(0.5 * wa.as_array() + 0.5 * wb.as_array(), geom)
+    blended = mix_field(0.5 * wa + 0.5 * wb, geom)
     parts = 0.5 * mix_field(wa, geom) + 0.5 * mix_field(wb, geom)
     assert np.allclose(blended, parts, rtol=1e-12, atol=0.0)
 
@@ -140,6 +140,13 @@ def test_mix_field_is_linear(geom):
 def test_mix_field_validates_weights(geom):
     with pytest.raises(ValidationError):
         mix_field((0.9, 0.9, 0.0, 0.0), geom)
+    for weights, message in (
+        ((-0.1, 0.5, 0.3, 0.3), "non-negative"),
+        ((0.5, 0.5, 0.25, 0.25), "sum to 1"),
+        ((0.5, 0.5), "four"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            mix_field(weights, geom)
 
 
 def test_mix_matrix_rows_match_mix_field(geom):
@@ -173,14 +180,14 @@ def test_general_field_linear_limit_is_exact(geom):
     params = NonlinearParams(b=0.0, lam=0.7, delta_t=3.0)
     for prepared in SYMBOLS:
         for outcome in SYMBOLS:
-            field = general_field(outcome, branch_weights(prepared), params, geom)
+            field = general_field(outcome, prepared, params, geom)
             assert np.array_equal(field, config_field(outcome, geom))
 
 
 def test_general_field_composition(geom):
     params = NonlinearParams(b=0.4, lam=0.5, delta_t=1.0)
     weights = branch_weights(Bb84Symbol.XP)
-    field = general_field(Bb84Symbol.Z0, weights, params, geom)
+    field = general_field(Bb84Symbol.Z0, Bb84Symbol.XP, params, geom)
     expected = config_field(Bb84Symbol.Z0, geom) + decay_factor(params) * mix_field(
         weights, geom
     )

@@ -1,17 +1,22 @@
-"""Property tests for the classifier posterior and the exclusion limit."""
+"""Property tests for the classifier posterior, the exclusion limit and config round trips."""
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from gravsim import (
+    SWEEP_PARAMETERS,
     SYMBOLS,
     ExclusionExperiment,
     NonlinearParams,
     SensorModel,
-    branch_weights,
+    StrategyMode,
+    config_from_dict,
     default_geometry,
     eve_dual_basis_measure,
     exclusion_limit,
@@ -19,6 +24,7 @@ from gravsim import (
     infer_alice_state,
     prepare,
     sense,
+    serialize_config,
     signal_to_noise,
 )
 from gravsim.attack import POSTERIOR_TOLERANCE
@@ -46,7 +52,7 @@ def test_posterior_is_a_distribution(log10_sigma, b, samples, prepared, born_fac
     sensor = SensorModel(sigma=10.0**log10_sigma, samples=samples)
     rng = np.random.default_rng(seed)
     outcome = eve_dual_basis_measure(prepare(prepared), rng)
-    readings = sense(general_field(outcome, branch_weights(prepared), params, GEOM), sensor, rng)
+    readings = sense(general_field(outcome, prepared, params, GEOM), sensor, rng)
     inferred, posterior = infer_alice_state(
         readings, outcome, GEOM, params, sensor, rng, born_factor
     )
@@ -94,3 +100,101 @@ def test_exclusion_bound_sits_at_the_confidence_quantile(confidence):
     assert bound < 1.0
     z = signal_to_noise(bound, 0.0, 1.0, sensor, GEOM)
     assert oracles.normal_cdf(z) == pytest.approx(confidence, abs=1e-12)
+
+
+UNIT = st.floats(0.0, 1.0)
+RATE = st.floats(0.0, 1e6)
+POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+COORD = st.floats(-10.0, 10.0)
+VEC3 = st.lists(COORD, min_size=3, max_size=3)
+MODES = st.sampled_from([mode.value for mode in StrategyMode])
+
+# One valid value strategy per sweep parameter.
+SWEEP_VALUES = {
+    "b": UNIT,
+    "lambda": RATE,
+    "deltaT": RATE,
+    "sigma": POSITIVE,
+    "samples": st.integers(1, 64),
+    "strategy": MODES,
+    "tau": st.floats(0.0, 1.0, exclude_min=True),
+    "attackFraction": UNIT,
+}
+
+
+def _optional_keys(**fields):
+    """A JSON object holding any subset of the given keys."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+@st.composite
+def geometry_sections(draw):
+    sites = draw(st.lists(VEC3, min_size=4, max_size=4, unique_by=tuple))
+    probes = draw(st.lists(VEC3, min_size=1, max_size=4))
+    for probe in probes:
+        assume(min(np.linalg.norm(np.subtract(site, probe)) for site in sites) > 1e-3)
+    section = {"sites": dict(zip((s.label for s in SYMBOLS), sites)), "probes": probes}
+    section.update(draw(_optional_keys(testMass=POSITIVE, gravConst=POSITIVE)))
+    return section
+
+
+@st.composite
+def sweep_grids(draw):
+    names = draw(st.lists(st.sampled_from(SWEEP_PARAMETERS), min_size=1, max_size=3, unique=True))
+    return [[name, draw(st.lists(SWEEP_VALUES[name], min_size=1, max_size=3))] for name in names]
+
+
+SWEEP_SECTIONS = st.fixed_dictionaries(
+    {
+        "grids": sweep_grids(),
+        "roundsPerPoint": st.integers(1, 10**6),
+        "seedBase": st.integers(0, 2**63),
+    }
+)
+
+LIMIT_SECTIONS = st.fixed_dictionaries(
+    {"lambdaGrid": st.lists(RATE, min_size=1, max_size=4)},
+    optional={
+        "deltaTSchedule": st.lists(RATE, min_size=1, max_size=4),
+        "confidence": st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+        "preparation": st.sampled_from([s.label for s in SYMBOLS]),
+        "nullObservation": st.booleans(),
+    },
+)
+
+CONFIG_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "session": st.fixed_dictionaries(
+            {"seed": st.integers(0, 2**63)}, optional={"rounds": st.integers(1, 10**9)}
+        )
+    },
+    optional={
+        "geometry": geometry_sections(),
+        "nonlinear": _optional_keys(b=UNIT, **{"lambda": RATE, "deltaT": RATE}),
+        "sensor": _optional_keys(sigma=POSITIVE, samples=st.integers(1, 64)),
+        "eve": _optional_keys(
+            enabled=st.booleans(),
+            strategy=MODES,
+            tau=st.floats(0.0, 1.0, exclude_min=True),
+            attackFraction=UNIT,
+            bornFactor=st.booleans(),
+        ),
+        "sweep": SWEEP_SECTIONS,
+        "limit": LIMIT_SECTIONS,
+    },
+)
+
+
+@PROPERTY_SETTINGS
+@given(document=CONFIG_DOCUMENTS)
+def test_serialize_then_parse_is_the_identity(document):
+    config = config_from_dict(document)
+    serialized = serialize_config(config)
+    reparsed = config_from_dict(json.loads(json.dumps(serialized)))
+    # Geometry compares by identity, so its fields are checked one by one.
+    assert replace(reparsed, geometry=config.geometry) == config
+    assert np.array_equal(reparsed.geometry.sites, config.geometry.sites)
+    assert np.array_equal(reparsed.geometry.probes, config.geometry.probes)
+    assert reparsed.geometry.test_mass == config.geometry.test_mass
+    assert reparsed.geometry.grav_const == config.geometry.grav_const
+    assert serialize_config(reparsed) == serialized

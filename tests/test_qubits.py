@@ -1,6 +1,4 @@
-"""Unit tests for states, symbols, and Born-rule measurements."""
-
-import math
+"""Unit tests for symbols, the Born table, and Born-rule measurements."""
 
 import numpy as np
 import pytest
@@ -9,18 +7,14 @@ import oracles
 from gravsim import (
     Basis,
     Bb84Symbol,
-    BranchWeights,
-    QubitState,
     SYMBOLS,
     ValidationError,
     bob_measure,
     branch_weights,
     eve_dual_basis_measure,
-    outcome_distribution,
     prepare,
-    state_overlap,
 )
-from gravsim.qubits import INV_SQRT2, as_symbol
+from gravsim.qubits import as_symbol
 
 
 def test_symbol_order_and_properties():
@@ -47,13 +41,10 @@ def test_as_symbol_coercions():
         as_symbol("Q0")
 
 
-def test_prepared_amplitudes_match_reference():
+def test_prepare_returns_the_symbol():
     for s in SYMBOLS:
-        state = prepare(s)
-        a0, a1 = oracles.STATES[s.label]
-        assert complex(state.amp0) == pytest.approx(a0.to_float(), abs=1e-15)
-        assert complex(state.amp1) == pytest.approx(a1.to_float(), abs=1e-15)
-        assert state.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert prepare(s) is s
+        assert prepare(int(s)) is s
 
 
 def test_prepare_rejects_non_symbol():
@@ -61,29 +52,10 @@ def test_prepare_rejects_non_symbol():
         prepare(9)
 
 
-def test_amplitudes_vector_is_read_only():
-    amps = prepare(Bb84Symbol.Z0).amplitudes()
+def test_branch_weights_row_is_read_only():
+    row = branch_weights(Bb84Symbol.Z0)
     with pytest.raises(ValueError):
-        amps[0] = 0.0
-
-
-def test_state_overlap_conjugates_the_bra():
-    assert state_overlap(prepare(Bb84Symbol.Z0), prepare(Bb84Symbol.XP)) == pytest.approx(
-        INV_SQRT2
-    )
-    value = state_overlap(QubitState(1j, 0.0), QubitState(1.0, 0.0))
-    assert value == pytest.approx(-1j)
-
-
-def test_outcome_distribution_matches_oracle():
-    for s in SYMBOLS:
-        dist = outcome_distribution(prepare(s))
-        expected = oracles.eve_outcome_distribution(s.label)
-        for t in SYMBOLS:
-            assert dist[t] == pytest.approx(float(expected[t.label]), abs=1e-15)
-        # the orthogonal partner is impossible exactly, not approximately
-        partner = dist[[t for t in SYMBOLS if t.basis is s.basis and t is not s][0]]
-        assert partner == 0.0
+        row[0] = 0.0
 
 
 def test_branch_weights_exact_table():
@@ -94,7 +66,11 @@ def test_branch_weights_exact_table():
         Bb84Symbol.XM: (0.25, 0.25, 0.0, 0.5),
     }
     for s, values in expected.items():
-        assert branch_weights(s).w == values  # exact floats, no tolerance
+        assert tuple(branch_weights(s)) == values  # exact floats, no tolerance
+
+
+def amplitudes(symbol):
+    return np.array([a.to_float() for a in oracles.STATES[symbol.label]])
 
 
 def test_branch_weights_agree_with_oracle_and_born_rule():
@@ -102,17 +78,10 @@ def test_branch_weights_agree_with_oracle_and_born_rule():
         oracle = oracles.eve_outcome_distribution(s.label)
         weights = branch_weights(s)
         for t in SYMBOLS:
-            assert weights.w[t] == float(oracle[t.label])
-        assert np.allclose(weights.as_array(), outcome_distribution(prepare(s)), atol=1e-15)
-
-
-def test_branch_weights_validation():
-    with pytest.raises(ValidationError, match="non-negative"):
-        BranchWeights((-0.1, 0.5, 0.3, 0.3))
-    with pytest.raises(ValidationError, match="sum to 1"):
-        BranchWeights((0.5, 0.5, 0.25, 0.25))
-    with pytest.raises(ValidationError, match="four"):
-        BranchWeights((0.5, 0.5))
+            assert weights[t] == float(oracle[t.label])
+        # Born rule 0.5 * <t|s>^2 from the oracle's (real) amplitudes in floating point
+        born = [0.5 * np.dot(amplitudes(t), amplitudes(s)) ** 2 for t in SYMBOLS]
+        assert np.allclose(weights, born, atol=1e-15)
 
 
 def test_eve_measure_frequencies_and_impossible_outcome():
@@ -136,9 +105,51 @@ def test_eve_measure_consumes_exactly_one_draw():
     assert used.random() == shadow.random()
 
 
-def test_eve_measure_rejects_unnormalized_state():
-    with pytest.raises(ValidationError):
-        eve_dual_basis_measure(QubitState(0.5, 0.5), np.random.default_rng(0))
+class FixedDraw:
+    """Stands in for a Generator whose next uniform is known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_eve_measure_thresholds_are_exact_quarters():
+    def below(edge):
+        return np.nextafter(edge, 0.0)
+
+    cases = {
+        # Z0 outcomes: Z0 on [0, 1/2), never Z1, Xp on [1/2, 3/4), Xm on [3/4, 1)
+        Bb84Symbol.Z0: (
+            (0.0, Bb84Symbol.Z0),
+            (below(0.5), Bb84Symbol.Z0),
+            (0.5, Bb84Symbol.XP),
+            (below(0.75), Bb84Symbol.XP),
+            (0.75, Bb84Symbol.XM),
+            (below(1.0), Bb84Symbol.XM),
+        ),
+        # Xp outcomes: Z0 on [0, 1/4), Z1 on [1/4, 1/2), Xp on [1/2, 1), never Xm
+        Bb84Symbol.XP: (
+            (below(0.25), Bb84Symbol.Z0),
+            (0.25, Bb84Symbol.Z1),
+            (below(0.5), Bb84Symbol.Z1),
+            (0.5, Bb84Symbol.XP),
+            (below(1.0), Bb84Symbol.XP),
+        ),
+    }
+    for prepared, draws in cases.items():
+        for u, outcome in draws:
+            assert eve_dual_basis_measure(prepared, FixedDraw(u)) is outcome, (prepared, u)
+
+
+def test_measurements_reject_non_symbols():
+    rng = np.random.default_rng(0)
+    for state in (2, "Z0", None):
+        with pytest.raises(ValidationError, match="eve_dual_basis_measure"):
+            eve_dual_basis_measure(state, rng)
+        with pytest.raises(ValidationError, match="bob_measure"):
+            bob_measure(state, Basis.Z, rng)
 
 
 def test_bob_measure_eigenstates_are_deterministic():
