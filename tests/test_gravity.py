@@ -140,13 +140,6 @@ def test_mix_field_is_linear(geom):
 def test_mix_field_validates_weights(geom):
     with pytest.raises(ValidationError):
         mix_field((0.9, 0.9, 0.0, 0.0), geom)
-    for weights, message in (
-        ((-0.1, 0.5, 0.3, 0.3), "non-negative"),
-        ((0.5, 0.5, 0.25, 0.25), "sum to 1"),
-        ((0.5, 0.5), "four"),
-    ):
-        with pytest.raises(ValidationError, match=message):
-            mix_field(weights, geom)
 
 
 def test_mix_matrix_rows_match_mix_field(geom):

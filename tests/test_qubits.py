@@ -11,7 +11,9 @@ from gravsim import (
     ValidationError,
     bob_measure,
     branch_weights,
+    default_geometry,
     eve_dual_basis_measure,
+    mix_field,
     prepare,
 )
 from gravsim.qubits import as_symbol
@@ -82,6 +84,18 @@ def test_branch_weights_agree_with_oracle_and_born_rule():
         # Born rule 0.5 * <t|s>^2 from the oracle's (real) amplitudes in floating point
         born = [0.5 * np.dot(amplitudes(t), amplitudes(s)) ** 2 for t in SYMBOLS]
         assert np.allclose(weights, born, atol=1e-15)
+
+
+def test_branch_weights_validation():
+    # A caller-supplied weight vector enters the model only through mix_field,
+    # which owns the checks the table rows satisfy by construction.
+    geom = default_geometry()
+    with pytest.raises(ValidationError, match="non-negative"):
+        mix_field((-0.1, 0.5, 0.3, 0.3), geom)
+    with pytest.raises(ValidationError, match="sum to 1"):
+        mix_field((0.5, 0.5, 0.25, 0.25), geom)
+    with pytest.raises(ValidationError, match="four"):
+        mix_field((0.5, 0.5), geom)
 
 
 def test_eve_measure_frequencies_and_impossible_outcome():
