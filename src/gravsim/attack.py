@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .gravity import Geometry, NonlinearParams, config_field, decay_factor, general_field
-from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, eve_dual_basis_measure, prepare
+from .qubits import (
+    _EVE_CUMULATIVE,
+    BRANCH_WEIGHTS,
+    SYMBOLS,
+    Bb84Symbol,
+    eve_dual_basis_measure,
+    prepare,
+)
 
 POSTERIOR_TOLERANCE = 1e-9
 
@@ -111,6 +118,9 @@ with np.errstate(divide="ignore"):
     _OUTCOME_LOG_LIKELIHOOD = np.log(BRANCH_WEIGHTS.T)
 _OUTCOME_LOG_LIKELIHOOD.setflags(write=False)
 
+# eve_dual_basis_measure's thresholds as a (4, 4) array, row per preparation.
+_EVE_EDGES = np.array(_EVE_CUMULATIVE)
+
 
 def sense(true_field, sensor: SensorModel, rng: np.random.Generator) -> np.ndarray:
     """Noisy sensor readings of a field, shape (samples, field_dim).
@@ -147,14 +157,30 @@ def _logits(statistic, residuals, count: int, sigma: float, log_prior=0.0) -> np
     hypothesis the prior allows is exactly 0 (one the prior rules out is
     capped at 0 and keeps its -inf prior), and only then divided by sigma,
     once per factor: no sigma > 0 gives NaN, a hypothesis the data rule out
-    scores -inf, and exact ties stay exact.
+    scores -inf, and exact ties stay exact. The dot products go through
+    einsum rather than BLAS, which sums every row in the same order whatever
+    the batch shape, so a row's logits never depend on the rows beside it.
     """
     if not np.isfinite(statistic).all():
         raise ValidationError(f"sensor.sigma: {sigma!r} overflows the sensor readings")
-    score = statistic @ residuals.T - 0.5 * count * (residuals * residuals).sum(axis=1)
+    score = np.einsum("...d,hd->...h", statistic, residuals)
+    score -= 0.5 * count * (residuals * residuals).sum(axis=1)
     best = score.max(axis=-1, keepdims=True, where=log_prior != -np.inf, initial=-np.inf)
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
         return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
+
+
+def _break_ties(logits, u) -> np.ndarray:
+    """Index of each row's maximum, (n, 4) -> (n,); a tie goes to peak floor(u * ties) of the row.
+
+    u holds one uniform draw per row, so the stream position never depends
+    on the data.
+    """
+    is_peak = logits == logits.max(axis=1, keepdims=True)
+    n_ties = is_peak.sum(axis=1)
+    pick = np.minimum((u * n_ties).astype(np.int64), n_ties - 1)
+    rank = np.cumsum(is_peak, axis=1) - 1
+    return (is_peak & (rank == pick[:, np.newaxis])).argmax(axis=1)
 
 
 def infer_alice_state(
@@ -248,6 +274,56 @@ def attack_round(
     return prepare(resent), record
 
 
+def _attack_batch(
+    prepared: np.ndarray,
+    geom: Geometry,
+    params: NonlinearParams,
+    sensor: SensorModel,
+    strategy: EveStrategy,
+    born_factor: bool,
+    outcome_draws: np.ndarray,
+    noise: np.ndarray,
+    tie_draws: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """attack_round over n interceptions at once, fed its variates explicitly.
+
+    prepared holds symbol indices, outcome_draws and tie_draws one uniform
+    per round, noise the (n, samples * field_dim) standard normals of the
+    sensor block. Returns (outcome, inferred, posterior, resent) as arrays of
+    symbol indices and an (n, 4) posterior; every posterior row is checked
+    to be a distribution, as EveRecord does.
+    """
+    if not isinstance(strategy, EveStrategy):
+        raise ValidationError(f"attack_round: strategy must be an EveStrategy, got {strategy!r}")
+    count = sensor.samples
+    outcome = (outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared]).sum(axis=1)
+    config = geom.config_matrix[outcome]
+    field = config + decay_factor(params) * geom.mix_matrix[prepared]
+    with np.errstate(over="ignore", invalid="ignore"):
+        readings = field[:, np.newaxis, :] + sensor.sigma * noise.reshape(-1, count, geom.field_dim)
+        statistic = readings.sum(axis=1) - count * config
+    logits = _logits(
+        statistic,
+        hypothesis_residuals(params, geom),
+        count,
+        sensor.sigma,
+        _OUTCOME_LOG_LIKELIHOOD[outcome] if born_factor else 0.0,
+    )
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    posterior = weights / weights.sum(axis=1, keepdims=True)
+    normalized = abs(posterior.sum(axis=1) - 1.0) <= POSTERIOR_TOLERANCE
+    if not ((posterior >= 0.0).all() and normalized.all()):
+        raise ValidationError("posterior must be non-negative and sum to 1")
+    inferred = _break_ties(logits, tie_draws)
+    if strategy.mode is StrategyMode.CLONE_INFERRED:
+        resent = inferred
+    elif strategy.mode is StrategyMode.RESEND_MEASURED:
+        resent = outcome
+    else:
+        resent = np.where(posterior.max(axis=1) >= strategy.tau, inferred, outcome)
+    return outcome, inferred, posterior, resent
+
+
 @dataclass(frozen=True)
 class AccuracyEstimate:
     """Analytic accuracy summary for the four-hypothesis field classifier.
@@ -333,12 +409,7 @@ def monte_carlo_accuracy(
     with np.errstate(over="ignore"):
         statistic = count * residuals[truths] + sigma * math.sqrt(count) * noise
     logits = _logits(statistic, residuals, count, sigma)
-    peaks = logits.max(axis=1, keepdims=True)
-    is_peak = logits == peaks
-    n_ties = is_peak.sum(axis=1)
-    pick = np.minimum((rng.random(int(n_trials)) * n_ties).astype(np.int64), n_ties - 1)
-    rank = np.cumsum(is_peak, axis=1) - 1
-    chosen = (is_peak & (rank == pick[:, np.newaxis])).argmax(axis=1)
+    chosen = _break_ties(logits, rng.random(int(n_trials)))
     return float(np.mean(chosen == truths))
 
 

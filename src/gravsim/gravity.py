@@ -111,6 +111,13 @@ class Geometry:
         object.__setattr__(self, "probes", probes)
         object.__setattr__(self, "test_mass", test_mass)
         object.__setattr__(self, "grav_const", grav_const)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.config_matrix).all()
+        if not finite:
+            raise GeometryError(
+                f"geometry.testMass, geometry.gravConst: a test mass of {test_mass!r} kg with "
+                f"gravConst {grav_const!r} gives a configuration field beyond double precision"
+            )
 
     @property
     def n_probes(self) -> int:

@@ -13,12 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import EveRecord, EveStrategy, SensorModel, attack_round
+from .attack import EveRecord, EveStrategy, SensorModel, _attack_batch
 from .errors import UndefinedStatisticError, ValidationError
 from .gravity import Geometry, NonlinearParams
-from .qubits import SYMBOLS, Basis, Bb84Symbol, bob_measure, prepare
+from .qubits import _BASES, _BOB_P0, SYMBOLS, Basis, Bb84Symbol
 
 ABORT_QBER = 0.11
+
+# Version of the random-stream layout that run_session reads (see
+# _round_variates); it changes whenever a seed would give other rounds.
+RNG_CONTRACT = 2
+
+# The uniforms at the head of every round's block, in stream order.
+_ALICE, _COIN, _EVE_OUTCOME, _TIE_BREAK, _BOB_BASIS, _BOB_BIT = range(6)
+_UNIFORMS = 6
+
+# uint64 draws simulated per chunk; bounds a session's working memory.
+_CHUNK_VARIATES = 8192
 
 # Eve guess categories for the information accounting: her inferred bit when
 # her basis matched the announced one, else a separate no-guess category.
@@ -169,6 +180,42 @@ def eve_information(records) -> float:
     return _mutual_information(joint)
 
 
+def _round_block(n_normals: int) -> int:
+    """uint64 draws per round: the uniforms, then n_normals Box-Muller inputs rounded up to even.
+
+    The sum is padded to a multiple of 4, one Philox counter step.
+    """
+    return -(-(_UNIFORMS + n_normals + n_normals % 2) // 4) * 4
+
+
+def _round_variates(seed: int, start: int, stop: int, n_normals: int):
+    """The variates of rounds [start, stop): uniforms (n, 6) and standard normals (n, n_normals).
+
+    Round i owns uint64 draws [i * K, (i + 1) * K) of Philox(seed), with
+    K = _round_block(n_normals); Philox yields 4 draws per counter step, so
+    the stream is entered by advancing the counter start * K / 4 steps. A
+    draw x gives the uniform (x >> 11) * 2**-53 in [0, 1); the normals come
+    in Box-Muller pairs, r cos(2 pi v) and r sin(2 pi v) with
+    r = sqrt(-2 log(1 - u)) for consecutive uniforms u, v.
+    """
+    block = _round_block(n_normals)
+    bitgen = np.random.Philox(seed)
+    bitgen.advance(start * block // 4)
+    raw = bitgen.random_raw((stop - start) * block).reshape(stop - start, block)
+    uniforms = (raw[:, : _UNIFORMS + n_normals + n_normals % 2] >> 11) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[:, _UNIFORMS::2]))
+    angle = 2.0 * math.pi * uniforms[:, _UNIFORMS + 1 :: 2]
+    normals = np.empty((stop - start, 2 * radius.shape[1]))
+    normals[:, 0::2] = radius * np.cos(angle)
+    normals[:, 1::2] = radius * np.sin(angle)
+    return uniforms[:, :_UNIFORMS], normals[:, :n_normals]
+
+
+def _rows(columns):
+    """Row tuples of Python scalars (lists for 2-D columns) across equal-length arrays."""
+    return zip(*(column.tolist() for column in columns))
+
+
 def run_session(
     n_rounds: int,
     eve_config: EveConfig | None = None,
@@ -178,11 +225,15 @@ def run_session(
 ) -> tuple[SessionStats, list[RoundRecord]]:
     """Simulate a BB84 session; returns (SessionStats, round records).
 
-    Round i consumes its own random stream seeded by (seed, i) in a fixed
-    draw order: Alice's symbol, the attack coin (only when Eve is
-    configured), Eve's attack draws, Bob's basis, Bob's measurement.
-    Identical (configuration, seed) therefore reproduce identical transcripts
-    regardless of how other rounds are scheduled.
+    Round i reads only its own block of the counter-based stream
+    Philox(seed) (RNG_CONTRACT, see _round_variates): six uniforms for
+    Alice's symbol floor(4u), the attack coin u < attack_fraction, Eve's
+    outcome, her tie-break, Bob's basis floor(2u) and Bob's bit, then the
+    standard normals of Eve's sensor block (none without Eve). A session is
+    therefore a prefix of every longer session with the same configuration
+    and seed. Rounds are simulated in vectorised chunks of bounded size,
+    with attack_round's and bob_measure's rules applied to whole arrays;
+    the chunking never changes a result.
 
     with_records=False skips transcript storage for large sessions; all
     statistics are unaffected.
@@ -193,49 +244,59 @@ def run_session(
         raise ValidationError(f"session.seed: must be a non-negative integer, got {seed!r}")
     if eve_config is not None and not isinstance(eve_config, EveConfig):
         raise ValidationError(f"run_session: eve_config must be an EveConfig, got {eve_config!r}")
+    eve = eve_config
+    n_rounds = int(n_rounds)
+    n_normals = eve.sensor.samples * eve.geometry.field_dim if eve is not None else 0
+    chunk = max(1, _CHUNK_VARIATES // _round_block(n_normals))
     records: list[RoundRecord] | None = [] if with_records else None
-    bases = (Basis.Z, Basis.X)
-    sifted_count = 0
-    error_count = 0
-    attacked_count = 0
-    inferred_correct = 0
-    joint = np.zeros((2, 3), dtype=np.int64)
-    for i in range(int(n_rounds)):
-        rng = np.random.default_rng([int(seed), i])
-        alice = SYMBOLS[int(rng.integers(4))]
-        state = prepare(alice)
-        eve_record = None
-        if eve_config is not None:
-            if rng.random() < eve_config.attack_fraction:
-                state, eve_record = attack_round(
-                    alice,
-                    eve_config.geometry,
-                    eve_config.params,
-                    eve_config.sensor,
-                    eve_config.strategy,
-                    rng,
-                    eve_config.born_factor,
-                )
-                attacked_count += 1
-                inferred_correct += eve_record.inferred == alice
-        bob_basis = bases[int(rng.integers(2))]
-        bob_bit = bob_measure(state, bob_basis, rng)
-        sifted = bob_basis is alice.basis
-        error = (bob_bit != alice.bit) if sifted else None
-        if sifted:
-            sifted_count += 1
-            error_count += bool(error)
-            if eve_config is not None:
-                joint[alice.bit, _eve_guess_category(eve_record, alice.basis)] += 1
+    sifted_count = error_count = attacked_count = inferred_correct = 0
+    joint = np.zeros(6, dtype=np.int64)
+    for start in range(0, n_rounds, chunk):
+        stop = min(n_rounds, start + chunk)
+        uniforms, normals = _round_variates(int(seed), start, stop, n_normals)
+        alice = (4.0 * uniforms[:, _ALICE]).astype(np.intp)
+        state = alice.copy()
+        # Eve's guess per round: her inferred bit when its basis is Alice's, else no guess.
+        guess = np.full(stop - start, _NO_GUESS)
+        if eve is not None:
+            attacked = np.flatnonzero(uniforms[:, _COIN] < eve.attack_fraction)
+            outcome, inferred, posterior, resent = _attack_batch(
+                alice[attacked],
+                eve.geometry,
+                eve.params,
+                eve.sensor,
+                eve.strategy,
+                eve.born_factor,
+                uniforms[attacked, _EVE_OUTCOME],
+                normals[attacked],
+                uniforms[attacked, _TIE_BREAK],
+            )
+            state[attacked] = resent
+            same_basis = inferred >> 1 == alice[attacked] >> 1
+            guess[attacked] = np.where(same_basis, inferred & 1, _NO_GUESS)
+            attacked_count += attacked.size
+            inferred_correct += int(np.count_nonzero(inferred == alice[attacked]))
+        bob_basis = (2.0 * uniforms[:, _BOB_BASIS]).astype(np.intp)
+        bob_bit = (uniforms[:, _BOB_BIT] >= _BOB_P0[state, bob_basis]).astype(np.intp)
+        sifted = bob_basis == alice >> 1
+        error = sifted & (bob_bit != alice & 1)
+        sifted_count += int(np.count_nonzero(sifted))
+        error_count += int(np.count_nonzero(error))
+        joint += np.bincount(3 * (alice[sifted] & 1) + guess[sifted], minlength=6)
         if records is not None:
-            records.append(RoundRecord(i, alice, bob_basis, bob_bit, sifted, error, eve_record))
-    eve_accuracy = (
-        inferred_correct / attacked_count
-        if (eve_config is not None and attacked_count)
-        else None
-    )
+            eve_records: list[EveRecord | None] = [None] * (stop - start)
+            if eve is not None:
+                eve_columns = (outcome, inferred, posterior, resent, resent == alice[attacked])
+                for row, (o, i, p, r, c) in zip(attacked.tolist(), _rows(eve_columns)):
+                    eve_records[row] = EveRecord(SYMBOLS[o], SYMBOLS[i], p, SYMBOLS[r], c)
+            rounds = zip(_rows((alice, bob_basis, bob_bit, sifted, error)), eve_records)
+            records.extend(
+                RoundRecord(start + k, SYMBOLS[a], _BASES[b], bit, s, e if s else None, eve_record)
+                for k, ((a, b, bit, s, e), eve_record) in enumerate(rounds)
+            )
+    eve_accuracy = inferred_correct / attacked_count if attacked_count else None
     mutual_info = (
-        _mutual_information(joint) if (eve_config is not None and sifted_count) else None
+        _mutual_information(joint.reshape(2, 3)) if (eve is not None and sifted_count) else None
     )
     if sifted_count:
         qber = error_count / sifted_count
@@ -243,7 +304,7 @@ def run_session(
     else:
         qber = theory = attack_rate = None
     stats = SessionStats(
-        rounds=int(n_rounds),
+        rounds=n_rounds,
         sifted_count=sifted_count,
         qber=qber,
         eve_accuracy=eve_accuracy,

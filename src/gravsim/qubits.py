@@ -96,13 +96,12 @@ BRANCH_WEIGHTS.setflags(write=False)
 # exact multiples of 1/4 that end at 1.
 _EVE_CUMULATIVE = tuple(tuple(row) for row in np.cumsum(BRANCH_WEIGHTS, axis=1).tolist())
 
-# P(bit 0) when Bob measures prepared symbol p in basis Z or X: the weight of
-# the basis's bit-0 symbol over the weight of the whole basis.
-_BOB_P0 = {
-    (p, basis): float(BRANCH_WEIGHTS[p, first] / BRANCH_WEIGHTS[p, first : first + 2].sum())
-    for p in SYMBOLS
-    for basis, first in ((Basis.Z, 0), (Basis.X, 2))
-}
+# P(bit 0) when Bob measures prepared symbol p (row) in basis Z (column 0)
+# or X (column 1): the weight of the basis's bit-0 symbol over the weight of
+# the whole basis.
+_BOB_P0 = BRANCH_WEIGHTS[:, 0::2] / (BRANCH_WEIGHTS[:, 0::2] + BRANCH_WEIGHTS[:, 1::2])
+_BOB_P0.setflags(write=False)
+_BASES = (Basis.Z, Basis.X)
 
 
 def _require_symbol(state, where: str) -> Bb84Symbol:
@@ -144,5 +143,5 @@ def bob_measure(state: Bb84Symbol, basis: Basis, rng: np.random.Generator) -> in
     An eigenstate of the basis gives its bit deterministically, a state of
     the conjugate basis a fair coin. Consumes exactly one uniform draw.
     """
-    p0 = _BOB_P0[_require_symbol(state, "bob_measure"), Basis(basis)]
+    p0 = _BOB_P0[_require_symbol(state, "bob_measure"), _BASES.index(Basis(basis))]
     return 0 if rng.random() < p0 else 1

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -92,9 +93,15 @@ def test_unexpected_exception_exits_4_with_one_line(monkeypatch, capsys):
 
 
 def test_run_without_sifted_rounds_reports_no_verdict(capsys):
-    code, out, _ = run_main(["run", "--config", MINIMAL, "--rounds", "1"], capsys)
-    assert code == 0
-    stats = json.loads(out)
+    # the first seed whose single round goes unsifted (probability 1/2 per seed)
+    for seed in range(100):
+        code, out, _ = run_main(
+            ["run", "--config", MINIMAL, "--rounds", "1", "--seed", str(seed)], capsys
+        )
+        assert code == 0
+        stats = json.loads(out)
+        if stats["siftedCount"] == 0:
+            break
     assert stats["siftedCount"] == 0
     assert stats["qber"] is None
     assert stats["keyRateTheory"] is None
@@ -254,6 +261,21 @@ def test_limit_json_matches_library(capsys):
     result = exclusion_limit(experiment, config.limit.lambda_grid, config.limit.confidence)
     assert payload["confidence"] == result.confidence
     assert payload["bUpper"] == list(result.b_upper)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, bundled", [("run", "default.json"), ("limit", "page_geilker.json")]
+)
+def test_overflowing_geometry_exits_3_with_one_line(capsys, command, bundled):
+    document = json.loads(resources.files("gravsim").joinpath("configs", bundled).read_text())
+    document["geometry"].update(testMass=1e300, gravConst=1e300)
+    document["nonlinear"] = {"b": 0.05}
+    code, out, err = run_main([command, "--config", json.dumps(document)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("gravsim: geometry.testMass, geometry.gravConst: ")
 
 
 def test_limit_requires_limit_section(capsys):

@@ -86,6 +86,14 @@ def test_geometry_rejects_bad_mass_and_constant(geom):
         Geometry(sites=geom.sites, probes=geom.probes, grav_const=-1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_geometry_rejects_a_field_beyond_double_precision(geom):
+    with pytest.raises(GeometryError, match=r"geometry\.testMass, geometry\.gravConst"):
+        Geometry(sites=geom.sites, probes=geom.probes, test_mass=1e300, grav_const=1e300)
+    huge = Geometry(sites=geom.sites, probes=geom.probes, test_mass=1e150, grav_const=1e150)
+    assert np.isfinite(huge.mix_matrix).all()
+
+
 def test_geometry_arrays_are_read_only(geom):
     with pytest.raises(ValueError):
         geom.sites[0, 0] = 9.0

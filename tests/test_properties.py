@@ -1,4 +1,4 @@
-"""Property tests for the classifier posterior, the exclusion limit and config round trips."""
+"""Property tests: classifier posterior, exclusion limit, config round trips and sweeps."""
 
 import json
 from dataclasses import replace
@@ -16,20 +16,25 @@ from gravsim import (
     NonlinearParams,
     SensorModel,
     StrategyMode,
+    SweepSpec,
     config_from_dict,
     default_geometry,
     eve_dual_basis_measure,
     exclusion_limit,
     general_field,
     infer_alice_state,
+    load_config,
     prepare,
     sense,
     serialize_config,
     signal_to_noise,
+    sweep,
 )
 from gravsim.attack import POSTERIOR_TOLERANCE
+from gravsim.gravity import NEWTON_G
 
 GEOM = default_geometry()
+SWEEP_BASE = load_config("default.json")
 
 # Fixed example order, so a Tier-1 run is reproducible like the rest of the suite.
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -135,6 +140,8 @@ def geometry_sections(draw):
         assume(min(np.linalg.norm(np.subtract(site, probe)) for site in sites) > 1e-3)
     section = {"sites": dict(zip((s.label for s in SYMBOLS), sites)), "probes": probes}
     section.update(draw(_optional_keys(testMass=POSITIVE, gravConst=POSITIVE)))
+    # Probes sit at least 1e-3 m from every site, so this keeps the field finite.
+    assume(section.get("testMass", 1.0) * section.get("gravConst", NEWTON_G) <= 1e300)
     return section
 
 
@@ -198,3 +205,26 @@ def test_serialize_then_parse_is_the_identity(document):
     assert reparsed.geometry.test_mass == config.geometry.test_mass
     assert reparsed.geometry.grav_const == config.geometry.grav_const
     assert serialize_config(reparsed) == serialized
+
+
+SESSION_SWEEP_GRIDS = {
+    "b": st.lists(UNIT, min_size=1, max_size=3),
+    "sigma": st.lists(st.floats(-30.0, -10.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
+    "strategy": st.lists(MODES, min_size=1, max_size=3),
+    "attackFraction": st.lists(UNIT, min_size=1, max_size=2),
+}
+
+
+@st.composite
+def session_sweep_grids(draw):
+    names = draw(
+        st.lists(st.sampled_from(sorted(SESSION_SWEEP_GRIDS)), min_size=1, max_size=4, unique=True)
+    )
+    return tuple((name, draw(SESSION_SWEEP_GRIDS[name])) for name in names)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(grids=session_sweep_grids(), workers=st.integers(1, 4), seed_base=st.integers(0, 2**32))
+def test_sweep_rows_do_not_depend_on_the_worker_count(grids, workers, seed_base):
+    spec = SweepSpec(grids, rounds_per_point=40, seed_base=seed_base)
+    assert sweep(spec, SWEEP_BASE, max_workers=workers) == sweep(spec, SWEEP_BASE, max_workers=1)

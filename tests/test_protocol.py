@@ -267,7 +267,12 @@ def test_run_session_tiny_sigma_breaks_the_protocol(geom, sigma):
 
 
 def test_run_session_without_sifted_rounds_has_no_verdict(geom):
-    stats, _ = run_session(3, eve_config(geom), seed=3)
+    # the first seed whose 3 rounds all go unsifted (probability 1/8 per seed)
+    stats = next(
+        stats
+        for stats, _ in (run_session(3, eve_config(geom), seed=seed) for seed in range(200))
+        if stats.sifted_count == 0
+    )
     assert stats.sifted_count == 0
     assert stats.qber is None
     assert stats.key_rate_theory is None
