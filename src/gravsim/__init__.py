@@ -46,7 +46,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .errors import GeometryError, GravsimError, UndefinedStatisticError, ValidationError
+from .errors import GeometryError, GravsimError, ValidationError
 from .gravity import (
     Geometry,
     NonlinearParams,
@@ -59,10 +59,8 @@ from .gravity import (
 from .protocol import (
     ABORT_QBER,
     EveConfig,
-    RoundRecord,
     SessionStats,
     binary_entropy,
-    eve_information,
     key_rate,
     run_session,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "LimitResult",
     "LimitSettings",
     "NonlinearParams",
-    "RoundRecord",
     "RunConfig",
     "STAT_COLUMNS",
     "SWEEP_PARAMETERS",
@@ -103,7 +100,6 @@ __all__ = [
     "StrategyMode",
     "SweepSpec",
     "SYMBOLS",
-    "UndefinedStatisticError",
     "ValidationError",
     "analytic_accuracy",
     "attack_round",
@@ -116,7 +112,6 @@ __all__ = [
     "decay_factor",
     "default_geometry",
     "eve_dual_basis_measure",
-    "eve_information",
     "exclusion_limit",
     "general_field",
     "hypothesis_residuals",

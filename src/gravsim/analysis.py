@@ -198,6 +198,34 @@ def min_detectable_b(
     return hi
 
 
+def _nonnegative_floats(values, path: str, empty: str, each: str) -> tuple[float, ...]:
+    """values as a non-empty tuple of finite floats >= 0; messages name path and index."""
+    floats = tuple(float(v) for v in values)
+    if not floats:
+        raise ValidationError(f"{path}: must contain at least one {empty}")
+    for k, v in enumerate(floats):
+        if not math.isfinite(v) or v < 0.0:
+            raise ValidationError(f"{path}[{k}]: must be a finite {each} >= 0, got {v!r}")
+    return floats
+
+
+def _lambda_grid(values) -> tuple[float, ...]:
+    """The relaxation rates of an exclusion scan, checked."""
+    return _nonnegative_floats(values, "limit.lambdaGrid", "value", "rate")
+
+
+def _delay_schedule(values) -> tuple[float, ...]:
+    """The observation delays of a null experiment, checked."""
+    return _nonnegative_floats(values, "limit.deltaTSchedule", "delay", "delay")
+
+
+def _confidence(value) -> float:
+    """An exclusion confidence level, checked to lie in (0.5, 1)."""
+    if not isinstance(value, (int, float)) or not 0.5 < float(value) < 1.0:
+        raise ValidationError(f"limit.confidence: must lie in (0.5, 1), got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExclusionExperiment:
     """A null-result search for the nonlinear field term.
@@ -215,15 +243,7 @@ class ExclusionExperiment:
     null_observation: bool = True
 
     def __post_init__(self) -> None:
-        schedule = tuple(float(t) for t in self.delta_t_schedule)
-        if not schedule:
-            raise ValidationError("limit.deltaTSchedule: must contain at least one delay")
-        for k, t in enumerate(schedule):
-            if not math.isfinite(t) or t < 0.0:
-                raise ValidationError(
-                    f"limit.deltaTSchedule[{k}]: must be a finite delay >= 0, got {t!r}"
-                )
-        object.__setattr__(self, "delta_t_schedule", schedule)
+        object.__setattr__(self, "delta_t_schedule", _delay_schedule(self.delta_t_schedule))
         object.__setattr__(self, "preparation", Bb84Symbol(self.preparation))
         object.__setattr__(self, "null_observation", bool(self.null_observation))
 
@@ -282,18 +302,9 @@ def exclusion_limit(
         raise ValidationError(
             "limit.nullObservation: exclusion limits require a null observation"
         )
-    grid = [float(lam) for lam in lambda_grid]
-    if not grid:
-        raise ValidationError("limit.lambdaGrid: must contain at least one value")
-    for k, lam in enumerate(grid):
-        if not math.isfinite(lam) or lam < 0.0:
-            raise ValidationError(f"limit.lambdaGrid[{k}]: must be a finite rate >= 0, got {lam!r}")
-    if (
-        not isinstance(confidence, (int, float))
-        or not 0.5 < float(confidence) < 1.0
-    ):
-        raise ValidationError(f"limit.confidence: must lie in (0.5, 1), got {confidence!r}")
-    z = statistics.NormalDist().inv_cdf(float(confidence))
+    grid = _lambda_grid(lambda_grid)
+    confidence = _confidence(confidence)
+    z = statistics.NormalDist().inv_cdf(confidence)
     mix_norm = float(np.linalg.norm(experiment.geometry.mix_matrix[experiment.preparation]))
     if mix_norm == 0.0:
         raise ValidationError(
@@ -306,4 +317,4 @@ def exclusion_limit(
         snr_per_b = root_samples * mix_norm * math.sqrt(quadrature_sum) / experiment.sensor.sigma
         # a signal relaxed below double precision constrains nothing
         uppers.append(min(1.0, z / snr_per_b) if snr_per_b > 0.0 else 1.0)
-    return LimitResult(tuple(grid), tuple(uppers), float(confidence))
+    return LimitResult(grid, tuple(uppers), confidence)

@@ -422,12 +422,21 @@ def cloning_fidelity(
     rng: np.random.Generator,
     born_factor: bool = True,
 ) -> float:
-    """Average |<prepared|resent>|^2, twice the resent symbol's branch weight, over preparations."""
+    """Average |<prepared|resent>|^2, twice the resent symbol's branch weight, over preparations.
+
+    The trials run through the session engine's attack. Draw order from
+    `rng`: rng.integers(4, n) for the preparations, n uniforms for Eve's
+    outcomes, an (n, samples * field_dim) standard normal block for the
+    sensor noise and n uniforms for the tie-breaks.
+    """
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"cloning_fidelity: n_trials must be >= 1, got {n_trials!r}")
-    total = 0.0
-    for _ in range(int(n_trials)):
-        prepared = SYMBOLS[int(rng.integers(4))]
-        resent, _ = attack_round(prepared, geom, params, sensor, strategy, rng, born_factor)
-        total += 2.0 * float(BRANCH_WEIGHTS[prepared, resent])
-    return total / int(n_trials)
+    n = int(n_trials)
+    prepared = rng.integers(4, size=n)
+    outcome_draws = rng.random(n)
+    noise = rng.standard_normal((n, sensor.samples * geom.field_dim))
+    tie_draws = rng.random(n)
+    *_, resent = _attack_batch(
+        prepared, geom, params, sensor, strategy, born_factor, outcome_draws, noise, tie_draws
+    )
+    return float(np.mean(2.0 * BRANCH_WEIGHTS[prepared, resent]))

@@ -37,7 +37,7 @@ from .protocol import (
     key_rate,
     run_session,
 )
-from .qubits import SYMBOLS, Bb84Symbol, branch_weights, eve_dual_basis_measure, prepare
+from .qubits import SYMBOLS, Basis, Bb84Symbol, branch_weights, eve_dual_basis_measure, prepare
 
 RECORD_COLUMNS = (
     "round",
@@ -109,34 +109,44 @@ def _thread_count() -> int:
     return value
 
 
-def _record_row(record) -> list:
-    row = [
-        record.index,
-        record.alice.label,
-        record.alice.basis.value,
-        record.alice.bit,
-        record.bob_basis.value,
-        record.bob_bit,
-        record.sifted,
-        record.error,
-    ]
-    eve = record.eve
-    if eve is None:
-        row.extend([None] * 8)
-    else:
-        row.extend(
-            [
-                eve.outcome.label,
-                eve.inferred.label,
-                eve.resent.label,
-                eve.cloned,
-                eve.posterior[0],
-                eve.posterior[1],
-                eve.posterior[2],
-                eve.posterior[3],
-            ]
+# Transcript rows formatted per block: bounds the Python strings alive at once.
+_CSV_BLOCK_ROWS = 1024
+
+# Cell text by index. Index -1 picks the blank: the transcript holds -1 for
+# Eve's symbols on rounds she sat out, and an undefined flag is mapped to -1.
+_SYMBOL_CELLS = np.array([symbol.label for symbol in SYMBOLS] + [""], dtype=object)
+_BASIS_CELLS = np.array([basis.value for basis in Basis], dtype=object)
+_BIT_CELLS = np.array(["0", "1"], dtype=object)
+_FLAG_CELLS = np.array(["false", "true", ""], dtype=object)
+
+
+def _transcript_csv(transcript) -> str:
+    """The per-round table under RECORD_COLUMNS; floats are written with repr."""
+    parts = [",".join(RECORD_COLUMNS) + "\n"]
+    for start in range(0, transcript.size, _CSV_BLOCK_ROWS):
+        rows = transcript[start : start + _CSV_BLOCK_ROWS]
+        alice, sifted, attacked = rows["alice"], rows["sifted"], rows["attacked"]
+        posterior = [
+            ",".join(map(repr, p)) if hit else ",,,"
+            for p, hit in zip(rows["posterior"].tolist(), attacked.tolist())
+        ]
+        columns = (
+            map(str, range(start, start + rows.size)),
+            _SYMBOL_CELLS[alice],
+            _BASIS_CELLS[alice >> 1],
+            _BIT_CELLS[alice & 1],
+            _BASIS_CELLS[rows["bob_basis"]],
+            _BIT_CELLS[rows["bob_bit"]],
+            _FLAG_CELLS[sifted.astype(np.intp)],
+            _FLAG_CELLS[np.where(sifted, rows["error"], -1)],
+            _SYMBOL_CELLS[rows["outcome"]],
+            _SYMBOL_CELLS[rows["inferred"]],
+            _SYMBOL_CELLS[rows["resent"]],
+            _FLAG_CELLS[np.where(attacked, rows["resent"] == alice, -1)],
+            posterior,
         )
-    return row
+        parts.append("".join(",".join(cells) + "\n" for cells in zip(*columns)))
+    return "".join(parts)
 
 
 def _cmd_run(args) -> int:
@@ -147,7 +157,7 @@ def _cmd_run(args) -> int:
             "run: --format csv requires --out; the per-round table goes to the file "
             "and session statistics go to stdout"
         )
-    stats, records = run_session(
+    stats, transcript = run_session(
         config.rounds,
         config.to_eve_config(),
         seed=config.seed,
@@ -155,7 +165,7 @@ def _cmd_run(args) -> int:
     )
     stats_text = _json_text(stats.to_dict())
     if want_records:
-        _write_text(args.out, _csv_text(RECORD_COLUMNS, map(_record_row, records)))
+        _write_text(args.out, _transcript_csv(transcript))
         sys.stdout.write(stats_text)
     else:
         _emit(stats_text, args.out)
@@ -307,12 +317,12 @@ def _check_key_rate_endpoints() -> None:
 
 
 def _check_replay_determinism() -> None:
-    first_stats, first_records = run_session(500, _break_regime_config(), seed=21)
-    second_stats, second_records = run_session(500, _break_regime_config(), seed=21)
+    first_stats, first_transcript = run_session(500, _break_regime_config(), seed=21)
+    second_stats, second_transcript = run_session(500, _break_regime_config(), seed=21)
     if first_stats != second_stats:
         raise AssertionError("session statistics differ between replays")
-    if first_records != second_records:
-        raise AssertionError("round records differ between replays")
+    if not np.array_equal(first_transcript, second_transcript):
+        raise AssertionError("transcripts differ between replays")
 
 
 def _check_posterior_normalization() -> None:

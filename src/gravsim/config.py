@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import SweepSpec
+from .analysis import SweepSpec, _confidence, _delay_schedule, _lambda_grid
 from .attack import EveStrategy, SensorModel, StrategyMode
 from .errors import ValidationError
 from .gravity import NEWTON_G, Geometry, NonlinearParams
-from .protocol import EveConfig
+from .protocol import EveConfig, _attack_fraction
 from .qubits import SYMBOLS, Bb84Symbol
 
 DEFAULT_SIGMA = 2.5e-12
@@ -71,15 +71,7 @@ class EveSettings:
     born_factor: bool = True
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.attack_fraction, (int, float))
-            or isinstance(self.attack_fraction, bool)
-            or not 0.0 <= float(self.attack_fraction) <= 1.0
-        ):
-            raise ValidationError(
-                f"eve.attackFraction: must lie in [0, 1], got {self.attack_fraction!r}"
-            )
-        object.__setattr__(self, "attack_fraction", float(self.attack_fraction))
+        object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
         object.__setattr__(self, "enabled", bool(self.enabled))
         object.__setattr__(self, "born_factor", bool(self.born_factor))
 
@@ -95,20 +87,9 @@ class LimitSettings:
     null_observation: bool = True
 
     def __post_init__(self) -> None:
-        for k, value in enumerate(self.lambda_grid):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(
-                    f"limit.lambdaGrid[{k}]: must be a finite rate >= 0, got {value!r}"
-                )
-        for k, value in enumerate(self.delta_t_schedule):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(
-                    f"limit.deltaTSchedule[{k}]: must be a finite delay >= 0, got {value!r}"
-                )
-        if not 0.5 < self.confidence < 1.0:
-            raise ValidationError(
-                f"limit.confidence: must lie in (0.5, 1), got {self.confidence!r}"
-            )
+        object.__setattr__(self, "lambda_grid", _lambda_grid(self.lambda_grid))
+        object.__setattr__(self, "delta_t_schedule", _delay_schedule(self.delta_t_schedule))
+        object.__setattr__(self, "confidence", _confidence(self.confidence))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,3 @@ class ValidationError(GravsimError):
 
 class GeometryError(ValidationError):
     """Geometry constraint violated, such as a probe sitting on a mass site."""
-
-
-class UndefinedStatisticError(GravsimError):
-    """A statistic was requested from data that cannot define it."""

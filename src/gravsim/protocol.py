@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import EveRecord, EveStrategy, SensorModel, _attack_batch
-from .errors import UndefinedStatisticError, ValidationError
+from .attack import EveStrategy, SensorModel, _attack_batch
+from .errors import ValidationError
 from .gravity import Geometry, NonlinearParams
-from .qubits import _BASES, _BOB_P0, SYMBOLS, Basis, Bb84Symbol
+from .qubits import _BOB_P0
 
 ABORT_QBER = 0.11
 
@@ -33,7 +33,37 @@ _CHUNK_VARIATES = 8192
 
 # Eve guess categories for the information accounting: her inferred bit when
 # her basis matched the announced one, else a separate no-guess category.
+# There she would flip a fair coin, which carries no information about
+# Alice's bit, so the category keeps the statistic deterministic without
+# changing its value.
 _NO_GUESS = 2
+
+# The transcript's row layout; run_session documents the fields.
+_TRANSCRIPT = np.dtype(
+    [
+        ("alice", np.int8),
+        ("bob_basis", np.int8),
+        ("bob_bit", np.int8),
+        ("sifted", np.bool_),
+        ("error", np.bool_),
+        ("attacked", np.bool_),
+        ("outcome", np.int8),
+        ("inferred", np.int8),
+        ("resent", np.int8),
+        ("posterior", np.float64, (4,)),
+    ]
+)
+
+
+def _attack_fraction(value) -> float:
+    """The share of rounds Eve attacks, checked to lie in [0, 1]."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not 0.0 <= float(value) <= 1.0
+    ):
+        raise ValidationError(f"eve.attackFraction: must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -48,33 +78,8 @@ class EveConfig:
     born_factor: bool = True
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.attack_fraction, (int, float))
-            or isinstance(self.attack_fraction, bool)
-            or not 0.0 <= float(self.attack_fraction) <= 1.0
-        ):
-            raise ValidationError(
-                f"eve.attackFraction: must lie in [0, 1], got {self.attack_fraction!r}"
-            )
-        object.__setattr__(self, "attack_fraction", float(self.attack_fraction))
+        object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
         object.__setattr__(self, "born_factor", bool(self.born_factor))
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round as seen by the simulator.
-
-    error is defined only on sifted rounds and None otherwise; eve is None
-    on rounds Eve did not attack.
-    """
-
-    index: int
-    alice: Bb84Symbol
-    bob_basis: Basis
-    bob_bit: int
-    sifted: bool
-    error: bool | None
-    eve: EveRecord | None
 
 
 @dataclass(frozen=True)
@@ -151,35 +156,6 @@ def _mutual_information(joint: np.ndarray) -> float:
     return max(0.0, total)
 
 
-def _eve_guess_category(eve: EveRecord | None, announced: Basis) -> int:
-    if eve is not None and eve.inferred.basis is announced:
-        return eve.inferred.bit
-    return _NO_GUESS
-
-
-def eve_information(records) -> float:
-    """Plug-in mutual information between Alice's sifted bit and Eve's guess.
-
-    Eve's guess on a sifted round is the bit of her inferred symbol when its
-    basis matches the announced basis. When it does not (or she sat the round
-    out), the round lands in a separate no-guess category: operationally she
-    would flip a fair coin there, and a coin independent of Alice's bit
-    carries exactly zero information, so the category keeps the statistic
-    deterministic without changing its value. Raises UndefinedStatisticError
-    when the transcript has no eavesdropped rounds or no sifted rounds.
-    """
-    records = list(records)
-    if not any(r.eve is not None for r in records):
-        raise UndefinedStatisticError("eve_information: no eavesdropped rounds in the transcript")
-    sifted = [r for r in records if r.sifted]
-    if not sifted:
-        raise UndefinedStatisticError("eve_information: no sifted rounds in the transcript")
-    joint = np.zeros((2, 3), dtype=np.int64)
-    for r in sifted:
-        joint[r.alice.bit, _eve_guess_category(r.eve, r.alice.basis)] += 1
-    return _mutual_information(joint)
-
-
 def _round_block(n_normals: int) -> int:
     """uint64 draws per round: the uniforms, then n_normals Box-Muller inputs rounded up to even.
 
@@ -211,19 +187,14 @@ def _round_variates(seed: int, start: int, stop: int, n_normals: int):
     return uniforms[:, :_UNIFORMS], normals[:, :n_normals]
 
 
-def _rows(columns):
-    """Row tuples of Python scalars (lists for 2-D columns) across equal-length arrays."""
-    return zip(*(column.tolist() for column in columns))
-
-
 def run_session(
     n_rounds: int,
     eve_config: EveConfig | None = None,
     *,
     seed: int,
     with_records: bool = True,
-) -> tuple[SessionStats, list[RoundRecord]]:
-    """Simulate a BB84 session; returns (SessionStats, round records).
+) -> tuple[SessionStats, np.ndarray | None]:
+    """Simulate a BB84 session; returns (SessionStats, transcript).
 
     Round i reads only its own block of the counter-based stream
     Philox(seed) (RNG_CONTRACT, see _round_variates): six uniforms for
@@ -235,8 +206,13 @@ def run_session(
     with attack_round's and bob_measure's rules applied to whole arrays;
     the chunking never changes a result.
 
-    with_records=False skips transcript storage for large sessions; all
-    statistics are unaffected.
+    The transcript is a structured array with one row per round and the
+    fields alice, bob_basis, bob_bit, sifted, error (False on unsifted
+    rounds), attacked, outcome, inferred, resent and a 4-wide posterior;
+    symbols are Bb84Symbol indices, bases 0 for Z and 1 for X, and Eve's
+    symbols are -1 with a zero posterior on rounds she did not attack.
+    with_records=False allocates no transcript and returns None in its
+    place; all statistics are unaffected.
     """
     if not isinstance(n_rounds, (int, np.integer)) or isinstance(n_rounds, bool) or n_rounds < 1:
         raise ValidationError(f"session.rounds: must be an integer >= 1, got {n_rounds!r}")
@@ -248,7 +224,11 @@ def run_session(
     n_rounds = int(n_rounds)
     n_normals = eve.sensor.samples * eve.geometry.field_dim if eve is not None else 0
     chunk = max(1, _CHUNK_VARIATES // _round_block(n_normals))
-    records: list[RoundRecord] | None = [] if with_records else None
+    transcript = None
+    if with_records:
+        transcript = np.zeros(n_rounds, _TRANSCRIPT)
+        for name in ("outcome", "inferred", "resent"):
+            transcript[name] = -1
     sifted_count = error_count = attacked_count = inferred_correct = 0
     joint = np.zeros(6, dtype=np.int64)
     for start in range(0, n_rounds, chunk):
@@ -283,17 +263,16 @@ def run_session(
         sifted_count += int(np.count_nonzero(sifted))
         error_count += int(np.count_nonzero(error))
         joint += np.bincount(3 * (alice[sifted] & 1) + guess[sifted], minlength=6)
-        if records is not None:
-            eve_records: list[EveRecord | None] = [None] * (stop - start)
+        if transcript is not None:
+            rows = transcript[start:stop]
+            rows["alice"], rows["bob_basis"], rows["bob_bit"] = alice, bob_basis, bob_bit
+            rows["sifted"], rows["error"] = sifted, error
             if eve is not None:
-                eve_columns = (outcome, inferred, posterior, resent, resent == alice[attacked])
-                for row, (o, i, p, r, c) in zip(attacked.tolist(), _rows(eve_columns)):
-                    eve_records[row] = EveRecord(SYMBOLS[o], SYMBOLS[i], p, SYMBOLS[r], c)
-            rounds = zip(_rows((alice, bob_basis, bob_bit, sifted, error)), eve_records)
-            records.extend(
-                RoundRecord(start + k, SYMBOLS[a], _BASES[b], bit, s, e if s else None, eve_record)
-                for k, ((a, b, bit, s, e), eve_record) in enumerate(rounds)
-            )
+                rows["attacked"][attacked] = True
+                rows["outcome"][attacked] = outcome
+                rows["inferred"][attacked] = inferred
+                rows["resent"][attacked] = resent
+                rows["posterior"][attacked] = posterior
     eve_accuracy = inferred_correct / attacked_count if attacked_count else None
     mutual_info = (
         _mutual_information(joint.reshape(2, 3)) if (eve is not None and sifted_count) else None
@@ -313,4 +292,4 @@ def run_session(
         key_rate_attack=attack_rate,
         aborted=qber is None or qber > ABORT_QBER,
     )
-    return stats, (records if records is not None else [])
+    return stats, transcript

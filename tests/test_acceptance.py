@@ -114,10 +114,10 @@ def test_criterion_2_linear_limit_field_and_uniform_posterior():
                 field = general_field(outcome, prepared, params, GEOMETRY)
                 assert np.array_equal(field, config_field(outcome, GEOMETRY))
         cfg = eve_config(b=0.0, sigma=2.5e-12, mode="CloneInferred", born_factor=False)
-        _, records = run_session(10_000, cfg, seed=42)
-        assert len(records) == 10_000
-        for record in records:
-            assert record.eve.posterior == (0.25, 0.25, 0.25, 0.25)
+        _, transcript = run_session(10_000, cfg, seed=42)
+        assert len(transcript) == 10_000
+        assert transcript["attacked"].all()
+        assert (transcript["posterior"] == 0.25).all()
 
 
 def test_criterion_3_intercept_resend_baseline():

@@ -28,6 +28,7 @@ from gravsim import (
     prepare,
     sense,
 )
+from gravsim.qubits import BRANCH_WEIGHTS
 
 # |mix_field| distance between the closest residual pair at b=1 in the
 # bundled geometry; pinned by test_gravity's frozen-norm checks.
@@ -513,6 +514,43 @@ def test_cloning_fidelity_uniform_resend(geom):
         born_factor=False,
     )
     assert fidelity == pytest.approx(float(oracles.uniform_resend_fidelity()), abs=0.012)
+
+
+class FixedDraws:
+    """A generator stand-in handing one trial's variates to attack_round."""
+
+    def __init__(self, outcome_u, noise, tie_u):
+        self._uniforms = [outcome_u, tie_u]
+        self._noise = noise
+
+    def random(self):
+        return self._uniforms.pop(0)
+
+    def standard_normal(self, shape):
+        return self._noise.reshape(shape)
+
+
+def test_cloning_fidelity_follows_its_draw_order_and_attack_round(geom):
+    params = NonlinearParams(b=0.02)
+    sensor = SensorModel(sigma=2.5e-12, samples=2)
+    strategy = EveStrategy("Threshold", tau=0.7)
+    n = 300
+    used = np.random.default_rng(83)
+    fidelity = cloning_fidelity(strategy, params, geom, sensor, n, used)
+    shadow = np.random.default_rng(83)
+    prepared = shadow.integers(4, size=n)
+    outcome_draws = shadow.random(n)
+    noise = shadow.standard_normal((n, sensor.samples * geom.field_dim))
+    tie_draws = shadow.random(n)
+    assert used.random() == shadow.random()
+    overlaps = []
+    for p, u, z, t in zip(prepared.tolist(), outcome_draws.tolist(), noise, tie_draws.tolist()):
+        resent, _ = attack_round(
+            SYMBOLS[p], geom, params, sensor, strategy, FixedDraws(u, z, t)
+        )
+        overlaps.append(2.0 * float(BRANCH_WEIGHTS[p, resent]))
+    assert len(set(overlaps)) > 1
+    assert fidelity == pytest.approx(sum(overlaps) / n, abs=1e-15)
 
 
 def test_cloning_fidelity_validates_trials(geom):

@@ -12,6 +12,7 @@ import pytest
 from conftest import gravsim_env
 from gravsim import cli
 from gravsim import (
+    SYMBOLS,
     ExclusionExperiment,
     exclusion_limit,
     load_config,
@@ -149,18 +150,19 @@ def test_run_csv_writes_round_table(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == list(RECORD_COLUMNS)
     assert len(rows) == 41
-    _, records = run_session(40, load_config(MINIMAL).to_eve_config(), seed=3)
-    for row, record in zip(rows[1:], records):
-        assert int(row[0]) == record.index
-        assert row[1] == record.alice.label
-        assert row[4] == record.bob_basis.value
-        assert row[6] == ("true" if record.sifted else "false")
-        if record.sifted:
-            assert row[7] == ("true" if record.error else "false")
+    _, transcript = run_session(40, load_config(MINIMAL).to_eve_config(), seed=3)
+    assert transcript["attacked"].all()
+    for index, (row, record) in enumerate(zip(rows[1:], transcript)):
+        assert int(row[0]) == index
+        assert row[1] == SYMBOLS[record["alice"]].label
+        assert row[4] == ("Z", "X")[record["bob_basis"]]
+        assert row[6] == ("true" if record["sifted"] else "false")
+        if record["sifted"]:
+            assert row[7] == ("true" if record["error"] else "false")
         else:
             assert row[7] == ""
-        assert row[9] == record.eve.inferred.label
-        assert float(row[12]) == record.eve.posterior[0]
+        assert row[9] == SYMBOLS[record["inferred"]].label
+        assert float(row[12]) == record["posterior"][0]
 
 
 def test_run_stdout_is_reproducible(capsys):

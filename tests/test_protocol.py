@@ -9,24 +9,17 @@ import pytest
 import oracles
 from gravsim import (
     ABORT_QBER,
-    Basis,
-    Bb84Symbol,
     EveConfig,
-    EveRecord,
     EveStrategy,
     NonlinearParams,
-    RoundRecord,
     SensorModel,
-    UndefinedStatisticError,
     ValidationError,
     binary_entropy,
     default_geometry,
-    eve_information,
     key_rate,
     run_session,
 )
-
-UNIFORM_POSTERIOR = (0.25, 0.25, 0.25, 0.25)
+from gravsim.protocol import _mutual_information
 
 
 @pytest.fixture(scope="module")
@@ -49,28 +42,6 @@ def eve_config(
         strategy=EveStrategy(mode),
         attack_fraction=attack_fraction,
         born_factor=born_factor,
-    )
-
-
-def make_record(index, alice, inferred=None, sifted=True):
-    eve = None
-    if inferred is not None:
-        eve = EveRecord(
-            outcome=inferred,
-            inferred=inferred,
-            posterior=UNIFORM_POSTERIOR,
-            resent=inferred,
-            cloned=inferred is alice,
-        )
-    bob_basis = alice.basis if sifted else (Basis.X if alice.basis is Basis.Z else Basis.Z)
-    return RoundRecord(
-        index=index,
-        alice=alice,
-        bob_basis=bob_basis,
-        bob_bit=alice.bit,
-        sifted=sifted,
-        error=False if sifted else None,
-        eve=eve,
     )
 
 
@@ -118,55 +89,50 @@ def test_key_rate_validation():
         key_rate(0.1, -0.5)
 
 
-def test_eve_information_requires_eavesdropped_rounds():
-    records = [make_record(i, Bb84Symbol.Z0) for i in range(4)]
-    with pytest.raises(UndefinedStatisticError, match="no eavesdropped rounds"):
-        eve_information(records)
+def plug_in_mutual_information(pairs) -> float:
+    """I(A;E) in bits of the empirical distribution of (a, e) pairs, written out term by term."""
+    n = len(pairs)
+    total = 0.0
+    for pair in set(pairs):
+        p_joint = pairs.count(pair) / n
+        p_a = sum(a == pair[0] for a, _ in pairs) / n
+        p_e = sum(e == pair[1] for _, e in pairs) / n
+        total += p_joint * math.log2(p_joint / (p_a * p_e))
+    return total
 
 
-def test_eve_information_requires_sifted_rounds():
-    records = [make_record(i, Bb84Symbol.Z0, inferred=Bb84Symbol.Z0, sifted=False) for i in range(4)]
-    with pytest.raises(UndefinedStatisticError, match="no sifted rounds"):
-        eve_information(records)
+# Joint count tables: rows Alice's sifted bit, columns Eve's guess 0, 1 or no guess.
 
 
 def test_eve_information_perfect_correlation():
-    records = [
-        make_record(0, Bb84Symbol.Z0, inferred=Bb84Symbol.Z0),
-        make_record(1, Bb84Symbol.Z1, inferred=Bb84Symbol.Z1),
-        make_record(2, Bb84Symbol.Z0, inferred=Bb84Symbol.Z0),
-        make_record(3, Bb84Symbol.Z1, inferred=Bb84Symbol.Z1),
-    ]
-    assert eve_information(records) == pytest.approx(1.0, abs=1e-15)
+    assert _mutual_information(np.array([[2, 0, 0], [0, 2, 0]])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_eve_information_independent_guess_is_zero():
-    records = [
-        make_record(0, Bb84Symbol.Z0, inferred=Bb84Symbol.Z0),
-        make_record(1, Bb84Symbol.Z0, inferred=Bb84Symbol.Z1),
-        make_record(2, Bb84Symbol.Z1, inferred=Bb84Symbol.Z0),
-        make_record(3, Bb84Symbol.Z1, inferred=Bb84Symbol.Z1),
-    ]
-    assert eve_information(records) == 0.0
+    assert _mutual_information(np.array([[1, 1, 0], [1, 1, 0]])) == 0.0
 
 
 def test_eve_information_wrong_basis_counts_as_no_guess():
-    # inferring a conjugate-basis symbol contributes nothing on its own
-    records = [
-        make_record(0, Bb84Symbol.Z0, inferred=Bb84Symbol.XP),
-        make_record(1, Bb84Symbol.Z1, inferred=Bb84Symbol.XM),
-    ]
-    assert eve_information(records) == 0.0
+    # every round in the no-guess column, as when Eve infers a conjugate-basis symbol
+    assert _mutual_information(np.array([[0, 0, 3], [0, 0, 5]])) == 0.0
 
 
 def test_eve_information_matches_session_statistic(geom):
-    stats, records = run_session(2000, eve_config(geom), seed=31)
-    assert stats.eve_mutual_info == eve_information(records)
+    cfg = eve_config(geom, b=0.03, mode="CloneInferred", attack_fraction=0.6)
+    stats, transcript = run_session(2000, cfg, seed=31)
+    sifted = transcript[transcript["sifted"]]
+    alice_bit = sifted["alice"] & 1
+    # an inferred symbol outside Alice's basis, or no attack at all, is no guess (2)
+    same_basis = sifted["attacked"] & (sifted["inferred"] >> 1 == sifted["alice"] >> 1)
+    guess = np.where(same_basis, sifted["inferred"] & 1, 2)
+    assert set(guess.tolist()) == {0, 1, 2}
+    expected = plug_in_mutual_information(list(zip(alice_bit.tolist(), guess.tolist())))
+    assert stats.eve_mutual_info == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_run_session_without_eve_is_clean(geom):
     n = 4000
-    stats, records = run_session(n, seed=12)
+    stats, transcript = run_session(n, seed=12)
     assert stats.rounds == n
     assert stats.qber == 0.0
     assert stats.key_rate_theory == 1.0
@@ -174,22 +140,24 @@ def test_run_session_without_eve_is_clean(geom):
     assert stats.eve_accuracy is None
     assert stats.eve_mutual_info is None
     assert not stats.aborted
-    assert all(r.eve is None for r in records)
+    assert not transcript["attacked"].any()
+    assert (transcript["outcome"] == -1).all() and (transcript["posterior"] == 0.0).all()
     bound = 4 * oracles.binomial_sigma(0.5, n)
     assert stats.sifted_count / n == pytest.approx(0.5, abs=bound)
 
 
 def test_run_session_record_invariants(geom):
-    _, records = run_session(1500, eve_config(geom), seed=14)
-    for i, r in enumerate(records):
-        assert r.index == i
-        assert r.sifted == (r.bob_basis is r.alice.basis)
-        if r.sifted:
-            assert r.error == (r.bob_bit != r.alice.bit)
-        else:
-            assert r.error is None
-        assert r.eve is not None
-        assert r.eve.resent is r.eve.outcome  # ResendMeasured forwards the outcome
+    _, transcript = run_session(1500, eve_config(geom), seed=14)
+    assert transcript.shape == (1500,)
+    alice = transcript["alice"]
+    sifted = transcript["sifted"]
+    assert np.array_equal(sifted, transcript["bob_basis"] == alice >> 1)
+    bit_differs = transcript["bob_bit"] != alice & 1
+    assert np.array_equal(transcript["error"][sifted], bit_differs[sifted])
+    assert not transcript["error"][~sifted].any()
+    assert transcript["attacked"].all()
+    # ResendMeasured forwards the outcome
+    assert np.array_equal(transcript["resent"], transcript["outcome"])
 
 
 def test_run_session_stats_are_json_safe(geom):
@@ -212,13 +180,13 @@ def test_run_session_stats_are_json_safe(geom):
 
 def test_run_session_is_deterministic(geom):
     cfg = eve_config(geom, mode="CloneInferred", b=0.05)
-    stats_a, records_a = run_session(800, cfg, seed=77)
-    stats_b, records_b = run_session(800, cfg, seed=77)
+    stats_a, transcript_a = run_session(800, cfg, seed=77)
+    stats_b, transcript_b = run_session(800, cfg, seed=77)
     assert stats_a == stats_b
-    assert records_a == records_b
-    stats_c, records_c = run_session(800, cfg, seed=77, with_records=False)
+    assert np.array_equal(transcript_a, transcript_b)
+    stats_c, transcript_c = run_session(800, cfg, seed=77, with_records=False)
     assert stats_c == stats_a
-    assert records_c == []
+    assert transcript_c is None
 
 
 def test_run_session_validation(geom):
@@ -248,14 +216,15 @@ def test_run_session_intercept_resend_aborts(geom):
 
 def test_run_session_strong_coupling_breaks_the_protocol(geom):
     cfg = eve_config(geom, b=0.1, sigma=1e-30, mode="CloneInferred")
-    stats, records = run_session(2000, cfg, seed=9)
+    stats, transcript = run_session(2000, cfg, seed=9)
     assert stats.qber == 0.0
     assert stats.eve_accuracy == 1.0
     assert not stats.aborted
     assert stats.key_rate_theory == 1.0
     assert stats.eve_mutual_info >= 0.99
     assert stats.key_rate_attack == pytest.approx(1.0 - stats.eve_mutual_info, abs=1e-15)
-    assert all(r.eve.resent is r.alice for r in records)
+    assert transcript["attacked"].all()
+    assert np.array_equal(transcript["resent"], transcript["alice"])
 
 
 @pytest.mark.parametrize("sigma", [1e-160, 1e-170])
@@ -284,8 +253,8 @@ def test_run_session_without_sifted_rounds_has_no_verdict(geom):
 def test_run_session_attack_fraction_half(geom):
     n = 6000
     cfg = eve_config(geom, attack_fraction=0.5)
-    stats, records = run_session(n, cfg, seed=19)
-    attacked = sum(r.eve is not None for r in records)
+    stats, transcript = run_session(n, cfg, seed=19)
+    attacked = int(transcript["attacked"].sum())
     bound = 4 * oracles.binomial_sigma(0.5, n)
     assert attacked / n == pytest.approx(0.5, abs=bound)
     # half the traffic intercepted halves the error rate
@@ -294,8 +263,8 @@ def test_run_session_attack_fraction_half(geom):
 
 
 def test_run_session_attack_fraction_zero(geom):
-    stats, records = run_session(1200, eve_config(geom, attack_fraction=0.0), seed=23)
-    assert all(r.eve is None for r in records)
+    stats, transcript = run_session(1200, eve_config(geom, attack_fraction=0.0), seed=23)
+    assert not transcript["attacked"].any()
     assert stats.eve_accuracy is None
     assert stats.eve_mutual_info == 0.0  # every sifted round lands in the no-guess bin
     assert stats.qber == 0.0
