@@ -148,7 +148,7 @@ def hypothesis_residuals(params: NonlinearParams, geom: Geometry) -> np.ndarray:
 
 
 def _logits(statistic, residuals, count: int, sigma: float, log_prior=0.0) -> np.ndarray:
-    """Hypothesis log-posteriors up to a shared constant, (..., field_dim) -> (..., 4).
+    """Hypothesis log-posteriors up to a shared constant, (..., dim) -> (..., 4).
 
     statistic is the sum of `count` readings minus count times Eve's
     configuration field; a sigma too large for double precision makes it
@@ -168,6 +168,30 @@ def _logits(statistic, residuals, count: int, sigma: float, log_prior=0.0) -> np
     best = score.max(axis=-1, keepdims=True, where=log_prior != -np.inf, initial=-np.inf)
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
         return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
+
+
+def _plane_statistic(residuals, truth, count: int, sigma: float, normals) -> np.ndarray:
+    """Eve's statistic in plane coordinates, (n,) true hypotheses and (n, 2) normals -> (n, 2).
+
+    residuals are decay_factor * geom.plane. The sum of `count` readings
+    minus count times Eve's configuration field, projected on the plane,
+    is count * residuals[truth] plus noise of standard deviation
+    sigma * sqrt(count) per axis, and the scores depend on the readings
+    through that projection alone. Raises ValidationError when the scores
+    _logits forms from it would overflow double precision.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistic = count * residuals[truth] + sigma * math.sqrt(count) * normals
+    reach = float(np.abs(residuals).max())
+    span = float(np.abs(statistic).max(initial=0.0))
+    # Bounds the spread of S.r_h - count * |r_h|^2 / 2; a non-finite
+    # statistic is left to _logits, whose message names sigma.
+    if math.isfinite(span) and not math.isfinite(4.0 * reach * (span + count * reach)):
+        raise ValidationError(
+            f"geometry.testMass, sensor.sigma: a residual field of {reach!r} m/s^2 sensed "
+            f"with sigma {sigma!r} overflows Eve's scores"
+        )
+    return statistic
 
 
 def _break_ties(logits, u) -> np.ndarray:
@@ -288,23 +312,23 @@ def _attack_batch(
     """attack_round over n interceptions at once, fed its variates explicitly.
 
     prepared holds symbol indices, outcome_draws and tie_draws one uniform
-    per round, noise the (n, samples * field_dim) standard normals of the
-    sensor block. Returns (outcome, inferred, posterior, resent) as arrays of
-    symbol indices and an (n, 4) posterior; every posterior row is checked
-    to be a distribution, as EveRecord does.
+    per round, noise (n, 2) standard normals: the sensor noise in the
+    coordinates of geom.plane_basis, summed over the readings and divided
+    by sqrt(samples). The scores, posteriors and choices are attack_round's
+    for readings whose noise has that projection (see _plane_statistic).
+    Returns (outcome, inferred, posterior, resent) as arrays of symbol
+    indices and an (n, 4) posterior; every posterior row is checked to be a
+    distribution, as EveRecord does.
     """
     if not isinstance(strategy, EveStrategy):
         raise ValidationError(f"attack_round: strategy must be an EveStrategy, got {strategy!r}")
     count = sensor.samples
     outcome = (outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared]).sum(axis=1)
-    config = geom.config_matrix[outcome]
-    field = config + decay_factor(params) * geom.mix_matrix[prepared]
-    with np.errstate(over="ignore", invalid="ignore"):
-        readings = field[:, np.newaxis, :] + sensor.sigma * noise.reshape(-1, count, geom.field_dim)
-        statistic = readings.sum(axis=1) - count * config
+    residuals = decay_factor(params) * geom.plane
+    statistic = _plane_statistic(residuals, prepared, count, sensor.sigma, noise)
     logits = _logits(
         statistic,
-        hypothesis_residuals(params, geom),
+        residuals,
         count,
         sensor.sigma,
         _OUTCOME_LOG_LIKELIHOOD[outcome] if born_factor else 0.0,
@@ -395,19 +419,21 @@ def monte_carlo_accuracy(
     """Monte Carlo accuracy of the field classifier over uniform preparations.
 
     Vectorized over trials with infer_alice_state's scoring kernel: the
-    sufficient statistic is sampled directly from its Gaussian law, so the
-    outcome-based factor plays no role (matching analytic_accuracy). Ties
-    are broken uniformly at random.
+    sufficient statistic is sampled directly from its Gaussian law in the
+    plane of the hypotheses (geom.plane), so the outcome-based factor plays
+    no role (matching analytic_accuracy). Ties are broken uniformly at
+    random. Draw order from `rng`: rng.integers(4, n) for the truths, an
+    (n, 2) standard normal block for the noise in the plane and n uniforms
+    for the tie-breaks.
     """
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"monte_carlo_accuracy: n_trials must be >= 1, got {n_trials!r}")
-    residuals = hypothesis_residuals(params, geom)
+    residuals = decay_factor(params) * geom.plane
     count = sensor.samples
     sigma = sensor.sigma
     truths = rng.integers(4, size=n_trials)
-    noise = rng.standard_normal((int(n_trials), geom.field_dim))
-    with np.errstate(over="ignore"):
-        statistic = count * residuals[truths] + sigma * math.sqrt(count) * noise
+    noise = rng.standard_normal((int(n_trials), 2))
+    statistic = _plane_statistic(residuals, truths, count, sigma, noise)
     logits = _logits(statistic, residuals, count, sigma)
     chosen = _break_ties(logits, rng.random(int(n_trials)))
     return float(np.mean(chosen == truths))
@@ -426,15 +452,15 @@ def cloning_fidelity(
 
     The trials run through the session engine's attack. Draw order from
     `rng`: rng.integers(4, n) for the preparations, n uniforms for Eve's
-    outcomes, an (n, samples * field_dim) standard normal block for the
-    sensor noise and n uniforms for the tie-breaks.
+    outcomes, an (n, 2) standard normal block for the sensor noise in the
+    plane of the hypotheses and n uniforms for the tie-breaks.
     """
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"cloning_fidelity: n_trials must be >= 1, got {n_trials!r}")
     n = int(n_trials)
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)
-    noise = rng.standard_normal((n, sensor.samples * geom.field_dim))
+    noise = rng.standard_normal((n, 2))
     tie_draws = rng.random(n)
     *_, resent = _attack_batch(
         prepared, geom, params, sensor, strategy, born_factor, outcome_draws, noise, tie_draws

@@ -25,6 +25,8 @@ MIN_PROBE_SEPARATION = 1e-6
 
 _WEIGHT_TOLERANCE = 1e-12
 
+_EPSILON = float(np.finfo(np.float64).eps)
+
 # A field vector is a flat float64 array of 3 * n_probes acceleration
 # components; the alias documents intent in signatures.
 FieldVector = np.ndarray
@@ -112,7 +114,7 @@ class Geometry:
         object.__setattr__(self, "test_mass", test_mass)
         object.__setattr__(self, "grav_const", grav_const)
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(self.config_matrix).all()
+            finite = np.isfinite(self.config_matrix).all() and np.isfinite(self.plane).all()
         if not finite:
             raise GeometryError(
                 f"geometry.testMass, geometry.gravConst: a test mass of {test_mass!r} kg with "
@@ -152,6 +154,54 @@ class Geometry:
         matrix = np.array([weights @ self.config_matrix for weights in BRANCH_WEIGHTS])
         matrix.setflags(write=False)
         return matrix
+
+    def _half_diagonals(self) -> tuple[np.ndarray, float]:
+        """Half diagonals (mix[Z0] - mix[Z1]) / 2 and (mix[Xp] - mix[Xm]) / 2, scaled, and the scale.
+
+        Each half diagonal is the offset of its first row from the centre of
+        the four mix rows. They come divided by their largest component, the
+        returned scale, so that every later dot product of them stays finite.
+        """
+        half = self.mix_matrix[0::2] / 2.0 - self.mix_matrix[1::2] / 2.0
+        scale = float(np.abs(half).max())
+        return (half / scale, scale) if scale > 0.0 else (half, 1.0)
+
+    @cached_property
+    def plane_basis(self) -> np.ndarray:
+        """Read-only (2, field_dim) orthonormal basis of the plane of the mix rows.
+
+        The Born table gives mix[Z0] + mix[Z1] = mix[Xp] + mix[Xm], so the four
+        rows are the corners of a parallelogram: they differ only within the
+        plane of its diagonals mix[Z0] - mix[Z1] and mix[Xp] - mix[Xm]. Row k
+        is Gram-Schmidt's unit vector for diagonal k, orthogonalized twice
+        against the row before it. A diagonal parallel to that row, to
+        rounding, leaves a zero row.
+        """
+        diagonals, _ = self._half_diagonals()
+        basis = np.zeros((2, self.field_dim))
+        for k, diagonal in enumerate(diagonals):
+            rest = diagonal
+            for _ in range(2):
+                rest = rest - (basis @ rest) @ basis
+            norm = float(np.linalg.norm(rest))
+            if norm > self.field_dim * _EPSILON * float(np.linalg.norm(diagonal)):
+                basis[k] = rest / norm
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def plane(self) -> np.ndarray:
+        """Read-only (4, 2) coordinates of the mix rows about their common centre in plane_basis.
+
+        Row Z1 is minus row Z0 and row Xm minus row Xp. Differences of mix rows
+        are differences of these rows times plane_basis; the second coordinate
+        is 0 when the diagonals are parallel.
+        """
+        diagonals, scale = self._half_diagonals()
+        half = scale * (diagonals @ self.plane_basis.T)
+        plane = np.stack([half[0], -half[0], half[1], -half[1]])
+        plane.setflags(write=False)
+        return plane
 
 
 def config_field(label: Bb84Symbol, geom: Geometry) -> FieldVector:

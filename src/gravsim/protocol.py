@@ -22,11 +22,12 @@ ABORT_QBER = 0.11
 
 # Version of the random-stream layout that run_session reads (see
 # _round_variates); it changes whenever a seed would give other rounds.
-RNG_CONTRACT = 2
+RNG_CONTRACT = 3
 
-# The uniforms at the head of every round's block, in stream order.
-_ALICE, _COIN, _EVE_OUTCOME, _TIE_BREAK, _BOB_BASIS, _BOB_BIT = range(6)
-_UNIFORMS = 6
+# Every round's block of uniforms, in stream order: six, then the pair that
+# Box-Muller turns into Eve's two plane normals.
+_ALICE, _COIN, _EVE_OUTCOME, _TIE_BREAK, _BOB_BASIS, _BOB_BIT, _NOISE_U, _NOISE_V = range(8)
+_BLOCK = 8
 
 # uint64 draws simulated per chunk; bounds a session's working memory.
 _CHUNK_VARIATES = 8192
@@ -156,35 +157,25 @@ def _mutual_information(joint: np.ndarray) -> float:
     return max(0.0, total)
 
 
-def _round_block(n_normals: int) -> int:
-    """uint64 draws per round: the uniforms, then n_normals Box-Muller inputs rounded up to even.
-
-    The sum is padded to a multiple of 4, one Philox counter step.
-    """
-    return -(-(_UNIFORMS + n_normals + n_normals % 2) // 4) * 4
-
-
-def _round_variates(seed: int, start: int, stop: int, n_normals: int):
-    """The variates of rounds [start, stop): uniforms (n, 6) and standard normals (n, n_normals).
+def _round_variates(seed: int, start: int, stop: int) -> np.ndarray:
+    """The uniforms of rounds [start, stop), shape (n, 8).
 
     Round i owns uint64 draws [i * K, (i + 1) * K) of Philox(seed), with
-    K = _round_block(n_normals); Philox yields 4 draws per counter step, so
-    the stream is entered by advancing the counter start * K / 4 steps. A
-    draw x gives the uniform (x >> 11) * 2**-53 in [0, 1); the normals come
-    in Box-Muller pairs, r cos(2 pi v) and r sin(2 pi v) with
-    r = sqrt(-2 log(1 - u)) for consecutive uniforms u, v.
+    K = 8 whatever the configuration; Philox yields 4 draws per counter
+    step, so the stream is entered by advancing the counter 2 * start steps.
+    A draw x gives the uniform (x >> 11) * 2**-53 in [0, 1).
     """
-    block = _round_block(n_normals)
     bitgen = np.random.Philox(seed)
-    bitgen.advance(start * block // 4)
-    raw = bitgen.random_raw((stop - start) * block).reshape(stop - start, block)
-    uniforms = (raw[:, : _UNIFORMS + n_normals + n_normals % 2] >> 11) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log1p(-uniforms[:, _UNIFORMS::2]))
-    angle = 2.0 * math.pi * uniforms[:, _UNIFORMS + 1 :: 2]
-    normals = np.empty((stop - start, 2 * radius.shape[1]))
-    normals[:, 0::2] = radius * np.cos(angle)
-    normals[:, 1::2] = radius * np.sin(angle)
-    return uniforms[:, :_UNIFORMS], normals[:, :n_normals]
+    bitgen.advance(start * _BLOCK // 4)
+    raw = bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK)
+    return (raw >> 11) * 2.0**-53
+
+
+def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Normal pairs (r cos(2 pi v), r sin(2 pi v)) with r = sqrt(-2 log(1 - u)), shape (n, 2)."""
+    radius = np.sqrt(-2.0 * np.log1p(-u))
+    angle = 2.0 * math.pi * v
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
 
 
 def run_session(
@@ -197,10 +188,11 @@ def run_session(
     """Simulate a BB84 session; returns (SessionStats, transcript).
 
     Round i reads only its own block of the counter-based stream
-    Philox(seed) (RNG_CONTRACT, see _round_variates): six uniforms for
-    Alice's symbol floor(4u), the attack coin u < attack_fraction, Eve's
-    outcome, her tie-break, Bob's basis floor(2u) and Bob's bit, then the
-    standard normals of Eve's sensor block (none without Eve). A session is
+    Philox(seed) (RNG_CONTRACT, see _round_variates): uniforms for Alice's
+    symbol floor(4u), the attack coin u < attack_fraction, Eve's outcome,
+    her tie-break, Bob's basis floor(2u) and Bob's bit, then the pair that
+    Box-Muller turns into the two standard normals of Eve's sensor noise in
+    the plane of her hypotheses (unused without Eve). A session is
     therefore a prefix of every longer session with the same configuration
     and seed. Rounds are simulated in vectorised chunks of bounded size,
     with attack_round's and bob_measure's rules applied to whole arrays;
@@ -222,8 +214,7 @@ def run_session(
         raise ValidationError(f"run_session: eve_config must be an EveConfig, got {eve_config!r}")
     eve = eve_config
     n_rounds = int(n_rounds)
-    n_normals = eve.sensor.samples * eve.geometry.field_dim if eve is not None else 0
-    chunk = max(1, _CHUNK_VARIATES // _round_block(n_normals))
+    chunk = max(1, _CHUNK_VARIATES // _BLOCK)
     transcript = None
     if with_records:
         transcript = np.zeros(n_rounds, _TRANSCRIPT)
@@ -233,7 +224,7 @@ def run_session(
     joint = np.zeros(6, dtype=np.int64)
     for start in range(0, n_rounds, chunk):
         stop = min(n_rounds, start + chunk)
-        uniforms, normals = _round_variates(int(seed), start, stop, n_normals)
+        uniforms = _round_variates(int(seed), start, stop)
         alice = (4.0 * uniforms[:, _ALICE]).astype(np.intp)
         state = alice.copy()
         # Eve's guess per round: her inferred bit when its basis is Alice's, else no guess.
@@ -248,7 +239,7 @@ def run_session(
                 eve.strategy,
                 eve.born_factor,
                 uniforms[attacked, _EVE_OUTCOME],
-                normals[attacked],
+                _box_muller(uniforms[attacked, _NOISE_U], uniforms[attacked, _NOISE_V]),
                 uniforms[attacked, _TIE_BREAK],
             )
             state[attacked] = resent

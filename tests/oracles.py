@@ -217,6 +217,32 @@ def two_hypothesis_mc(
     return float((guesses == truths).mean())
 
 
+def four_hypothesis_mc(
+    means: np.ndarray,
+    sigma: float,
+    samples: int,
+    n_trials: int,
+    seed: int,
+) -> float:
+    """Monte Carlo accuracy of the nearest-scaled-mean rule among four Gaussian means.
+
+    Draws the truth uniformly, simulates the sum of `samples` readings with
+    noise in every field component (no projection onto any subspace),
+    guesses the hypothesis whose mean, times samples, lies nearest, and
+    returns the empirical accuracy. That rule is Eve's inference without
+    the outcome factor.
+    """
+    rng = np.random.default_rng(seed)
+    means = np.asarray(means, dtype=float)
+    truths = rng.integers(4, size=n_trials)
+    sums = samples * means[truths] + sigma * math.sqrt(samples) * rng.standard_normal(
+        (n_trials, means.shape[1])
+    )
+    distances = [((sums - samples * mean) ** 2).sum(axis=1) for mean in means]
+    guesses = np.argmin(np.stack(distances, axis=1), axis=1)
+    return float((guesses == truths).mean())
+
+
 def union_bound_accuracy(residuals: np.ndarray, sigma: float, samples: int) -> list[float]:
     """Per-hypothesis union-bound accuracy floor, re-derived in pure Python.
 

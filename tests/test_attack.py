@@ -540,13 +540,15 @@ def test_cloning_fidelity_follows_its_draw_order_and_attack_round(geom):
     shadow = np.random.default_rng(83)
     prepared = shadow.integers(4, size=n)
     outcome_draws = shadow.random(n)
-    noise = shadow.standard_normal((n, sensor.samples * geom.field_dim))
+    noise = shadow.standard_normal((n, 2))
     tie_draws = shadow.random(n)
     assert used.random() == shadow.random()
     overlaps = []
     for p, u, z, t in zip(prepared.tolist(), outcome_draws.tolist(), noise, tie_draws.tolist()):
+        # the full-field reference, fed noise whose plane projection is z
+        in_plane = np.tile(z @ geom.plane_basis / math.sqrt(sensor.samples), (sensor.samples, 1))
         resent, _ = attack_round(
-            SYMBOLS[p], geom, params, sensor, strategy, FixedDraws(u, z, t)
+            SYMBOLS[p], geom, params, sensor, strategy, FixedDraws(u, in_plane, t)
         )
         overlaps.append(2.0 * float(BRANCH_WEIGHTS[p, resent]))
     assert len(set(overlaps)) > 1

@@ -280,6 +280,20 @@ def test_overflowing_geometry_exits_3_with_one_line(capsys, command, bundled):
     assert err.startswith("gravsim: geometry.testMass, geometry.gravConst: ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_field_that_overflows_eves_scores_exits_3_with_one_line(capsys):
+    bundled = resources.files("gravsim").joinpath("configs", "default.json")
+    document = json.loads(bundled.read_text())
+    document["geometry"]["testMass"] = 1e200
+    document["nonlinear"] = {"b": 0.05}
+    document["sensor"] = {"sigma": 1e190}
+    code, out, err = run_main(["run", "--config", json.dumps(document)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("gravsim: geometry.testMass, sensor.sigma: ")
+
+
 def test_limit_requires_limit_section(capsys):
     code, _, err = run_main(["limit", "--config", MINIMAL], capsys)
     assert code == 3

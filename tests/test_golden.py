@@ -1,9 +1,11 @@
 """Golden transcripts: `gravsim run --format csv` reproduces stored output byte for byte.
 
 The files under tests/data were written by `gravsim run` under random-stream
-contract 2. A change of RNG_CONTRACT changes which rounds a seed gives, so it
+contract 3. A change of RNG_CONTRACT changes which rounds a seed gives, so it
 regenerates these files with the commands in GOLDEN (the `.csv` from --out,
-the `.json` from stdout); any other change must leave them untouched.
+the `.json` from stdout); any other change must leave them untouched. The
+honest file is the exception: it was written under contract 2, and a session
+without Eve reads the same draws under contract 3, so it must never change.
 """
 
 from pathlib import Path
@@ -27,11 +29,14 @@ GOLDEN = {
         '{"nonlinear": {"b": 0.0}, "eve": {"enabled": true, "bornFactor": false},'
         ' "session": {"rounds": 300, "seed": 23}}'
     ),
+    # Eve disabled: every round's block is six uniforms and an unused pair,
+    # laid out as under contract 2, so this file predates contract 3
+    "honest": '{"eve": {"enabled": false}, "session": {"rounds": 300, "seed": 29}}',
 }
 
 
 def test_golden_files_are_for_the_current_stream_contract():
-    assert protocol.RNG_CONTRACT == 2
+    assert protocol.RNG_CONTRACT == 3
 
 
 @pytest.mark.parametrize("name", GOLDEN)

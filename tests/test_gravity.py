@@ -101,6 +101,37 @@ def test_geometry_arrays_are_read_only(geom):
         geom.config_matrix[0, 0] = 9.0
 
 
+def test_default_plane_is_a_read_only_rhombus(geom):
+    plane, basis = geom.plane, geom.plane_basis
+    for array in (plane, basis):
+        with pytest.raises(ValueError):
+            array[0, 0] = 9.0
+    np.testing.assert_allclose(basis @ basis.T, np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.array_equal(plane[1], -plane[0]) and np.array_equal(plane[3], -plane[2])
+    # mix row differences are plane differences carried by the basis
+    for h in range(4):
+        for k in range(4):
+            np.testing.assert_allclose(
+                (plane[h] - plane[k]) @ basis,
+                geom.mix_matrix[h] - geom.mix_matrix[k],
+                rtol=0.0,
+                atol=1e-24,
+            )
+    # equal half diagonals at an angle whose cosine is 0.627
+    half_z, half_x = np.linalg.norm(plane[0]), np.linalg.norm(plane[2])
+    assert half_z == pytest.approx(half_x, rel=1e-12)
+    assert plane[0] @ plane[2] / (half_z * half_x) == pytest.approx(0.627, abs=1e-3)
+
+
+def test_parallel_diagonals_leave_a_zero_basis_row():
+    # every site and probe on the x axis: both diagonals point along it
+    sites = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-3.0, 0.0, 0.0]]
+    geom = Geometry(sites=sites, probes=[[0.0, 0.0, 0.0]])
+    assert not geom.plane_basis[1].any()
+    assert not geom.plane[:, 1].any()
+    assert abs(geom.plane_basis[0, 0]) == 1.0
+
+
 def test_default_geometry_layout(geom):
     assert geom.n_probes == 8
     assert geom.field_dim == 24

@@ -90,6 +90,16 @@ def test_two_hypothesis_mc_recovers_phi():
     assert acc == pytest.approx(oracles.PHI_HALF_D[2.0], abs=0.01)
 
 
+def test_four_hypothesis_mc_recovers_the_square_law():
+    # Corners of a square of side d in noise units: the nearest corner is
+    # right on both axes at once, with probability Phi(d / 2)^2.
+    d = 2.0
+    means = np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0], [0.0, d, 0.0], [d, d, 0.0]])
+    expected = oracles.PHI_HALF_D[d] ** 2
+    acc = oracles.four_hypothesis_mc(means, sigma=1.0, samples=1, n_trials=200_000, seed=12)
+    assert acc == pytest.approx(expected, abs=4 * oracles.binomial_sigma(expected, 200_000))
+
+
 def test_union_bound_degenerate_case():
     residuals = np.zeros((4, 6))
     assert oracles.union_bound_accuracy(residuals, 1.0, 1) == [0.0, 0.0, 0.0, 0.0]

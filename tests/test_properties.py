@@ -1,4 +1,4 @@
-"""Property tests: classifier posterior, exclusion limit, config round trips and sweeps."""
+"""Property tests: posterior, hypothesis plane, exclusion limit, config round trips, sweeps."""
 
 import json
 from dataclasses import replace
@@ -13,6 +13,7 @@ from gravsim import (
     SWEEP_PARAMETERS,
     SYMBOLS,
     ExclusionExperiment,
+    Geometry,
     NonlinearParams,
     SensorModel,
     StrategyMode,
@@ -66,6 +67,49 @@ def test_posterior_is_a_distribution(log10_sigma, b, samples, prepared, born_fac
     assert np.all(posterior >= 0.0)
     assert abs(posterior.sum() - 1.0) <= POSTERIOR_TOLERANCE
     assert posterior[inferred] == posterior.max()
+
+
+@st.composite
+def plane_geometries(draw):
+    """Geometries with 1-4 probes; with spread 0 or small, every point lies near one line."""
+    line = draw(st.sampled_from([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.3, -0.7, 1.9)]))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0]))
+    n_probes = draw(st.integers(1, 4))
+    points = [
+        draw(st.floats(-2.0, 2.0)) * np.array(line)
+        + spread * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        for _ in range(4 + n_probes)
+    ]
+    sites, probes = np.array(points[:4]), np.array(points[4:])
+    assume(min(np.linalg.norm(a - b) for i, a in enumerate(sites) for b in sites[i + 1 :]) > 1e-3)
+    assume(min(np.linalg.norm(site - probe) for site in sites for probe in probes) > 1e-3)
+    test_mass = 10.0 ** draw(st.floats(-100.0, 200.0))
+    return Geometry(sites, probes, test_mass=test_mass)
+
+
+@PROPERTY_SETTINGS
+@given(geom=plane_geometries())
+def test_the_mix_rows_live_in_the_plane(geom):
+    mix = geom.mix_matrix
+    top = float(np.abs(mix).max())
+    # the parallelogram identity mix[Z0] + mix[Z1] = mix[Xp] + mix[Xm], to rounding
+    assert np.abs((mix[0] + mix[1]) - (mix[2] + mix[3])).max() <= 1e-14 * top
+    # centred rows and plane coordinates share their Gram matrix (rows scaled to dodge overflow)
+    scale = float(np.abs(geom.plane).max()) or 1.0
+    centred = (mix - mix.mean(axis=0)) / scale
+    gram = centred @ centred.T
+    plane = geom.plane / scale
+    assert np.abs(plane @ plane.T - gram).max() <= 1e-12 * np.abs(gram).max()
+    # rows orthonormal, or zero where their coordinate vanishes
+    basis = geom.plane_basis
+    assert basis.shape == (2, geom.field_dim)
+    live = [k for k in range(2) if basis[k].any()]
+    for k in range(2):
+        if k not in live:
+            assert not plane[:, k].any()
+    np.testing.assert_allclose(
+        basis[live] @ basis[live].T, np.eye(len(live)), rtol=0.0, atol=1e-12
+    )
 
 
 def _experiment(sigma, samples, schedule):

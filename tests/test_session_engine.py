@@ -1,33 +1,53 @@
 """Contract tests for the batch session engine and its counter-based random stream.
 
-run_session simulates rounds in vectorised chunks. These tests pin that
-engine to the scalar reference (attack_round, bob_measure) fed the very
-same variates, and check the stream contract: a session is a prefix of any
-longer one with the same seed, the chunk size never changes a result, and
-memory does not grow with the session length.
+run_session simulates rounds in vectorised chunks and scores Eve's attack
+on two plane coordinates. These tests pin that engine to the full-field
+scalar reference (attack_round, bob_measure) fed the very same variates,
+with the plane normals z laid into the field as the in-plane noise
+z @ plane_basis, and check the stream contract: a session is a prefix of
+any longer one with the same seed, the chunk size never changes a result,
+and memory does not grow with the session length.
 """
+
+import math
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from gravsim import (
     SYMBOLS,
     Basis,
     EveConfig,
     EveStrategy,
+    Geometry,
     NonlinearParams,
     SensorModel,
+    ValidationError,
     attack_round,
     bob_measure,
+    cloning_fidelity,
     default_geometry,
+    hypothesis_residuals,
+    monte_carlo_accuracy,
     run_session,
 )
 from gravsim import protocol
 
 GEOM = default_geometry()
 BASES = (Basis.Z, Basis.X)
+
+
+def in_plane_noise(z, sensor):
+    """Full-field noise for attack_round's sensor block whose plane projection is z.
+
+    Each of the `samples` readings gets z @ plane_basis / sqrt(samples), so
+    their sum is sqrt(samples) * z @ plane_basis, as the engine assumes.
+    """
+    row = z @ GEOM.plane_basis / math.sqrt(sensor.samples)
+    return np.tile(row, (sensor.samples, 1))
 
 
 class Replay:
@@ -79,16 +99,16 @@ def test_engine_matches_the_scalar_reference(case):
     cfg = SCALAR_CASES[case]
     seed, n = 17, 300
     _, transcript = run_session(n, cfg, seed=seed)
-    n_normals = cfg.sensor.samples * GEOM.field_dim
-    uniforms, normals = protocol._round_variates(seed, 0, n, n_normals)
+    uniforms = protocol._round_variates(seed, 0, n)
+    normals = protocol._box_muller(uniforms[:, 6], uniforms[:, 7])
     resends = set()
     for row, u, z in zip(transcript, uniforms.tolist(), normals):
-        alice_u, coin_u, outcome_u, tie_u, basis_u, bit_u = u
+        alice_u, coin_u, outcome_u, tie_u, basis_u, bit_u, _, _ = u
         alice = SYMBOLS[int(4.0 * alice_u)]
         assert row["alice"] == alice
         state, eve = alice, None
         if coin_u < cfg.attack_fraction:
-            rng = Replay([outcome_u, tie_u], z)
+            rng = Replay([outcome_u, tie_u], in_plane_noise(z, cfg.sensor))
             state, eve = attack_round(
                 alice, cfg.geometry, cfg.params, cfg.sensor, cfg.strategy, rng, cfg.born_factor
             )
@@ -118,6 +138,43 @@ def test_engine_matches_the_scalar_reference(case):
         assert 0 < np.count_nonzero(~transcript["attacked"]) < n
 
 
+@pytest.mark.parametrize("b, seed", [(0.01, 41), (0.03, 42), (0.05, 43)])
+def test_eve_accuracy_follows_the_full_field_law(b, seed):
+    # The oracle adds noise to all 24 field components and scores the
+    # nearest scaled mean; the engine draws 2 normals in the plane.
+    n = 200_000
+    cfg = eve_config(b=b, born=False)
+    stats, _ = run_session(n, cfg, seed=seed, with_records=False)
+    residuals = hypothesis_residuals(cfg.params, GEOM)
+    expected = oracles.four_hypothesis_mc(residuals, cfg.sensor.sigma, 1, n, seed)
+    spread = math.hypot(
+        oracles.binomial_sigma(stats.eve_accuracy, n), oracles.binomial_sigma(expected, n)
+    )
+    assert abs(stats.eve_accuracy - expected) <= 4 * spread
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("test_mass, sigma", [(1e150, 1e140), (1e200, 1e190)])
+def test_a_huge_field_runs_or_fails_with_one_clean_error(test_mass, sigma):
+    # Every field is finite at both masses; at 1e200 kg Eve's scores
+    # S.r_h are not, so each call names the culprits, with no warning.
+    huge = Geometry(GEOM.sites, GEOM.probes, test_mass=test_mass)
+    params, sensor = NonlinearParams(b=0.05), SensorModel(sigma=sigma)
+    strategy = EveStrategy("Threshold", tau=0.6)
+    cfg = EveConfig(huge, params, sensor, strategy)
+    calls = [
+        lambda: run_session(200, cfg, seed=4)[1]["posterior"],
+        lambda: monte_carlo_accuracy(params, huge, sensor, 200, np.random.default_rng(4)),
+        lambda: cloning_fidelity(strategy, params, huge, sensor, 200, np.random.default_rng(4)),
+    ]
+    for call in calls:
+        if test_mass == 1e200:
+            with pytest.raises(ValidationError, match=r"^geometry\.testMass, sensor\.sigma: "):
+                call()
+        else:
+            assert np.isfinite(call()).all()
+
+
 def test_session_is_a_prefix_of_a_longer_one():
     cfg = eve_config("Threshold", fraction=0.7, tau=0.6)
     short_stats, short = run_session(300, cfg, seed=8)
@@ -145,16 +202,20 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, variates):
 
 
 def test_round_block_layout():
-    # six uniforms, Box-Muller inputs rounded up to even, padded to whole Philox blocks
-    assert protocol._round_block(0) == 8
-    assert protocol._round_block(3) == 12
-    assert protocol._round_block(24) == 32
-    assert protocol._round_block(26) == 32
-    uniforms, normals = protocol._round_variates(5, 3, 4, 3)
-    raw = np.random.Philox(5).random_raw(4 * 12)[3 * 12 :]
-    assert uniforms[0].tolist() == ((raw[:6] >> 11) * 2.0**-53).tolist()
-    assert normals.shape == (1, 3)
-    assert protocol.RNG_CONTRACT == 2
+    # every round owns 8 draws, two Philox counter steps: six uniforms and one Box-Muller pair
+    assert protocol._BLOCK == 8
+    uniforms = protocol._round_variates(5, 3, 5)
+    raw = np.random.Philox(5).random_raw(5 * 8)[3 * 8 :]
+    assert uniforms.tolist() == ((raw.reshape(2, 8) >> 11) * 2.0**-53).tolist()
+    u, v = uniforms[0, 6:]
+    radius = math.sqrt(-2.0 * math.log1p(-u))
+    z = protocol._box_muller(uniforms[:, 6], uniforms[:, 7])
+    assert z.shape == (2, 2)
+    assert z[0] == pytest.approx(
+        [radius * math.cos(2.0 * math.pi * v), radius * math.sin(2.0 * math.pi * v)],
+        rel=1e-15,
+    )
+    assert protocol.RNG_CONTRACT == 3
 
 
 def test_session_memory_does_not_grow_with_length():
