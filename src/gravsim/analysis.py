@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,7 +19,7 @@ import numpy as np
 from .attack import SensorModel, analytic_accuracy, monte_carlo_accuracy
 from .errors import ValidationError
 from .gravity import Geometry, NonlinearParams
-from .protocol import run_session
+from .protocol import _attack_rows, _session_stats, _simulate
 from .qubits import Bb84Symbol
 
 if TYPE_CHECKING:
@@ -122,30 +121,32 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
 
     Each row maps the swept parameter names to their values at that point
     followed by the session statistics (STAT_COLUMNS). Point k uses seed
-    seed_base + k, so the table is reproducible and independent of the
-    worker count.
+    seed_base + k. All points run in one engine pass, and every row equals
+    what run_session gives for its point alone; a grid that fails raises
+    the error of its first failing point. max_workers is accepted for
+    compatibility and has no effect.
     """
     names = spec.parameter_names
     combos = list(itertools.product(*(values for _, values in spec.grids)))
-
-    def run_point(item: tuple[int, tuple]) -> dict:
-        index, combo = item
-        config = base_config.with_overrides(dict(zip(names, combo)))
-        session_stats, _ = run_session(
-            spec.rounds_per_point,
-            config.to_eve_config(),
-            seed=spec.seed_base + index,
-            with_records=False,
-        )
+    eves, failure = [], None
+    for combo in combos:
+        try:
+            eves.append(base_config.with_overrides(dict(zip(names, combo))).to_eve_config())
+        except ValidationError as exc:
+            # The points before it still run: a session among them may fail first.
+            failure = exc
+            break
+    with_eve = base_config.eve.enabled
+    seeds = range(spec.seed_base, spec.seed_base + len(eves))
+    counts = _simulate(spec.rounds_per_point, seeds, _attack_rows(eves) if with_eve else None)
+    if failure is not None:
+        raise failure
+    rows = []
+    for combo, point_counts in zip(combos, counts):
         row: dict = dict(zip(names, combo))
-        row.update(session_stats.to_dict())
-        return row
-
-    items = list(enumerate(combos))
-    if max_workers is not None and max_workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_point, items))
-    return [run_point(item) for item in items]
+        row.update(_session_stats(spec.rounds_per_point, point_counts, with_eve).to_dict())
+        rows.append(row)
+    return rows
 
 
 def min_detectable_b(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +119,10 @@ with np.errstate(divide="ignore"):
     _OUTCOME_LOG_LIKELIHOOD = np.log(BRANCH_WEIGHTS.T)
 _OUTCOME_LOG_LIKELIHOOD.setflags(write=False)
 
+# The log prior of each hypothesis given the outcome: [0] without the Born
+# factor, [1] with it.
+_LOG_PRIORS = np.stack([np.zeros((4, 4)), _OUTCOME_LOG_LIKELIHOOD])
+
 # eve_dual_basis_measure's thresholds as a (4, 4) array, row per preparation.
 _EVE_EDGES = np.array(_EVE_CUMULATIVE)
 
@@ -147,64 +152,164 @@ def hypothesis_residuals(params: NonlinearParams, geom: Geometry) -> np.ndarray:
     return decay_factor(params) * geom.mix_matrix
 
 
-def _logits(statistic, residuals, count: int, sigma: float, log_prior=0.0) -> np.ndarray:
+def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
     """Hypothesis log-posteriors up to a shared constant, (..., dim) -> (..., 4).
 
     statistic is the sum of `count` readings minus count times Eve's
-    configuration field; a sigma too large for double precision makes it
-    non-finite, which raises ValidationError. The Gaussian scores
-    S.r_h - count * |r_h|^2 / 2 are shifted in field units so that the best
-    hypothesis the prior allows is exactly 0 (one the prior rules out is
-    capped at 0 and keeps its -inf prior), and only then divided by sigma,
-    once per factor: no sigma > 0 gives NaN, a hypothesis the data rule out
-    scores -inf, and exact ties stay exact. The dot products go through
-    einsum rather than BLAS, which sums every row in the same order whatever
-    the batch shape, so a row's logits never depend on the rows beside it.
+    configuration field; residuals are the (4, dim) hypothesis residuals
+    r_h, or one such table per statistic row, and offsets their _offsets in
+    the same layout; sigma is a number or a column of one per row. A sigma
+    too large for double precision makes the statistic non-finite, which
+    raises ValidationError. The Gaussian scores S.r_h - count * |r_h|^2 / 2
+    are shifted in field units so that the best hypothesis the prior allows
+    is exactly 0 (one the prior rules out is capped at 0 and keeps its -inf
+    prior), and only then divided by sigma, once per factor: no sigma > 0
+    gives NaN, a hypothesis the data rule out scores -inf, and exact ties
+    stay exact. The dot products go through einsum rather than BLAS, which
+    sums every row in the same order whatever the batch shape, so a row's
+    logits depend neither on the rows beside it nor on whether its residuals
+    are shared with them.
     """
     if not np.isfinite(statistic).all():
         raise ValidationError(f"sensor.sigma: {sigma!r} overflows the sensor readings")
-    score = np.einsum("...d,hd->...h", statistic, residuals)
-    score -= 0.5 * count * (residuals * residuals).sum(axis=1)
+    score = np.einsum("...d,...hd->...h", statistic, residuals)
+    score -= offsets
     best = score.max(axis=-1, keepdims=True, where=log_prior != -np.inf, initial=-np.inf)
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
         return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
 
 
-def _plane_statistic(residuals, truth, count: int, sigma: float, normals) -> np.ndarray:
-    """Eve's statistic in plane coordinates, (n,) true hypotheses and (n, 2) normals -> (n, 2).
+def _offsets(residuals, count) -> np.ndarray:
+    """count * |r_h|^2 / 2 per hypothesis, (..., 4, dim) -> (..., 4).
 
-    residuals are decay_factor * geom.plane. The sum of `count` readings
-    minus count times Eve's configuration field, projected on the plane,
-    is count * residuals[truth] plus noise of standard deviation
-    sigma * sqrt(count) per axis, and the scores depend on the readings
-    through that projection alone. Raises ValidationError when the scores
-    _logits forms from it would overflow double precision.
+    A residual too large to square gives inf; _check_scores rejects every
+    statistic that would be scored against it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        statistic = count * residuals[truth] + sigma * math.sqrt(count) * normals
-    reach = float(np.abs(residuals).max())
-    span = float(np.abs(statistic).max(initial=0.0))
-    # Bounds the spread of S.r_h - count * |r_h|^2 / 2; a non-finite
-    # statistic is left to _logits, whose message names sigma.
-    if math.isfinite(span) and not math.isfinite(4.0 * reach * (span + count * reach)):
+    with np.errstate(over="ignore"):
+        return 0.5 * count * (residuals * residuals).sum(axis=-1)
+
+
+def _check_scores(span: float, reach: float, count: int, sigma: float, dim: int) -> None:
+    """Raise ValidationError unless _logits can score a batch of Eve's statistics.
+
+    span is the largest |component| of the batch's statistics, dim their
+    length, and reach the largest |component| of its residuals. A
+    non-finite span means sigma overflowed the readings. Otherwise
+    2 * dim * reach * (span + count * reach) bounds the spread of the scores
+    S.r_h - count * |r_h|^2 / 2, so where it is finite no score overflows.
+    """
+    if not math.isfinite(span):
+        raise ValidationError(f"sensor.sigma: {sigma!r} overflows the sensor readings")
+    if not math.isfinite(2 * dim * reach * (span + count * reach)):
         raise ValidationError(
             f"geometry.testMass, sensor.sigma: a residual field of {reach!r} m/s^2 sensed "
             f"with sigma {sigma!r} overflows Eve's scores"
         )
+
+
+class _AttackTable(NamedTuple):
+    """Eve's constants for P attack settings, stacked on axis 0 for _attack_batch.
+
+    Row p holds what attack_round derives from setting p, computed as it
+    computes it, so that a round gathering row p is scored bit for bit as in
+    a batch of that setting alone: residuals decay_factor * geom.plane
+    (P, 4, 2) and their _offsets (P, 4) for the scores, and per setting
+    (P,): count (the number of readings), sigma, scale = sigma * sqrt(count),
+    reach (the largest |residual|), born (1 where the outcome's likelihood
+    weighs in) and resend_from, the posterior peak from which Eve forwards
+    her inference rather than her outcome: -inf for CloneInferred, tau for
+    Threshold and inf for ResendMeasured.
+    """
+
+    residuals: np.ndarray
+    offsets: np.ndarray
+    count: np.ndarray
+    sigma: np.ndarray
+    scale: np.ndarray
+    reach: np.ndarray
+    born: np.ndarray
+    resend_from: np.ndarray
+
+
+def _attack_table(settings) -> _AttackTable:
+    """The _AttackTable of (geometry, params, sensor, strategy, born_factor) settings, in order."""
+    settings = tuple(settings)
+    for *_, strategy, _ in settings:
+        if not isinstance(strategy, EveStrategy):
+            raise ValidationError(
+                f"attack_round: strategy must be an EveStrategy, got {strategy!r}"
+            )
+    residuals = np.array(
+        [decay_factor(params) * geom.plane for geom, params, *_ in settings]
+    ).reshape(-1, 4, 2)
+    fixed = {StrategyMode.CLONE_INFERRED: -math.inf, StrategyMode.RESEND_MEASURED: math.inf}
+    columns = np.array(
+        [
+            (
+                sensor.samples,
+                sensor.sigma,
+                sensor.sigma * math.sqrt(sensor.samples),
+                fixed.get(strategy.mode, strategy.tau),
+            )
+            for _, _, sensor, strategy, _ in settings
+        ]
+    ).reshape(-1, 4)
+    count, sigma, scale, resend_from = columns.T
+    return _AttackTable(
+        residuals=residuals,
+        offsets=_offsets(residuals, count[:, np.newaxis]),
+        count=count,
+        sigma=sigma,
+        scale=scale,
+        reach=np.abs(residuals).max(axis=(1, 2)),
+        born=np.array([int(born) for *_, born in settings], dtype=np.intp),
+        resend_from=resend_from,
+    )
+
+
+def _column(values, at):
+    """values[at]: one number for one setting, else a column against per-row arrays."""
+    return values[at] if np.ndim(at) == 0 else values[at][:, np.newaxis]
+
+
+def _plane_statistic(table, at, truth, normals, runs=None) -> np.ndarray:
+    """Eve's statistic in plane coordinates, (n,) true hypotheses and (n, 2) normals -> (n, 2).
+
+    Row i is under setting at[i] of the _AttackTable, or `at` for every
+    row. The sum of `count` readings minus count times Eve's configuration
+    field, projected on the plane, is count * residuals[truth] plus noise of
+    standard deviation sigma * sqrt(count) per axis, and the scores depend
+    on the readings through that projection alone. runs lists (setting,
+    start, stop) row ranges that _check_scores checks as one batch each, in
+    order; a range may be empty, and by default all rows form one batch.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistic = (
+            _column(table.count, at) * table.residuals[at, truth]
+            + _column(table.scale, at) * normals
+        )
+    for p, start, stop in [(at, 0, len(statistic))] if runs is None else runs:
+        _check_scores(
+            float(np.abs(statistic[start:stop]).max(initial=0.0)),
+            float(table.reach[p]),
+            int(table.count[p]),
+            float(table.sigma[p]),
+            2,
+        )
     return statistic
 
 
-def _break_ties(logits, u) -> np.ndarray:
+def _break_ties(logits, peak, u) -> np.ndarray:
     """Index of each row's maximum, (n, 4) -> (n,); a tie goes to peak floor(u * ties) of the row.
 
-    u holds one uniform draw per row, so the stream position never depends
-    on the data.
+    peak holds each row's maximum, (n, 1). u holds one uniform draw per
+    row, so the stream position never depends on the data.
     """
-    is_peak = logits == logits.max(axis=1, keepdims=True)
-    n_ties = is_peak.sum(axis=1)
+    is_peak = logits == peak
+    ties = np.cumsum(is_peak, axis=1)
+    n_ties = ties[:, -1]
     pick = np.minimum((u * n_ties).astype(np.int64), n_ties - 1)
-    rank = np.cumsum(is_peak, axis=1) - 1
-    return (is_peak & (rank == pick[:, np.newaxis])).argmax(axis=1)
+    return (is_peak & (ties - 1 == pick[:, np.newaxis])).argmax(axis=1)
 
 
 def infer_alice_state(
@@ -240,10 +345,18 @@ def infer_alice_state(
     count = data.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         statistic = data.sum(axis=0) - count * config_field(outcome, geom)
+    residuals = hypothesis_residuals(params, geom)
+    _check_scores(
+        float(np.abs(statistic).max()),
+        float(np.abs(residuals).max()),
+        count,
+        sensor.sigma,
+        geom.field_dim,
+    )
     logits = _logits(
         statistic,
-        hypothesis_residuals(params, geom),
-        count,
+        residuals,
+        _offsets(residuals, count),
         sensor.sigma,
         _OUTCOME_LOG_LIKELIHOOD[outcome] if born_factor else 0.0,
     )
@@ -300,51 +413,45 @@ def attack_round(
 
 def _attack_batch(
     prepared: np.ndarray,
-    geom: Geometry,
-    params: NonlinearParams,
-    sensor: SensorModel,
-    strategy: EveStrategy,
-    born_factor: bool,
+    table: _AttackTable,
+    at,
     outcome_draws: np.ndarray,
     noise: np.ndarray,
     tie_draws: np.ndarray,
+    runs=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """attack_round over n interceptions at once, fed its variates explicitly.
 
-    prepared holds symbol indices, outcome_draws and tie_draws one uniform
-    per round, noise (n, 2) standard normals: the sensor noise in the
-    coordinates of geom.plane_basis, summed over the readings and divided
-    by sqrt(samples). The scores, posteriors and choices are attack_round's
-    for readings whose noise has that projection (see _plane_statistic).
-    Returns (outcome, inferred, posterior, resent) as arrays of symbol
-    indices and an (n, 4) posterior; every posterior row is checked to be a
-    distribution, as EveRecord does.
+    Interception i runs setting at[i] of the _AttackTable, or `at` for all
+    of them. prepared holds symbol indices, outcome_draws and tie_draws one
+    uniform per round, noise (n, 2) standard normals: the sensor noise in
+    the coordinates of geom.plane_basis, summed over the readings and
+    divided by sqrt(samples). The scores, posteriors and choices are
+    attack_round's for readings whose noise has that projection (see
+    _plane_statistic, which also checks the runs). Returns (outcome,
+    inferred, posterior, resent) as arrays of symbol indices and an (n, 4)
+    posterior; every posterior row is checked to be a distribution, as
+    EveRecord does.
     """
-    if not isinstance(strategy, EveStrategy):
-        raise ValidationError(f"attack_round: strategy must be an EveStrategy, got {strategy!r}")
-    count = sensor.samples
     outcome = (outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared]).sum(axis=1)
-    residuals = decay_factor(params) * geom.plane
-    statistic = _plane_statistic(residuals, prepared, count, sensor.sigma, noise)
+    statistic = _plane_statistic(table, at, prepared, noise, runs)
     logits = _logits(
         statistic,
-        residuals,
-        count,
-        sensor.sigma,
-        _OUTCOME_LOG_LIKELIHOOD[outcome] if born_factor else 0.0,
+        table.residuals[at],
+        table.offsets[at],
+        _column(table.sigma, at),
+        _LOG_PRIORS[table.born[at], outcome],
     )
-    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-    posterior = weights / weights.sum(axis=1, keepdims=True)
+    peak = logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits - peak)
+    total = weights.sum(axis=1, keepdims=True)
+    posterior = weights / total
     normalized = abs(posterior.sum(axis=1) - 1.0) <= POSTERIOR_TOLERANCE
     if not ((posterior >= 0.0).all() and normalized.all()):
         raise ValidationError("posterior must be non-negative and sum to 1")
-    inferred = _break_ties(logits, tie_draws)
-    if strategy.mode is StrategyMode.CLONE_INFERRED:
-        resent = inferred
-    elif strategy.mode is StrategyMode.RESEND_MEASURED:
-        resent = outcome
-    else:
-        resent = np.where(posterior.max(axis=1) >= strategy.tau, inferred, outcome)
+    inferred = _break_ties(logits, peak, tie_draws)
+    # The peak weight is exp(0) = 1, so 1 / total is each row's largest posterior.
+    resent = np.where(1.0 / total[:, 0] >= table.resend_from[at], inferred, outcome)
     return outcome, inferred, posterior, resent
 
 
@@ -380,19 +487,23 @@ def analytic_accuracy(
     Pairwise separations d = sqrt(samples) * |r_i - r_j| / sigma between the
     hypothesis residuals feed a union bound: the accuracy for true hypothesis
     i is at least 1 - min(1, sum over j != i of Q(d_ij / 2)), with Q the
-    standard normal tail. All separations are zero in the degenerate
-    decay_factor = 0 case, where the bound collapses to 0 and only the chance
-    level 1/4 remains informative.
+    standard normal tail. The residuals differ only within the plane of
+    geom.plane, so |r_i - r_j| is taken there, with math.dist, which cannot
+    overflow. Opposite sides of their parallelogram are equally long, so
+    the closest pair is a tie; the later pair in (i, j) order is reported.
+    All separations are zero in the degenerate decay_factor = 0 case, where
+    the bound collapses to 0 and only the chance level 1/4 remains
+    informative.
     """
-    residuals = hypothesis_residuals(params, geom)
+    residuals = (decay_factor(params) * geom.plane).tolist()
     scale = math.sqrt(sensor.samples) / sensor.sigma
     separations = np.zeros((4, 4))
     closest = None
     for i in range(4):
         for j in range(i + 1, 4):
-            d = scale * float(np.linalg.norm(residuals[i] - residuals[j]))
+            d = scale * math.dist(residuals[i], residuals[j])
             separations[i, j] = separations[j, i] = d
-            if closest is None or d < closest[0]:
+            if closest is None or d <= closest[0]:
                 closest = (d, i, j)
     bounds = []
     for i in range(4):
@@ -428,14 +539,12 @@ def monte_carlo_accuracy(
     """
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"monte_carlo_accuracy: n_trials must be >= 1, got {n_trials!r}")
-    residuals = decay_factor(params) * geom.plane
-    count = sensor.samples
-    sigma = sensor.sigma
+    table = _attack_table([(geom, params, sensor, EveStrategy(StrategyMode.CLONE_INFERRED), False)])
     truths = rng.integers(4, size=n_trials)
     noise = rng.standard_normal((int(n_trials), 2))
-    statistic = _plane_statistic(residuals, truths, count, sigma, noise)
-    logits = _logits(statistic, residuals, count, sigma)
-    chosen = _break_ties(logits, rng.random(int(n_trials)))
+    statistic = _plane_statistic(table, 0, truths, noise)
+    logits = _logits(statistic, table.residuals[0], table.offsets[0], table.sigma[0])
+    chosen = _break_ties(logits, logits.max(axis=1, keepdims=True), rng.random(int(n_trials)))
     return float(np.mean(chosen == truths))
 
 
@@ -457,12 +566,11 @@ def cloning_fidelity(
     """
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"cloning_fidelity: n_trials must be >= 1, got {n_trials!r}")
+    table = _attack_table([(geom, params, sensor, strategy, born_factor)])
     n = int(n_trials)
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)
     noise = rng.standard_normal((n, 2))
     tie_draws = rng.random(n)
-    *_, resent = _attack_batch(
-        prepared, geom, params, sensor, strategy, born_factor, outcome_draws, noise, tie_draws
-    )
+    *_, resent = _attack_batch(prepared, table, 0, outcome_draws, noise, tie_draws)
     return float(np.mean(2.0 * BRANCH_WEIGHTS[prepared, resent]))

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -94,21 +93,6 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(out, text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GRAVSIM_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"GRAVSIM_THREADS: expected a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValidationError(f"GRAVSIM_THREADS: expected a positive integer, got {raw!r}")
-    return value
-
-
 # Transcript rows formatted per block: bounds the Python strings alive at once.
 _CSV_BLOCK_ROWS = 1024
 
@@ -181,7 +165,7 @@ def _cmd_sweep(args) -> int:
         spec = replace(spec, rounds_per_point=args.rounds)
     if args.seed is not None:
         spec = replace(spec, seed_base=args.seed)
-    rows = sweep(spec, config, max_workers=_thread_count())
+    rows = sweep(spec, config)
     if args.format == "csv":
         header = spec.parameter_names + STAT_COLUMNS
         text = _csv_text(header, ([row[name] for name in header] for row in rows))

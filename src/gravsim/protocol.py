@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .attack import EveStrategy, SensorModel, _attack_batch
+from .attack import EveStrategy, SensorModel, _attack_batch, _attack_table, _AttackTable
 from .errors import ValidationError
 from .gravity import Geometry, NonlinearParams
 from .qubits import _BOB_P0
@@ -82,6 +83,11 @@ class EveConfig:
         object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
         object.__setattr__(self, "born_factor", bool(self.born_factor))
 
+    @cached_property
+    def _rows(self) -> tuple[_AttackTable, np.ndarray]:
+        """_attack_rows of this configuration alone, built on first use."""
+        return _attack_rows([self])
+
 
 @dataclass(frozen=True)
 class SessionStats:
@@ -145,15 +151,15 @@ def key_rate(qber: float, eve_info: float) -> tuple[float, float]:
 
 def _mutual_information(joint: np.ndarray) -> float:
     """Plug-in mutual information (bits) of an empirical joint count table."""
-    n = int(joint.sum())
-    rows = joint.sum(axis=1)
-    cols = joint.sum(axis=0)
+    table = joint.tolist()
+    n = sum(map(sum, table))
+    rows = [sum(row) for row in table]
+    cols = [sum(col) for col in zip(*table)]
     total = 0.0
-    for a in range(joint.shape[0]):
-        for e in range(joint.shape[1]):
-            c = int(joint[a, e])
+    for a, row in enumerate(table):
+        for e, c in enumerate(row):
             if c:
-                total += (c / n) * math.log2(c * n / (int(rows[a]) * int(cols[e])))
+                total += (c / n) * math.log2(c * n / (rows[a] * cols[e]))
     return max(0.0, total)
 
 
@@ -176,6 +182,141 @@ def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log1p(-u))
     angle = 2.0 * math.pi * v
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+
+
+def _attack_rows(eves) -> tuple[_AttackTable, np.ndarray]:
+    """The _AttackTable and attack fractions of EveConfigs, one row per configuration."""
+    table = _attack_table(
+        (eve.geometry, eve.params, eve.sensor, eve.strategy, eve.born_factor) for eve in eves
+    )
+    return table, np.array([eve.attack_fraction for eve in eves])
+
+
+def _chunks(n_points: int, n_rounds: int, block: int):
+    """The pass's chunks: lists of (point, start, stop) round ranges, at most `block` rounds each.
+
+    Every session is cut into blocks of `block` rounds, as a lone session
+    is, and consecutive blocks share a chunk while they fit in it, so a
+    block is never split between chunks. A session's blocks before its
+    last are full and fill a chunk alone, so a chunk holds one block each
+    of consecutive sessions.
+    """
+    chunk, size = [], 0
+    for point in range(n_points):
+        for start in range(0, n_rounds, block):
+            stop = min(n_rounds, start + block)
+            if size + stop - start > block:
+                yield chunk
+                chunk, size = [], 0
+            chunk.append((point, start, stop))
+            size += stop - start
+    if chunk:
+        yield chunk
+
+
+def _simulate(n_rounds: int, seeds, eve_rows=None, transcript=None) -> np.ndarray:
+    """Run len(seeds) sessions of n_rounds rounds in one chunked pass; returns (P, 14) counts.
+
+    Session p reads Philox(seeds[p]) (see run_session) and faces Eve with
+    row p of eve_rows, an (_AttackTable, attack fractions) pair from
+    _attack_rows, or no Eve when eve_rows is None. Its rounds run in the
+    blocks a lone session runs, whole blocks of consecutive sessions
+    sharing a chunk as array operations, and each block's attacks are
+    checked as a batch of their own; so every session's counts, transcript
+    rows and first error are those it has alone. Per session, the counts
+    are the sifted rounds' (error, Alice's bit, Eve's guess) table,
+    2 x 2 x 3 cells, then the attacked rounds whose inference was wrong and
+    right. The transcript, if given, receives the rounds of all sessions in
+    order.
+    """
+    n_points = len(seeds)
+    block = max(1, _CHUNK_VARIATES // _BLOCK)
+    table, fraction = eve_rows or (None, None)
+    counts = np.zeros((n_points, 14), dtype=np.int64)
+    cells, hits = counts[:, :12], counts[:, 12:]
+    first = 0
+    for chunk in _chunks(n_points, n_rounds, block):
+        sessions = slice(chunk[0][0], chunk[0][0] + len(chunk))
+        blocks = [_round_variates(int(seeds[point]), start, stop) for point, start, stop in chunk]
+        uniforms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        # The block of each round within the chunk; with one block, that is 0 for all.
+        owner = 0
+        if len(chunk) > 1:
+            owner = np.repeat(np.arange(len(chunk)), [stop - start for _, start, stop in chunk])
+        alice = (4.0 * uniforms[:, _ALICE]).astype(np.intp)
+        state = alice.copy()
+        # Eve's guess per round: her inferred bit when its basis is Alice's, else no guess.
+        guess = np.full(len(alice), _NO_GUESS)
+        if table is not None:
+            at = sessions.start + owner
+            attacked = np.flatnonzero(uniforms[:, _COIN] < fraction[at])
+            attacked_owner, runs = owner, None
+            if len(chunk) > 1:
+                at, attacked_owner = at[attacked], owner[attacked]
+                bounds = np.searchsorted(attacked_owner, np.arange(len(chunk) + 1)).tolist()
+                runs = zip(range(sessions.start, sessions.stop), bounds, bounds[1:])
+            outcome, inferred, posterior, resent = _attack_batch(
+                alice[attacked],
+                table,
+                at,
+                uniforms[attacked, _EVE_OUTCOME],
+                _box_muller(uniforms[attacked, _NOISE_U], uniforms[attacked, _NOISE_V]),
+                uniforms[attacked, _TIE_BREAK],
+                runs,
+            )
+            state[attacked] = resent
+            same_basis = inferred >> 1 == alice[attacked] >> 1
+            guess[attacked] = np.where(same_basis, inferred & 1, _NO_GUESS)
+            # Per block: attacked rounds whose inference was wrong, then right.
+            scored = 2 * attacked_owner + (inferred == alice[attacked])
+            hits[sessions] += np.bincount(scored, minlength=2 * len(chunk)).reshape(-1, 2)
+        bob_basis = (2.0 * uniforms[:, _BOB_BASIS]).astype(np.intp)
+        bob_bit = (uniforms[:, _BOB_BIT] >= _BOB_P0[state, bob_basis]).astype(np.intp)
+        sifted = bob_basis == alice >> 1
+        error = sifted & (bob_bit != alice & 1)
+        # Per block: the sifted rounds' (error, Alice's bit, Eve's guess) cells.
+        cell = 6 * error + 3 * (alice & 1) + guess + 12 * owner
+        cells[sessions] += np.bincount(cell[sifted], minlength=12 * len(chunk)).reshape(-1, 12)
+        if transcript is not None:
+            rows = transcript[first : first + len(alice)]
+            rows["alice"], rows["bob_basis"], rows["bob_bit"] = alice, bob_basis, bob_bit
+            rows["sifted"], rows["error"] = sifted, error
+            if table is not None:
+                rows["attacked"][attacked] = True
+                rows["outcome"][attacked] = outcome
+                rows["inferred"][attacked] = inferred
+                rows["resent"][attacked] = resent
+                rows["posterior"][attacked] = posterior
+        first += len(alice)
+    return counts
+
+
+def _session_stats(n_rounds: int, counts: np.ndarray, with_eve: bool) -> SessionStats:
+    """SessionStats of one session from its row of _simulate's counts."""
+    tally = counts.tolist()
+    sifted_count, error_count = sum(tally[:12]), sum(tally[6:12])
+    attacked_count, inferred_correct = tally[12] + tally[13], tally[13]
+    eve_accuracy = inferred_correct / attacked_count if attacked_count else None
+    mutual_info = (
+        _mutual_information((counts[:6] + counts[6:12]).reshape(2, 3))
+        if (with_eve and sifted_count)
+        else None
+    )
+    if sifted_count:
+        qber = error_count / sifted_count
+        theory, attack_rate = key_rate(qber, mutual_info if mutual_info is not None else 0.0)
+    else:
+        qber = theory = attack_rate = None
+    return SessionStats(
+        rounds=n_rounds,
+        sifted_count=sifted_count,
+        qber=qber,
+        eve_accuracy=eve_accuracy,
+        eve_mutual_info=mutual_info,
+        key_rate_theory=theory,
+        key_rate_attack=attack_rate,
+        aborted=qber is None or qber > ABORT_QBER,
+    )
 
 
 def run_session(
@@ -212,75 +353,12 @@ def run_session(
         raise ValidationError(f"session.seed: must be a non-negative integer, got {seed!r}")
     if eve_config is not None and not isinstance(eve_config, EveConfig):
         raise ValidationError(f"run_session: eve_config must be an EveConfig, got {eve_config!r}")
-    eve = eve_config
     n_rounds = int(n_rounds)
-    chunk = max(1, _CHUNK_VARIATES // _BLOCK)
     transcript = None
     if with_records:
         transcript = np.zeros(n_rounds, _TRANSCRIPT)
         for name in ("outcome", "inferred", "resent"):
             transcript[name] = -1
-    sifted_count = error_count = attacked_count = inferred_correct = 0
-    joint = np.zeros(6, dtype=np.int64)
-    for start in range(0, n_rounds, chunk):
-        stop = min(n_rounds, start + chunk)
-        uniforms = _round_variates(int(seed), start, stop)
-        alice = (4.0 * uniforms[:, _ALICE]).astype(np.intp)
-        state = alice.copy()
-        # Eve's guess per round: her inferred bit when its basis is Alice's, else no guess.
-        guess = np.full(stop - start, _NO_GUESS)
-        if eve is not None:
-            attacked = np.flatnonzero(uniforms[:, _COIN] < eve.attack_fraction)
-            outcome, inferred, posterior, resent = _attack_batch(
-                alice[attacked],
-                eve.geometry,
-                eve.params,
-                eve.sensor,
-                eve.strategy,
-                eve.born_factor,
-                uniforms[attacked, _EVE_OUTCOME],
-                _box_muller(uniforms[attacked, _NOISE_U], uniforms[attacked, _NOISE_V]),
-                uniforms[attacked, _TIE_BREAK],
-            )
-            state[attacked] = resent
-            same_basis = inferred >> 1 == alice[attacked] >> 1
-            guess[attacked] = np.where(same_basis, inferred & 1, _NO_GUESS)
-            attacked_count += attacked.size
-            inferred_correct += int(np.count_nonzero(inferred == alice[attacked]))
-        bob_basis = (2.0 * uniforms[:, _BOB_BASIS]).astype(np.intp)
-        bob_bit = (uniforms[:, _BOB_BIT] >= _BOB_P0[state, bob_basis]).astype(np.intp)
-        sifted = bob_basis == alice >> 1
-        error = sifted & (bob_bit != alice & 1)
-        sifted_count += int(np.count_nonzero(sifted))
-        error_count += int(np.count_nonzero(error))
-        joint += np.bincount(3 * (alice[sifted] & 1) + guess[sifted], minlength=6)
-        if transcript is not None:
-            rows = transcript[start:stop]
-            rows["alice"], rows["bob_basis"], rows["bob_bit"] = alice, bob_basis, bob_bit
-            rows["sifted"], rows["error"] = sifted, error
-            if eve is not None:
-                rows["attacked"][attacked] = True
-                rows["outcome"][attacked] = outcome
-                rows["inferred"][attacked] = inferred
-                rows["resent"][attacked] = resent
-                rows["posterior"][attacked] = posterior
-    eve_accuracy = inferred_correct / attacked_count if attacked_count else None
-    mutual_info = (
-        _mutual_information(joint.reshape(2, 3)) if (eve is not None and sifted_count) else None
-    )
-    if sifted_count:
-        qber = error_count / sifted_count
-        theory, attack_rate = key_rate(qber, mutual_info if mutual_info is not None else 0.0)
-    else:
-        qber = theory = attack_rate = None
-    stats = SessionStats(
-        rounds=n_rounds,
-        sifted_count=sifted_count,
-        qber=qber,
-        eve_accuracy=eve_accuracy,
-        eve_mutual_info=mutual_info,
-        key_rate_theory=theory,
-        key_rate_attack=attack_rate,
-        aborted=qber is None or qber > ABORT_QBER,
-    )
-    return stats, transcript
+    eve_rows = None if eve_config is None else eve_config._rows
+    counts = _simulate(n_rounds, [int(seed)], eve_rows, transcript)
+    return _session_stats(n_rounds, counts[0], eve_config is not None), transcript

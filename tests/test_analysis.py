@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gravsim import (
     SWEEP_PARAMETERS,
     Bb84Symbol,
     ExclusionExperiment,
+    Geometry,
     LimitResult,
     NonlinearParams,
     SensorModel,
@@ -114,9 +116,47 @@ def test_sweep_is_deterministic_and_worker_independent(base_config):
     spec = small_spec()
     serial = sweep(spec, base_config)
     again = sweep(spec, base_config)
-    parallel = sweep(spec, base_config, max_workers=4)
     assert serial == again
-    assert serial == parallel
+
+
+def test_sweep_without_eve_rows_equal_honest_sessions(base_config):
+    honest = replace(base_config, eve=replace(base_config.eve, enabled=False))
+    spec = replace(small_spec(), rounds_per_point=700)
+    rows = sweep(spec, honest)
+    for k, row in enumerate(rows):
+        stats, _ = run_session(700, seed=spec.seed_base + k, with_records=False)
+        assert row == {"b": row["b"], "sigma": row["sigma"], **stats.to_dict()}
+        assert row["eveAccuracy"] is None and row["eveMutualInfo"] is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_raises_the_error_of_its_first_failing_point(base_config, geom):
+    # At 1e200 kg every b > 0 overflows Eve's scores, and tau 0 is invalid.
+    huge = replace(base_config, geometry=Geometry(geom.sites, geom.probes, test_mass=1e200))
+    spec = SweepSpec(
+        grids=(("tau", (0.5, 0.0)), ("sigma", (1e190, 1e150)), ("b", (0.0, 0.05))),
+        rounds_per_point=50,
+        seed_base=3,
+    )
+    lone = huge.with_overrides({"tau": 0.5, "sigma": 1e190, "b": 0.05})
+    with pytest.raises(ValidationError) as alone:
+        run_session(50, lone.to_eve_config(), seed=spec.seed_base + 1)
+    assert str(alone.value).startswith("geometry.testMass, sensor.sigma: ")
+    assert "1e+190" in str(alone.value)
+    with pytest.raises(ValidationError) as grid:
+        sweep(spec, huge)
+    assert str(grid.value) == str(alone.value)
+    sigma_first = replace(spec, grids=spec.grids[1:])
+    with pytest.raises(ValidationError) as grid:
+        sweep(sigma_first, huge)
+    assert str(grid.value) == str(alone.value)
+    with pytest.raises(ValidationError, match="eve.tau"):
+        sweep(replace(spec, grids=(("tau", (0.5, 0.0)),)), huge)
+    # A lone session checks every block of rounds, also one Eve sits out.
+    idle = replace(spec, grids=(("attackFraction", (0.0,)), ("sigma", (1e190, 1e150))))
+    with pytest.raises(ValidationError) as grid:
+        sweep(idle, huge.with_overrides({"b": 0.05}))
+    assert str(grid.value) == str(alone.value)
 
 
 def test_sweep_over_strategy_strings(base_config):

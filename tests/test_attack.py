@@ -1,5 +1,6 @@
 """Unit tests for Eve's sensing, inference, resend strategies, and accuracy math."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from gravsim import (
     Bb84Symbol,
     EveRecord,
     EveStrategy,
+    Geometry,
     NonlinearParams,
     SYMBOLS,
     SensorModel,
@@ -218,6 +220,37 @@ def test_huge_finite_sigma_still_runs(geom):
     for prepared in SYMBOLS:
         _, record = attack_round(prepared, geom, params, sensor, EveStrategy("Threshold"), rng)
         assert abs(sum(record.posterior) - 1.0) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_scalar_reference_names_a_field_that_overflows_eves_scores(geom):
+    # The field is finite at 1e200 kg, but Eve's scores S.r_h are not.
+    huge = Geometry(geom.sites, geom.probes, test_mass=1e200)
+    params, sensor = NonlinearParams(b=0.05), SensorModel(sigma=1e190)
+    named = r"^geometry\.testMass, sensor\.sigma: "
+    with pytest.raises(ValidationError, match=named):
+        attack_round(
+            Bb84Symbol.Z0, huge, params, sensor, EveStrategy("Threshold"), np.random.default_rng(1)
+        )
+    rng = np.random.default_rng(2)
+    readings = sense(general_field(Bb84Symbol.Z0, Bb84Symbol.Z0, params, huge), sensor, rng)
+    with pytest.raises(ValidationError, match=named):
+        infer_alice_state(readings, Bb84Symbol.Z0, huge, params, sensor, rng)
+
+
+@pytest.mark.filterwarnings("error")
+def test_analytic_accuracy_of_a_huge_field_does_not_overflow(geom):
+    huge = Geometry(geom.sites, geom.probes, test_mass=1e200)
+    params, sensor = NonlinearParams(b=0.05), SensorModel(sigma=1e190)
+    residuals = hypothesis_residuals(params, huge)
+    # math.dist scales before squaring, so the full-field distances stay finite.
+    closest = min(math.dist(r, s) for r, s in itertools.combinations(residuals, 2))
+    est = analytic_accuracy(params, huge, sensor)
+    assert est.d_min == pytest.approx(closest / sensor.sigma, rel=1e-12)
+    assert est.d_min == pytest.approx(0.061, abs=0.001)
+    # Near chance, the union bound is vacuous.
+    assert est.mean == 0.0
+    assert est.two_hypothesis_exact == pytest.approx(0.512, abs=0.001)
 
 
 def test_infer_born_factor_keeps_a_possible_preparation_at_tiny_sigma(geom):

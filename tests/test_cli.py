@@ -215,25 +215,6 @@ def test_sweep_requires_sweep_section(capsys):
     assert "no sweep section" in err
 
 
-def test_sweep_thread_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("GRAVSIM_THREADS", "0")
-    code, _, err = run_main(["sweep", "--config", SWEEP_CFG], capsys)
-    assert code == 3
-    assert "GRAVSIM_THREADS" in err
-    monkeypatch.setenv("GRAVSIM_THREADS", "abc")
-    code, _, err = run_main(["sweep", "--config", SWEEP_CFG], capsys)
-    assert code == 3
-    assert "GRAVSIM_THREADS" in err
-
-
-def test_sweep_worker_count_does_not_change_output(monkeypatch, capsys):
-    monkeypatch.setenv("GRAVSIM_THREADS", "1")
-    serial = run_main(["sweep", "--config", SWEEP_CFG], capsys)
-    monkeypatch.setenv("GRAVSIM_THREADS", "4")
-    threaded = run_main(["sweep", "--config", SWEEP_CFG], capsys)
-    assert serial == threaded
-
-
 def test_limit_csv_curve(capsys):
     code, out, _ = run_main(
         ["limit", "--config", "page_geilker.json", "--format", "csv"], capsys
@@ -344,6 +325,19 @@ def test_unwritable_out_exits_4(tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     probe = "import sys, gravsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=gravsim_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_thread_pool(tmp_path):
+    probe = "import sys, gravsim.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,

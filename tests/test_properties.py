@@ -26,6 +26,7 @@ from gravsim import (
     infer_alice_state,
     load_config,
     prepare,
+    run_session,
     sense,
     serialize_config,
     signal_to_noise,
@@ -251,11 +252,23 @@ def test_serialize_then_parse_is_the_identity(document):
     assert serialize_config(reparsed) == serialized
 
 
+# A signal, so that the scores are not all ties, in a geometry where the
+# hypotheses' residuals differ in length, so that count * |r_h|^2 / 2 counts.
+SKEWED_SITES = GEOM.sites + [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.0, -0.03, 0.0]]
+SESSION_SWEEP_BASE = replace(
+    SWEEP_BASE,
+    geometry=Geometry(SKEWED_SITES, GEOM.probes),
+    nonlinear=replace(SWEEP_BASE.nonlinear, b=0.05),
+)
+
 SESSION_SWEEP_GRIDS = {
     "b": st.lists(UNIT, min_size=1, max_size=3),
     "sigma": st.lists(st.floats(-30.0, -10.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
     "strategy": st.lists(MODES, min_size=1, max_size=3),
     "attackFraction": st.lists(UNIT, min_size=1, max_size=2),
+    "samples": st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    "tau": st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=2),
+    "lambda": st.lists(st.floats(0.0, 30.0), min_size=1, max_size=2),
 }
 
 
@@ -267,8 +280,33 @@ def session_sweep_grids(draw):
     return tuple((name, draw(SESSION_SWEEP_GRIDS[name])) for name in names)
 
 
+# Rounds per point below, at and above the engine's 1024-round blocks, so
+# that a chunk holds several sessions, one session, or part of one.
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(grids=session_sweep_grids(), workers=st.integers(1, 4), seed_base=st.integers(0, 2**32))
-def test_sweep_rows_do_not_depend_on_the_worker_count(grids, workers, seed_base):
-    spec = SweepSpec(grids, rounds_per_point=40, seed_base=seed_base)
-    assert sweep(spec, SWEEP_BASE, max_workers=workers) == sweep(spec, SWEEP_BASE, max_workers=1)
+@given(
+    grids=session_sweep_grids(),
+    rounds=st.sampled_from([300, 37, 1, 1024, 1100]),
+    seed_base=st.integers(0, 2**32),
+)
+@example(
+    grids=(
+        ("samples", [1, 3]),
+        ("tau", [0.6, 0.95]),
+        ("lambda", [0.0, 20.0]),
+        ("strategy", ["Threshold", "CloneInferred", "ResendMeasured"]),
+        ("attackFraction", [0.5, 1.0]),
+    ),
+    rounds=37,
+    seed_base=9,
+)
+def test_sweep_rows_equal_lone_sessions(grids, rounds, seed_base):
+    spec = SweepSpec(grids, rounds_per_point=rounds, seed_base=seed_base)
+    rows = sweep(spec, SESSION_SWEEP_BASE)
+    assert len(rows) == spec.n_points
+    for k, row in enumerate(rows):
+        point = {name: row[name] for name in spec.parameter_names}
+        config = SESSION_SWEEP_BASE.with_overrides(point)
+        stats, _ = run_session(
+            rounds, config.to_eve_config(), seed=seed_base + k, with_records=False
+        )
+        assert row == {**point, **stats.to_dict()}

@@ -6,10 +6,11 @@ scalar reference (attack_round, bob_measure) fed the very same variates,
 with the plane normals z laid into the field as the in-plane noise
 z @ plane_basis, and check the stream contract: a session is a prefix of
 any longer one with the same seed, the chunk size never changes a result,
-and memory does not grow with the session length.
+not even a sweep's, and memory does not grow with the session length.
 """
 
 import math
+from dataclasses import replace
 
 import tracemalloc
 
@@ -25,14 +26,17 @@ from gravsim import (
     Geometry,
     NonlinearParams,
     SensorModel,
+    SweepSpec,
     ValidationError,
     attack_round,
     bob_measure,
     cloning_fidelity,
     default_geometry,
     hypothesis_residuals,
+    load_config,
     monte_carlo_accuracy,
     run_session,
+    sweep,
 )
 from gravsim import protocol
 
@@ -199,6 +203,27 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, variates):
         got_stats, got_transcript = run_session(500, cfg, seed=21)
         assert got_stats == stats
         assert np.array_equal(got_transcript, transcript)
+
+
+# Blocks of 1, 25, 1024 (the default) and 4096 rounds: a 130-round point
+# spans many blocks, fills one, or shares a chunk with its neighbours.
+@pytest.mark.parametrize("variates", [1, 200, 32768])
+def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, variates):
+    base = load_config("default.json")
+    base = replace(base, nonlinear=replace(base.nonlinear, b=0.05))
+    spec = SweepSpec(
+        grids=(
+            ("strategy", ("Threshold", "ResendMeasured")),
+            ("attackFraction", (0.7, 1.0)),
+            ("samples", (1, 3)),
+            ("tau", (0.6,)),
+        ),
+        rounds_per_point=130,
+        seed_base=5,
+    )
+    expected = sweep(spec, base)
+    monkeypatch.setattr(protocol, "_CHUNK_VARIATES", variates)
+    assert sweep(spec, base) == expected
 
 
 def test_round_block_layout():
