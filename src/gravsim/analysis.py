@@ -48,6 +48,29 @@ STAT_COLUMNS = (
 )
 
 
+def _check_grid_value(name: str, value) -> None:
+    """Reject a grid value of a type its config field does not take.
+
+    strategy takes a string, samples an integer and the other parameters a
+    finite number; bools are not numbers here. The value's range is checked
+    when its point's configuration is built.
+    """
+    if name == "strategy":
+        valid, expected = isinstance(value, str), "a string"
+    elif name == "samples":
+        valid = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        expected = "an integer"
+    else:
+        valid = (
+            isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+        expected = "a finite number"
+    if not valid:
+        raise ValidationError(f"sweep.grids: expected {expected} for {name!r}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Cartesian parameter grid driving repeated sessions.
@@ -83,6 +106,8 @@ class SweepSpec:
             values = tuple(values)
             if not values:
                 raise ValidationError(f"sweep.grids: grid for {name!r} is empty")
+            for value in values:
+                _check_grid_value(name, value)
             normalized.append((name, values))
         if (
             not isinstance(self.rounds_per_point, (int, np.integer))

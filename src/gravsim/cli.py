@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -96,40 +97,69 @@ def _emit(text: str, out: str | None) -> None:
 # Transcript rows formatted per block: bounds the Python strings alive at once.
 _CSV_BLOCK_ROWS = 1024
 
-# Cell text by index. Index -1 picks the blank: the transcript holds -1 for
-# Eve's symbols on rounds she sat out, and an undefined flag is mapped to -1.
-_SYMBOL_CELLS = np.array([symbol.label for symbol in SYMBOLS] + [""], dtype=object)
-_BASIS_CELLS = np.array([basis.value for basis in Basis], dtype=object)
-_BIT_CELLS = np.array(["0", "1"], dtype=object)
-_FLAG_CELLS = np.array(["false", "true", ""], dtype=object)
+
+def _row_keys(transcript) -> np.ndarray:
+    """Each row's cells aliceSymbol..eveCloned packed into one integer key.
+
+    The key holds Alice's symbol, Bob's basis and bit, and Eve's outcome,
+    inference and resent state, Eve's three shifted by 1 so that the -1 of
+    a round she sat out packs as 0. The other cells follow from these six.
+    """
+    alice = transcript["alice"].astype(np.intp)
+    key = 4 * alice + 2 * transcript["bob_basis"] + transcript["bob_bit"]
+    for name in ("outcome", "inferred", "resent"):
+        key = 5 * key + (transcript[name] + 1)
+    return key
+
+
+def _row_cells(key: int) -> str:
+    """The cells of a row key between round and posteriorZ0, with a comma on each side."""
+    key, resent = divmod(key, 5)
+    key, inferred = divmod(key, 5)
+    key, outcome = divmod(key, 5)
+    alice, bob = divmod(key, 4)
+    bob_basis, bob_bit = divmod(bob, 2)
+    symbol = SYMBOLS[alice]
+    sifted = bob_basis == alice >> 1
+    eve = (None, *(s.label for s in SYMBOLS))
+    cells = (
+        symbol.label,
+        symbol.basis.value,
+        symbol.bit,
+        tuple(Basis)[bob_basis].value,
+        bob_bit,
+        sifted,
+        bob_bit != symbol.bit if sifted else None,
+        eve[outcome],
+        eve[inferred],
+        eve[resent],
+        resent - 1 == alice if resent else None,
+    )
+    return "," + ",".join(map(_fmt, cells)) + ","
 
 
 def _transcript_csv(transcript) -> str:
-    """The per-round table under RECORD_COLUMNS; floats are written with repr."""
+    """The per-round table under RECORD_COLUMNS; floats are written with repr.
+
+    A line is the round index, the cells of its row key and the posterior.
+    Only the keys that occur are formatted, once each: an honest session has
+    at most 16.
+    """
+    keys = _row_keys(transcript)
+    counts = np.bincount(keys)
+    cells = np.empty(counts.size, dtype=object)
+    for key in np.flatnonzero(counts).tolist():
+        cells[key] = _row_cells(key)
     parts = [",".join(RECORD_COLUMNS) + "\n"]
     for start in range(0, transcript.size, _CSV_BLOCK_ROWS):
-        rows = transcript[start : start + _CSV_BLOCK_ROWS]
-        alice, sifted, attacked = rows["alice"], rows["sifted"], rows["attacked"]
-        posterior = [
-            ",".join(map(repr, p)) if hit else ",,,"
-            for p, hit in zip(rows["posterior"].tolist(), attacked.tolist())
-        ]
-        columns = (
-            map(str, range(start, start + rows.size)),
-            _SYMBOL_CELLS[alice],
-            _BASIS_CELLS[alice >> 1],
-            _BIT_CELLS[alice & 1],
-            _BASIS_CELLS[rows["bob_basis"]],
-            _BIT_CELLS[rows["bob_bit"]],
-            _FLAG_CELLS[sifted.astype(np.intp)],
-            _FLAG_CELLS[np.where(sifted, rows["error"], -1)],
-            _SYMBOL_CELLS[rows["outcome"]],
-            _SYMBOL_CELLS[rows["inferred"]],
-            _SYMBOL_CELLS[rows["resent"]],
-            _FLAG_CELLS[np.where(attacked, rows["resent"] == alice, -1)],
-            posterior,
-        )
-        parts.append("".join(",".join(cells) + "\n" for cells in zip(*columns)))
+        stop = min(start + _CSV_BLOCK_ROWS, transcript.size)
+        attacked = transcript["attacked"][start:stop]
+        tails = [",,,\n"] * (stop - start)
+        posteriors = transcript["posterior"][start:stop][attacked].tolist()
+        for row, posterior in zip(np.flatnonzero(attacked).tolist(), posteriors):
+            tails[row] = ",".join(map(repr, posterior)) + "\n"
+        lines = zip(range(start, stop), cells[keys[start:stop]].tolist(), tails)
+        parts.append("".join([str(index) + row + tail for index, row, tail in lines]))
     return "".join(parts)
 
 
@@ -384,29 +414,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate gravitational side-channel attacks on BB84 key exchange.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    run_parser = subparsers.add_parser(
-        "run", parents=[common], help="simulate one key-exchange session"
-    )
-    run_parser.set_defaults(handler=_cmd_run)
-    sweep_parser = subparsers.add_parser(
-        "sweep", parents=[common], help="run a parameter grid of sessions"
-    )
-    sweep_parser.set_defaults(handler=_cmd_sweep)
-    limit_parser = subparsers.add_parser(
-        "limit", parents=[common], help="compute exclusion limits on the coupling"
-    )
-    limit_parser.set_defaults(handler=_cmd_limit)
-    selftest_parser = subparsers.add_parser(
-        "selftest", parents=[common], help="run built-in consistency checks"
-    )
-    selftest_parser.set_defaults(handler=_cmd_selftest)
+    for name, summary in (
+        ("run", "simulate one key-exchange session"),
+        ("sweep", "run a parameter grid of sessions"),
+        ("limit", "compute exclusion limits on the coupling"),
+        ("selftest", "run built-in consistency checks"),
+    ):
+        subparsers.add_parser(name, parents=[common], help=summary)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built by the first main call and reused by the rest."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a rebound _cmd_<name> takes effect.
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except ValidationError as exc:
         print(f"gravsim: {exc}", file=sys.stderr)
         return 3

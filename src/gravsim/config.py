@@ -119,7 +119,11 @@ class RunConfig:
         )
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
-        """A copy with sweep parameters applied; keys come from SWEEP_PARAMETERS."""
+        """A copy with sweep parameters applied; keys come from SWEEP_PARAMETERS.
+
+        Values are those SweepSpec accepts for their key; a value's range is
+        checked by the configuration type it goes into.
+        """
         nonlinear = self.nonlinear
         sensor = self.sensor
         eve = self.eve
@@ -133,7 +137,7 @@ class RunConfig:
             elif name == "sigma":
                 sensor = replace(sensor, sigma=float(value))
             elif name == "samples":
-                sensor = replace(sensor, samples=int(value))
+                sensor = replace(sensor, samples=value)
             elif name == "strategy":
                 eve = replace(eve, strategy=replace(eve.strategy, mode=value))
             elif name == "tau":

@@ -78,6 +78,36 @@ def test_sweep_spec_validation():
         SweepSpec(grids=(("b", (0.0,)),), rounds_per_point=10, seed_base=-1)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("b", "0.1"),
+        ("lambda", True),
+        ("deltaT", math.inf),
+        ("sigma", math.nan),
+        ("tau", None),
+        ("attackFraction", np.bool_(True)),
+        ("samples", 2.0),
+        ("samples", False),
+        ("strategy", 0),
+    ],
+)
+def test_sweep_spec_rejects_a_grid_value_its_field_does_not_take(name, value):
+    with pytest.raises(ValidationError, match=rf"^sweep\.grids: expected .* for '{name}'"):
+        SweepSpec(grids=((name, (value,)),), rounds_per_point=10, seed_base=0)
+
+
+def test_sweep_takes_numpy_scalars_as_grid_values(base_config):
+    spec = SweepSpec(
+        grids=(("b", (np.float32(0.25), np.int64(0))), ("samples", (np.int64(2),))),
+        rounds_per_point=50,
+        seed_base=3,
+    )
+    plain = replace(spec, grids=(("b", (float(np.float32(0.25)), 0)), ("samples", (2,))))
+    stats = [{k: row[k] for k in STAT_COLUMNS} for row in sweep(spec, base_config)]
+    assert stats == [{k: row[k] for k in STAT_COLUMNS} for row in sweep(plain, base_config)]
+
+
 def test_sweep_rows_follow_grid_order(base_config):
     spec = small_spec()
     rows = sweep(spec, base_config)

@@ -2,15 +2,17 @@
 
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from conftest import gravsim_env
-from gravsim import cli
+from gravsim import cli, protocol
 from gravsim import (
     SYMBOLS,
     ExclusionExperiment,
@@ -165,6 +167,67 @@ def test_run_csv_writes_round_table(tmp_path, capsys):
         assert float(row[12]) == record["posterior"][0]
 
 
+def _reference_cell(value) -> str:
+    """One CSV cell as the writer has always formatted it, cell by cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _reference_line(index, record) -> str:
+    alice = SYMBOLS[record["alice"]]
+    sifted, attacked = bool(record["sifted"]), bool(record["attacked"])
+
+    def eve(symbol):
+        return SYMBOLS[symbol].label if symbol >= 0 else None
+
+    cells = [
+        index,
+        alice.label,
+        alice.basis.value,
+        alice.bit,
+        ("Z", "X")[record["bob_basis"]],
+        int(record["bob_bit"]),
+        sifted,
+        bool(record["error"]) if sifted else None,
+        eve(record["outcome"]),
+        eve(record["inferred"]),
+        eve(record["resent"]),
+        bool(record["resent"] == record["alice"]) if attacked else None,
+        *(record["posterior"].tolist() if attacked else [None] * 4),
+    ]
+    return ",".join(map(_reference_cell, cells))
+
+
+def test_transcript_csv_formats_every_reachable_row_key():
+    # every Alice symbol, Bob basis and bit, with no attack or with each of
+    # Eve's outcome, inference and resent state: 16 * 65 = 1040 rows, so the
+    # table also crosses the writer's 1024-row blocks
+    eve_states = [(-1, -1, -1), *itertools.product(range(4), repeat=3)]
+    combos = list(itertools.product(range(4), range(2), range(2), eve_states))
+    transcript = np.zeros(len(combos), protocol._TRANSCRIPT)
+    posteriors = (0.0, 5e-324, 1e-5, 1e16, 0.25)
+    for index, (alice, bob_basis, bob_bit, (outcome, inferred, resent)) in enumerate(combos):
+        row = transcript[index : index + 1]
+        sifted = bob_basis == alice >> 1
+        row["alice"], row["bob_basis"], row["bob_bit"] = alice, bob_basis, bob_bit
+        row["sifted"], row["error"] = sifted, sifted and bob_bit != alice & 1
+        row["outcome"], row["inferred"], row["resent"] = outcome, inferred, resent
+        if outcome >= 0:
+            row["attacked"] = True
+            row["posterior"] = [posteriors[(index + k) % 5] for k in range(4)]
+    lines = cli._transcript_csv(transcript).split("\n")
+    assert lines[0] == ",".join(RECORD_COLUMNS)
+    assert lines[-1] == ""
+    assert len(lines) == len(combos) + 2
+    for index, (line, record) in enumerate(zip(lines[1:], transcript)):
+        assert line == _reference_line(index, record)
+
+
 def test_run_stdout_is_reproducible(capsys):
     first = run_main(["run", "--config", MINIMAL], capsys)
     second = run_main(["run", "--config", MINIMAL], capsys)
@@ -213,6 +276,26 @@ def test_sweep_requires_sweep_section(capsys):
     code, _, err = run_main(["sweep", "--config", MINIMAL], capsys)
     assert code == 3
     assert "no sweep section" in err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ('["b", ["x"]]', "expected a finite number for 'b', got 'x'"),
+        ('["samples", [2.5]]', "expected an integer for 'samples', got 2.5"),
+        ('["attackFraction", [true]]', "expected a finite number for 'attackFraction', got True"),
+    ],
+    ids=["non-numeric", "fractional-samples", "bool"],
+)
+def test_sweep_grid_value_of_the_wrong_type_exits_3_with_one_line(capsys, grid, message):
+    config = (
+        '{"session": {"seed": 1}, "sweep": {"grids": [' + grid + '],'
+        ' "roundsPerPoint": 10, "seedBase": 1}}'
+    )
+    code, out, err = run_main(["sweep", "--config", config], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"gravsim: sweep.grids: {message}\n"
 
 
 def test_limit_csv_curve(capsys):
@@ -301,6 +384,25 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_successive_main_calls_do_not_share_options(tmp_path, capsys):
+    target = tmp_path / "rounds.csv"
+    code, out, _ = run_main(
+        ["run", "--config", MINIMAL, "--format", "csv", "--out", str(target)], capsys
+    )
+    assert code == 0
+    table = target.read_bytes()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--format", "xml"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_main(["run", "--config", MINIMAL], capsys)
+    assert code == 0
+    assert err == ""
+    stats, _ = run_session(120, load_config(MINIMAL).to_eve_config(), seed=3, with_records=False)
+    assert out == json.dumps(stats.to_dict(), indent=2) + "\n"
+    assert target.read_bytes() == table
 
 
 def test_invalid_config_value_exits_3(capsys):
