@@ -16,8 +16,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attack import SensorModel, analytic_accuracy, monte_carlo_accuracy
-from .errors import ValidationError
+from .attack import CHANCE_LEVEL, SensorModel, analytic_accuracy, monte_carlo_accuracy
+from .errors import (
+    ValidationError,
+    check_flag,
+    check_integer,
+    check_number,
+    check_numbers,
+    is_list,
+)
 from .gravity import Geometry, NonlinearParams
 from .protocol import _attack_rows, _session_stats, _simulate
 from .qubits import Bb84Symbol
@@ -25,16 +32,35 @@ from .qubits import Bb84Symbol
 if TYPE_CHECKING:
     from .config import RunConfig
 
-SWEEP_PARAMETERS = (
-    "b",
-    "lambda",
-    "deltaT",
-    "sigma",
-    "samples",
-    "strategy",
-    "tau",
-    "attackFraction",
-)
+
+def _check_string(value, path: str) -> str:
+    """value, checked to be a str."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+# Each sweep parameter's configuration section (eve.strategy is the strategy
+# within eve), its field there and the check of a grid value's type, which
+# _GRID_TYPES names.
+_SWEEP_FIELDS = {
+    "b": ("nonlinear", "b", check_number),
+    "lambda": ("nonlinear", "lam", check_number),
+    "deltaT": ("nonlinear", "delta_t", check_number),
+    "sigma": ("sensor", "sigma", check_number),
+    "samples": ("sensor", "samples", check_integer),
+    "strategy": ("eve.strategy", "mode", _check_string),
+    "tau": ("eve.strategy", "tau", check_number),
+    "attackFraction": ("eve", "attack_fraction", check_number),
+}
+
+_GRID_TYPES = {
+    check_number: "a finite number",
+    check_integer: "an integer",
+    _check_string: "a string",
+}
+
+SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
 
 STAT_COLUMNS = (
     "rounds",
@@ -51,24 +77,16 @@ STAT_COLUMNS = (
 def _check_grid_value(name: str, value) -> None:
     """Reject a grid value of a type its config field does not take.
 
-    strategy takes a string, samples an integer and the other parameters a
-    finite number; bools are not numbers here. The value's range is checked
-    when its point's configuration is built.
+    The field's check decides, without its range: the value's range is
+    checked when its point's configuration is built.
     """
-    if name == "strategy":
-        valid, expected = isinstance(value, str), "a string"
-    elif name == "samples":
-        valid = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        expected = "an integer"
-    else:
-        valid = (
-            isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
-        expected = "a finite number"
-    if not valid:
-        raise ValidationError(f"sweep.grids: expected {expected} for {name!r}, got {value!r}")
+    check = _SWEEP_FIELDS[name][2]
+    try:
+        check(value, name)
+    except ValidationError:
+        raise ValidationError(
+            f"sweep.grids: expected {_GRID_TYPES[check]} for {name!r}, got {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -96,38 +114,28 @@ class SweepSpec:
                 raise ValidationError(
                     f"sweep.grids: each entry must be a (name, values) pair, got {entry!r}"
                 ) from None
-            if name not in SWEEP_PARAMETERS:
+            if name not in _SWEEP_FIELDS:
                 raise ValidationError(
                     f"sweep.grids: unknown parameter {name!r}; expected one of {list(SWEEP_PARAMETERS)}"
                 )
             if name in seen:
                 raise ValidationError(f"sweep.grids: parameter {name!r} appears twice")
             seen.add(name)
+            if not is_list(values):
+                raise ValidationError(
+                    f"sweep.grids: values for {name!r} must be a list, got {values!r}"
+                )
             values = tuple(values)
             if not values:
                 raise ValidationError(f"sweep.grids: grid for {name!r} is empty")
             for value in values:
                 _check_grid_value(name, value)
             normalized.append((name, values))
-        if (
-            not isinstance(self.rounds_per_point, (int, np.integer))
-            or isinstance(self.rounds_per_point, bool)
-            or self.rounds_per_point < 1
-        ):
-            raise ValidationError(
-                f"sweep.roundsPerPoint: must be an integer >= 1, got {self.rounds_per_point!r}"
-            )
-        if (
-            not isinstance(self.seed_base, (int, np.integer))
-            or isinstance(self.seed_base, bool)
-            or self.seed_base < 0
-        ):
-            raise ValidationError(
-                f"sweep.seedBase: must be a non-negative integer, got {self.seed_base!r}"
-            )
+        rounds = check_integer(self.rounds_per_point, "sweep.roundsPerPoint", minimum=1)
+        seed_base = check_integer(self.seed_base, "sweep.seedBase", minimum=0)
         object.__setattr__(self, "grids", tuple(normalized))
-        object.__setattr__(self, "rounds_per_point", int(self.rounds_per_point))
-        object.__setattr__(self, "seed_base", int(self.seed_base))
+        object.__setattr__(self, "rounds_per_point", rounds)
+        object.__setattr__(self, "seed_base", seed_base)
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -192,21 +200,18 @@ def min_detectable_b(
     end (the smallest b found with accuracy >= target within tolerance), or
     None when the target is out of reach even at b = 1.
     """
-    if (
-        not isinstance(target_accuracy, (int, float))
-        or not 0.25 < float(target_accuracy) < 1.0
-    ):
-        raise ValidationError(
-            f"targetAccuracy: must lie strictly between chance 0.25 and 1, got {target_accuracy!r}"
-        )
-    if not isinstance(tolerance, (int, float)) or float(tolerance) <= 0.0:
-        raise ValidationError(f"tolerance: must be positive, got {tolerance!r}")
+    target_accuracy = check_number(
+        target_accuracy, "min_detectable_b.targetAccuracy", above=CHANCE_LEVEL, below=1.0
+    )
+    tolerance = check_number(tolerance, "min_detectable_b.tolerance", above=0.0)
+    mc_rounds = check_integer(mc_rounds, "min_detectable_b.mc_rounds", minimum=0)
+    seed = check_integer(seed, "min_detectable_b.seed", minimum=0)
 
     def score(b: float, step: int) -> float:
         params = NonlinearParams(b=b, lam=lam, delta_t=delta_t)
         if mc_rounds > 0:
             return monte_carlo_accuracy(
-                params, geom, sensor, mc_rounds, np.random.default_rng([int(seed), step])
+                params, geom, sensor, mc_rounds, np.random.default_rng([seed, step])
             )
         return analytic_accuracy(params, geom, sensor).mean
 
@@ -224,32 +229,27 @@ def min_detectable_b(
     return hi
 
 
-def _nonnegative_floats(values, path: str, empty: str, each: str) -> tuple[float, ...]:
-    """values as a non-empty tuple of finite floats >= 0; messages name path and index."""
-    floats = tuple(float(v) for v in values)
+def _nonnegative_floats(values, path: str, what: str) -> tuple[float, ...]:
+    """values as a non-empty tuple of floats >= 0; messages name path and index."""
+    floats = check_numbers(values, path, low=0.0)
     if not floats:
-        raise ValidationError(f"{path}: must contain at least one {empty}")
-    for k, v in enumerate(floats):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValidationError(f"{path}[{k}]: must be a finite {each} >= 0, got {v!r}")
+        raise ValidationError(f"{path}: must contain at least one {what}")
     return floats
 
 
 def _lambda_grid(values) -> tuple[float, ...]:
     """The relaxation rates of an exclusion scan, checked."""
-    return _nonnegative_floats(values, "limit.lambdaGrid", "value", "rate")
+    return _nonnegative_floats(values, "limit.lambdaGrid", "value")
 
 
 def _delay_schedule(values) -> tuple[float, ...]:
     """The observation delays of a null experiment, checked."""
-    return _nonnegative_floats(values, "limit.deltaTSchedule", "delay", "delay")
+    return _nonnegative_floats(values, "limit.deltaTSchedule", "delay")
 
 
 def _confidence(value) -> float:
     """An exclusion confidence level, checked to lie in (0.5, 1)."""
-    if not isinstance(value, (int, float)) or not 0.5 < float(value) < 1.0:
-        raise ValidationError(f"limit.confidence: must lie in (0.5, 1), got {value!r}")
-    return float(value)
+    return check_number(value, "limit.confidence", above=0.5, below=1.0)
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,9 @@ class ExclusionExperiment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_t_schedule", _delay_schedule(self.delta_t_schedule))
         object.__setattr__(self, "preparation", Bb84Symbol(self.preparation))
-        object.__setattr__(self, "null_observation", bool(self.null_observation))
+        object.__setattr__(
+            self, "null_observation", check_flag(self.null_observation, "limit.nullObservation")
+        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_flag, check_integer, check_number
 from .gravity import Geometry, NonlinearParams, config_field, decay_factor, general_field
 from .qubits import (
     _EVE_CUMULATIVE,
@@ -40,21 +40,10 @@ class SensorModel:
     samples: int = 1
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.sigma, (int, float))
-            or isinstance(self.sigma, bool)
-            or not math.isfinite(float(self.sigma))
-            or float(self.sigma) <= 0.0
-        ):
-            raise ValidationError(f"sensor.sigma: must be a positive number, got {self.sigma!r}")
-        if (
-            not isinstance(self.samples, (int, np.integer))
-            or isinstance(self.samples, bool)
-            or int(self.samples) < 1
-        ):
-            raise ValidationError(f"sensor.samples: must be an integer >= 1, got {self.samples!r}")
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "samples", int(self.samples))
+        sigma = check_number(self.sigma, "sensor.sigma", above=0.0)
+        samples = check_integer(self.samples, "sensor.samples", minimum=1)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "samples", samples)
 
 
 class StrategyMode(enum.Enum):
@@ -73,6 +62,8 @@ class EveStrategy:
     tau: float = 0.9
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, (str, StrategyMode)):
+            raise ValidationError(f"eve.strategy: expected a string, got {self.mode!r}")
         try:
             mode = StrategyMode(self.mode)
         except ValueError:
@@ -80,14 +71,8 @@ class EveStrategy:
             raise ValidationError(
                 f"eve.strategy: unknown strategy {self.mode!r}; expected one of {names}"
             ) from None
-        if (
-            not isinstance(self.tau, (int, float))
-            or isinstance(self.tau, bool)
-            or not 0.0 < float(self.tau) <= 1.0
-        ):
-            raise ValidationError(f"eve.tau: must lie in (0, 1], got {self.tau!r}")
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", check_number(self.tau, "eve.tau", above=0.0, high=1.0))
 
 
 @dataclass(frozen=True)
@@ -537,14 +522,13 @@ def monte_carlo_accuracy(
     (n, 2) standard normal block for the noise in the plane and n uniforms
     for the tie-breaks.
     """
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise ValidationError(f"monte_carlo_accuracy: n_trials must be >= 1, got {n_trials!r}")
+    n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     table = _attack_table([(geom, params, sensor, EveStrategy(StrategyMode.CLONE_INFERRED), False)])
     truths = rng.integers(4, size=n_trials)
-    noise = rng.standard_normal((int(n_trials), 2))
+    noise = rng.standard_normal((n_trials, 2))
     statistic = _plane_statistic(table, 0, truths, noise)
     logits = _logits(statistic, table.residuals[0], table.offsets[0], table.sigma[0])
-    chosen = _break_ties(logits, logits.max(axis=1, keepdims=True), rng.random(int(n_trials)))
+    chosen = _break_ties(logits, logits.max(axis=1, keepdims=True), rng.random(n_trials))
     return float(np.mean(chosen == truths))
 
 
@@ -564,10 +548,9 @@ def cloning_fidelity(
     outcomes, an (n, 2) standard normal block for the sensor noise in the
     plane of the hypotheses and n uniforms for the tie-breaks.
     """
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise ValidationError(f"cloning_fidelity: n_trials must be >= 1, got {n_trials!r}")
+    n = check_integer(n_trials, "cloning_fidelity.n_trials", minimum=1)
+    born_factor = check_flag(born_factor, "eve.bornFactor")
     table = _attack_table([(geom, params, sensor, strategy, born_factor)])
-    n = int(n_trials)
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)
     noise = rng.standard_normal((n, 2))

@@ -1,25 +1,26 @@
-"""JSON configuration parsing, validation, and serialization.
+"""JSON configuration parsing and serialization.
 
 A configuration is a single JSON document with nested sections (geometry,
-nonlinear, sensor, eve, session, and optionally sweep and limit). Unknown
-keys are rejected and every validation message carries the offending key
-path, for example "nonlinear.b". Seeds are mandatory: nothing in the
-package ever falls back to wall-clock entropy.
+nonlinear, sensor, eve, session, and optionally sweep and limit). The
+parser checks the document's structure and rejects unknown keys; each
+value goes as read to the type it configures, which checks it. Every
+validation message carries the offending key path, for example
+"nonlinear.b". Seeds are mandatory: nothing in the package ever falls back
+to wall-clock entropy.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import SweepSpec, _confidence, _delay_schedule, _lambda_grid
+from .analysis import _SWEEP_FIELDS, SweepSpec, _confidence, _delay_schedule, _lambda_grid
 from .attack import EveStrategy, SensorModel, StrategyMode
-from .errors import ValidationError
+from .errors import ValidationError, check_flag, check_integer, check_numbers
 from .gravity import NEWTON_G, Geometry, NonlinearParams
 from .protocol import EveConfig, _attack_fraction
 from .qubits import SYMBOLS, Bb84Symbol
@@ -72,8 +73,8 @@ class EveSettings:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
-        object.__setattr__(self, "enabled", bool(self.enabled))
-        object.__setattr__(self, "born_factor", bool(self.born_factor))
+        object.__setattr__(self, "enabled", check_flag(self.enabled, "eve.enabled"))
+        object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,9 @@ class LimitSettings:
         object.__setattr__(self, "lambda_grid", _lambda_grid(self.lambda_grid))
         object.__setattr__(self, "delta_t_schedule", _delay_schedule(self.delta_t_schedule))
         object.__setattr__(self, "confidence", _confidence(self.confidence))
+        object.__setattr__(
+            self, "null_observation", check_flag(self.null_observation, "limit.nullObservation")
+        )
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,10 @@ class RunConfig:
     seed: int
     sweep: SweepSpec | None = None
     limit: LimitSettings | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rounds", check_integer(self.rounds, "session.rounds", minimum=1))
+        object.__setattr__(self, "seed", check_integer(self.seed, "session.seed", minimum=0))
 
     def to_eve_config(self) -> EveConfig | None:
         """The session-facing Eve configuration, or None when Eve is disabled."""
@@ -121,79 +129,41 @@ class RunConfig:
     def with_overrides(self, overrides: dict) -> "RunConfig":
         """A copy with sweep parameters applied; keys come from SWEEP_PARAMETERS.
 
-        Values are those SweepSpec accepts for their key; a value's range is
-        checked by the configuration type it goes into.
+        Values go to their configuration types as given, which check them.
         """
-        nonlinear = self.nonlinear
-        sensor = self.sensor
-        eve = self.eve
+        sections: dict[str, dict] = {}
         for name, value in overrides.items():
-            if name == "b":
-                nonlinear = replace(nonlinear, b=float(value))
-            elif name == "lambda":
-                nonlinear = replace(nonlinear, lam=float(value))
-            elif name == "deltaT":
-                nonlinear = replace(nonlinear, delta_t=float(value))
-            elif name == "sigma":
-                sensor = replace(sensor, sigma=float(value))
-            elif name == "samples":
-                sensor = replace(sensor, samples=value)
-            elif name == "strategy":
-                eve = replace(eve, strategy=replace(eve.strategy, mode=value))
-            elif name == "tau":
-                eve = replace(eve, strategy=replace(eve.strategy, tau=float(value)))
-            elif name == "attackFraction":
-                eve = replace(eve, attack_fraction=float(value))
-            else:
+            if name not in _SWEEP_FIELDS:
                 raise ValidationError(f"sweep parameter {name!r} is not supported")
-        return replace(self, nonlinear=nonlinear, sensor=sensor, eve=eve)
+            section, field, _ = _SWEEP_FIELDS[name]
+            sections.setdefault(section, {})[field] = value
+        if "eve.strategy" in sections:
+            strategy = replace(self.eve.strategy, **sections.pop("eve.strategy"))
+            sections.setdefault("eve", {})["strategy"] = strategy
+        changed = {name: replace(getattr(self, name), **fields) for name, fields in sections.items()}
+        return replace(self, **changed)
 
 
-def _check_keys(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
-    prefix = f"{path}." if path else ""
-    for key in mapping:
-        if key not in allowed:
-            raise ValidationError(f"{prefix}{key}: unknown key")
-
-
-def _as_object(value, path: str) -> dict:
+def _as_object(value, path: str, keys: tuple[str, ...]) -> dict:
+    """value as a JSON object whose keys all come from keys; path "" is the document."""
     if not isinstance(value, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(value).__name__}")
+        raise ValidationError(f"{path or 'config'}: expected an object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ValidationError(f"{path}{'.' if path else ''}{key}: unknown key")
     return value
 
 
-def _as_number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ValidationError(f"{path}: must be finite, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
-def _as_vec3(value, path: str) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
+def _as_vec3(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != 3:
         raise ValidationError(f"{path}: expected a 3-vector, got {value!r}")
-    return tuple(_as_number(v, f"{path}[{k}]") for k, v in enumerate(value))
+    return check_numbers(value, path)
 
 
 def _parse_geometry(section) -> Geometry:
-    section = _as_object(section, "geometry")
-    _check_keys(section, ("sites", "probes", "testMass", "gravConst"), "geometry")
-    sites_obj = _as_object(section.get("sites", {}), "geometry.sites")
+    section = _as_object(section, "geometry", ("sites", "probes", "testMass", "gravConst"))
     labels = tuple(s.label for s in SYMBOLS)
-    _check_keys(sites_obj, labels, "geometry.sites")
+    sites_obj = _as_object(section.get("sites", {}), "geometry.sites", labels)
     missing = [label for label in labels if label not in sites_obj]
     if missing:
         raise ValidationError(f"geometry.sites: missing site(s) {missing}")
@@ -205,53 +175,45 @@ def _parse_geometry(section) -> Geometry:
     return Geometry(
         sites=np.array(sites),
         probes=np.array(probes),
-        test_mass=_as_number(section.get("testMass", 1.0), "geometry.testMass"),
-        grav_const=_as_number(section.get("gravConst", NEWTON_G), "geometry.gravConst"),
+        test_mass=section.get("testMass", 1.0),
+        grav_const=section.get("gravConst", NEWTON_G),
     )
 
 
 def _parse_nonlinear(section) -> NonlinearParams:
-    section = _as_object(section, "nonlinear")
-    _check_keys(section, ("b", "lambda", "deltaT"), "nonlinear")
+    section = _as_object(section, "nonlinear", ("b", "lambda", "deltaT"))
     return NonlinearParams(
-        b=_as_number(section.get("b", 0.0), "nonlinear.b"),
-        lam=_as_number(section.get("lambda", 0.0), "nonlinear.lambda"),
-        delta_t=_as_number(section.get("deltaT", 0.0), "nonlinear.deltaT"),
+        b=section.get("b", 0.0),
+        lam=section.get("lambda", 0.0),
+        delta_t=section.get("deltaT", 0.0),
     )
 
 
 def _parse_sensor(section) -> SensorModel:
-    section = _as_object(section, "sensor")
-    _check_keys(section, ("sigma", "samples"), "sensor")
+    section = _as_object(section, "sensor", ("sigma", "samples"))
     return SensorModel(
-        sigma=_as_number(section.get("sigma", DEFAULT_SIGMA), "sensor.sigma"),
-        samples=_as_int(section.get("samples", DEFAULT_SAMPLES), "sensor.samples"),
+        sigma=section.get("sigma", DEFAULT_SIGMA),
+        samples=section.get("samples", DEFAULT_SAMPLES),
     )
 
 
 def _parse_eve(section) -> EveSettings:
-    section = _as_object(section, "eve")
-    _check_keys(section, ("enabled", "strategy", "tau", "attackFraction", "bornFactor"), "eve")
-    mode_name = section.get("strategy", StrategyMode.CLONE_INFERRED.value)
-    if not isinstance(mode_name, str):
-        raise ValidationError(f"eve.strategy: expected a string, got {mode_name!r}")
+    keys = ("enabled", "strategy", "tau", "attackFraction", "bornFactor")
+    section = _as_object(section, "eve", keys)
     strategy = EveStrategy(
-        mode=mode_name,
-        tau=_as_number(section.get("tau", DEFAULT_TAU), "eve.tau"),
+        mode=section.get("strategy", StrategyMode.CLONE_INFERRED.value),
+        tau=section.get("tau", DEFAULT_TAU),
     )
     return EveSettings(
-        enabled=_as_bool(section.get("enabled", True), "eve.enabled"),
+        enabled=section.get("enabled", True),
         strategy=strategy,
-        attack_fraction=_as_number(
-            section.get("attackFraction", DEFAULT_ATTACK_FRACTION), "eve.attackFraction"
-        ),
-        born_factor=_as_bool(section.get("bornFactor", True), "eve.bornFactor"),
+        attack_fraction=section.get("attackFraction", DEFAULT_ATTACK_FRACTION),
+        born_factor=section.get("bornFactor", True),
     )
 
 
 def _parse_sweep(section) -> SweepSpec:
-    section = _as_object(section, "sweep")
-    _check_keys(section, ("grids", "roundsPerPoint", "seedBase"), "sweep")
+    section = _as_object(section, "sweep", ("grids", "roundsPerPoint", "seedBase"))
     grids_list = section.get("grids")
     if not isinstance(grids_list, list) or not grids_list:
         raise ValidationError("sweep.grids: expected a non-empty list of [name, values] pairs")
@@ -269,30 +231,19 @@ def _parse_sweep(section) -> SweepSpec:
         raise ValidationError("sweep.seedBase: required")
     return SweepSpec(
         grids=tuple(grids),
-        rounds_per_point=_as_int(section["roundsPerPoint"], "sweep.roundsPerPoint"),
-        seed_base=_as_int(section["seedBase"], "sweep.seedBase"),
+        rounds_per_point=section["roundsPerPoint"],
+        seed_base=section["seedBase"],
     )
 
 
 def _parse_limit(section) -> LimitSettings:
-    section = _as_object(section, "limit")
-    _check_keys(
+    section = _as_object(
         section,
-        ("lambdaGrid", "deltaTSchedule", "confidence", "preparation", "nullObservation"),
         "limit",
+        ("lambdaGrid", "deltaTSchedule", "confidence", "preparation", "nullObservation"),
     )
-    grid_list = section.get("lambdaGrid")
-    if not isinstance(grid_list, list) or not grid_list:
-        raise ValidationError("limit.lambdaGrid: expected a non-empty list of rates")
-    lambda_grid = tuple(
-        _as_number(v, f"limit.lambdaGrid[{k}]") for k, v in enumerate(grid_list)
-    )
-    schedule_list = section.get("deltaTSchedule", [1.0])
-    if not isinstance(schedule_list, list) or not schedule_list:
-        raise ValidationError("limit.deltaTSchedule: expected a non-empty list of delays")
-    schedule = tuple(
-        _as_number(v, f"limit.deltaTSchedule[{k}]") for k, v in enumerate(schedule_list)
-    )
+    if "lambdaGrid" not in section:
+        raise ValidationError("limit.lambdaGrid: required")
     preparation_label = section.get("preparation", Bb84Symbol.Z1.label)
     if not isinstance(preparation_label, str):
         raise ValidationError(f"limit.preparation: expected a symbol label, got {preparation_label!r}")
@@ -301,11 +252,11 @@ def _parse_limit(section) -> LimitSettings:
     except ValidationError as exc:
         raise ValidationError(f"limit.preparation: {exc}") from None
     return LimitSettings(
-        lambda_grid=lambda_grid,
-        delta_t_schedule=schedule,
-        confidence=_as_number(section.get("confidence", DEFAULT_CONFIDENCE), "limit.confidence"),
+        lambda_grid=section["lambdaGrid"],
+        delta_t_schedule=section.get("deltaTSchedule", [1.0]),
+        confidence=section.get("confidence", DEFAULT_CONFIDENCE),
         preparation=preparation,
-        null_observation=_as_bool(section.get("nullObservation", True), "limit.nullObservation"),
+        null_observation=section.get("nullObservation", True),
     )
 
 
@@ -315,11 +266,8 @@ def config_from_dict(
     seed_override: int | None = None,
 ) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
-    document = _as_object(document, "config")
-    _check_keys(
-        document,
-        ("geometry", "nonlinear", "sensor", "eve", "session", "sweep", "limit"),
-        "",
+    document = _as_object(
+        document, "", ("geometry", "nonlinear", "sensor", "eve", "session", "sweep", "limit")
     )
     geometry = (
         _parse_geometry(document["geometry"]) if "geometry" in document else default_geometry()
@@ -327,20 +275,13 @@ def config_from_dict(
     nonlinear = _parse_nonlinear(document.get("nonlinear", {}))
     sensor = _parse_sensor(document.get("sensor", {}))
     eve = _parse_eve(document.get("eve", {}))
-    session = _as_object(document.get("session", {}), "session")
-    _check_keys(session, ("rounds", "seed"), "session")
+    session = _as_object(document.get("session", {}), "session", ("rounds", "seed"))
     rounds = rounds_override if rounds_override is not None else session.get("rounds", DEFAULT_ROUNDS)
-    rounds = _as_int(rounds, "session.rounds")
-    if rounds < 1:
-        raise ValidationError(f"session.rounds: must be >= 1, got {rounds!r}")
     seed = seed_override if seed_override is not None else session.get("seed")
     if seed is None:
         raise ValidationError(
             "session.seed: required; explicit seeds keep every run reproducible"
         )
-    seed = _as_int(seed, "session.seed")
-    if seed < 0:
-        raise ValidationError(f"session.seed: must be >= 0, got {seed!r}")
     sweep_spec = _parse_sweep(document["sweep"]) if "sweep" in document else None
     limit_settings = _parse_limit(document["limit"]) if "limit" in document else None
     return RunConfig(

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of the values they name.
+
+Every configuration type checks its own fields with the functions below,
+so a value means the same wherever it enters: from JSON, a sweep grid or a
+direct call. A number is an int, float or numpy integer or floating value,
+never a bool, and is finite; an integer is an int or numpy integer, never a
+bool; a flag is a bool or numpy bool; a list is any sequence, numpy arrays
+included, that is not a string. Each message starts with the key path of
+the value, such as "nonlinear.b" or "limit.lambdaGrid[1]".
+"""
+
+import math
+from collections.abc import Sequence
+
+import numpy as np
 
 
 class GravsimError(Exception):
@@ -11,3 +25,61 @@ class ValidationError(GravsimError):
 
 class GeometryError(ValidationError):
     """Geometry constraint violated, such as a probe sitting on a mass site."""
+
+
+def check_number(value, path: str, *, low=None, high=None, above=None, below=None) -> float:
+    """value as a finite float within the given bounds.
+
+    low and high are inclusive bounds, above and below strict ones; an upper
+    bound comes with a lower one.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValidationError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond double precision
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}: must be finite, got {value!r}")
+    if (
+        (low is not None and number < low)
+        or (above is not None and number <= above)
+        or (high is not None and number > high)
+        or (below is not None and number >= below)
+    ):
+        if high is None and below is None:
+            rule = f"be >= {low:g}" if above is None else f"be > {above:g}"
+        else:
+            opening = f"[{low:g}" if above is None else f"({above:g}"
+            closing = f"{high:g}]" if below is None else f"{below:g})"
+            rule = f"lie in {opening}, {closing}"
+        raise ValidationError(f"{path}: must {rule}, got {value!r}")
+    return number
+
+
+def check_integer(value, path: str, minimum: int | None = None) -> int:
+    """value as an int, at least minimum when one is given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{path}: must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_flag(value, path: str) -> bool:
+    """value as a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{path}: expected true or false, got {value!r}")
+    return bool(value)
+
+
+def is_list(value) -> bool:
+    """Whether value is a list of values: a sequence or numpy array, but not a string."""
+    return isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, (str, bytes))
+
+
+def check_numbers(values, path: str, **bounds) -> tuple[float, ...]:
+    """values as a tuple of floats, element k checked by check_number as path[k]."""
+    if not is_list(values):
+        raise ValidationError(f"{path}: expected a list of numbers, got {values!r}")
+    return tuple(check_number(v, f"{path}[{k}]", **bounds) for k, v in enumerate(values))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryError, ValidationError
+from .errors import GeometryError, ValidationError, check_number
 from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, as_symbol
 
 NEWTON_G = 6.674e-11
@@ -30,15 +30,6 @@ _EPSILON = float(np.finfo(np.float64).eps)
 # A field vector is a flat float64 array of 3 * n_probes acceleration
 # components; the alias documents intent in signatures.
 FieldVector = np.ndarray
-
-
-def _require_positive(value: float, path: str) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{path}: must be a positive finite number, got {value!r}")
-    return value
 
 
 def point_mass_field(
@@ -105,8 +96,8 @@ class Geometry:
                     f"geometry.probes[{k}]: closer than {MIN_PROBE_SEPARATION} m "
                     f"to site {nearest}"
                 )
-        test_mass = _require_positive(self.test_mass, "geometry.testMass")
-        grav_const = _require_positive(self.grav_const, "geometry.gravConst")
+        test_mass = check_number(self.test_mass, "geometry.testMass", above=0.0)
+        grav_const = check_number(self.grav_const, "geometry.gravConst", above=0.0)
         sites.setflags(write=False)
         probes.setflags(write=False)
         object.__setattr__(self, "sites", sites)
@@ -235,23 +226,9 @@ class NonlinearParams:
     delta_t: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value, key in (
-            ("b", self.b, "nonlinear.b"),
-            ("lam", self.lam, "nonlinear.lambda"),
-            ("delta_t", self.delta_t, "nonlinear.deltaT"),
-        ):
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-                raise ValidationError(f"{key}: expected a number, got {value!r}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValidationError(f"{key}: must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if not 0.0 <= self.b <= 1.0:
-            raise ValidationError(f"nonlinear.b: must lie in [0, 1], got {self.b!r}")
-        if self.lam < 0.0:
-            raise ValidationError(f"nonlinear.lambda: must be >= 0, got {self.lam!r}")
-        if self.delta_t < 0.0:
-            raise ValidationError(f"nonlinear.deltaT: must be >= 0, got {self.delta_t!r}")
+        object.__setattr__(self, "b", check_number(self.b, "nonlinear.b", low=0.0, high=1.0))
+        object.__setattr__(self, "lam", check_number(self.lam, "nonlinear.lambda", low=0.0))
+        object.__setattr__(self, "delta_t", check_number(self.delta_t, "nonlinear.deltaT", low=0.0))
 
 
 def decay_factor(params: NonlinearParams) -> float:

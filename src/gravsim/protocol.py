@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .attack import EveStrategy, SensorModel, _attack_batch, _attack_table, _AttackTable
-from .errors import ValidationError
+from .errors import ValidationError, check_flag, check_integer, check_number
 from .gravity import Geometry, NonlinearParams
 from .qubits import _BOB_P0
 
@@ -59,13 +59,7 @@ _TRANSCRIPT = np.dtype(
 
 def _attack_fraction(value) -> float:
     """The share of rounds Eve attacks, checked to lie in [0, 1]."""
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not 0.0 <= float(value) <= 1.0
-    ):
-        raise ValidationError(f"eve.attackFraction: must lie in [0, 1], got {value!r}")
-    return float(value)
+    return check_number(value, "eve.attackFraction", low=0.0, high=1.0)
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ class EveConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
-        object.__setattr__(self, "born_factor", bool(self.born_factor))
+        object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
 
     @cached_property
     def _rows(self) -> tuple[_AttackTable, np.ndarray]:
@@ -124,8 +118,7 @@ class SessionStats:
 
 def binary_entropy(p: float) -> float:
     """h2(p) in bits, with h2(0) = h2(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"binary_entropy: p must lie in [0, 1], got {p!r}")
+    p = check_number(p, "binary_entropy.p", low=0.0, high=1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
@@ -139,13 +132,11 @@ def key_rate(qber: float, eve_info: float) -> tuple[float, float]:
     at h2(qber) and privacy amplification at the measured Eve information.
     Both are floored at zero.
     """
-    if not isinstance(qber, (int, float)) or not 0.0 <= float(qber) <= 1.0:
-        raise ValidationError(f"key_rate: qber must lie in [0, 1], got {qber!r}")
-    if not isinstance(eve_info, (int, float)) or float(eve_info) < 0.0:
-        raise ValidationError(f"key_rate: eveInfo must be >= 0, got {eve_info!r}")
-    h = binary_entropy(float(qber))
+    qber = check_number(qber, "key_rate.qber", low=0.0, high=1.0)
+    eve_info = check_number(eve_info, "key_rate.eveInfo", low=0.0)
+    h = binary_entropy(qber)
     theory = max(0.0, 1.0 - 2.0 * h)
-    attack = max(0.0, 1.0 - h - float(eve_info))
+    attack = max(0.0, 1.0 - h - eve_info)
     return theory, attack
 
 
@@ -347,18 +338,15 @@ def run_session(
     with_records=False allocates no transcript and returns None in its
     place; all statistics are unaffected.
     """
-    if not isinstance(n_rounds, (int, np.integer)) or isinstance(n_rounds, bool) or n_rounds < 1:
-        raise ValidationError(f"session.rounds: must be an integer >= 1, got {n_rounds!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"session.seed: must be a non-negative integer, got {seed!r}")
+    n_rounds = check_integer(n_rounds, "session.rounds", minimum=1)
+    seed = check_integer(seed, "session.seed", minimum=0)
     if eve_config is not None and not isinstance(eve_config, EveConfig):
         raise ValidationError(f"run_session: eve_config must be an EveConfig, got {eve_config!r}")
-    n_rounds = int(n_rounds)
     transcript = None
     if with_records:
         transcript = np.zeros(n_rounds, _TRANSCRIPT)
         for name in ("outcome", "inferred", "resent"):
             transcript[name] = -1
     eve_rows = None if eve_config is None else eve_config._rows
-    counts = _simulate(n_rounds, [int(seed)], eve_rows, transcript)
+    counts = _simulate(n_rounds, [seed], eve_rows, transcript)
     return _session_stats(n_rounds, counts[0], eve_config is not None), transcript

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_sweep_spec_validation():
 def test_sweep_spec_rejects_a_grid_value_its_field_does_not_take(name, value):
     with pytest.raises(ValidationError, match=rf"^sweep\.grids: expected .* for '{name}'"):
         SweepSpec(grids=((name, (value,)),), rounds_per_point=10, seed_base=0)
+
+
+def null_experiment(geom, schedule=(1.0,)):
+    return ExclusionExperiment(SensorModel(sigma=1e-12), geom, delta_t_schedule=schedule)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda geom: SweepSpec((("strategy", "Threshold"),), 10, 0),
+         "sweep.grids: values for 'strategy' must be a list, got 'Threshold'"),
+        (lambda geom: SweepSpec((("b", 5),), 10, 0),
+         "sweep.grids: values for 'b' must be a list, got 5"),
+        (lambda geom: null_experiment(geom, "12"),
+         "limit.deltaTSchedule: expected a list of numbers, got '12'"),
+        (lambda geom: exclusion_limit(null_experiment(geom), 5),
+         "limit.lambdaGrid: expected a list of numbers, got 5"),
+        (lambda geom: exclusion_limit(null_experiment(geom), "0.5"),
+         "limit.lambdaGrid: expected a list of numbers, got '0.5'"),
+    ],
+    ids=["strategy-string", "b-scalar", "schedule-string", "lambda-scalar", "lambda-string"],
+)
+def test_a_list_of_values_is_not_a_string_or_a_scalar(geom, make, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make(geom)
 
 
 def test_sweep_takes_numpy_scalars_as_grid_values(base_config):

@@ -130,6 +130,13 @@ def test_value_errors_carry_key_paths():
         config_from_dict({"session": {"seed": 5, "rounds": 0}})
 
 
+def test_an_integer_beyond_double_precision_is_not_finite():
+    with pytest.raises(ValidationError, match="nonlinear.b: must be finite"):
+        config_from_dict(minimal(nonlinear={"b": 10**400}))
+    with pytest.raises(ValidationError, match="nonlinear.b: must be finite"):
+        parse_config('{"session": {"seed": 5}, "nonlinear": {"b": 1' + "0" * 400 + "}}")
+
+
 def test_geometry_section_requirements():
     with pytest.raises(ValidationError, match="missing site"):
         config_from_dict(minimal(geometry={"sites": {"Z0": [0, 0, 0]}, "probes": [[1, 0, 0]]}))
