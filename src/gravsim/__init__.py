@@ -13,10 +13,8 @@ Everything is deterministic given the configured seeds.
 
 from .analysis import (
     STAT_COLUMNS,
-    SWEEP_PARAMETERS,
     ExclusionExperiment,
     LimitResult,
-    SweepSpec,
     exclusion_limit,
     min_detectable_b,
     signal_to_noise,
@@ -24,6 +22,7 @@ from .analysis import (
 )
 from .attack import (
     AccuracyEstimate,
+    EveConfig,
     EveRecord,
     EveStrategy,
     SensorModel,
@@ -37,9 +36,11 @@ from .attack import (
     sense,
 )
 from .config import (
+    SWEEP_PARAMETERS,
     EveSettings,
     LimitSettings,
     RunConfig,
+    SweepSpec,
     config_from_dict,
     default_geometry,
     load_config,
@@ -58,7 +59,6 @@ from .gravity import (
 )
 from .protocol import (
     ABORT_QBER,
-    EveConfig,
     SessionStats,
     binary_entropy,
     key_rate,

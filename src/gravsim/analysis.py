@@ -16,137 +16,21 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attack import CHANCE_LEVEL, SensorModel, analytic_accuracy, monte_carlo_accuracy
-from .errors import (
-    ValidationError,
-    check_flag,
-    check_integer,
-    check_number,
-    check_numbers,
-    is_list,
+from .attack import (
+    CHANCE_LEVEL,
+    SensorModel,
+    _attack_table,
+    analytic_accuracy,
+    monte_carlo_accuracy,
 )
-from .gravity import Geometry, NonlinearParams
-from .protocol import _attack_rows, _session_stats, _simulate
-from .qubits import Bb84Symbol
+from .errors import ValidationError, check_flag, check_integer, check_number, check_numbers
+from .gravity import Geometry, NonlinearParams, decay_factor
+from .protocol import STAT_COLUMNS  # noqa: F401 (re-exported)
+from .protocol import _session_stats, _simulate
+from .qubits import Bb84Symbol, as_symbol
 
 if TYPE_CHECKING:
-    from .config import RunConfig
-
-
-def _check_string(value, path: str) -> str:
-    """value, checked to be a str."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
-# Each sweep parameter's configuration section (eve.strategy is the strategy
-# within eve), its field there and the check of a grid value's type, which
-# _GRID_TYPES names.
-_SWEEP_FIELDS = {
-    "b": ("nonlinear", "b", check_number),
-    "lambda": ("nonlinear", "lam", check_number),
-    "deltaT": ("nonlinear", "delta_t", check_number),
-    "sigma": ("sensor", "sigma", check_number),
-    "samples": ("sensor", "samples", check_integer),
-    "strategy": ("eve.strategy", "mode", _check_string),
-    "tau": ("eve.strategy", "tau", check_number),
-    "attackFraction": ("eve", "attack_fraction", check_number),
-}
-
-_GRID_TYPES = {
-    check_number: "a finite number",
-    check_integer: "an integer",
-    _check_string: "a string",
-}
-
-SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
-
-STAT_COLUMNS = (
-    "rounds",
-    "siftedCount",
-    "qber",
-    "eveAccuracy",
-    "eveMutualInfo",
-    "keyRateTheory",
-    "keyRateAttack",
-    "aborted",
-)
-
-
-def _check_grid_value(name: str, value) -> None:
-    """Reject a grid value of a type its config field does not take.
-
-    The field's check decides, without its range: the value's range is
-    checked when its point's configuration is built.
-    """
-    check = _SWEEP_FIELDS[name][2]
-    try:
-        check(value, name)
-    except ValidationError:
-        raise ValidationError(
-            f"sweep.grids: expected {_GRID_TYPES[check]} for {name!r}, got {value!r}"
-        ) from None
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Cartesian parameter grid driving repeated sessions.
-
-    grids is an ordered sequence of (parameter name, values) pairs; names
-    come from SWEEP_PARAMETERS. Point k of the product runs with seed
-    seed_base + k.
-    """
-
-    grids: tuple[tuple[str, tuple], ...]
-    rounds_per_point: int
-    seed_base: int
-
-    def __post_init__(self) -> None:
-        if not self.grids:
-            raise ValidationError("sweep.grids: at least one parameter grid is required")
-        seen = set()
-        normalized = []
-        for entry in self.grids:
-            try:
-                name, values = entry
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"sweep.grids: each entry must be a (name, values) pair, got {entry!r}"
-                ) from None
-            if name not in _SWEEP_FIELDS:
-                raise ValidationError(
-                    f"sweep.grids: unknown parameter {name!r}; expected one of {list(SWEEP_PARAMETERS)}"
-                )
-            if name in seen:
-                raise ValidationError(f"sweep.grids: parameter {name!r} appears twice")
-            seen.add(name)
-            if not is_list(values):
-                raise ValidationError(
-                    f"sweep.grids: values for {name!r} must be a list, got {values!r}"
-                )
-            values = tuple(values)
-            if not values:
-                raise ValidationError(f"sweep.grids: grid for {name!r} is empty")
-            for value in values:
-                _check_grid_value(name, value)
-            normalized.append((name, values))
-        rounds = check_integer(self.rounds_per_point, "sweep.roundsPerPoint", minimum=1)
-        seed_base = check_integer(self.seed_base, "sweep.seedBase", minimum=0)
-        object.__setattr__(self, "grids", tuple(normalized))
-        object.__setattr__(self, "rounds_per_point", rounds)
-        object.__setattr__(self, "seed_base", seed_base)
-
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.grids)
-
-    @property
-    def n_points(self) -> int:
-        count = 1
-        for _, values in self.grids:
-            count *= len(values)
-        return count
+    from .config import RunConfig, SweepSpec
 
 
 def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = None) -> list[dict]:
@@ -171,7 +55,7 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
             break
     with_eve = base_config.eve.enabled
     seeds = range(spec.seed_base, spec.seed_base + len(eves))
-    counts = _simulate(spec.rounds_per_point, seeds, _attack_rows(eves) if with_eve else None)
+    counts = _simulate(spec.rounds_per_point, seeds, _attack_table(eves) if with_eve else None)
     if failure is not None:
         raise failure
     rows = []
@@ -270,7 +154,7 @@ class ExclusionExperiment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_t_schedule", _delay_schedule(self.delta_t_schedule))
-        object.__setattr__(self, "preparation", Bb84Symbol(self.preparation))
+        object.__setattr__(self, "preparation", as_symbol(self.preparation, "limit.preparation"))
         object.__setattr__(
             self, "null_observation", check_flag(self.null_observation, "limit.nullObservation")
         )
@@ -301,15 +185,13 @@ def signal_to_noise(
 ) -> float:
     """Matched-filter separation of the nonlinear signal from zero, in noise units.
 
-    d = sqrt(samples) * b * exp(-lam * delta_t) * |mix_field| / sigma for one
-    observation at delay delta_t.
+    d = sqrt(samples) * decay_factor * |mix_field| / sigma for one
+    observation at delay delta_t; b, lam and delta_t are checked as
+    NonlinearParams checks them.
     """
-    signal = (
-        float(b)
-        * math.exp(-float(lam) * float(delta_t))
-        * float(np.linalg.norm(geom.mix_matrix[Bb84Symbol(preparation)]))
-    )
-    return math.sqrt(sensor.samples) * signal / sensor.sigma
+    factor = decay_factor(NonlinearParams(b=b, lam=lam, delta_t=delta_t))
+    mix = geom.mix_matrix[as_symbol(preparation, "limit.preparation")]
+    return math.sqrt(sensor.samples) * (factor * float(np.linalg.norm(mix))) / sensor.sigma
 
 
 def exclusion_limit(

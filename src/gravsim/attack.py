@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from .qubits import (
     BRANCH_WEIGHTS,
     SYMBOLS,
     Bb84Symbol,
+    as_symbol,
     eve_dual_basis_measure,
     prepare,
 )
@@ -31,12 +33,14 @@ POSTERIOR_TOLERANCE = 1e-9
 
 CHANCE_LEVEL = 0.25
 
+DEFAULT_SIGMA = 2.5e-12
+
 
 @dataclass(frozen=True)
 class SensorModel:
     """Gaussian field sensor: per-component noise sigma (m/s^2) and reading count."""
 
-    sigma: float
+    sigma: float = DEFAULT_SIGMA
     samples: int = 1
 
     def __post_init__(self) -> None:
@@ -58,7 +62,7 @@ class StrategyMode(enum.Enum):
 class EveStrategy:
     """Resend policy plus the posterior confidence threshold used by Threshold mode."""
 
-    mode: StrategyMode
+    mode: StrategyMode = StrategyMode.CLONE_INFERRED
     tau: float = 0.9
 
     def __post_init__(self) -> None:
@@ -73,6 +77,34 @@ class EveStrategy:
             ) from None
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "tau", check_number(self.tau, "eve.tau", above=0.0, high=1.0))
+
+
+def _attack_fraction(value) -> float:
+    """The share of rounds Eve attacks, checked to lie in [0, 1]."""
+    return check_number(value, "eve.attackFraction", low=0.0, high=1.0)
+
+
+@dataclass(frozen=True)
+class EveConfig:
+    """Everything the session needs to put Eve on the channel."""
+
+    geometry: Geometry
+    params: NonlinearParams
+    sensor: SensorModel
+    strategy: EveStrategy
+    attack_fraction: float = 1.0
+    born_factor: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.strategy, EveStrategy):
+            raise ValidationError(f"eve.strategy: expected an EveStrategy, got {self.strategy!r}")
+        object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
+        object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
+
+    @cached_property
+    def _table(self) -> _AttackTable:
+        """The _AttackTable of this configuration alone, built on first use."""
+        return _attack_table([self])
 
 
 @dataclass(frozen=True)
@@ -193,17 +225,18 @@ def _check_scores(span: float, reach: float, count: int, sigma: float, dim: int)
 
 
 class _AttackTable(NamedTuple):
-    """Eve's constants for P attack settings, stacked on axis 0 for _attack_batch.
+    """Eve's constants for P EveConfigs, stacked on axis 0 for _attack_batch.
 
-    Row p holds what attack_round derives from setting p, computed as it
-    computes it, so that a round gathering row p is scored bit for bit as in
-    a batch of that setting alone: residuals decay_factor * geom.plane
-    (P, 4, 2) and their _offsets (P, 4) for the scores, and per setting
-    (P,): count (the number of readings), sigma, scale = sigma * sqrt(count),
-    reach (the largest |residual|), born (1 where the outcome's likelihood
-    weighs in) and resend_from, the posterior peak from which Eve forwards
-    her inference rather than her outcome: -inf for CloneInferred, tau for
-    Threshold and inf for ResendMeasured.
+    Row p holds what attack_round derives from configuration p, computed as
+    it computes it, so that a round gathering row p is scored bit for bit as
+    in a batch of that configuration alone: residuals decay_factor *
+    geom.plane (P, 4, 2) and their _offsets (P, 4) for the scores, and per
+    configuration (P,): count (the number of readings), sigma, scale =
+    sigma * sqrt(count), reach (the largest |residual|), born (1 where the
+    outcome's likelihood weighs in), resend_from, the posterior peak from
+    which Eve forwards her inference rather than her outcome (-inf for
+    CloneInferred, tau for Threshold and inf for ResendMeasured), and
+    fraction, the share of rounds she attacks.
     """
 
     residuals: np.ndarray
@@ -214,32 +247,29 @@ class _AttackTable(NamedTuple):
     reach: np.ndarray
     born: np.ndarray
     resend_from: np.ndarray
+    fraction: np.ndarray
 
 
-def _attack_table(settings) -> _AttackTable:
-    """The _AttackTable of (geometry, params, sensor, strategy, born_factor) settings, in order."""
-    settings = tuple(settings)
-    for *_, strategy, _ in settings:
-        if not isinstance(strategy, EveStrategy):
-            raise ValidationError(
-                f"attack_round: strategy must be an EveStrategy, got {strategy!r}"
-            )
+def _attack_table(eves) -> _AttackTable:
+    """The _AttackTable of a sequence of EveConfigs, one row each, in order."""
     residuals = np.array(
-        [decay_factor(params) * geom.plane for geom, params, *_ in settings]
+        [decay_factor(eve.params) * eve.geometry.plane for eve in eves]
     ).reshape(-1, 4, 2)
     fixed = {StrategyMode.CLONE_INFERRED: -math.inf, StrategyMode.RESEND_MEASURED: math.inf}
     columns = np.array(
         [
             (
-                sensor.samples,
-                sensor.sigma,
-                sensor.sigma * math.sqrt(sensor.samples),
-                fixed.get(strategy.mode, strategy.tau),
+                eve.sensor.samples,
+                eve.sensor.sigma,
+                eve.sensor.sigma * math.sqrt(eve.sensor.samples),
+                fixed.get(eve.strategy.mode, eve.strategy.tau),
+                eve.attack_fraction,
+                eve.born_factor,
             )
-            for _, _, sensor, strategy, _ in settings
+            for eve in eves
         ]
-    ).reshape(-1, 4)
-    count, sigma, scale, resend_from = columns.T
+    ).reshape(-1, 6)
+    count, sigma, scale, resend_from, fraction, born = columns.T
     return _AttackTable(
         residuals=residuals,
         offsets=_offsets(residuals, count[:, np.newaxis]),
@@ -247,8 +277,9 @@ def _attack_table(settings) -> _AttackTable:
         sigma=sigma,
         scale=scale,
         reach=np.abs(residuals).max(axis=(1, 2)),
-        born=np.array([int(born) for *_, born in settings], dtype=np.intp),
+        born=born.astype(np.intp),
         resend_from=resend_from,
+        fraction=fraction,
     )
 
 
@@ -326,7 +357,7 @@ def infer_alice_state(
         raise ValidationError(
             f"infer_alice_state: readings must have shape (k, {geom.field_dim}), got {data.shape}"
         )
-    outcome = Bb84Symbol(eve_outcome)
+    outcome = as_symbol(eve_outcome, "infer_alice_state")
     count = data.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         statistic = data.sum(axis=0) - count * config_field(outcome, geom)
@@ -523,7 +554,7 @@ def monte_carlo_accuracy(
     for the tie-breaks.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
-    table = _attack_table([(geom, params, sensor, EveStrategy(StrategyMode.CLONE_INFERRED), False)])
+    table = _attack_table([EveConfig(geom, params, sensor, EveStrategy(), born_factor=False)])
     truths = rng.integers(4, size=n_trials)
     noise = rng.standard_normal((n_trials, 2))
     statistic = _plane_statistic(table, 0, truths, noise)
@@ -549,8 +580,7 @@ def cloning_fidelity(
     plane of the hypotheses and n uniforms for the tie-breaks.
     """
     n = check_integer(n_trials, "cloning_fidelity.n_trials", minimum=1)
-    born_factor = check_flag(born_factor, "eve.bornFactor")
-    table = _attack_table([(geom, params, sensor, strategy, born_factor)])
+    table = _attack_table([EveConfig(geom, params, sensor, strategy, born_factor=born_factor)])
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)
     noise = rng.standard_normal((n, 2))

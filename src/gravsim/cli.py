@@ -27,16 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import STAT_COLUMNS, ExclusionExperiment, LimitResult, exclusion_limit, sweep
-from .attack import EveStrategy, SensorModel, StrategyMode, infer_alice_state, sense
+from .attack import EveConfig, EveStrategy, SensorModel, StrategyMode, infer_alice_state, sense
 from .config import default_geometry, load_config
 from .errors import GravsimError, ValidationError
 from .gravity import NonlinearParams, config_field, general_field
-from .protocol import (
-    EveConfig,
-    binary_entropy,
-    key_rate,
-    run_session,
-)
+from .protocol import binary_entropy, key_rate, run_session
 from .qubits import SYMBOLS, Basis, Bb84Symbol, branch_weights, eve_dual_basis_measure, prepare
 
 RECORD_COLUMNS = (

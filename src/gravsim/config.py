@@ -1,36 +1,33 @@
 """JSON configuration parsing and serialization.
 
 A configuration is a single JSON document with nested sections (geometry,
-nonlinear, sensor, eve, session, and optionally sweep and limit). The
-parser checks the document's structure and rejects unknown keys; each
-value goes as read to the type it configures, which checks it. Every
-validation message carries the offending key path, for example
-"nonlinear.b". Seeds are mandatory: nothing in the package ever falls back
-to wall-clock entropy.
+nonlinear, sensor, eve, session, and optionally sweep and limit). One
+table, _KEYS, names every key of every section and the field it sets; the
+parser, the serializer, RunConfig.with_overrides and SweepSpec all read
+it. The parser checks the document's structure and rejects unknown keys;
+each value goes as read to the type it configures, which checks it, and an
+omitted key takes the default of its field. Every validation message
+carries the offending key path, for example "nonlinear.b". Seeds are
+mandatory: nothing in the package ever falls back to wall-clock entropy.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import _SWEEP_FIELDS, SweepSpec, _confidence, _delay_schedule, _lambda_grid
-from .attack import EveStrategy, SensorModel, StrategyMode
-from .errors import ValidationError, check_flag, check_integer, check_numbers
-from .gravity import NEWTON_G, Geometry, NonlinearParams
-from .protocol import EveConfig, _attack_fraction
-from .qubits import SYMBOLS, Bb84Symbol
+from .analysis import _confidence, _delay_schedule, _lambda_grid
+from .attack import DEFAULT_SIGMA  # noqa: F401 (re-exported)
+from .attack import EveConfig, EveStrategy, SensorModel, StrategyMode, _attack_fraction
+from .errors import ValidationError, check_flag, check_integer, check_number, check_numbers, is_list
+from .gravity import Geometry, NonlinearParams
+from .qubits import _LABELS, Bb84Symbol, as_symbol
 
-DEFAULT_SIGMA = 2.5e-12
-DEFAULT_SAMPLES = 1
 DEFAULT_ROUNDS = 10000
-DEFAULT_TAU = 0.9
-DEFAULT_ATTACK_FRACTION = 1.0
-DEFAULT_CONFIDENCE = 0.95
 
 _HALF_DIAG = 0.3535533905932738  # 0.5 * cos(pi/4)
 
@@ -54,12 +51,129 @@ _DEFAULT_PROBES = (
 
 def default_geometry() -> Geometry:
     """Four mass sites on the corners of a 0.2 m square, eight probes on a 0.5 m ring."""
-    return Geometry(
-        sites=np.array(_DEFAULT_SITES),
-        probes=np.array(_DEFAULT_PROBES),
-        test_mass=1.0,
-        grav_const=NEWTON_G,
-    )
+    return Geometry(sites=np.array(_DEFAULT_SITES), probes=np.array(_DEFAULT_PROBES))
+
+
+def _check_string(value, path: str) -> str:
+    """value, checked to be a str."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+# Every key of a configuration document, in document order: the section
+# that holds it, the field it sets there and, for a sweep parameter, the
+# check of a grid value's type. A section is a RunConfig field, where
+# "eve.strategy" is the EveStrategy within eve and "session" is RunConfig
+# itself.
+_KEYS = {
+    "sites": ("geometry", "sites", None),
+    "probes": ("geometry", "probes", None),
+    "testMass": ("geometry", "test_mass", None),
+    "gravConst": ("geometry", "grav_const", None),
+    "b": ("nonlinear", "b", check_number),
+    "lambda": ("nonlinear", "lam", check_number),
+    "deltaT": ("nonlinear", "delta_t", check_number),
+    "sigma": ("sensor", "sigma", check_number),
+    "samples": ("sensor", "samples", check_integer),
+    "enabled": ("eve", "enabled", None),
+    "strategy": ("eve.strategy", "mode", _check_string),
+    "tau": ("eve.strategy", "tau", check_number),
+    "attackFraction": ("eve", "attack_fraction", check_number),
+    "bornFactor": ("eve", "born_factor", None),
+    "rounds": ("session", "rounds", None),
+    "seed": ("session", "seed", None),
+    "grids": ("sweep", "grids", None),
+    "roundsPerPoint": ("sweep", "rounds_per_point", None),
+    "seedBase": ("sweep", "seed_base", None),
+    "lambdaGrid": ("limit", "lambda_grid", None),
+    "deltaTSchedule": ("limit", "delta_t_schedule", None),
+    "confidence": ("limit", "confidence", None),
+    "preparation": ("limit", "preparation", None),
+    "nullObservation": ("limit", "null_observation", None),
+}
+
+_SECTIONS = tuple(dict.fromkeys(section.partition(".")[0] for section, _, _ in _KEYS.values()))
+
+SWEEP_PARAMETERS = tuple(key for key, (_, _, check) in _KEYS.items() if check is not None)
+
+_GRID_TYPES = {
+    check_number: "a finite number",
+    check_integer: "an integer",
+    _check_string: "a string",
+}
+
+
+def _check_grid_value(name: str, value) -> None:
+    """Reject a grid value of a type its config field does not take.
+
+    The field's check decides, without its range: the value's range is
+    checked when its point's configuration is built.
+    """
+    check = _KEYS[name][2]
+    try:
+        check(value, name)
+    except ValidationError:
+        raise ValidationError(
+            f"sweep.grids: expected {_GRID_TYPES[check]} for {name!r}, got {value!r}"
+        ) from None
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Cartesian parameter grid driving repeated sessions.
+
+    grids is an ordered sequence of (parameter name, values) pairs; names
+    come from SWEEP_PARAMETERS. Point k of the product runs with seed
+    seed_base + k.
+    """
+
+    grids: tuple[tuple[str, tuple], ...]
+    rounds_per_point: int
+    seed_base: int
+
+    def __post_init__(self) -> None:
+        if not is_list(self.grids) or len(self.grids) == 0:
+            raise ValidationError(
+                f"sweep.grids: expected at least one [name, values] pair, got {self.grids!r}"
+            )
+        grids = {}
+        for k, entry in enumerate(self.grids):
+            path = f"sweep.grids[{k}]"
+            if not (is_list(entry) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise ValidationError(f"{path}: expected a [name, values] pair, got {entry!r}")
+            name, values = entry
+            if name not in SWEEP_PARAMETERS:
+                raise ValidationError(
+                    f"{path}: unknown parameter {name!r}; expected one of {list(SWEEP_PARAMETERS)}"
+                )
+            if name in grids:
+                raise ValidationError(f"{path}: parameter {name!r} appears twice")
+            if not is_list(values):
+                raise ValidationError(
+                    f"sweep.grids: values for {name!r} must be a list, got {values!r}"
+                )
+            if len(values) == 0:
+                raise ValidationError(f"{path}: grid for {name!r} is empty")
+            for value in values:
+                _check_grid_value(name, value)
+            grids[name] = tuple(values)
+        rounds = check_integer(self.rounds_per_point, "sweep.roundsPerPoint", minimum=1)
+        seed_base = check_integer(self.seed_base, "sweep.seedBase", minimum=0)
+        object.__setattr__(self, "grids", tuple(grids.items()))
+        object.__setattr__(self, "rounds_per_point", rounds)
+        object.__setattr__(self, "seed_base", seed_base)
+
+    @property
+    def parameter_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.grids)
+
+    @property
+    def n_points(self) -> int:
+        count = 1
+        for _, values in self.grids:
+            count *= len(values)
+        return count
 
 
 @dataclass(frozen=True)
@@ -67,8 +181,8 @@ class EveSettings:
     """Eavesdropper switches parsed from the `eve` config section."""
 
     enabled: bool = True
-    strategy: EveStrategy = EveStrategy(StrategyMode.CLONE_INFERRED, DEFAULT_TAU)
-    attack_fraction: float = DEFAULT_ATTACK_FRACTION
+    strategy: EveStrategy = EveStrategy()
+    attack_fraction: float = 1.0
     born_factor: bool = True
 
     def __post_init__(self) -> None:
@@ -83,7 +197,7 @@ class LimitSettings:
 
     lambda_grid: tuple[float, ...]
     delta_t_schedule: tuple[float, ...] = (1.0,)
-    confidence: float = DEFAULT_CONFIDENCE
+    confidence: float = 0.95
     preparation: Bb84Symbol = Bb84Symbol.Z1
     null_observation: bool = True
 
@@ -91,6 +205,7 @@ class LimitSettings:
         object.__setattr__(self, "lambda_grid", _lambda_grid(self.lambda_grid))
         object.__setattr__(self, "delta_t_schedule", _delay_schedule(self.delta_t_schedule))
         object.__setattr__(self, "confidence", _confidence(self.confidence))
+        object.__setattr__(self, "preparation", as_symbol(self.preparation, "limit.preparation"))
         object.__setattr__(
             self, "null_observation", check_flag(self.null_observation, "limit.nullObservation")
         )
@@ -133,18 +248,18 @@ class RunConfig:
         """
         sections: dict[str, dict] = {}
         for name, value in overrides.items():
-            if name not in _SWEEP_FIELDS:
+            if name not in SWEEP_PARAMETERS:
                 raise ValidationError(f"sweep parameter {name!r} is not supported")
-            section, field, _ = _SWEEP_FIELDS[name]
+            section, field, _ = _KEYS[name]
             sections.setdefault(section, {})[field] = value
         if "eve.strategy" in sections:
             strategy = replace(self.eve.strategy, **sections.pop("eve.strategy"))
             sections.setdefault("eve", {})["strategy"] = strategy
-        changed = {name: replace(getattr(self, name), **fields) for name, fields in sections.items()}
+        changed = {name: replace(getattr(self, name), **values) for name, values in sections.items()}
         return replace(self, **changed)
 
 
-def _as_object(value, path: str, keys: tuple[str, ...]) -> dict:
+def _as_object(value, path: str, keys) -> dict:
     """value as a JSON object whose keys all come from keys; path "" is the document."""
     if not isinstance(value, dict):
         raise ValidationError(f"{path or 'config'}: expected an object, got {type(value).__name__}")
@@ -160,104 +275,57 @@ def _as_vec3(value, path: str) -> tuple[float, ...]:
     return check_numbers(value, path)
 
 
-def _parse_geometry(section) -> Geometry:
-    section = _as_object(section, "geometry", ("sites", "probes", "testMass", "gravConst"))
-    labels = tuple(s.label for s in SYMBOLS)
-    sites_obj = _as_object(section.get("sites", {}), "geometry.sites", labels)
-    missing = [label for label in labels if label not in sites_obj]
+def _read_sites(value, path: str) -> list:
+    """The sites object of a geometry section as one 3-vector per symbol, in symbol order."""
+    sites = _as_object(value, path, _LABELS)
+    missing = [label for label in _LABELS if label not in sites]
     if missing:
-        raise ValidationError(f"geometry.sites: missing site(s) {missing}")
-    sites = [_as_vec3(sites_obj[label], f"geometry.sites.{label}") for label in labels]
-    probes_list = section.get("probes")
-    if not isinstance(probes_list, list) or not probes_list:
-        raise ValidationError("geometry.probes: expected a non-empty list of 3-vectors")
-    probes = [_as_vec3(p, f"geometry.probes[{k}]") for k, p in enumerate(probes_list)]
-    return Geometry(
-        sites=np.array(sites),
-        probes=np.array(probes),
-        test_mass=section.get("testMass", 1.0),
-        grav_const=section.get("gravConst", NEWTON_G),
-    )
+        raise ValidationError(f"{path}: missing site(s) {missing}")
+    return [_as_vec3(sites[label], f"{path}.{label}") for label in _LABELS]
 
 
-def _parse_nonlinear(section) -> NonlinearParams:
-    section = _as_object(section, "nonlinear", ("b", "lambda", "deltaT"))
-    return NonlinearParams(
-        b=section.get("b", 0.0),
-        lam=section.get("lambda", 0.0),
-        delta_t=section.get("deltaT", 0.0),
-    )
+def _read_probes(value, path: str) -> list:
+    """The probes list of a geometry section, each a 3-vector."""
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{path}: expected a non-empty list of 3-vectors")
+    return [_as_vec3(probe, f"{path}[{k}]") for k, probe in enumerate(value)]
 
 
-def _parse_sensor(section) -> SensorModel:
-    section = _as_object(section, "sensor", ("sigma", "samples"))
-    return SensorModel(
-        sigma=section.get("sigma", DEFAULT_SIGMA),
-        samples=section.get("samples", DEFAULT_SAMPLES),
-    )
+# The keys whose JSON form is not their field's value: how each is read and written.
+_CODECS = {
+    "sites": (_read_sites, lambda sites: dict(zip(_LABELS, sites.tolist()))),
+    "probes": (_read_probes, np.ndarray.tolist),
+}
 
 
-def _parse_eve(section) -> EveSettings:
-    keys = ("enabled", "strategy", "tau", "attackFraction", "bornFactor")
-    section = _as_object(section, "eve", keys)
-    strategy = EveStrategy(
-        mode=section.get("strategy", StrategyMode.CLONE_INFERRED.value),
-        tau=section.get("tau", DEFAULT_TAU),
-    )
-    return EveSettings(
-        enabled=section.get("enabled", True),
-        strategy=strategy,
-        attack_fraction=section.get("attackFraction", DEFAULT_ATTACK_FRACTION),
-        born_factor=section.get("bornFactor", True),
-    )
+def _keys(name: str) -> dict:
+    """The rows of _KEYS whose keys section `name` of a document holds."""
+    return {key: row for key, row in _KEYS.items() if row[0].partition(".")[0] == name}
 
 
-def _parse_sweep(section) -> SweepSpec:
-    section = _as_object(section, "sweep", ("grids", "roundsPerPoint", "seedBase"))
-    grids_list = section.get("grids")
-    if not isinstance(grids_list, list) or not grids_list:
-        raise ValidationError("sweep.grids: expected a non-empty list of [name, values] pairs")
-    grids = []
-    for k, entry in enumerate(grids_list):
-        if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], str):
-            raise ValidationError(f"sweep.grids[{k}]: expected a [name, values] pair, got {entry!r}")
-        name, values = entry
-        if not isinstance(values, list) or not values:
-            raise ValidationError(f"sweep.grids[{k}]: values for {name!r} must be a non-empty list")
-        grids.append((name, tuple(values)))
-    if "roundsPerPoint" not in section:
-        raise ValidationError("sweep.roundsPerPoint: required")
-    if "seedBase" not in section:
-        raise ValidationError("sweep.seedBase: required")
-    return SweepSpec(
-        grids=tuple(grids),
-        rounds_per_point=section["roundsPerPoint"],
-        seed_base=section["seedBase"],
-    )
+def _section(document: dict, name: str, cls):
+    """cls built from section `name` of document.
 
-
-def _parse_limit(section) -> LimitSettings:
-    section = _as_object(
-        section,
-        "limit",
-        ("lambdaGrid", "deltaTSchedule", "confidence", "preparation", "nullObservation"),
-    )
-    if "lambdaGrid" not in section:
-        raise ValidationError("limit.lambdaGrid: required")
-    preparation_label = section.get("preparation", Bb84Symbol.Z1.label)
-    if not isinstance(preparation_label, str):
-        raise ValidationError(f"limit.preparation: expected a symbol label, got {preparation_label!r}")
-    try:
-        preparation = Bb84Symbol.from_label(preparation_label)
-    except ValidationError as exc:
-        raise ValidationError(f"limit.preparation: {exc}") from None
-    return LimitSettings(
-        lambda_grid=section["lambdaGrid"],
-        delta_t_schedule=section.get("deltaTSchedule", [1.0]),
-        confidence=section.get("confidence", DEFAULT_CONFIDENCE),
-        preparation=preparation,
-        null_observation=section.get("nullObservation", True),
-    )
+    Each key the section holds sets its field, read by its _CODECS entry if
+    it has one, and the keys of eve.strategy set an EveStrategy. An omitted
+    key leaves its field to its default, and is required where the field
+    has none.
+    """
+    keys = _keys(name)
+    values = _as_object(document.get(name, {}), name, keys)
+    required = {field.name for field in fields(cls) if field.default is MISSING}
+    settings, strategy = {}, {}
+    for key, (section, field, _) in keys.items():
+        if key in values:
+            value = values[key]
+            if key in _CODECS:
+                value = _CODECS[key][0](value, f"{name}.{key}")
+            (strategy if section == "eve.strategy" else settings)[field] = value
+        elif field in required:
+            raise ValidationError(f"{name}.{key}: required")
+    if strategy:
+        settings["strategy"] = EveStrategy(**strategy)
+    return cls(**settings)
 
 
 def config_from_dict(
@@ -266,24 +334,20 @@ def config_from_dict(
     seed_override: int | None = None,
 ) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
-    document = _as_object(
-        document, "", ("geometry", "nonlinear", "sensor", "eve", "session", "sweep", "limit")
-    )
+    document = _as_object(document, "", _SECTIONS)
     geometry = (
-        _parse_geometry(document["geometry"]) if "geometry" in document else default_geometry()
+        _section(document, "geometry", Geometry) if "geometry" in document else default_geometry()
     )
-    nonlinear = _parse_nonlinear(document.get("nonlinear", {}))
-    sensor = _parse_sensor(document.get("sensor", {}))
-    eve = _parse_eve(document.get("eve", {}))
-    session = _as_object(document.get("session", {}), "session", ("rounds", "seed"))
+    nonlinear = _section(document, "nonlinear", NonlinearParams)
+    sensor = _section(document, "sensor", SensorModel)
+    eve = _section(document, "eve", EveSettings)
+    session = _as_object(document.get("session", {}), "session", _keys("session"))
     rounds = rounds_override if rounds_override is not None else session.get("rounds", DEFAULT_ROUNDS)
     seed = seed_override if seed_override is not None else session.get("seed")
     if seed is None:
         raise ValidationError(
             "session.seed: required; explicit seeds keep every run reproducible"
         )
-    sweep_spec = _parse_sweep(document["sweep"]) if "sweep" in document else None
-    limit_settings = _parse_limit(document["limit"]) if "limit" in document else None
     return RunConfig(
         geometry=geometry,
         nonlinear=nonlinear,
@@ -291,8 +355,8 @@ def config_from_dict(
         eve=eve,
         rounds=rounds,
         seed=seed,
-        sweep=sweep_spec,
-        limit=limit_settings,
+        sweep=_section(document, "sweep", SweepSpec) if "sweep" in document else None,
+        limit=_section(document, "limit", LimitSettings) if "limit" in document else None,
     )
 
 
@@ -359,45 +423,26 @@ def load_config(
     raise ValidationError(f"config: no such file or bundled config: {source}")
 
 
+def _to_json(value):
+    """A field value as JSON: a symbol by its label, a strategy by its name, a tuple as a list."""
+    if isinstance(value, Bb84Symbol):
+        return value.label
+    if isinstance(value, StrategyMode):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
 def serialize_config(config: RunConfig) -> dict:
     """JSON-ready mapping that parses back to an equivalent RunConfig."""
-    document = {
-        "geometry": {
-            "sites": {
-                symbol.label: [float(x) for x in config.geometry.sites[symbol]]
-                for symbol in SYMBOLS
-            },
-            "probes": [[float(x) for x in probe] for probe in config.geometry.probes],
-            "testMass": config.geometry.test_mass,
-            "gravConst": config.geometry.grav_const,
-        },
-        "nonlinear": {
-            "b": config.nonlinear.b,
-            "lambda": config.nonlinear.lam,
-            "deltaT": config.nonlinear.delta_t,
-        },
-        "sensor": {"sigma": config.sensor.sigma, "samples": config.sensor.samples},
-        "eve": {
-            "enabled": config.eve.enabled,
-            "strategy": config.eve.strategy.mode.value,
-            "tau": config.eve.strategy.tau,
-            "attackFraction": config.eve.attack_fraction,
-            "bornFactor": config.eve.born_factor,
-        },
-        "session": {"rounds": config.rounds, "seed": config.seed},
-    }
-    if config.sweep is not None:
-        document["sweep"] = {
-            "grids": [[name, list(values)] for name, values in config.sweep.grids],
-            "roundsPerPoint": config.sweep.rounds_per_point,
-            "seedBase": config.sweep.seed_base,
-        }
-    if config.limit is not None:
-        document["limit"] = {
-            "lambdaGrid": list(config.limit.lambda_grid),
-            "deltaTSchedule": list(config.limit.delta_t_schedule),
-            "confidence": config.limit.confidence,
-            "preparation": config.limit.preparation.label,
-            "nullObservation": config.limit.null_observation,
-        }
+    document: dict = {}
+    for key, (section, field, _) in _KEYS.items():
+        owner = config
+        for name in section.split("."):
+            owner = owner if name == "session" else getattr(owner, name)
+        if owner is not None:
+            value = getattr(owner, field)
+            value = _CODECS[key][1](value) if key in _CODECS else _to_json(value)
+            document.setdefault(section.partition(".")[0], {})[key] = value
     return document

@@ -121,7 +121,7 @@ class Geometry:
         return 3 * self.n_probes
 
     def site_position(self, symbol: Bb84Symbol) -> np.ndarray:
-        return self.sites[Bb84Symbol(symbol)]
+        return self.sites[as_symbol(symbol, "site_position")]
 
     @cached_property
     def config_matrix(self) -> np.ndarray:
@@ -197,7 +197,7 @@ class Geometry:
 
 def config_field(label: Bb84Symbol, geom: Geometry) -> FieldVector:
     """Field of the single mass parked at the site for `label`, over all probes."""
-    return geom.config_matrix[as_symbol(label)].copy()
+    return geom.config_matrix[as_symbol(label, "config_field")].copy()
 
 
 def mix_field(weights, geom: Geometry) -> FieldVector:
@@ -221,7 +221,7 @@ def mix_field(weights, geom: Geometry) -> FieldVector:
 class NonlinearParams:
     """Amplitude b, relaxation rate lam (1/s), and delay delta_t (s) of the nonlinear term."""
 
-    b: float
+    b: float = 0.0
     lam: float = 0.0
     delta_t: float = 0.0
 
@@ -249,8 +249,9 @@ def general_field(
     decay factor is exactly zero the configuration field is returned
     unchanged bit for bit, which is the linear limit.
     """
+    mix = geom.mix_matrix[as_symbol(prepared, "general_field")]
     base = config_field(label, geom)
     factor = decay_factor(params)
     if factor == 0.0:
         return base
-    return base + factor * geom.mix_matrix[as_symbol(prepared)]
+    return base + factor * mix

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .attack import EveStrategy, SensorModel, _attack_batch, _attack_table, _AttackTable
-from .errors import ValidationError, check_flag, check_integer, check_number
-from .gravity import Geometry, NonlinearParams
+from .attack import EveConfig, _attack_batch
+from .errors import ValidationError, check_integer, check_number
 from .qubits import _BOB_P0
 
 ABORT_QBER = 0.11
@@ -57,30 +55,17 @@ _TRANSCRIPT = np.dtype(
 )
 
 
-def _attack_fraction(value) -> float:
-    """The share of rounds Eve attacks, checked to lie in [0, 1]."""
-    return check_number(value, "eve.attackFraction", low=0.0, high=1.0)
-
-
-@dataclass(frozen=True)
-class EveConfig:
-    """Everything the session needs to put Eve on the channel."""
-
-    geometry: Geometry
-    params: NonlinearParams
-    sensor: SensorModel
-    strategy: EveStrategy
-    attack_fraction: float = 1.0
-    born_factor: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
-        object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
-
-    @cached_property
-    def _rows(self) -> tuple[_AttackTable, np.ndarray]:
-        """_attack_rows of this configuration alone, built on first use."""
-        return _attack_rows([self])
+# The JSON names of SessionStats' fields, in field order.
+STAT_COLUMNS = (
+    "rounds",
+    "siftedCount",
+    "qber",
+    "eveAccuracy",
+    "eveMutualInfo",
+    "keyRateTheory",
+    "keyRateAttack",
+    "aborted",
+)
 
 
 @dataclass(frozen=True)
@@ -103,17 +88,8 @@ class SessionStats:
     aborted: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready mapping with stable key order."""
-        return {
-            "rounds": self.rounds,
-            "siftedCount": self.sifted_count,
-            "qber": self.qber,
-            "eveAccuracy": self.eve_accuracy,
-            "eveMutualInfo": self.eve_mutual_info,
-            "keyRateTheory": self.key_rate_theory,
-            "keyRateAttack": self.key_rate_attack,
-            "aborted": self.aborted,
-        }
+        """JSON-ready mapping of STAT_COLUMNS, in order, to the fields."""
+        return dict(zip(STAT_COLUMNS, vars(self).values()))
 
 
 def binary_entropy(p: float) -> float:
@@ -175,14 +151,6 @@ def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
 
 
-def _attack_rows(eves) -> tuple[_AttackTable, np.ndarray]:
-    """The _AttackTable and attack fractions of EveConfigs, one row per configuration."""
-    table = _attack_table(
-        (eve.geometry, eve.params, eve.sensor, eve.strategy, eve.born_factor) for eve in eves
-    )
-    return table, np.array([eve.attack_fraction for eve in eves])
-
-
 def _chunks(n_points: int, n_rounds: int, block: int):
     """The pass's chunks: lists of (point, start, stop) round ranges, at most `block` rounds each.
 
@@ -205,24 +173,22 @@ def _chunks(n_points: int, n_rounds: int, block: int):
         yield chunk
 
 
-def _simulate(n_rounds: int, seeds, eve_rows=None, transcript=None) -> np.ndarray:
+def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     """Run len(seeds) sessions of n_rounds rounds in one chunked pass; returns (P, 14) counts.
 
     Session p reads Philox(seeds[p]) (see run_session) and faces Eve with
-    row p of eve_rows, an (_AttackTable, attack fractions) pair from
-    _attack_rows, or no Eve when eve_rows is None. Its rounds run in the
-    blocks a lone session runs, whole blocks of consecutive sessions
-    sharing a chunk as array operations, and each block's attacks are
-    checked as a batch of their own; so every session's counts, transcript
-    rows and first error are those it has alone. Per session, the counts
-    are the sifted rounds' (error, Alice's bit, Eve's guess) table,
-    2 x 2 x 3 cells, then the attacked rounds whose inference was wrong and
-    right. The transcript, if given, receives the rounds of all sessions in
-    order.
+    row p of table, an _AttackTable, or no Eve when table is None. Its
+    rounds run in the blocks a lone session runs, whole blocks of
+    consecutive sessions sharing a chunk as array operations, and each
+    block's attacks are checked as a batch of their own; so every
+    session's counts, transcript rows and first error are those it has
+    alone. Per session, the counts are the sifted rounds' (error, Alice's
+    bit, Eve's guess) table, 2 x 2 x 3 cells, then the attacked rounds
+    whose inference was wrong and right. The transcript, if given, receives
+    the rounds of all sessions in order.
     """
     n_points = len(seeds)
     block = max(1, _CHUNK_VARIATES // _BLOCK)
-    table, fraction = eve_rows or (None, None)
     counts = np.zeros((n_points, 14), dtype=np.int64)
     cells, hits = counts[:, :12], counts[:, 12:]
     first = 0
@@ -240,7 +206,7 @@ def _simulate(n_rounds: int, seeds, eve_rows=None, transcript=None) -> np.ndarra
         guess = np.full(len(alice), _NO_GUESS)
         if table is not None:
             at = sessions.start + owner
-            attacked = np.flatnonzero(uniforms[:, _COIN] < fraction[at])
+            attacked = np.flatnonzero(uniforms[:, _COIN] < table.fraction[at])
             attacked_owner, runs = owner, None
             if len(chunk) > 1:
                 at, attacked_owner = at[attacked], owner[attacked]
@@ -347,6 +313,6 @@ def run_session(
         transcript = np.zeros(n_rounds, _TRANSCRIPT)
         for name in ("outcome", "inferred", "resent"):
             transcript[name] = -1
-    eve_rows = None if eve_config is None else eve_config._rows
-    counts = _simulate(n_rounds, [seed], eve_rows, transcript)
+    table = None if eve_config is None else eve_config._table
+    counts = _simulate(n_rounds, [seed], table, transcript)
     return _session_stats(n_rounds, counts[0], eve_config is not None), transcript

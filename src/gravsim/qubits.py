@@ -66,16 +66,18 @@ _LABELS = ("Z0", "Z1", "Xp", "Xm")
 _BY_LABEL = dict(zip(_LABELS, SYMBOLS))
 
 
-def as_symbol(value) -> Bb84Symbol:
-    """Coerce a Bb84Symbol, its integer index, or its text label to a symbol."""
-    if isinstance(value, Bb84Symbol):
-        return value
-    if isinstance(value, str):
-        return Bb84Symbol.from_label(value)
-    try:
-        return Bb84Symbol(value)
-    except ValueError:
-        raise ValidationError(f"not a BB84 symbol: {value!r}") from None
+def as_symbol(value, path: str = "symbol") -> Bb84Symbol:
+    """value as a Bb84Symbol: a symbol, its label or its index 0 to 3, never a bool or float.
+
+    Anything else raises ValidationError naming path.
+    """
+    if isinstance(value, str) and value in _BY_LABEL:
+        return _BY_LABEL[value]
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < 4:
+        return SYMBOLS[value]
+    raise ValidationError(
+        f"{path}: expected a BB84 symbol, one of {list(_LABELS)} or its index 0 to 3, got {value!r}"
+    )
 
 
 # Born weights 0.5 * |<s|p>|^2 of every symbol s (column) for every prepared
@@ -112,10 +114,7 @@ def _require_symbol(state, where: str) -> Bb84Symbol:
 
 def prepare(symbol: Bb84Symbol) -> Bb84Symbol:
     """Return the qubit Alice sends for a symbol; a qubit is carried as its symbol."""
-    try:
-        return Bb84Symbol(symbol)
-    except ValueError:
-        raise ValidationError(f"prepare: not a BB84 symbol: {symbol!r}") from None
+    return as_symbol(symbol, "prepare")
 
 
 def branch_weights(prepared: Bb84Symbol) -> np.ndarray:

@@ -26,12 +26,17 @@ from gravsim import (
     ValidationError,
     binary_entropy,
     cloning_fidelity,
+    config_field,
     exclusion_limit,
+    general_field,
+    infer_alice_state,
     key_rate,
     load_config,
     min_detectable_b,
     monte_carlo_accuracy,
+    prepare,
     run_session,
+    signal_to_noise,
 )
 
 REMOVED = (
@@ -86,6 +91,7 @@ def rng():
 
 NUMBER = (True, math.nan)  # a bool and a NaN, never numbers
 FLAG = (1, math.nan, "no")  # only true or false is a flag
+SYMBOL = (True, 1.0, 4, "Q0")  # a symbol is a Bb84Symbol, its label or its index 0 to 3
 
 # Each validated type and entry point: the key path its message starts with,
 # the call, one numpy scalar it accepts and values it rejects.
@@ -176,6 +182,26 @@ BOUNDARY = [
     ("run_session.n_rounds", "session.rounds",
      lambda v: run_session(v, seed=0), np.int64(5), NUMBER),
     ("run_session.seed", "session.seed", lambda v: run_session(5, seed=v), np.uint32(3), NUMBER),
+    ("signal_to_noise.b", "nonlinear.b",
+     lambda v: signal_to_noise(v, 0.0, 0.0, SENSOR, GEOM), np.float32(0.25), NUMBER + ("x",)),
+    ("signal_to_noise.lam", "nonlinear.lambda",
+     lambda v: signal_to_noise(0.1, v, 1.0, SENSOR, GEOM), np.int64(2), NUMBER + (-1,)),
+    ("signal_to_noise.delta_t", "nonlinear.deltaT",
+     lambda v: signal_to_noise(0.1, 1.0, v, SENSOR, GEOM), np.float32(0.5), NUMBER + (-1,)),
+    ("signal_to_noise.preparation", "limit.preparation",
+     lambda v: signal_to_noise(0.1, 0.0, 0.0, SENSOR, GEOM, v), np.int64(1), SYMBOL),
+    ("ExclusionExperiment.preparation", "limit.preparation",
+     lambda v: ExclusionExperiment(SENSOR, GEOM, (1.0,), preparation=v), np.int64(1), SYMBOL),
+    ("LimitSettings.preparation", "limit.preparation",
+     lambda v: LimitSettings(lambda_grid=[0.0], preparation=v), np.int64(1), SYMBOL),
+    ("prepare", "prepare", lambda v: prepare(v), np.int64(1), SYMBOL),
+    ("Geometry.site_position", "site_position", lambda v: GEOM.site_position(v), np.int64(1), SYMBOL),
+    ("config_field", "config_field", lambda v: config_field(v, GEOM), np.int64(1), SYMBOL),
+    ("general_field.prepared", "general_field",
+     lambda v: general_field(0, v, NonlinearParams(), GEOM), np.int64(1), SYMBOL),
+    ("infer_alice_state.eve_outcome", "infer_alice_state",
+     lambda v: infer_alice_state(np.zeros(GEOM.field_dim), v, GEOM, BASE.nonlinear, SENSOR, rng()),
+     np.int64(1), SYMBOL),
 ]
 
 
@@ -189,3 +215,11 @@ def test_every_entry_point_checks_its_values_by_one_rule(path, call, accepted, r
     for value in rejected:
         with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: "):
             call(value)
+
+
+SYMBOL_ROWS = [row for row in BOUNDARY if row[4] is SYMBOL]
+
+
+@pytest.mark.parametrize("call", [row[2] for row in SYMBOL_ROWS], ids=[row[0] for row in SYMBOL_ROWS])
+def test_every_symbol_entry_point_takes_a_label(call):
+    call("Z1")

@@ -1,11 +1,13 @@
 """Unit tests for JSON config parsing, overrides, and serialization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gravsim import (
+    SWEEP_PARAMETERS,
     Bb84Symbol,
     EveConfig,
     StrategyMode,
@@ -243,6 +245,31 @@ def test_with_overrides_applies_every_parameter():
     # the base config is untouched
     assert base.nonlinear.b == 0.0
     assert base.eve.strategy.mode is StrategyMode.CLONE_INFERRED
+
+
+# Each sweep parameter's config section and a value other than the default's.
+SWEPT = {
+    "b": ("nonlinear", 0.5),
+    "lambda": ("nonlinear", 1.0),
+    "deltaT": ("nonlinear", 2.0),
+    "sigma": ("sensor", 1e-12),
+    "samples": ("sensor", 3),
+    "strategy": ("eve", "Threshold"),
+    "tau": ("eve", 0.5),
+    "attackFraction": ("eve", 0.25),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_PARAMETERS)
+def test_an_override_equals_the_config_parsed_with_its_key_set(name):
+    base = load_config("default.json")
+    section, value = SWEPT[name]
+    document = serialize_config(base)
+    document[section][name] = value
+    parsed = config_from_dict(document)
+    # Geometry compares by identity, and both keep the base's values.
+    assert replace(parsed, geometry=base.geometry) == base.with_overrides({name: value})
+    assert set(SWEPT) == set(SWEEP_PARAMETERS)
 
 
 def test_with_overrides_revalidates_and_rejects_unknown_names():

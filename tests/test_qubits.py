@@ -43,6 +43,13 @@ def test_as_symbol_coercions():
         as_symbol("Q0")
 
 
+def test_as_symbol_takes_no_bool_or_float_and_names_its_path():
+    assert as_symbol(np.int64(3), "here") is Bb84Symbol.XM
+    for value in (True, np.bool_(False), 1.0, -1, 4, "z1", None):
+        with pytest.raises(ValidationError, match=r"^here: expected a BB84 symbol"):
+            as_symbol(value, "here")
+
+
 def test_prepare_returns_the_symbol():
     for s in SYMBOLS:
         assert prepare(s) is s
