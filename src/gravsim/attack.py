@@ -103,7 +103,11 @@ class EveConfig:
 
     @cached_property
     def _table(self) -> _AttackTable:
-        """The _AttackTable of this configuration alone, built on first use."""
+        """The _AttackTable of this configuration alone, built on first use.
+
+        Cached: rebuilding it on every run_session call made a 2000-round
+        Eve session 4% slower (2141 -> 2228 us, interleaved medians).
+        """
         return _attack_table([self])
 
 
@@ -175,9 +179,9 @@ def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
     statistic is the sum of `count` readings minus count times Eve's
     configuration field; residuals are the (4, dim) hypothesis residuals
     r_h, or one such table per statistic row, and offsets their _offsets in
-    the same layout; sigma is a number or a column of one per row. A sigma
-    too large for double precision makes the statistic non-finite, which
-    raises ValidationError. The Gaussian scores S.r_h - count * |r_h|^2 / 2
+    the same layout; sigma is a number or a column of one per row. Every
+    caller first passes the statistic through _check_scores, which rejects
+    a sigma that overflows it. The Gaussian scores S.r_h - count * |r_h|^2 / 2
     are shifted in field units so that the best hypothesis the prior allows
     is exactly 0 (one the prior rules out is capped at 0 and keeps its -inf
     prior), and only then divided by sigma, once per factor: no sigma > 0
@@ -187,8 +191,6 @@ def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
     logits depend neither on the rows beside it nor on whether its residuals
     are shared with them.
     """
-    if not np.isfinite(statistic).all():
-        raise ValidationError(f"sensor.sigma: {sigma!r} overflows the sensor readings")
     score = np.einsum("...d,...hd->...h", statistic, residuals)
     score -= offsets
     best = score.max(axis=-1, keepdims=True, where=log_prior != -np.inf, initial=-np.inf)

@@ -15,9 +15,7 @@ digit round-trips.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -66,12 +64,8 @@ def _fmt(value) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    return buffer.getvalue()
+    """A header line and one line per row, each cell written by _fmt; no cell needs quoting."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
 def _json_text(document) -> str:
@@ -145,7 +139,7 @@ def _transcript_csv(transcript) -> str:
     cells = np.empty(counts.size, dtype=object)
     for key in np.flatnonzero(counts).tolist():
         cells[key] = _row_cells(key)
-    parts = [",".join(RECORD_COLUMNS) + "\n"]
+    parts = [_csv_text(RECORD_COLUMNS, ())]
     for start in range(0, transcript.size, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, transcript.size)
         attacked = transcript["attacked"][start:stop]
@@ -219,10 +213,7 @@ def _cmd_limit(args) -> int:
         raise ValidationError("limit: the config has no limit section")
     result = _exclusion_result(config)
     if args.format == "csv":
-        text = _csv_text(
-            ("lambda", "bUpper"),
-            zip(result.lambda_values, result.b_upper),
-        )
+        text = _csv_text(("lambda", "bUpper"), zip(result.lambda_values, result.b_upper))
     else:
         text = _json_text(
             {

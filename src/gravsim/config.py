@@ -371,16 +371,14 @@ def parse_config(
     JSON; anything else is a filesystem path. Errors carry the offending key
     path or, for malformed JSON, the line and column.
     """
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith("{")
-    ):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
+    else:
         path = Path(source)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ValidationError(f"config: cannot read {path}: {exc}") from exc
-    else:
-        text = str(source)
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -390,37 +388,27 @@ def parse_config(
     return config_from_dict(document, rounds_override, seed_override)
 
 
-def bundled_config_text(name: str) -> str | None:
-    """The text of a bundled config file, or None if no such bundle exists."""
-    if "/" in name or "\\" in name:
-        return None
-    candidate = resources.files("gravsim").joinpath("configs", name)
-    if not candidate.is_file():
-        return None
-    return candidate.read_text(encoding="utf-8")
+def load_config(source: str, rounds: int | None = None, seed: int | None = None) -> RunConfig:
+    """Resolve a --config value: inline JSON or a file, as parse_config reads them, else a bundle.
 
-
-def load_config(
-    source: str,
-    rounds: int | None = None,
-    seed: int | None = None,
-) -> RunConfig:
-    """Resolve a --config value: a filesystem path first, then a bundled name.
-
-    Inline JSON (a string starting with '{') is parsed directly. Optional
-    rounds/seed values override the session section before validation.
+    A name that parse_config cannot read as a file, and that holds no path
+    separator, is looked up among the bundled configs, so a local file
+    shadows a bundle of the same name. Optional rounds/seed values override
+    the session section before validation.
     """
-    if isinstance(source, str) and source.lstrip().startswith("{"):
+    try:
         return parse_config(source, rounds, seed)
-    if Path(source).is_file():
-        return parse_config(Path(source), rounds, seed)
-    bundled = bundled_config_text(str(source))
-    if bundled is not None:
-        try:
-            return parse_config(bundled, rounds, seed)
-        except ValidationError as exc:
-            raise ValidationError(f"bundled config {source}: {exc}") from None
-    raise ValidationError(f"config: no such file or bundled config: {source}")
+    except ValidationError as exc:
+        if not isinstance(exc.__cause__, OSError) or Path(source).is_file():
+            raise
+    name = str(source)
+    bundle = resources.files("gravsim").joinpath("configs", name)
+    if "/" in name or "\\" in name or not bundle.is_file():
+        raise ValidationError(f"config: no such file or bundled config: {source}")
+    try:
+        return parse_config(bundle.read_text(encoding="utf-8"), rounds, seed)
+    except ValidationError as exc:
+        raise ValidationError(f"bundled config {source}: {exc}") from None
 
 
 def _to_json(value):

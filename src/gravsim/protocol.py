@@ -197,6 +197,9 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
         blocks = [_round_variates(int(seeds[point]), start, stop) for point, start, stop in chunk]
         uniforms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         # The block of each round within the chunk; with one block, that is 0 for all.
+        # Kept: the per-round-settings path on every chunk made a 2000-round Eve
+        # session 3% slower (2327 -> 2399 us) and a 5000-round honest session
+        # 5.5% slower (930 -> 981 us), interleaved medians.
         owner = 0
         if len(chunk) > 1:
             owner = np.repeat(np.arange(len(chunk)), [stop - start for _, start, stop in chunk])

@@ -290,6 +290,47 @@ def test_load_config_resolution_order(tmp_path, monkeypatch):
         load_config("missing.json")
 
 
+def test_parse_config_names_a_path_it_cannot_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValidationError, match=r"^config: cannot read missing\.json"):
+        parse_config("missing.json")
+
+
+def test_an_invalid_bundled_config_is_named_in_the_message(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValidationError) as info:
+        load_config("default.json", rounds=0)
+    assert str(info.value).startswith("bundled config default.json: session.rounds")
+
+
+@pytest.mark.parametrize("load", [parse_config, load_config])
+def test_inline_json_may_open_with_whitespace_and_newlines(load):
+    cfg = load(' \n  {"session": {"seed": 5,\n "rounds": 7}}')
+    assert (cfg.seed, cfg.rounds) == (5, 7)
+
+
+@pytest.mark.parametrize("load", [parse_config, load_config])
+def test_a_path_object_is_read_as_a_file(load, tmp_path):
+    path = tmp_path / "custom.json"
+    path.write_text('{"session": {"seed": 42, "rounds": 9}}', encoding="utf-8")
+    cfg = load(path)
+    assert (cfg.seed, cfg.rounds) == (42, 9)
+
+
+@pytest.mark.parametrize("load", [parse_config, load_config])
+def test_a_path_with_a_nul_byte_is_a_validation_error(load):
+    with pytest.raises(ValidationError, match="^config: cannot read .*embedded null byte"):
+        load("a\x00b.json")
+
+
+@pytest.mark.parametrize("name", ["sub/missing.json", "../configs/default.json"])
+def test_a_name_with_a_slash_is_never_a_bundle(name, tmp_path, monkeypatch):
+    # ../configs/default.json, joined to the bundle directory, names a bundle
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValidationError, match="no such file or bundled config"):
+        load_config(name)
+
+
 def test_load_config_reads_explicit_paths(tmp_path):
     path = tmp_path / "custom.json"
     path.write_text('{"session": {"seed": 42, "rounds": 9}}', encoding="utf-8")

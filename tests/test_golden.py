@@ -1,10 +1,12 @@
-"""Golden transcripts: `gravsim run --format csv` reproduces stored output byte for byte.
+"""Golden outputs: `gravsim run`, `sweep` and `limit` reproduce stored output byte for byte.
 
-The files under tests/data were written by `gravsim run` under random-stream
-contract 3. A change of RNG_CONTRACT changes which rounds a seed gives, so it
-regenerates these files with the commands in GOLDEN (the `.csv` from --out,
-the `.json` from stdout); any other change must leave them untouched. The
-honest file is the exception: it was written under contract 2, and a session
+The files under tests/data were written by the CLI under random-stream
+contract 3: the run transcripts by the commands in GOLDEN (the `.csv` from
+--out, the `.json` from stdout) and the sweep and limit tables by the
+commands in TABLES (stdout, in each format). A change of RNG_CONTRACT
+changes which rounds a seed gives, so it regenerates the run and sweep
+files; any other change must leave them untouched. The limit tables draw no
+random numbers. The honest file was written under contract 2, and a session
 without Eve reads the same draws under contract 3, so it must never change.
 """
 
@@ -40,6 +42,20 @@ GOLDEN = {
     ),
 }
 
+# Every sweep strategy against no and full attack on one round per point:
+# strategy names, true/false and blank cells in one table
+STRATEGY_FRACTION = (
+    '{"nonlinear": {"b": 0.05}, "session": {"seed": 41}, "sweep": {"grids": [["strategy",'
+    ' ["CloneInferred", "ResendMeasured", "Threshold"]], ["attackFraction", [0.0, 1.0]]],'
+    ' "roundsPerPoint": 1, "seedBase": 5}}'
+)
+
+TABLES = {
+    "sweep_default": ("sweep", "--config", "default.json", "--rounds", "300"),
+    "limit_page_geilker": ("limit", "--config", "page_geilker.json"),
+    "sweep_strategy_fraction": ("sweep", "--config", STRATEGY_FRACTION),
+}
+
 
 def test_golden_files_are_for_the_current_stream_contract():
     assert protocol.RNG_CONTRACT == 3
@@ -52,3 +68,10 @@ def test_run_reproduces_the_golden_transcript(name, tmp_path, capsys):
     assert cli.main(argv) == 0
     assert target.read_bytes() == (DATA / f"{name}.csv").read_bytes()
     assert capsys.readouterr().out == (DATA / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", TABLES)
+def test_sweep_and_limit_reproduce_the_golden_tables(name, fmt, capsys):
+    assert cli.main([*TABLES[name], "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / f"{name}.{fmt}").read_bytes()
