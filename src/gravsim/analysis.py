@@ -19,7 +19,7 @@ import numpy as np
 from .attack import (
     CHANCE_LEVEL,
     SensorModel,
-    _attack_table,
+    _attack_columns,
     analytic_accuracy,
     monte_carlo_accuracy,
 )
@@ -42,28 +42,41 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     what run_session gives for its point alone; a grid that fails raises
     the error of its first failing point. max_workers is accepted for
     compatibility and has no effect.
+
+    Each grid value is checked once, by base_config.with_overrides, and the
+    points are columns of the checked values. Every field is checked on
+    its own, so the first point that holds a rejected value is the first
+    point that with_overrides rejects: the points before it run, and then
+    its with_overrides raises.
     """
     names = spec.parameter_names
+    checked = [[_checked(base_config, name, v) for v in values] for name, values in spec.grids]
+    points = list(itertools.product(*checked))
+    valid = next((k for k, point in enumerate(points) if None in point), len(points))
+    table = None
+    if base_config.eve.enabled:
+        columns = dict(zip(names, zip(*points[:valid])))
+        settings = {**base_config.to_eve_config()._settings, **columns}
+        table = _attack_columns(base_config.geometry.plane, settings)
+    seeds = range(spec.seed_base, spec.seed_base + valid)
+    counts = _simulate(spec.rounds_per_point, seeds, table)
     combos = list(itertools.product(*(values for _, values in spec.grids)))
-    eves, failure = [], None
-    for combo in combos:
-        try:
-            eves.append(base_config.with_overrides(dict(zip(names, combo))).to_eve_config())
-        except ValidationError as exc:
-            # The points before it still run: a session among them may fail first.
-            failure = exc
-            break
-    with_eve = base_config.eve.enabled
-    seeds = range(spec.seed_base, spec.seed_base + len(eves))
-    counts = _simulate(spec.rounds_per_point, seeds, _attack_table(eves) if with_eve else None)
-    if failure is not None:
-        raise failure
+    if valid < len(points):  # raises: this point holds a rejected value
+        base_config.with_overrides(dict(zip(names, combos[valid])))
     rows = []
     for combo, point_counts in zip(combos, counts):
         row: dict = dict(zip(names, combo))
-        row.update(_session_stats(spec.rounds_per_point, point_counts, with_eve).to_dict())
+        row.update(_session_stats(spec.rounds_per_point, point_counts, table is not None).to_dict())
         rows.append(row)
     return rows
+
+
+def _checked(base_config: "RunConfig", name: str, value):
+    """Sweep parameter `name` at `value` as with_overrides checks it, or None if it rejects it."""
+    try:
+        return base_config.with_overrides({name: value})._setting(name)
+    except ValidationError:
+        return None
 
 
 def min_detectable_b(

@@ -46,6 +46,7 @@ class SensorModel:
     def __post_init__(self) -> None:
         sigma = check_number(self.sigma, "sensor.sigma", above=0.0)
         samples = check_integer(self.samples, "sensor.samples", minimum=1)
+        check_number(samples, "sensor.samples")  # the engine counts readings in floats
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "samples", samples)
 
@@ -101,6 +102,21 @@ class EveConfig:
         object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
         object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
 
+    @property
+    def _settings(self) -> dict:
+        """The checked value of every field the _AttackTable reads, by its configuration key."""
+        return {
+            "b": self.params.b,
+            "lambda": self.params.lam,
+            "deltaT": self.params.delta_t,
+            "samples": self.sensor.samples,
+            "sigma": self.sensor.sigma,
+            "strategy": self.strategy.mode,
+            "tau": self.strategy.tau,
+            "attackFraction": self.attack_fraction,
+            "bornFactor": self.born_factor,
+        }
+
     @cached_property
     def _table(self) -> _AttackTable:
         """The _AttackTable of this configuration alone, built on first use.
@@ -108,7 +124,7 @@ class EveConfig:
         Cached: rebuilding it on every run_session call made a 2000-round
         Eve session 4% slower (2141 -> 2228 us, interleaved medians).
         """
-        return _attack_table([self])
+        return _attack_columns(self.geometry.plane, self._settings)
 
 
 @dataclass(frozen=True)
@@ -193,9 +209,28 @@ def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
     """
     score = np.einsum("...d,...hd->...h", statistic, residuals)
     score -= offsets
-    best = score.max(axis=-1, keepdims=True, where=log_prior != -np.inf, initial=-np.inf)
+    best = _hmax(np.where(log_prior == -np.inf, -np.inf, score))[..., np.newaxis]
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
         return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
+
+
+def _hmax(x) -> np.ndarray:
+    """Row maxima of x, (..., 4) -> (...), as np.maximum folded over the four columns in order.
+
+    Bit for bit x.max(axis=-1), ties between 0.0 and -0.0 included, and
+    NaN where it gives NaN; but a fold of four columns is far faster than
+    a reduction along an axis of length 4.
+    """
+    return np.maximum(np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2]), x[..., 3])
+
+
+def _hsum(x) -> np.ndarray:
+    """Row sums of x, (..., 4) -> (...), added column by column from 0 in order.
+
+    Bit for bit x.sum(axis=-1), -0.0 rows included, for the reason _hmax
+    gives; a boolean x gives integer counts.
+    """
+    return 0 + x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
 
 
 def _offsets(residuals, count) -> np.ndarray:
@@ -252,26 +287,35 @@ class _AttackTable(NamedTuple):
     fraction: np.ndarray
 
 
-def _attack_table(eves) -> _AttackTable:
-    """The _AttackTable of a sequence of EveConfigs, one row each, in order."""
-    residuals = np.array(
-        [decay_factor(eve.params) * eve.geometry.plane for eve in eves]
-    ).reshape(-1, 4, 2)
-    fixed = {StrategyMode.CLONE_INFERRED: -math.inf, StrategyMode.RESEND_MEASURED: math.inf}
+# The posterior peak from which each strategy forwards Eve's inference
+# rather than her outcome; Threshold's is its tau.
+_RESEND_FROM = {StrategyMode.CLONE_INFERRED: -math.inf, StrategyMode.RESEND_MEASURED: math.inf}
+
+# The configuration keys of EveConfig._settings, in the order _attack_columns reads them.
+_SETTING_KEYS = (
+    "b", "lambda", "deltaT", "samples", "sigma", "strategy", "tau", "attackFraction", "bornFactor"
+)
+
+
+def _attack_columns(plane, settings) -> _AttackTable:
+    """The _AttackTable of P settings, built from the checked values of their fields.
+
+    settings maps each configuration key of EveConfig._settings to one
+    value for every row or to a sequence of P values, one per row; plane
+    is the geom.plane that all rows share. A row's residuals are its decay
+    b * exp(-lambda * deltaT), computed as decay_factor computes it, times
+    plane. Its count is the float of samples, so a count beyond int64 runs
+    as any other.
+    """
+    rows = np.broadcast(*(np.array(settings[key], dtype=object) for key in _SETTING_KEYS))
     columns = np.array(
         [
-            (
-                eve.sensor.samples,
-                eve.sensor.sigma,
-                eve.sensor.sigma * math.sqrt(eve.sensor.samples),
-                fixed.get(eve.strategy.mode, eve.strategy.tau),
-                eve.attack_fraction,
-                eve.born_factor,
-            )
-            for eve in eves
+            (b * math.exp(-lam * t), float(n), s, s * math.sqrt(n), _RESEND_FROM.get(m, tau), f, bf)
+            for b, lam, t, n, s, m, tau, f, bf in rows
         ]
-    ).reshape(-1, 6)
-    count, sigma, scale, resend_from, fraction, born = columns.T
+    )
+    decay, count, sigma, scale, resend_from, fraction, born = columns.T
+    residuals = decay[:, np.newaxis, np.newaxis] * plane
     return _AttackTable(
         residuals=residuals,
         offsets=_offsets(residuals, count[:, np.newaxis]),
@@ -297,23 +341,35 @@ def _plane_statistic(table, at, truth, normals, runs=None) -> np.ndarray:
     row. The sum of `count` readings minus count times Eve's configuration
     field, projected on the plane, is count * residuals[truth] plus noise of
     standard deviation sigma * sqrt(count) per axis, and the scores depend
-    on the readings through that projection alone. runs lists (setting,
-    start, stop) row ranges that _check_scores checks as one batch each, in
-    order; a range may be empty, and by default all rows form one batch.
+    on the readings through that projection alone.
+
+    runs, a pair (settings, bounds), splits the rows into P consecutive
+    runs: rows bounds[j] to bounds[j + 1] are under settings[j]. A run may
+    be empty, and by default all rows form one run. Each run is checked as
+    _check_scores checks one batch, with span 0 for an empty run, and the
+    first run that fails raises its error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         statistic = (
             _column(table.count, at) * table.residuals[at, truth]
             + _column(table.scale, at) * normals
         )
-    for p, start, stop in [(at, 0, len(statistic))] if runs is None else runs:
-        _check_scores(
-            float(np.abs(statistic[start:stop]).max(initial=0.0)),
-            float(table.reach[p]),
-            int(table.count[p]),
-            float(table.sigma[p]),
-            2,
-        )
+    settings, bounds = ([at], [0, len(statistic)]) if runs is None else runs
+    settings, bounds = np.asarray(settings), np.asarray(bounds)
+    filled = bounds[:-1] < bounds[1:]
+    span = np.zeros(len(settings))
+    if filled.any():
+        extent = np.abs(statistic)
+        row_extent = np.maximum(extent[:, 0], extent[:, 1])
+        span[filled] = np.maximum.reduceat(row_extent, bounds[:-1][filled])
+    reach, count = table.reach[settings], table.count[settings]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 2 * 2 * reach * (span + count * reach)  # _check_scores' bound, dim 2
+    failed = np.flatnonzero(~np.isfinite(bound))
+    if failed.size:
+        j = failed[0]
+        sigma = float(table.sigma[settings[j]])
+        _check_scores(float(span[j]), float(reach[j]), int(count[j]), sigma, 2)
     return statistic
 
 
@@ -321,13 +377,19 @@ def _break_ties(logits, peak, u) -> np.ndarray:
     """Index of each row's maximum, (n, 4) -> (n,); a tie goes to peak floor(u * ties) of the row.
 
     peak holds each row's maximum, (n, 1). u holds one uniform draw per
-    row, so the stream position never depends on the data.
+    row, so the stream position never depends on the data. A row whose
+    peak matches no entry (a NaN row) gives 0.
     """
     is_peak = logits == peak
-    ties = np.cumsum(is_peak, axis=1)
-    n_ties = ties[:, -1]
+    n_ties = _hsum(is_peak)
     pick = np.minimum((u * n_ties).astype(np.int64), n_ties - 1)
-    return (is_peak & (ties - 1 == pick[:, np.newaxis])).argmax(axis=1)
+    # seen counts the row's peaks before column h; the chosen one is the pick-th.
+    chosen = np.zeros(len(is_peak), dtype=np.int64)
+    seen = is_peak[:, 0].astype(np.int64)
+    for h in range(1, 4):
+        chosen += h * (is_peak[:, h] & (seen == pick))
+        seen += is_peak[:, h]
+    return chosen
 
 
 def infer_alice_state(
@@ -451,7 +513,7 @@ def _attack_batch(
     posterior; every posterior row is checked to be a distribution, as
     EveRecord does.
     """
-    outcome = (outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared]).sum(axis=1)
+    outcome = _hsum(outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared])
     statistic = _plane_statistic(table, at, prepared, noise, runs)
     logits = _logits(
         statistic,
@@ -460,11 +522,11 @@ def _attack_batch(
         _column(table.sigma, at),
         _LOG_PRIORS[table.born[at], outcome],
     )
-    peak = logits.max(axis=1, keepdims=True)
+    peak = _hmax(logits)[:, np.newaxis]
     weights = np.exp(logits - peak)
-    total = weights.sum(axis=1, keepdims=True)
+    total = _hsum(weights)[:, np.newaxis]
     posterior = weights / total
-    normalized = abs(posterior.sum(axis=1) - 1.0) <= POSTERIOR_TOLERANCE
+    normalized = abs(_hsum(posterior) - 1.0) <= POSTERIOR_TOLERANCE
     if not ((posterior >= 0.0).all() and normalized.all()):
         raise ValidationError("posterior must be non-negative and sum to 1")
     inferred = _break_ties(logits, peak, tie_draws)
@@ -556,12 +618,12 @@ def monte_carlo_accuracy(
     for the tie-breaks.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
-    table = _attack_table([EveConfig(geom, params, sensor, EveStrategy(), born_factor=False)])
+    table = EveConfig(geom, params, sensor, EveStrategy(), born_factor=False)._table
     truths = rng.integers(4, size=n_trials)
     noise = rng.standard_normal((n_trials, 2))
     statistic = _plane_statistic(table, 0, truths, noise)
     logits = _logits(statistic, table.residuals[0], table.offsets[0], table.sigma[0])
-    chosen = _break_ties(logits, logits.max(axis=1, keepdims=True), rng.random(n_trials))
+    chosen = _break_ties(logits, _hmax(logits)[:, np.newaxis], rng.random(n_trials))
     return float(np.mean(chosen == truths))
 
 
@@ -582,7 +644,7 @@ def cloning_fidelity(
     plane of the hypotheses and n uniforms for the tie-breaks.
     """
     n = check_integer(n_trials, "cloning_fidelity.n_trials", minimum=1)
-    table = _attack_table([EveConfig(geom, params, sensor, strategy, born_factor=born_factor)])
+    table = EveConfig(geom, params, sensor, strategy, born_factor=born_factor)._table
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)
     noise = rng.standard_normal((n, 2))

@@ -241,6 +241,14 @@ class RunConfig:
             born_factor=self.eve.born_factor,
         )
 
+    def _setting(self, key: str):
+        """The value that configuration key `key` sets, or None when its section is absent."""
+        section, field, _ = _KEYS[key]
+        owner = self
+        for name in section.split("."):
+            owner = owner if name == "session" else getattr(owner, name)
+        return None if owner is None else getattr(owner, field)
+
     def with_overrides(self, overrides: dict) -> "RunConfig":
         """A copy with sweep parameters applied; keys come from SWEEP_PARAMETERS.
 
@@ -425,12 +433,9 @@ def _to_json(value):
 def serialize_config(config: RunConfig) -> dict:
     """JSON-ready mapping that parses back to an equivalent RunConfig."""
     document: dict = {}
-    for key, (section, field, _) in _KEYS.items():
-        owner = config
-        for name in section.split("."):
-            owner = owner if name == "session" else getattr(owner, name)
-        if owner is not None:
-            value = getattr(owner, field)
+    for key, (section, _, _) in _KEYS.items():
+        value = config._setting(key)
+        if value is not None:
             value = _CODECS[key][1](value) if key in _CODECS else _to_json(value)
             document.setdefault(section.partition(".")[0], {})[key] = value
     return document

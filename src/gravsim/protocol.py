@@ -94,7 +94,11 @@ class SessionStats:
 
 def binary_entropy(p: float) -> float:
     """h2(p) in bits, with h2(0) = h2(1) = 0."""
-    p = check_number(p, "binary_entropy.p", low=0.0, high=1.0)
+    return _h2(check_number(p, "binary_entropy.p", low=0.0, high=1.0))
+
+
+def _h2(p: float) -> float:
+    """binary_entropy of a p already known to lie in [0, 1]."""
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
@@ -110,15 +114,17 @@ def key_rate(qber: float, eve_info: float) -> tuple[float, float]:
     """
     qber = check_number(qber, "key_rate.qber", low=0.0, high=1.0)
     eve_info = check_number(eve_info, "key_rate.eveInfo", low=0.0)
-    h = binary_entropy(qber)
-    theory = max(0.0, 1.0 - 2.0 * h)
-    attack = max(0.0, 1.0 - h - eve_info)
-    return theory, attack
+    return _key_rates(qber, eve_info)
 
 
-def _mutual_information(joint: np.ndarray) -> float:
-    """Plug-in mutual information (bits) of an empirical joint count table."""
-    table = joint.tolist()
+def _key_rates(qber: float, eve_info: float) -> tuple[float, float]:
+    """key_rate of a qber in [0, 1] and an eve_info >= 0 already known to be so."""
+    h = _h2(qber)
+    return max(0.0, 1.0 - 2.0 * h), max(0.0, 1.0 - h - eve_info)
+
+
+def _mutual_information(table: list[list[int]]) -> float:
+    """Plug-in mutual information (bits) of an empirical joint count table, a list of rows."""
     n = sum(map(sum, table))
     rows = [sum(row) for row in table]
     cols = [sum(col) for col in zip(*table)]
@@ -139,7 +145,8 @@ def _round_variates(seed: int, start: int, stop: int) -> np.ndarray:
     A draw x gives the uniform (x >> 11) * 2**-53 in [0, 1).
     """
     bitgen = np.random.Philox(seed)
-    bitgen.advance(start * _BLOCK // 4)
+    if start:
+        bitgen.advance(start * _BLOCK // 4)
     raw = bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK)
     return (raw >> 11) * 2.0**-53
 
@@ -214,7 +221,7 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
             if len(chunk) > 1:
                 at, attacked_owner = at[attacked], owner[attacked]
                 bounds = np.searchsorted(attacked_owner, np.arange(len(chunk) + 1)).tolist()
-                runs = zip(range(sessions.start, sessions.stop), bounds, bounds[1:])
+                runs = range(sessions.start, sessions.stop), bounds
             outcome, inferred, posterior, resent = _attack_batch(
                 alice[attacked],
                 table,
@@ -257,14 +264,14 @@ def _session_stats(n_rounds: int, counts: np.ndarray, with_eve: bool) -> Session
     sifted_count, error_count = sum(tally[:12]), sum(tally[6:12])
     attacked_count, inferred_correct = tally[12] + tally[13], tally[13]
     eve_accuracy = inferred_correct / attacked_count if attacked_count else None
-    mutual_info = (
-        _mutual_information((counts[:6] + counts[6:12]).reshape(2, 3))
-        if (with_eve and sifted_count)
-        else None
-    )
+    mutual_info = None
+    if with_eve and sifted_count:
+        # Alice's bit against Eve's guess, over correct and erroneous sifted rounds.
+        joint = [[tally[i] + tally[i + 6] for i in range(row, row + 3)] for row in (0, 3)]
+        mutual_info = _mutual_information(joint)
     if sifted_count:
         qber = error_count / sifted_count
-        theory, attack_rate = key_rate(qber, mutual_info if mutual_info is not None else 0.0)
+        theory, attack_rate = _key_rates(qber, mutual_info if mutual_info is not None else 0.0)
     else:
         qber = theory = attack_rate = None
     return SessionStats(

@@ -278,6 +278,20 @@ def binary_entropy_reference(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def break_ties_reference(logits: np.ndarray, peak: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of each row's maximum, ties split by u, through cumulative peak counts.
+
+    Row i picks its peak number floor(u[i] * ties), counted from 0 in
+    column order; peak is the (n, 1) column of row maxima. A row with no
+    entry equal to its peak gives 0.
+    """
+    is_peak = logits == peak
+    ties = np.cumsum(is_peak, axis=1)
+    n_ties = ties[:, -1]
+    pick = np.minimum((u * n_ties).astype(np.int64), n_ties - 1)
+    return (is_peak & (ties - 1 == pick[:, np.newaxis])).argmax(axis=1)
+
+
 def binomial_sigma(p: float, n: int) -> float:
     """Standard deviation of an empirical frequency with success rate p."""
     return math.sqrt(p * (1.0 - p) / n)

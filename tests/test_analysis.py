@@ -17,6 +17,7 @@ from gravsim import (
     Geometry,
     LimitResult,
     NonlinearParams,
+    RunConfig,
     SensorModel,
     SweepSpec,
     ValidationError,
@@ -223,6 +224,95 @@ def test_sweep_over_strategy_strings(base_config):
     )
     rows = sweep(spec, base_config)
     assert [row["strategy"] for row in rows] == ["CloneInferred", "ResendMeasured"]
+
+
+def lone_rows(spec, config):
+    """What run_session gives for each point of spec alone, as sweep rows."""
+    rows = []
+    for k, combo in enumerate(itertools.product(*(values for _, values in spec.grids))):
+        point = dict(zip(spec.parameter_names, combo))
+        eve = config.with_overrides(point).to_eve_config()
+        stats, _ = run_session(
+            spec.rounds_per_point, eve, seed=spec.seed_base + k, with_records=False
+        )
+        rows.append({**point, **stats.to_dict()})
+    return rows
+
+
+@pytest.mark.parametrize(
+    "grids, first",
+    [
+        (
+            (("tau", (0.0, 0.5)), ("attackFraction", (2.0, 1.0))),
+            {"tau": 0.0, "attackFraction": 2.0},
+        ),
+        (
+            (("attackFraction", (2.0, 1.0)), ("tau", (0.0, 0.5))),
+            {"attackFraction": 2.0, "tau": 0.0},
+        ),
+        (
+            (("b", (0.1, 0.2)), ("tau", (0.5, 0.0)), ("attackFraction", (1.0, 2.0))),
+            {"b": 0.1, "tau": 0.5, "attackFraction": 2.0},
+        ),
+    ],
+    ids=["two-rejected-tau-first", "two-rejected-fraction-first", "after-a-good-point"],
+)
+def test_sweep_raises_what_with_overrides_raises_for_the_first_rejected_point(
+    base_config, grids, first
+):
+    with pytest.raises(ValidationError) as alone:
+        base_config.with_overrides(first)
+    with pytest.raises(ValidationError) as grid:
+        sweep(SweepSpec(grids=grids, rounds_per_point=50, seed_base=3), base_config)
+    assert str(grid.value) == str(alone.value)
+
+
+def test_sweep_with_eve_disabled_still_rejects_an_invalid_tau(base_config):
+    honest = replace(base_config, eve=replace(base_config.eve, enabled=False))
+    spec = SweepSpec(grids=(("tau", (0.5, 0.0)),), rounds_per_point=50, seed_base=3)
+    with pytest.raises(ValidationError, match=r"^eve\.tau: must lie in \(0, 1\], got 0\.0$"):
+        sweep(spec, honest)
+
+
+def test_sweep_runs_a_repeated_grid_value_once_per_point(base_config):
+    spec = SweepSpec(
+        grids=(("b", (0.05, 0.05)), ("samples", (2, 2)), ("strategy", ("Threshold", "Threshold"))),
+        rounds_per_point=60,
+        seed_base=11,
+    )
+    rows = sweep(spec, base_config)
+    assert len(rows) == 8
+    assert rows == lone_rows(spec, base_config)
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_sweep_calls_with_overrides_once_per_grid_value_plus_one(base_config, monkeypatch, failing):
+    calls = []
+    with_overrides = RunConfig.with_overrides
+
+    def counted(self, overrides):
+        calls.append(overrides)
+        return with_overrides(self, overrides)
+
+    monkeypatch.setattr(RunConfig, "with_overrides", counted)
+    fractions = (0.5, 1.0, 2.0) if failing else (0.5, 1.0)
+    spec = SweepSpec(
+        grids=(
+            ("b", (0.0, 0.05, 0.5)),
+            ("sigma", (1e-30, 1e-12, 2.5e-12, 1e-11)),
+            ("attackFraction", fractions),
+            ("strategy", ("CloneInferred", "ResendMeasured", "Threshold")),
+        ),
+        rounds_per_point=20,
+        seed_base=5,
+    )
+    grid_values = sum(len(values) for _, values in spec.grids)
+    if failing:
+        with pytest.raises(ValidationError, match=r"^eve\.attackFraction: "):
+            sweep(spec, base_config)
+    else:
+        assert len(sweep(spec, base_config)) == 72
+    assert len(calls) <= grid_values + 1
 
 
 def test_min_detectable_b_validation(geom):

@@ -47,6 +47,19 @@ def test_run_writes_stats_json_to_stdout(capsys):
     assert stats["rounds"] == 120
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_and_sweep_at_a_sample_count_beyond_int64_exit_0(capsys):
+    samples = 10**23
+    config = {"session": {"seed": 1, "rounds": 3}, "sensor": {"samples": samples}}
+    code, out, err = run_main(["run", "--config", json.dumps(config)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rounds"] == 3
+    config["sweep"] = {"grids": [["samples", [samples, 1]]], "roundsPerPoint": 5, "seedBase": 1}
+    code, out, err = run_main(["sweep", "--config", json.dumps(config)], capsys)
+    assert (code, err) == (0, "")
+    assert [row["samples"] for row in json.loads(out)] == [samples, 1]
+
+
 @pytest.mark.parametrize("sigma", [1e-160, 1e-170])
 def test_run_at_tiny_sigma_exits_0(capsys, sigma):
     config = json.dumps(

@@ -256,3 +256,23 @@ def test_session_memory_does_not_grow_with_length():
             tracemalloc.stop()
     small, large = peaks
     assert large <= 1.05 * small
+
+
+# Past int64, and far past what a sensor could take, but a float all the same.
+HUGE_SAMPLES = 10**23
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sample_count_beyond_int64_runs():
+    # So many readings average the noise away: Eve reads every preparation.
+    stats, transcript = run_session(300, eve_config(samples=HUGE_SAMPLES), seed=2)
+    assert stats.eve_accuracy == 1.0
+    assert np.isfinite(transcript["posterior"]).all()
+    spec = SweepSpec(grids=(("samples", (HUGE_SAMPLES, 1)),), rounds_per_point=300, seed_base=2)
+    rows = sweep(spec, load_config("default.json").with_overrides({"b": 0.05}))
+    assert rows[0] == {"samples": HUGE_SAMPLES, **stats.to_dict()}
+
+
+def test_a_sample_count_beyond_double_precision_is_rejected():
+    with pytest.raises(ValidationError, match=r"^sensor\.samples: must be finite, got 1000"):
+        SensorModel(samples=10**400)
