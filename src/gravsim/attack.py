@@ -196,8 +196,8 @@ def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
     configuration field; residuals are the (4, dim) hypothesis residuals
     r_h, or one such table per statistic row, and offsets their _offsets in
     the same layout; sigma is a number or a column of one per row. Every
-    caller first passes the statistic through _check_scores, which rejects
-    a sigma that overflows it. The Gaussian scores S.r_h - count * |r_h|^2 / 2
+    caller first checks with _check_scores that the statistic's scores
+    cannot overflow. The Gaussian scores S.r_h - count * |r_h|^2 / 2
     are shifted in field units so that the best hypothesis the prior allows
     is exactly 0 (one the prior rules out is capped at 0 and keeps its -inf
     prior), and only then divided by sigma, once per factor: no sigma > 0
@@ -237,16 +237,16 @@ def _offsets(residuals, count) -> np.ndarray:
     """count * |r_h|^2 / 2 per hypothesis, (..., 4, dim) -> (..., 4).
 
     A residual too large to square gives inf; _check_scores rejects every
-    statistic that would be scored against it.
+    setting that would score a statistic against it.
     """
     with np.errstate(over="ignore"):
         return 0.5 * count * (residuals * residuals).sum(axis=-1)
 
 
-def _check_scores(span: float, reach: float, count: int, sigma: float, dim: int) -> None:
+def _check_scores(span: float, reach: float, count: float, sigma: float, dim: int) -> None:
     """Raise ValidationError unless _logits can score a batch of Eve's statistics.
 
-    span is the largest |component| of the batch's statistics, dim their
+    span bounds every |component| of the batch's statistics, dim is their
     length, and reach the largest |component| of its residuals. A
     non-finite span means sigma overflowed the readings. Otherwise
     2 * dim * reach * (span + count * reach) bounds the spread of the scores
@@ -334,43 +334,31 @@ def _column(values, at):
     return values[at] if np.ndim(at) == 0 else values[at][:, np.newaxis]
 
 
-def _plane_statistic(table, at, truth, normals, runs=None) -> np.ndarray:
+def _plane_statistic(table, at, truth, normals) -> np.ndarray:
     """Eve's statistic in plane coordinates, (n,) true hypotheses and (n, 2) normals -> (n, 2).
 
     Row i is under setting at[i] of the _AttackTable, or `at` for every
     row. The sum of `count` readings minus count times Eve's configuration
     field, projected on the plane, is count * residuals[truth] plus noise of
     standard deviation sigma * sqrt(count) per axis, and the scores depend
-    on the readings through that projection alone.
-
-    runs, a pair (settings, bounds), splits the rows into P consecutive
-    runs: rows bounds[j] to bounds[j + 1] are under settings[j]. A run may
-    be empty, and by default all rows form one run. Each run is checked as
-    _check_scores checks one batch, with span 0 for an empty run, and the
-    first run that fails raises its error.
+    on the readings through that projection alone. Callers first check the
+    table with _check_table, for an extent no normal exceeds.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        statistic = (
-            _column(table.count, at) * table.residuals[at, truth]
-            + _column(table.scale, at) * normals
-        )
-    settings, bounds = ([at], [0, len(statistic)]) if runs is None else runs
-    settings, bounds = np.asarray(settings), np.asarray(bounds)
-    filled = bounds[:-1] < bounds[1:]
-    span = np.zeros(len(settings))
-    if filled.any():
-        extent = np.abs(statistic)
-        row_extent = np.maximum(extent[:, 0], extent[:, 1])
-        span[filled] = np.maximum.reduceat(row_extent, bounds[:-1][filled])
-    reach, count = table.reach[settings], table.count[settings]
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = 2 * 2 * reach * (span + count * reach)  # _check_scores' bound, dim 2
-    failed = np.flatnonzero(~np.isfinite(bound))
-    if failed.size:
-        j = failed[0]
-        sigma = float(table.sigma[settings[j]])
-        _check_scores(float(span[j]), float(reach[j]), int(count[j]), sigma, 2)
-    return statistic
+    count, scale = _column(table.count, at), _column(table.scale, at)
+    return count * table.residuals[at, truth] + scale * normals
+
+
+def _check_table(table, extent: float) -> None:
+    """Raise the error of the first row of the _AttackTable that _logits could not score.
+
+    A row's statistics are count * residuals[truth] plus scale times normals
+    (_plane_statistic), so for normals no larger than extent in size,
+    count * reach + scale * extent bounds their components. The rule
+    depends on the row alone, never on the rounds drawn.
+    """
+    columns = (table.count, table.reach, table.scale, table.sigma)
+    for count, reach, scale, sigma in zip(*(column.tolist() for column in columns)):
+        _check_scores(count * reach + scale * extent, reach, count, sigma, 2)
 
 
 def _break_ties(logits, peak, u) -> np.ndarray:
@@ -426,13 +414,8 @@ def infer_alice_state(
     with np.errstate(over="ignore", invalid="ignore"):
         statistic = data.sum(axis=0) - count * config_field(outcome, geom)
     residuals = hypothesis_residuals(params, geom)
-    _check_scores(
-        float(np.abs(statistic).max()),
-        float(np.abs(residuals).max()),
-        count,
-        sensor.sigma,
-        geom.field_dim,
-    )
+    span, reach = float(np.abs(statistic).max()), float(np.abs(residuals).max())
+    _check_scores(span, reach, count, sensor.sigma, geom.field_dim)
     logits = _logits(
         statistic,
         residuals,
@@ -498,7 +481,6 @@ def _attack_batch(
     outcome_draws: np.ndarray,
     noise: np.ndarray,
     tie_draws: np.ndarray,
-    runs=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """attack_round over n interceptions at once, fed its variates explicitly.
 
@@ -508,13 +490,13 @@ def _attack_batch(
     the coordinates of geom.plane_basis, summed over the readings and
     divided by sqrt(samples). The scores, posteriors and choices are
     attack_round's for readings whose noise has that projection (see
-    _plane_statistic, which also checks the runs). Returns (outcome,
+    _plane_statistic, and check the table first). Returns (outcome,
     inferred, posterior, resent) as arrays of symbol indices and an (n, 4)
     posterior; every posterior row is checked to be a distribution, as
     EveRecord does.
     """
     outcome = _hsum(outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared])
-    statistic = _plane_statistic(table, at, prepared, noise, runs)
+    statistic = _plane_statistic(table, at, prepared, noise)
     logits = _logits(
         statistic,
         table.residuals[at],
@@ -581,7 +563,8 @@ def analytic_accuracy(
     closest = None
     for i in range(4):
         for j in range(i + 1, 4):
-            d = scale * math.dist(residuals[i], residuals[j])
+            distance = math.dist(residuals[i], residuals[j])
+            d = scale * distance if distance else 0.0  # scale may be inf at a subnormal sigma
             separations[i, j] = separations[j, i] = d
             if closest is None or d <= closest[0]:
                 closest = (d, i, j)
@@ -621,6 +604,7 @@ def monte_carlo_accuracy(
     table = EveConfig(geom, params, sensor, EveStrategy(), born_factor=False)._table
     truths = rng.integers(4, size=n_trials)
     noise = rng.standard_normal((n_trials, 2))
+    _check_table(table, float(np.abs(noise).max()))
     statistic = _plane_statistic(table, 0, truths, noise)
     logits = _logits(statistic, table.residuals[0], table.offsets[0], table.sigma[0])
     chosen = _break_ties(logits, _hmax(logits)[:, np.newaxis], rng.random(n_trials))
@@ -649,5 +633,6 @@ def cloning_fidelity(
     outcome_draws = rng.random(n)
     noise = rng.standard_normal((n, 2))
     tie_draws = rng.random(n)
+    _check_table(table, float(np.abs(noise).max()))
     *_, resent = _attack_batch(prepared, table, 0, outcome_draws, noise, tie_draws)
     return float(np.mean(2.0 * BRANCH_WEIGHTS[prepared, resent]))

@@ -399,15 +399,15 @@ def parse_config(
 def load_config(source: str, rounds: int | None = None, seed: int | None = None) -> RunConfig:
     """Resolve a --config value: inline JSON or a file, as parse_config reads them, else a bundle.
 
-    A name that parse_config cannot read as a file, and that holds no path
-    separator, is looked up among the bundled configs, so a local file
+    A name that is no existing path and holds no path separator is looked
+    up among the bundled configs, so a local path, even an unreadable one,
     shadows a bundle of the same name. Optional rounds/seed values override
     the session section before validation.
     """
     try:
         return parse_config(source, rounds, seed)
     except ValidationError as exc:
-        if not isinstance(exc.__cause__, OSError) or Path(source).is_file():
+        if not isinstance(exc.__cause__, OSError) or Path(source).exists():
             raise
     name = str(source)
     bundle = resources.files("gravsim").joinpath("configs", name)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import EveConfig, _attack_batch
+from .attack import EveConfig, _attack_batch, _check_table
 from .errors import ValidationError, check_integer, check_number
 from .qubits import _BOB_P0
 
@@ -136,19 +136,27 @@ def _mutual_information(table: list[list[int]]) -> float:
     return max(0.0, total)
 
 
-def _round_variates(seed: int, start: int, stop: int) -> np.ndarray:
-    """The uniforms of rounds [start, stop), shape (n, 8).
+def _round_draws(seed: int, start: int, stop: int) -> np.ndarray:
+    """The uint64 draws of rounds [start, stop), shape (n, 8).
 
-    Round i owns uint64 draws [i * K, (i + 1) * K) of Philox(seed), with
-    K = 8 whatever the configuration; Philox yields 4 draws per counter
-    step, so the stream is entered by advancing the counter 2 * start steps.
-    A draw x gives the uniform (x >> 11) * 2**-53 in [0, 1).
+    Round i owns draws [i * K, (i + 1) * K) of Philox(seed), with K = 8
+    whatever the configuration; Philox yields 4 draws per counter step, so
+    the stream is entered by advancing the counter 2 * start steps.
     """
     bitgen = np.random.Philox(seed)
     if start:
         bitgen.advance(start * _BLOCK // 4)
-    raw = bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK)
+    return bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK)
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The uniform (x >> 11) * 2**-53 in [0, 1) of each uint64 draw x."""
     return (raw >> 11) * 2.0**-53
+
+
+def _round_variates(seed: int, start: int, stop: int) -> np.ndarray:
+    """The uniforms of rounds [start, stop), shape (n, 8), as _simulate reads them."""
+    return _uniforms(_round_draws(seed, start, stop))
 
 
 def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -158,14 +166,17 @@ def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
 
 
+# The largest |component| _box_muller gives the engine: its radius at the largest uniform.
+_NORMAL_EXTENT = float(_box_muller(_uniforms(np.array([2**64 - 1], np.uint64)), np.zeros(1))[0, 0])
+
+
 def _chunks(n_points: int, n_rounds: int, block: int):
     """The pass's chunks: lists of (point, start, stop) round ranges, at most `block` rounds each.
 
-    Every session is cut into blocks of `block` rounds, as a lone session
-    is, and consecutive blocks share a chunk while they fit in it, so a
-    block is never split between chunks. A session's blocks before its
-    last are full and fill a chunk alone, so a chunk holds one block each
-    of consecutive sessions.
+    Every session is cut into blocks of `block` rounds, and consecutive
+    blocks share a chunk while they fit in it. A session's blocks before
+    its last are full and fill a chunk alone, so a chunk holds one block
+    each of consecutive sessions.
     """
     chunk, size = [], 0
     for point in range(n_points):
@@ -184,25 +195,28 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     """Run len(seeds) sessions of n_rounds rounds in one chunked pass; returns (P, 14) counts.
 
     Session p reads Philox(seeds[p]) (see run_session) and faces Eve with
-    row p of table, an _AttackTable, or no Eve when table is None. Its
-    rounds run in the blocks a lone session runs, whole blocks of
-    consecutive sessions sharing a chunk as array operations, and each
-    block's attacks are checked as a batch of their own; so every
-    session's counts, transcript rows and first error are those it has
-    alone. Per session, the counts are the sifted rounds' (error, Alice's
-    bit, Eve's guess) table, 2 x 2 x 3 cells, then the attacked rounds
-    whose inference was wrong and right. The transcript, if given, receives
-    the rounds of all sessions in order.
+    row p of table, an _AttackTable, or no Eve when table is None. Before
+    the first round, _check_table checks every row for the largest normal
+    the engine can draw, so a setting that could overflow Eve's scores
+    fails whatever the seeds, n_rounds and attack fraction. The rounds run
+    in chunks (_chunks) as array operations on independent rows, so every
+    session's counts and transcript rows are those it has alone. Per
+    session, the counts are the sifted rounds' (error, Alice's bit, Eve's
+    guess) table, 2 x 2 x 3 cells, then the attacked rounds whose inference
+    was wrong and right. The transcript, if given, receives the rounds of
+    all sessions in order.
     """
     n_points = len(seeds)
     block = max(1, _CHUNK_VARIATES // _BLOCK)
     counts = np.zeros((n_points, 14), dtype=np.int64)
     cells, hits = counts[:, :12], counts[:, 12:]
+    if table is not None:
+        _check_table(table, _NORMAL_EXTENT)
     first = 0
     for chunk in _chunks(n_points, n_rounds, block):
         sessions = slice(chunk[0][0], chunk[0][0] + len(chunk))
-        blocks = [_round_variates(int(seeds[point]), start, stop) for point, start, stop in chunk]
-        uniforms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        blocks = [_round_draws(int(seeds[point]), start, stop) for point, start, stop in chunk]
+        uniforms = _uniforms(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
         # The block of each round within the chunk; with one block, that is 0 for all.
         # Kept: the per-round-settings path on every chunk made a 2000-round Eve
         # session 3% slower (2327 -> 2399 us) and a 5000-round honest session
@@ -215,13 +229,9 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
         # Eve's guess per round: her inferred bit when its basis is Alice's, else no guess.
         guess = np.full(len(alice), _NO_GUESS)
         if table is not None:
-            at = sessions.start + owner
-            attacked = np.flatnonzero(uniforms[:, _COIN] < table.fraction[at])
-            attacked_owner, runs = owner, None
-            if len(chunk) > 1:
-                at, attacked_owner = at[attacked], owner[attacked]
-                bounds = np.searchsorted(attacked_owner, np.arange(len(chunk) + 1)).tolist()
-                runs = range(sessions.start, sessions.stop), bounds
+            attacked = np.flatnonzero(uniforms[:, _COIN] < table.fraction[sessions.start + owner])
+            attacked_owner = owner[attacked] if len(chunk) > 1 else 0
+            at = sessions.start + attacked_owner
             outcome, inferred, posterior, resent = _attack_batch(
                 alice[attacked],
                 table,
@@ -229,7 +239,6 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
                 uniforms[attacked, _EVE_OUTCOME],
                 _box_muller(uniforms[attacked, _NOISE_U], uniforms[attacked, _NOISE_V]),
                 uniforms[attacked, _TIE_BREAK],
-                runs,
             )
             state[attacked] = resent
             same_basis = inferred >> 1 == alice[attacked] >> 1

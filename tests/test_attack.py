@@ -430,6 +430,16 @@ def test_analytic_accuracy_degenerate_case(geom):
     assert est.two_hypothesis_exact == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1e-320, 5e-324])
+def test_analytic_accuracy_at_b0_is_the_same_at_a_subnormal_sigma(geom, sigma):
+    # sqrt(samples) / sigma overflows to inf there; every separation is still 0.
+    params = NonlinearParams(b=0.0)
+    est = analytic_accuracy(params, geom, SensorModel(sigma=sigma))
+    assert est == analytic_accuracy(params, geom, SensorModel(sigma=1e-300))
+    assert (est.d_min, est.two_hypothesis_exact) == (0.0, 0.5)
+
+
 def test_analytic_accuracy_high_separation_bound(geom):
     sensor = SensorModel(sigma=sigma_for_separation(10.0))
     est = analytic_accuracy(NonlinearParams(b=0.1), geom, sensor)

@@ -431,6 +431,15 @@ def test_missing_config_exits_3(capsys):
     assert "no such file or bundled config" in err
 
 
+def test_a_directory_as_config_exits_3_with_its_read_error(capsys, tmp_path, monkeypatch):
+    (tmp_path / "dircfg").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(["run", "--config", "dircfg"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("gravsim: config: cannot read dircfg: ")
+    assert err.count("\n") == 1
+
+
 def test_unwritable_out_exits_4(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "stats.json"
     code, _, err = run_main(["run", "--config", MINIMAL, "--out", str(target)], capsys)

@@ -290,6 +290,15 @@ def test_load_config_resolution_order(tmp_path, monkeypatch):
         load_config("missing.json")
 
 
+def test_load_config_names_an_existing_path_it_cannot_read(tmp_path, monkeypatch):
+    (tmp_path / "dircfg").mkdir()
+    (tmp_path / "default.json").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for name in ("dircfg", "default.json"):  # a directory shadows a bundle, as a file does
+        with pytest.raises(ValidationError, match=rf"^config: cannot read {name}: "):
+            load_config(name)
+
+
 def test_parse_config_names_a_path_it_cannot_read(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError, match=r"^config: cannot read missing\.json"):

@@ -16,6 +16,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gravsim import (
@@ -39,6 +41,7 @@ from gravsim import (
     sweep,
 )
 from gravsim import protocol
+from gravsim.attack import _LOG_PRIORS, _check_table, _hmax, _logits, _plane_statistic
 
 GEOM = default_geometry()
 BASES = (Basis.Z, Basis.X)
@@ -276,3 +279,64 @@ def test_a_sample_count_beyond_int64_runs():
 def test_a_sample_count_beyond_double_precision_is_rejected():
     with pytest.raises(ValidationError, match=r"^sensor\.samples: must be finite, got 1000"):
         SensorModel(samples=10**400)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_sigma_fails_alike_for_every_seed_and_length():
+    # Most 5-round sessions draw no normal large enough to overflow at 5e307,
+    # but the engine can draw one, so every session fails before its first round.
+    cfg = eve_config(b=0.05, sigma=5e307)
+    for seed in range(20):
+        for n in (5, 3000):
+            with pytest.raises(ValidationError) as info:
+                run_session(n, cfg, seed=seed)
+            assert str(info.value) == "sensor.sigma: 5e+307 overflows the sensor readings"
+
+
+def test_the_extent_is_the_largest_box_muller_radius():
+    extent = protocol._NORMAL_EXTENT
+    assert extent == pytest.approx(math.sqrt(-2.0 * math.log(2.0**-53)), rel=1e-15)
+    u = np.nextafter(1.0, 0.0) - np.array([0.0, 2.0**-53, 2.0**-40, 0.5])
+    normals = protocol._box_muller(u, np.linspace(0.0, 1.0, len(u), endpoint=False))
+    assert np.abs(normals).max() == extent
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    log10_mass=st.floats(-3.0, 300.0),
+    # Half the draws near the top, where a sigma overflows for some normals and not others.
+    log10_sigma=st.one_of(st.floats(-30.0, 308.0), st.floats(306.5, 308.0)),
+    b=st.floats(0.0, 1.0),
+    samples=st.integers(1, 10**6),
+    born=st.booleans(),
+)
+@example(log10_mass=150.0, log10_sigma=140.0, b=0.05, samples=1, born=True)
+@example(log10_mass=200.0, log10_sigma=190.0, b=0.05, samples=1, born=True)
+@example(log10_mass=0.0, log10_sigma=math.log10(5e307), b=0.05, samples=1, born=False)
+@example(log10_mass=0.0, log10_sigma=math.log10(2e307), b=0.05, samples=1, born=False)
+@pytest.mark.filterwarnings("error")
+def test_a_setting_the_rule_accepts_scores_every_normal_the_engine_draws(
+    log10_mass, log10_sigma, b, samples, born
+):
+    geom = Geometry(GEOM.sites, GEOM.probes, test_mass=10.0**log10_mass)
+    sensor = SensorModel(sigma=10.0**log10_sigma, samples=samples)
+    cfg = EveConfig(geom, NonlinearParams(b=b), sensor, EveStrategy(), born_factor=born)
+    table = cfg._table
+    try:
+        _check_table(table, protocol._NORMAL_EXTENT)
+    except ValidationError as rejected:
+        with pytest.raises(ValidationError) as info:
+            run_session(1, cfg, seed=0)
+        assert str(info.value) == str(rejected)
+        return
+    # Every truth and outcome against the normals at the corners and edges of the extent.
+    e = protocol._NORMAL_EXTENT
+    corners = [(x, y) for x in (-e, 0.0, e) for y in (-e, 0.0, e)]
+    truth, outcome = np.divmod(np.arange(16).repeat(len(corners)), 4)
+    normals = np.tile(corners, (16, 1))
+    statistic = _plane_statistic(table, 0, truth, normals)
+    prior = _LOG_PRIORS[int(born), outcome]
+    logits = _logits(statistic, table.residuals[0], table.offsets[0], table.sigma[0], prior)
+    assert np.isfinite(statistic).all()
+    assert not np.isnan(logits).any() and (logits < np.inf).all()
+    assert np.isfinite(_hmax(logits)).all()
