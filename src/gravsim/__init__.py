@@ -23,17 +23,13 @@ from .analysis import (
 from .attack import (
     AccuracyEstimate,
     EveConfig,
-    EveRecord,
     EveStrategy,
     SensorModel,
     StrategyMode,
     analytic_accuracy,
-    attack_round,
     cloning_fidelity,
-    hypothesis_residuals,
     infer_alice_state,
     monte_carlo_accuracy,
-    sense,
 )
 from .config import (
     SWEEP_PARAMETERS,
@@ -51,10 +47,7 @@ from .errors import GeometryError, GravsimError, ValidationError
 from .gravity import (
     Geometry,
     NonlinearParams,
-    config_field,
     decay_factor,
-    general_field,
-    mix_field,
     point_mass_field,
 )
 from .protocol import (
@@ -68,10 +61,7 @@ from .qubits import (
     SYMBOLS,
     Basis,
     Bb84Symbol,
-    bob_measure,
     branch_weights,
-    eve_dual_basis_measure,
-    prepare,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +72,6 @@ __all__ = [
     "Basis",
     "Bb84Symbol",
     "EveConfig",
-    "EveRecord",
     "EveSettings",
     "EveStrategy",
     "ExclusionExperiment",
@@ -102,30 +91,21 @@ __all__ = [
     "SYMBOLS",
     "ValidationError",
     "analytic_accuracy",
-    "attack_round",
     "binary_entropy",
-    "bob_measure",
     "branch_weights",
     "cloning_fidelity",
-    "config_field",
     "config_from_dict",
     "decay_factor",
     "default_geometry",
-    "eve_dual_basis_measure",
     "exclusion_limit",
-    "general_field",
-    "hypothesis_residuals",
     "infer_alice_state",
     "key_rate",
     "load_config",
     "min_detectable_b",
-    "mix_field",
     "monte_carlo_accuracy",
     "parse_config",
     "point_mass_field",
-    "prepare",
     "run_session",
-    "sense",
     "serialize_config",
     "signal_to_noise",
     "sweep",

@@ -198,9 +198,9 @@ def signal_to_noise(
 ) -> float:
     """Matched-filter separation of the nonlinear signal from zero, in noise units.
 
-    d = sqrt(samples) * decay_factor * |mix_field| / sigma for one
-    observation at delay delta_t; b, lam and delta_t are checked as
-    NonlinearParams checks them.
+    d = sqrt(samples) * decay_factor * |mix| / sigma for one observation
+    at delay delta_t, with mix the preparation's row of geom.mix_matrix;
+    b, lam and delta_t are checked as NonlinearParams checks them.
     """
     factor = decay_factor(NonlinearParams(b=b, lam=lam, delta_t=delta_t))
     mix = geom.mix_matrix[as_symbol(preparation, "limit.preparation")]

@@ -1,10 +1,13 @@
-"""Eve's attack round: interception, mass placement, field sensing, and inference.
+"""Eve's attack: interception, field sensing, inference of Alice's preparation, and resend.
 
-One round runs the pipeline prepare -> dual-basis measurement of the split
-qubit (outcome s) -> mass moved to site s -> noisy field sensing ->
-Gaussian maximum-likelihood inference of Alice's preparation -> resend.
-The field Eve senses carries the nonlinear mixture term, so its residual
-after subtracting her own configuration field identifies the preparation.
+Eve measures the split qubit in both bases (outcome s), moves her mass to
+site s and senses the field with Gaussian noise. The field carries the
+nonlinear mixture term, so its residual after subtracting her own
+configuration field identifies the preparation by Gaussian maximum
+likelihood; she then resends by her strategy. infer_alice_state scores
+measured readings on the full field; the session engine and cloning
+fidelity (_attack_batch) and Monte Carlo score whole batches in the plane
+of the hypotheses. All of them share one scoring kernel, _logits.
 """
 
 from __future__ import annotations
@@ -17,17 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_flag, check_integer, check_number
-from .gravity import Geometry, NonlinearParams, config_field, decay_factor, general_field
-from .qubits import (
-    _EVE_CUMULATIVE,
-    BRANCH_WEIGHTS,
-    SYMBOLS,
-    Bb84Symbol,
-    as_symbol,
-    eve_dual_basis_measure,
-    prepare,
-)
+from .errors import ValidationError, check_flag, check_integer, check_number, is_number
+from .gravity import Geometry, NonlinearParams, decay_factor
+from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, as_symbol
 
 POSTERIOR_TOLERANCE = 1e-9
 
@@ -127,29 +122,6 @@ class EveConfig:
         return _attack_columns(self.geometry.plane, self._settings)
 
 
-@dataclass(frozen=True)
-class EveRecord:
-    """Eve's per-round transcript: outcome, inference, and what she resent."""
-
-    outcome: Bb84Symbol
-    inferred: Bb84Symbol
-    posterior: tuple[float, float, float, float]
-    resent: Bb84Symbol
-    cloned: bool
-
-    def __post_init__(self) -> None:
-        values = tuple(float(p) for p in self.posterior)
-        if (
-            len(values) != 4
-            or any(p < 0.0 for p in values)
-            or abs(sum(values) - 1.0) > POSTERIOR_TOLERANCE
-        ):
-            raise ValidationError(
-                f"posterior must be non-negative and sum to 1: {self.posterior!r}"
-            )
-        object.__setattr__(self, "posterior", values)
-
-
 # Row s, column h: log P(outcome s | preparation h). Zero-probability pairs
 # get -inf so they can never be inferred.
 with np.errstate(divide="ignore"):
@@ -160,33 +132,10 @@ _OUTCOME_LOG_LIKELIHOOD.setflags(write=False)
 # factor, [1] with it.
 _LOG_PRIORS = np.stack([np.zeros((4, 4)), _OUTCOME_LOG_LIKELIHOOD])
 
-# eve_dual_basis_measure's thresholds as a (4, 4) array, row per preparation.
-_EVE_EDGES = np.array(_EVE_CUMULATIVE)
-
-
-def sense(true_field, sensor: SensorModel, rng: np.random.Generator) -> np.ndarray:
-    """Noisy sensor readings of a field, shape (samples, field_dim).
-
-    Each reading is the true field plus independent zero-mean Gaussian noise
-    of standard deviation sensor.sigma per component; a huge sigma may
-    overflow readings to inf, which the inference rejects.
-    """
-    field = np.asarray(true_field, dtype=np.float64)
-    if field.ndim != 1:
-        raise ValidationError("sense: true field must be a flat vector")
-    noise = rng.standard_normal((sensor.samples, field.shape[0]))
-    with np.errstate(over="ignore"):
-        return field + sensor.sigma * noise
-
-
-def hypothesis_residuals(params: NonlinearParams, geom: Geometry) -> np.ndarray:
-    """Expected nonlinear residual per preparation hypothesis, shape (4, field_dim).
-
-    Row h is decay_factor(params) * mix_field(branch_weights(h)); this is what
-    remains of the sensed field once Eve subtracts the configuration field of
-    her own outcome.
-    """
-    return decay_factor(params) * geom.mix_matrix
+# Eve's outcome thresholds, row per preparation: the cumulative branch
+# weights, exact multiples of 1/4 that end at 1. A uniform u gives the
+# outcome that counts the thresholds at or below u.
+_EVE_EDGES = np.cumsum(BRANCH_WEIGHTS, axis=1)
 
 
 def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
@@ -264,16 +213,15 @@ def _check_scores(span: float, reach: float, count: float, sigma: float, dim: in
 class _AttackTable(NamedTuple):
     """Eve's constants for P EveConfigs, stacked on axis 0 for _attack_batch.
 
-    Row p holds what attack_round derives from configuration p, computed as
-    it computes it, so that a round gathering row p is scored bit for bit as
-    in a batch of that configuration alone: residuals decay_factor *
-    geom.plane (P, 4, 2) and their _offsets (P, 4) for the scores, and per
-    configuration (P,): count (the number of readings), sigma, scale =
-    sigma * sqrt(count), reach (the largest |residual|), born (1 where the
-    outcome's likelihood weighs in), resend_from, the posterior peak from
-    which Eve forwards her inference rather than her outcome (-inf for
-    CloneInferred, tau for Threshold and inf for ResendMeasured), and
-    fraction, the share of rounds she attacks.
+    Row p holds the constants of configuration p, so that a round gathering
+    row p is scored bit for bit as in a batch of that configuration alone:
+    residuals decay_factor * geom.plane (P, 4, 2) and their _offsets (P, 4)
+    for the scores, and per configuration (P,): count (the number of
+    readings), sigma, scale = sigma * sqrt(count), reach (the largest
+    |residual|), born (1 where the outcome's likelihood weighs in),
+    resend_from, the posterior peak from which Eve forwards her inference
+    rather than her outcome (-inf for CloneInferred, tau for Threshold and
+    inf for ResendMeasured), and fraction, the share of rounds she attacks.
     """
 
     residuals: np.ndarray
@@ -380,6 +328,33 @@ def _break_ties(logits, peak, u) -> np.ndarray:
     return chosen
 
 
+def _readings(readings) -> np.ndarray:
+    """readings as a float64 array, each entry checked to be a number other than NaN.
+
+    Readings come from outside the program, so an array that is not of
+    integers or floats is checked entry by entry (errors.is_number) rather
+    than converted, which would read True as 1.0 or drop an imaginary part.
+    """
+    if isinstance(readings, np.ndarray) and readings.dtype.kind in "iuf":
+        data = readings.astype(np.float64, copy=False)
+    else:
+        values = np.asarray(readings, dtype=object)
+        for value in values.flat:
+            if not is_number(value):
+                raise ValidationError(
+                    f"infer_alice_state: readings must be real numbers, got {value!r}"
+                )
+        try:
+            data = values.astype(np.float64)
+        except OverflowError:  # an int beyond double precision
+            raise ValidationError(
+                "infer_alice_state: readings must lie within double precision"
+            ) from None
+    if np.isnan(data).any():
+        raise ValidationError("infer_alice_state: readings must be real numbers, got nan")
+    return data
+
+
 def infer_alice_state(
     readings,
     eve_outcome: Bb84Symbol,
@@ -391,16 +366,19 @@ def infer_alice_state(
 ) -> tuple[Bb84Symbol, np.ndarray]:
     """Gaussian maximum-likelihood identification of Alice's preparation.
 
-    Subtracts the configuration field of Eve's own outcome from the readings,
-    scores the four preparation hypotheses against their expected nonlinear
-    residuals under the sensor's Gaussian noise, and optionally multiplies in
+    readings holds k sensed fields, shape (k, field_dim) or one flat field;
+    every entry must be a number (never a bool, string or complex value)
+    other than NaN. Subtracts the configuration field of Eve's own outcome
+    from the readings, scores the four preparation hypotheses against their
+    expected nonlinear residuals decay_factor(params) * geom.mix_matrix
+    under the sensor's Gaussian noise, and optionally multiplies in
     the probability of Eve's outcome under each hypothesis (born_factor).
     Ties in the maximum are broken uniformly at random; one uniform draw is
     consumed on every call so the stream position never depends on the data.
 
     Returns (inferred symbol, posterior over the four preparations).
     """
-    data = np.asarray(readings, dtype=np.float64)
+    data = _readings(readings)
     if data.ndim == 1:
         data = data[np.newaxis, :]
     if data.size == 0:
@@ -410,10 +388,11 @@ def infer_alice_state(
             f"infer_alice_state: readings must have shape (k, {geom.field_dim}), got {data.shape}"
         )
     outcome = as_symbol(eve_outcome, "infer_alice_state")
+    born_factor = check_flag(born_factor, "eve.bornFactor")
     count = data.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        statistic = data.sum(axis=0) - count * config_field(outcome, geom)
-    residuals = hypothesis_residuals(params, geom)
+        statistic = data.sum(axis=0) - count * geom.config_matrix[outcome]
+    residuals = decay_factor(params) * geom.mix_matrix
     span, reach = float(np.abs(statistic).max()), float(np.abs(residuals).max())
     _check_scores(span, reach, count, sensor.sigma, geom.field_dim)
     logits = _logits(
@@ -432,48 +411,6 @@ def infer_alice_state(
     return inferred, posterior
 
 
-def attack_round(
-    prepared: Bb84Symbol,
-    geom: Geometry,
-    params: NonlinearParams,
-    sensor: SensorModel,
-    strategy: EveStrategy,
-    rng: np.random.Generator,
-    born_factor: bool = True,
-) -> tuple[Bb84Symbol, EveRecord]:
-    """One full interception; returns (symbol resent to Bob, EveRecord).
-
-    Draw order from `rng`: one uniform for the dual-basis outcome, the sensor
-    noise block, one uniform for inference tie-breaking. Resend rule:
-    CloneInferred forwards the inferred preparation, ResendMeasured forwards
-    Eve's measured outcome, Threshold forwards the inferred preparation only
-    when the posterior peak reaches tau and the outcome otherwise.
-    """
-    prepared = prepare(prepared)
-    if not isinstance(strategy, EveStrategy):
-        raise ValidationError(f"attack_round: strategy must be an EveStrategy, got {strategy!r}")
-    outcome = eve_dual_basis_measure(prepared, rng)
-    true_field = general_field(outcome, prepared, params, geom)
-    readings = sense(true_field, sensor, rng)
-    inferred, posterior = infer_alice_state(
-        readings, outcome, geom, params, sensor, rng, born_factor
-    )
-    if strategy.mode is StrategyMode.CLONE_INFERRED:
-        resent = inferred
-    elif strategy.mode is StrategyMode.RESEND_MEASURED:
-        resent = outcome
-    else:
-        resent = inferred if float(posterior.max()) >= strategy.tau else outcome
-    record = EveRecord(
-        outcome=outcome,
-        inferred=inferred,
-        posterior=tuple(float(p) for p in posterior),
-        resent=resent,
-        cloned=resent == prepared,
-    )
-    return prepare(resent), record
-
-
 def _attack_batch(
     prepared: np.ndarray,
     table: _AttackTable,
@@ -482,18 +419,21 @@ def _attack_batch(
     noise: np.ndarray,
     tie_draws: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """attack_round over n interceptions at once, fed its variates explicitly.
+    """Eve's attack on n rounds at once, fed its variates explicitly.
 
     Interception i runs setting at[i] of the _AttackTable, or `at` for all
     of them. prepared holds symbol indices, outcome_draws and tie_draws one
     uniform per round, noise (n, 2) standard normals: the sensor noise in
     the coordinates of geom.plane_basis, summed over the readings and
-    divided by sqrt(samples). The scores, posteriors and choices are
-    attack_round's for readings whose noise has that projection (see
-    _plane_statistic, and check the table first). Returns (outcome,
-    inferred, posterior, resent) as arrays of symbol indices and an (n, 4)
-    posterior; every posterior row is checked to be a distribution, as
-    EveRecord does.
+    divided by sqrt(samples). Eve's outcome is the count of the _EVE_EDGES
+    of the preparation at or below its draw. The scores, posteriors and
+    choices are infer_alice_state's for readings whose noise has that
+    projection (see _plane_statistic, and check the table first). Resend:
+    CloneInferred forwards the inference, ResendMeasured the outcome, and
+    Threshold the inference only when the posterior peak reaches tau.
+    Returns (outcome, inferred, posterior, resent) as arrays of symbol
+    indices and an (n, 4) posterior; every posterior row is checked to be
+    a distribution.
     """
     outcome = _hsum(outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared])
     statistic = _plane_statistic(table, at, prepared, noise)

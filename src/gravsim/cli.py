@@ -25,12 +25,20 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import STAT_COLUMNS, ExclusionExperiment, LimitResult, exclusion_limit, sweep
-from .attack import EveConfig, EveStrategy, SensorModel, StrategyMode, infer_alice_state, sense
+from .attack import (
+    _EVE_EDGES,
+    EveConfig,
+    EveStrategy,
+    SensorModel,
+    StrategyMode,
+    _attack_batch,
+    _check_table,
+)
 from .config import default_geometry, load_config
 from .errors import GravsimError, ValidationError
-from .gravity import NonlinearParams, config_field, general_field
+from .gravity import NonlinearParams
 from .protocol import binary_entropy, key_rate, run_session
-from .qubits import SYMBOLS, Basis, Bb84Symbol, branch_weights, eve_dual_basis_measure, prepare
+from .qubits import SYMBOLS, Basis, Bb84Symbol, branch_weights
 
 RECORD_COLUMNS = (
     "round",
@@ -240,13 +248,12 @@ def _check_branch_weight_table() -> None:
 
 
 def _check_measurement_frequencies() -> None:
+    # Eve's outcomes for 100 000 uniforms against the engine's thresholds.
     rng = np.random.default_rng(12345)
-    state = prepare(Bb84Symbol.Z0)
-    probs = branch_weights(state)
+    probs = branch_weights(Bb84Symbol.Z0)
     n = 100_000
-    counts = [0, 0, 0, 0]
-    for _ in range(n):
-        counts[eve_dual_basis_measure(state, rng)] += 1
+    outcomes = (rng.random(n)[:, np.newaxis] >= _EVE_EDGES[Bb84Symbol.Z0]).sum(axis=1)
+    counts = np.bincount(outcomes, minlength=4).tolist()
     for outcome in SYMBOLS:
         p = probs[outcome]
         freq = counts[outcome] / n
@@ -260,16 +267,12 @@ def _check_measurement_frequencies() -> None:
 
 
 def _check_linear_limit_field() -> None:
-    geom = default_geometry()
+    # At b = 0 the field Eve senses is her configuration field: no residual is left.
     params = NonlinearParams(b=0.0, lam=0.7, delta_t=3.0)
+    table = EveConfig(default_geometry(), params, SensorModel(), EveStrategy())._table
     for prepared in SYMBOLS:
-        for outcome in SYMBOLS:
-            if branch_weights(prepared)[outcome] == 0.0:
-                continue
-            field = general_field(outcome.label, prepared, params, geom)
-            base = config_field(outcome.label, geom)
-            if not np.array_equal(field, base):
-                raise AssertionError(f"b=0 field differs for {prepared.label}/{outcome.label}")
+        if table.residuals[0, prepared].any() or table.offsets[0, prepared] != 0.0:
+            raise AssertionError(f"b=0 residual is not zero for {prepared.label}")
 
 
 def _break_regime_config() -> EveConfig:
@@ -328,16 +331,16 @@ def _check_replay_determinism() -> None:
 def _check_posterior_normalization() -> None:
     geom = default_geometry()
     rng = np.random.default_rng(99)
+    prepared = np.arange(4)
     for b, sigma in ((0.05, 1e-10), (0.3, 1e-11), (1.0, 1e-12)):
-        params = NonlinearParams(b=b)
         sensor = SensorModel(sigma=sigma, samples=3)
-        for prepared in SYMBOLS:
-            outcome = eve_dual_basis_measure(prepare(prepared), rng)
-            field = general_field(outcome.label, prepared, params, geom)
-            readings = sense(field, sensor, rng)
-            _, posterior = infer_alice_state(readings, outcome, geom, params, sensor, rng)
-            if abs(sum(posterior) - 1.0) > 1e-9 or min(posterior) < 0.0:
-                raise AssertionError(f"posterior {posterior} is not a distribution")
+        table = EveConfig(geom, NonlinearParams(b=b), sensor, EveStrategy())._table
+        outcome_draws, noise, tie_draws = rng.random(4), rng.standard_normal((4, 2)), rng.random(4)
+        _check_table(table, float(np.abs(noise).max()))
+        _, _, posterior, _ = _attack_batch(prepared, table, 0, outcome_draws, noise, tie_draws)
+        for row in posterior.tolist():
+            if abs(sum(row) - 1.0) > 1e-9 or min(row) < 0.0:
+                raise AssertionError(f"posterior {row} is not a distribution")
 
 
 def _check_exclusion_anchor() -> None:

@@ -27,13 +27,18 @@ class GeometryError(ValidationError):
     """Geometry constraint violated, such as a probe sitting on a mass site."""
 
 
+def is_number(value) -> bool:
+    """Whether value is a number: an int, float or numpy integer or floating value, never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_number(value, path: str, *, low=None, high=None, above=None, below=None) -> float:
     """value as a finite float within the given bounds.
 
     low and high are inclusive bounds, above and below strict ones; an upper
     bound comes with a lower one.
     """
-    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+    if not is_number(value):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
     try:
         number = float(value)

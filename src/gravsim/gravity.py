@@ -4,7 +4,7 @@ A field is represented by the acceleration vectors it produces at a fixed
 set of probe points, flattened into one array of 3 * n_probes components
 (m/s^2). The mass sits at one of four sites, one per BB84 symbol; the
 mixture field weights the four single-site fields by branch probabilities,
-and the general field adds a decaying fraction of that mixture on top of
+and the field Eve senses adds decay_factor times that mixture on top of
 the realized configuration.
 """
 
@@ -17,24 +17,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError, ValidationError, check_number
-from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, as_symbol
+from .qubits import BRANCH_WEIGHTS, SYMBOLS
 
 NEWTON_G = 6.674e-11
 
 MIN_PROBE_SEPARATION = 1e-6
 
-_WEIGHT_TOLERANCE = 1e-12
-
 _EPSILON = float(np.finfo(np.float64).eps)
-
-# A field vector is a flat float64 array of 3 * n_probes acceleration
-# components; the alias documents intent in signatures.
-FieldVector = np.ndarray
 
 
 def point_mass_field(
     site_pos, probe_pos, mass: float, grav_const: float = NEWTON_G
-) -> FieldVector:
+) -> np.ndarray:
     """Gravitational acceleration at a probe due to a point mass at a site.
 
     Returns grav_const * mass * (site - probe) / |site - probe|^3, the
@@ -120,12 +114,9 @@ class Geometry:
     def field_dim(self) -> int:
         return 3 * self.n_probes
 
-    def site_position(self, symbol: Bb84Symbol) -> np.ndarray:
-        return self.sites[as_symbol(symbol, "site_position")]
-
     @cached_property
     def config_matrix(self) -> np.ndarray:
-        """Read-only (4, field_dim) matrix; row s is config_field(s)."""
+        """Read-only (4, field_dim) matrix; row s is the field of the mass at site s."""
         rows = [
             np.concatenate(
                 [
@@ -141,7 +132,11 @@ class Geometry:
 
     @cached_property
     def mix_matrix(self) -> np.ndarray:
-        """Read-only (4, field_dim) matrix; row s is mix_field(branch_weights(s))."""
+        """Read-only (4, field_dim) matrix; row p is BRANCH_WEIGHTS[p] @ config_matrix.
+
+        Row p is the mixture field of preparation p: the four configuration
+        fields weighted by the branch weights of p.
+        """
         matrix = np.array([weights @ self.config_matrix for weights in BRANCH_WEIGHTS])
         matrix.setflags(write=False)
         return matrix
@@ -195,28 +190,6 @@ class Geometry:
         return plane
 
 
-def config_field(label: Bb84Symbol, geom: Geometry) -> FieldVector:
-    """Field of the single mass parked at the site for `label`, over all probes."""
-    return geom.config_matrix[as_symbol(label, "config_field")].copy()
-
-
-def mix_field(weights, geom: Geometry) -> FieldVector:
-    """Branch-weighted mixture field: sum over s of w(s) * config_field(s).
-
-    `weights` is any four non-negative numbers in SYMBOLS order that sum to
-    1. Linear in the weights; a degenerate weight vector reproduces the
-    matching configuration field exactly.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (4,):
-        raise ValidationError(f"branch weights must have four entries, got {w.size}")
-    if not (w >= 0.0).all():
-        raise ValidationError(f"branch weights must be non-negative: {w.tolist()!r}")
-    if abs(w.sum() - 1.0) > _WEIGHT_TOLERANCE:
-        raise ValidationError(f"branch weights must sum to 1: {w.tolist()!r}")
-    return w @ geom.config_matrix
-
-
 @dataclass(frozen=True)
 class NonlinearParams:
     """Amplitude b, relaxation rate lam (1/s), and delay delta_t (s) of the nonlinear term."""
@@ -235,23 +208,3 @@ def decay_factor(params: NonlinearParams) -> float:
     """The scalar b * exp(-lam * delta_t) multiplying the mixture term."""
     return params.b * math.exp(-params.lam * params.delta_t)
 
-
-def general_field(
-    label: Bb84Symbol,
-    prepared: Bb84Symbol,
-    params: NonlinearParams,
-    geom: Geometry,
-) -> FieldVector:
-    """Post-attack field: config_field(label) + decay_factor(params) * geom.mix_matrix[prepared].
-
-    `label` is the realized mass position (Eve's outcome) and `prepared` is
-    Alice's preparation, whose branch weights source the mixture. When the
-    decay factor is exactly zero the configuration field is returned
-    unchanged bit for bit, which is the linear limit.
-    """
-    mix = geom.mix_matrix[as_symbol(prepared, "general_field")]
-    base = config_field(label, geom)
-    factor = decay_factor(params)
-    if factor == 0.0:
-        return base
-    return base + factor * mix

@@ -20,7 +20,7 @@ from .qubits import _BOB_P0
 ABORT_QBER = 0.11
 
 # Version of the random-stream layout that run_session reads (see
-# _round_variates); it changes whenever a seed would give other rounds.
+# _round_draws); it changes whenever a seed would give other rounds.
 RNG_CONTRACT = 3
 
 # Every round's block of uniforms, in stream order: six, then the pair that
@@ -152,11 +152,6 @@ def _round_draws(seed: int, start: int, stop: int) -> np.ndarray:
 def _uniforms(raw: np.ndarray) -> np.ndarray:
     """The uniform (x >> 11) * 2**-53 in [0, 1) of each uint64 draw x."""
     return (raw >> 11) * 2.0**-53
-
-
-def _round_variates(seed: int, start: int, stop: int) -> np.ndarray:
-    """The uniforms of rounds [start, stop), shape (n, 8), as _simulate reads them."""
-    return _uniforms(_round_draws(seed, start, stop))
 
 
 def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -305,15 +300,15 @@ def run_session(
     """Simulate a BB84 session; returns (SessionStats, transcript).
 
     Round i reads only its own block of the counter-based stream
-    Philox(seed) (RNG_CONTRACT, see _round_variates): uniforms for Alice's
+    Philox(seed) (RNG_CONTRACT, see _round_draws): uniforms for Alice's
     symbol floor(4u), the attack coin u < attack_fraction, Eve's outcome,
     her tie-break, Bob's basis floor(2u) and Bob's bit, then the pair that
     Box-Muller turns into the two standard normals of Eve's sensor noise in
     the plane of her hypotheses (unused without Eve). A session is
     therefore a prefix of every longer session with the same configuration
     and seed. Rounds are simulated in vectorised chunks of bounded size,
-    with attack_round's and bob_measure's rules applied to whole arrays;
-    the chunking never changes a result.
+    with Eve's attack (_attack_batch) and Bob's Born-rule measurement
+    (_BOB_P0) applied to whole arrays; the chunking never changes a result.
 
     The transcript is a structured array with one row per round and the
     fields alice, bob_basis, bob_bit, sifted, error (False on unsifted

@@ -10,7 +10,6 @@ the state to symbol s with probability 0.5 * |<s|psi>|^2.
 
 from __future__ import annotations
 
-import bisect
 import enum
 
 import numpy as np
@@ -94,53 +93,17 @@ BRANCH_WEIGHTS = np.array(
 )
 BRANCH_WEIGHTS.setflags(write=False)
 
-# Eve's outcome thresholds per prepared symbol: cumulative branch weights,
-# exact multiples of 1/4 that end at 1.
-_EVE_CUMULATIVE = tuple(tuple(row) for row in np.cumsum(BRANCH_WEIGHTS, axis=1).tolist())
-
 # P(bit 0) when Bob measures prepared symbol p (row) in basis Z (column 0)
 # or X (column 1): the weight of the basis's bit-0 symbol over the weight of
 # the whole basis.
 _BOB_P0 = BRANCH_WEIGHTS[:, 0::2] / (BRANCH_WEIGHTS[:, 0::2] + BRANCH_WEIGHTS[:, 1::2])
 _BOB_P0.setflags(write=False)
-_BASES = (Basis.Z, Basis.X)
-
-
-def _require_symbol(state, where: str) -> Bb84Symbol:
-    if not isinstance(state, Bb84Symbol):
-        raise ValidationError(f"{where}: expected a Bb84Symbol, got {state!r}")
-    return state
-
-
-def prepare(symbol: Bb84Symbol) -> Bb84Symbol:
-    """Return the qubit Alice sends for a symbol; a qubit is carried as its symbol."""
-    return as_symbol(symbol, "prepare")
 
 
 def branch_weights(prepared: Bb84Symbol) -> np.ndarray:
     """Read-only row of BRANCH_WEIGHTS: the four mass-branch weights of a preparation.
 
     Every weight is one of {0, 1/4, 1/2} exactly, and the row is also the
-    outcome distribution of eve_dual_basis_measure.
+    law of Eve's dual-basis outcome for that preparation.
     """
-    return BRANCH_WEIGHTS[prepare(prepared)]
-
-
-def eve_dual_basis_measure(state: Bb84Symbol, rng: np.random.Generator) -> Bb84Symbol:
-    """Sample Eve's interception outcome; consumes exactly one uniform draw.
-
-    One spatial arm is measured in the Z basis and the other in X; exactly
-    one detection occurs per round, distributed per branch_weights(state).
-    """
-    edges = _EVE_CUMULATIVE[_require_symbol(state, "eve_dual_basis_measure")]
-    return SYMBOLS[bisect.bisect_right(edges, rng.random())]
-
-
-def bob_measure(state: Bb84Symbol, basis: Basis, rng: np.random.Generator) -> int:
-    """Measure a qubit in the given basis; returns the outcome bit.
-
-    An eigenstate of the basis gives its bit deterministically, a state of
-    the conjugate basis a fair coin. Consumes exactly one uniform draw.
-    """
-    p0 = _BOB_P0[_require_symbol(state, "bob_measure"), _BASES.index(Basis(basis))]
-    return 0 if rng.random() < p0 else 1
+    return BRANCH_WEIGHTS[as_symbol(prepared, "branch_weights")]

@@ -3,12 +3,14 @@
 Nothing here calls into the package under test. Exact results come from
 rational arithmetic over the ring Q(sqrt 2) (every BB84 amplitude lives
 there) and from exhaustive enumeration of the protocol's discrete round
-combinations; normal-distribution values come from the C library's erf/erfc
-rather than any scipy machinery the package itself uses.
+combinations; normal-distribution values come from the C library's erf/erfc.
+Eve's attack on one round is re-derived on the full field, with nearest-mean
+distances in place of the package's plane scores and its own Born law.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,6 +78,10 @@ def eve_outcome_distribution(prepared: str) -> dict[str, Fraction]:
     dist = {s: overlap_sq(s, prepared) * HALF for s in LABELS}
     assert sum(dist.values()) == 1
     return dist
+
+
+# The exact outcome law of every preparation, computed once for the per-round reference below.
+OUTCOME_LAW = {p: eve_outcome_distribution(p) for p in LABELS}
 
 
 def bob_bit_distribution(state: str, basis: str) -> dict[int, Fraction]:
@@ -174,6 +180,57 @@ def uniform_resend_fidelity() -> Fraction:
         for resent in LABELS:
             total += quarter * quarter * overlap_sq(prepared, resent)
     return total
+
+
+def full_field_inference(readings, outcome, config_matrix, residuals, sigma, born, tie_u):
+    """Eve's inference from full-field readings: (inferred index, posterior).
+
+    readings is (samples, dim); outcome is Eve's outcome index,
+    config_matrix holds the (4, dim) configuration fields and residuals the
+    (4, dim) nonlinear residual of each preparation hypothesis. Hypothesis
+    h scores -|S - samples * r_h|^2 / (2 * samples * sigma^2), with S the
+    readings' sum minus samples times Eve's configuration field, plus
+    log P(outcome | h) when born. Ties at the best score go to number
+    floor(tie_u * ties), counted in symbol order.
+    """
+    readings = np.asarray(readings, dtype=float)
+    count = len(readings)
+    statistic = readings.sum(axis=0) - count * config_matrix[outcome]
+    distance = ((statistic - count * np.asarray(residuals)) ** 2).sum(axis=1)
+    law = [OUTCOME_LAW[h][LABELS[outcome]] if born else 1 for h in LABELS]
+    nearest = min(d for d, p in zip(distance, law) if p > 0)
+    logits = np.array(
+        [math.log(p) - (d - nearest) / (2 * count) / sigma / sigma if p > 0 else -math.inf
+         for d, p in zip(distance, law)]
+    )
+    weights = np.exp(logits - logits.max())
+    ties = [h for h in range(4) if logits[h] == logits.max()]
+    return ties[min(int(tie_u * len(ties)), len(ties) - 1)], weights / weights.sum()
+
+
+def full_field_round(
+    prepared, config_matrix, mix_matrix, decay, sigma, born, mode, tau, outcome_u, noise, tie_u
+):
+    """Eve's attack on one round over the full field: (outcome, inferred, posterior, resent).
+
+    The round is fed its variates; prepared is Alice's symbol index. Eve's
+    outcome is the symbol whose interval of the exact cumulative law
+    P(s | prepared) holds outcome_u. Her readings are config_matrix[outcome]
+    + decay * mix_matrix[prepared] plus sigma times the (samples, dim)
+    standard normals noise, and full_field_inference infers the preparation
+    against the residuals decay * mix_matrix. Mode CloneInferred resends the
+    inference, ResendMeasured the outcome and Threshold the inference only
+    when the posterior peak reaches tau.
+    """
+    edges = itertools.accumulate(OUTCOME_LAW[LABELS[prepared]].values())
+    outcome = sum(outcome_u >= edge for edge in edges)
+    readings = config_matrix[outcome] + decay * mix_matrix[prepared] + sigma * np.asarray(noise)
+    residuals = decay * np.asarray(mix_matrix)
+    inferred, posterior = full_field_inference(
+        readings, outcome, config_matrix, residuals, sigma, born, tie_u
+    )
+    confident = mode == "CloneInferred" or (mode == "Threshold" and posterior.max() >= tau)
+    return outcome, inferred, posterior, inferred if confident else outcome
 
 
 def normal_cdf(x: float) -> float:

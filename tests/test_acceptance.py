@@ -20,7 +20,6 @@ import pytest
 import oracles
 from conftest import gravsim_env, record_acceptance
 from gravsim import (
-    Bb84Symbol,
     EveConfig,
     EveStrategy,
     NonlinearParams,
@@ -28,14 +27,9 @@ from gravsim import (
     SensorModel,
     analytic_accuracy,
     cloning_fidelity,
-    config_field,
     decay_factor,
     default_geometry,
-    eve_dual_basis_measure,
-    general_field,
-    hypothesis_residuals,
     monte_carlo_accuracy,
-    prepare,
     run_session,
 )
 
@@ -44,7 +38,7 @@ SESSION_ROUNDS = 100_000
 # The QBER tolerance of 0.005 is 2.6 standard errors at 10^5 rounds, so a fair
 # seed misses it about 1% of the time; at 10^6 rounds it is 8 standard errors.
 BASELINE_ROUNDS = 1_000_000
-# |mix_field| gap between the closest hypothesis pair at b=1 (pinned in unit tests)
+# Distance between the closest pair of mix rows, the residuals at b=1 (pinned in unit tests)
 CLOSEST_PAIR_NORM = 1.2191467782674696e-10
 
 
@@ -90,29 +84,30 @@ def gravsim_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
 def test_criterion_1_interception_outcome_frequencies():
     with criterion(1, "interception outcome frequencies"):
         started = time.monotonic()
-        n = 1_000_000
-        state = prepare(Bb84Symbol.Z1)
-        rng = np.random.default_rng(2024)
-        counts = np.zeros(4, dtype=np.int64)
-        for _ in range(n):
-            counts[eve_dual_basis_measure(state, rng)] += 1
-        expected = (0.0, 0.5, 0.25, 0.25)
-        assert counts[Bb84Symbol.Z0] == 0
-        for symbol, p in zip(SYMBOLS, expected):
-            if p == 0.0:
-                continue
-            bound = 4.0 * math.sqrt(p * (1.0 - p) / n)
-            assert counts[symbol] / n == pytest.approx(p, abs=bound)
+        # 10^6 interceptions: Eve attacks every round of the session.
+        cfg = eve_config(b=0.0, sigma=2.5e-12, mode="ResendMeasured")
+        _, transcript = run_session(1_000_000, cfg, seed=2024)
+        assert transcript["attacked"].all()
+        for prepared in SYMBOLS:
+            outcomes = transcript["outcome"][transcript["alice"] == prepared]
+            n = len(outcomes)
+            counts = np.bincount(outcomes, minlength=4)
+            law = oracles.eve_outcome_distribution(prepared.label)
+            for symbol in SYMBOLS:
+                p = float(law[symbol.label])
+                if p == 0.0:
+                    assert counts[symbol] == 0
+                    continue
+                bound = 4.0 * math.sqrt(p * (1.0 - p) / n)
+                assert counts[symbol] / n == pytest.approx(p, abs=bound)
         assert time.monotonic() - started < 30.0
 
 
 def test_criterion_2_linear_limit_field_and_uniform_posterior():
     with criterion(2, "vanishing coupling: exact base field, uniform posterior"):
-        params = NonlinearParams(b=0.0, lam=0.4, delta_t=2.0)
-        for prepared in SYMBOLS:
-            for outcome in SYMBOLS:
-                field = general_field(outcome, prepared, params, GEOMETRY)
-                assert np.array_equal(field, config_field(outcome, GEOMETRY))
+        # At b = 0 the field Eve senses is her configuration field: no residual is left.
+        linear = eve_config(b=0.0, sigma=2.5e-12, mode="CloneInferred", lam=0.4, delta_t=2.0)
+        assert not linear._table.residuals.any() and not linear._table.offsets.any()
         cfg = eve_config(b=0.0, sigma=2.5e-12, mode="CloneInferred", born_factor=False)
         _, transcript = run_session(10_000, cfg, seed=42)
         assert len(transcript) == 10_000
@@ -186,7 +181,7 @@ def test_criterion_7_classifier_matches_quadrature():
             est = analytic_accuracy(params, GEOMETRY, sensor)
             assert est.d_min == pytest.approx(d, rel=1e-12)
             assert est.two_hypothesis_exact == pytest.approx(want_phi, abs=1e-9)
-            residuals = hypothesis_residuals(params, GEOMETRY)
+            residuals = decay_factor(params) * GEOMETRY.mix_matrix
             first, second = est.closest_pair
             mc = oracles.two_hypothesis_mc(
                 residuals[first],

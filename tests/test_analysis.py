@@ -22,18 +22,16 @@ from gravsim import (
     SweepSpec,
     ValidationError,
     analytic_accuracy,
-    branch_weights,
     default_geometry,
     exclusion_limit,
     load_config,
     min_detectable_b,
-    mix_field,
     run_session,
     signal_to_noise,
     sweep,
 )
 
-MIX_NORM = 8.165808171600106e-10  # |mix_field| for every preparation in the bundled geometry
+MIX_NORM = 8.165808171600106e-10  # |mix row| for every preparation in the bundled geometry
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +372,7 @@ def test_min_detectable_b_monte_carlo_mode(geom):
 def test_signal_to_noise_formula(geom):
     sensor = SensorModel(sigma=3e-12, samples=4)
     got = signal_to_noise(0.2, 0.5, 2.0, sensor, geom, Bb84Symbol.XP)
-    mix_norm = float(np.linalg.norm(mix_field(branch_weights(Bb84Symbol.XP), geom)))
+    mix_norm = float(np.linalg.norm(geom.mix_matrix[Bb84Symbol.XP]))
     want = 2.0 * 0.2 * math.exp(-1.0) * mix_norm / 3e-12
     assert got == pytest.approx(want, rel=1e-12)
     assert signal_to_noise(0.0, 0.0, 0.0, sensor, geom) == 0.0

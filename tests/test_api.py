@@ -1,16 +1,20 @@
 """The public API: every exported name resolves, once, removed names stay gone,
 and every entry point checks its values by the same rule."""
 
+import ast
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gravsim
+import gravsim.attack
 import gravsim.cli
 import gravsim.errors
+import gravsim.gravity
 import gravsim.protocol
 import gravsim.qubits
 from gravsim import (
@@ -25,16 +29,14 @@ from gravsim import (
     SweepSpec,
     ValidationError,
     binary_entropy,
+    branch_weights,
     cloning_fidelity,
-    config_field,
     exclusion_limit,
-    general_field,
     infer_alice_state,
     key_rate,
     load_config,
     min_detectable_b,
     monte_carlo_accuracy,
-    prepare,
     run_session,
     signal_to_noise,
 )
@@ -47,10 +49,39 @@ REMOVED = (
     "RoundRecord",
     "eve_information",
     "UndefinedStatisticError",
+    # the scalar per-round attack pipeline, replaced by the session engine's batch attack
+    "attack_round",
+    "sense",
+    "EveRecord",
+    "hypothesis_residuals",
+    "general_field",
+    "config_field",
+    "mix_field",
+    "prepare",
+    "eve_dual_basis_measure",
+    "bob_measure",
+    "FieldVector",
 )
-# private helpers of the per-round record objects the columnar transcript replaced
-REMOVED_PRIVATE = ("_record_row", "_rows", "_eve_guess_category")
-MODULES = (gravsim.qubits, gravsim.protocol, gravsim.errors, gravsim.cli)
+# private helpers of the per-round record objects the columnar transcript replaced,
+# and of the scalar per-round attack pipeline
+REMOVED_PRIVATE = (
+    "_record_row",
+    "_rows",
+    "_eve_guess_category",
+    "_require_symbol",
+    "_round_variates",
+    "_EVE_CUMULATIVE",
+    "_BASES",
+    "_WEIGHT_TOLERANCE",
+)
+MODULES = (
+    gravsim.qubits,
+    gravsim.gravity,
+    gravsim.attack,
+    gravsim.protocol,
+    gravsim.errors,
+    gravsim.cli,
+)
 
 
 def test_every_exported_name_resolves_and_is_unique():
@@ -68,6 +99,27 @@ def test_removed_names_are_not_exported():
     for name in REMOVED_PRIVATE:
         for module in MODULES:
             assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(gravsim.Geometry, "site_position")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+    imported = {
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "gravsim"
+        for alias in node.names
+    }
+    assert imported and imported <= set(gravsim.__all__), imported - set(gravsim.__all__)
+    library = text.split("## Library", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, flags=re.DOTALL).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 BASE = load_config("default.json")
@@ -194,14 +246,19 @@ BOUNDARY = [
      lambda v: ExclusionExperiment(SENSOR, GEOM, (1.0,), preparation=v), np.int64(1), SYMBOL),
     ("LimitSettings.preparation", "limit.preparation",
      lambda v: LimitSettings(lambda_grid=[0.0], preparation=v), np.int64(1), SYMBOL),
-    ("prepare", "prepare", lambda v: prepare(v), np.int64(1), SYMBOL),
-    ("Geometry.site_position", "site_position", lambda v: GEOM.site_position(v), np.int64(1), SYMBOL),
-    ("config_field", "config_field", lambda v: config_field(v, GEOM), np.int64(1), SYMBOL),
-    ("general_field.prepared", "general_field",
-     lambda v: general_field(0, v, NonlinearParams(), GEOM), np.int64(1), SYMBOL),
+    ("branch_weights", "branch_weights", lambda v: branch_weights(v), np.int64(1), SYMBOL),
     ("infer_alice_state.eve_outcome", "infer_alice_state",
      lambda v: infer_alice_state(np.zeros(GEOM.field_dim), v, GEOM, BASE.nonlinear, SENSOR, rng()),
      np.int64(1), SYMBOL),
+    ("infer_alice_state.born_factor", "eve.bornFactor",
+     lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, BASE.nonlinear, SENSOR, rng(), v),
+     np.bool_(False), FLAG),
+    # one reading among zeros; readings come from outside, so each must be a real number
+    ("infer_alice_state.readings", "infer_alice_state",
+     lambda v: infer_alice_state(
+         [v] + [0.0] * (GEOM.field_dim - 1), 0, GEOM, BASE.nonlinear, SENSOR, rng()
+     ),
+     np.float32(1e-12), NUMBER + ("1e-12", 1e-12 + 0j, np.complex128(1.0))),
 ]
 
 

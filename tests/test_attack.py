@@ -1,4 +1,9 @@
-"""Unit tests for Eve's sensing, inference, resend strategies, and accuracy math."""
+"""Unit tests for Eve's sensing, inference, resend strategies, and accuracy math.
+
+Eve's attack on a round is checked through session transcripts at attack
+fraction 1, where every round is one interception, and her full-field
+inference against the independent reference in oracles.
+"""
 
 import itertools
 import math
@@ -9,7 +14,7 @@ import pytest
 import oracles
 from gravsim import (
     Bb84Symbol,
-    EveRecord,
+    EveConfig,
     EveStrategy,
     Geometry,
     NonlinearParams,
@@ -18,21 +23,18 @@ from gravsim import (
     StrategyMode,
     ValidationError,
     analytic_accuracy,
-    attack_round,
     cloning_fidelity,
-    config_field,
+    decay_factor,
     default_geometry,
-    eve_dual_basis_measure,
-    general_field,
-    hypothesis_residuals,
     infer_alice_state,
     monte_carlo_accuracy,
-    prepare,
-    sense,
+    run_session,
 )
+from gravsim import protocol
+from gravsim.attack import _attack_batch, _attack_columns, _plane_statistic
 from gravsim.qubits import BRANCH_WEIGHTS
 
-# |mix_field| distance between the closest residual pair at b=1 in the
+# Distance between the closest pair of geom.mix_matrix rows, the residuals at b=1 in the
 # bundled geometry; pinned by test_gravity's frozen-norm checks.
 CLOSEST_PAIR_NORM = 1.2191467782674696e-10
 
@@ -40,6 +42,23 @@ CLOSEST_PAIR_NORM = 1.2191467782674696e-10
 @pytest.fixture(scope="module")
 def geom():
     return default_geometry()
+
+
+def readings_of(geom, outcome, prepared, params, sigma, samples, rng):
+    """Eve's (samples, dim) readings: her configuration field, the residual and sensor noise."""
+    field = geom.config_matrix[outcome] + decay_factor(params) * geom.mix_matrix[prepared]
+    with np.errstate(over="ignore"):  # a huge sigma may overflow a reading to inf
+        return field + sigma * rng.standard_normal((samples, geom.field_dim))
+
+
+def attacked_rounds(geom, n, seed, mode="CloneInferred", b=0.0, sigma=2.5e-12, **fields):
+    """The transcript of an n-round session in which Eve attacks every round."""
+    strategy = EveStrategy(mode, tau=fields.pop("tau", 0.9))
+    sensor = SensorModel(sigma=sigma, samples=fields.pop("samples", 1))
+    cfg = EveConfig(geom, NonlinearParams(b=b), sensor, strategy, **fields)
+    _, transcript = run_session(n, cfg, seed=seed)
+    assert transcript["attacked"].all()
+    return transcript
 
 
 def sigma_for_separation(d_min: float, b: float = 0.1, samples: int = 1) -> float:
@@ -69,42 +88,42 @@ def test_eve_strategy_validation():
         EveStrategy(StrategyMode.THRESHOLD, tau=1.5)
 
 
-def test_eve_record_posterior_validation():
+def test_eve_record_posterior_validation(geom):
+    # Every posterior the engine records is checked to be a distribution.
+    table = EveConfig(geom, NonlinearParams(b=0.05), SensorModel(), EveStrategy())._table
+    noise = np.array([[0.0, 0.0], [math.nan, 0.0]])
     with pytest.raises(ValidationError, match="posterior"):
-        EveRecord(
-            outcome=Bb84Symbol.Z0,
-            inferred=Bb84Symbol.Z0,
-            posterior=(0.5, 0.5, 0.5, 0.5),
-            resent=Bb84Symbol.Z0,
-            cloned=True,
-        )
+        _attack_batch(np.zeros(2, dtype=np.intp), table, 0, np.zeros(2), noise, np.zeros(2))
 
 
 def test_sense_shape_and_vanishing_noise(geom):
-    field = config_field(Bb84Symbol.Z0, geom)
-    readings = sense(field, SensorModel(sigma=1e-30, samples=3), np.random.default_rng(1))
-    assert readings.shape == (3, geom.field_dim)
-    assert np.abs(readings - field).max() < 1e-25
+    # In the plane, Eve's statistic is samples * residual plus the noise scaled by sigma.
+    sensor = SensorModel(sigma=1e-30, samples=3)
+    table = EveConfig(geom, NonlinearParams(b=0.05), sensor, EveStrategy())._table
+    truth = np.arange(4)
+    statistic = _plane_statistic(table, 0, truth, np.random.default_rng(1).standard_normal((4, 2)))
+    assert statistic.shape == (4, 2)
+    assert np.abs(statistic - 3.0 * table.residuals[0, truth]).max() < 1e-25
 
 
-def test_sense_mean_converges(geom):
-    field = np.zeros(6)
+def test_sense_mean_converges():
+    # The engine's Box-Muller sensor normals have mean 0 and unit variance.
     n = 100_000
-    readings = sense(field, SensorModel(sigma=1.0, samples=n), np.random.default_rng(8))
-    assert np.abs(readings.mean(axis=0)).max() < 5.0 / math.sqrt(n)
-
-
-def test_sense_rejects_matrix_input():
-    with pytest.raises(ValidationError):
-        sense(np.zeros((2, 3)), SensorModel(sigma=1.0), np.random.default_rng(0))
+    uniforms = protocol._uniforms(protocol._round_draws(8, 0, n))
+    normals = protocol._box_muller(uniforms[:, 6], uniforms[:, 7])
+    assert np.abs(normals.mean(axis=0)).max() < 5.0 / math.sqrt(n)
+    assert np.abs(normals.var(axis=0) - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
 
 
 def test_hypothesis_residuals_scale_with_decay(geom):
+    # One attack table, two settings: b = 0.5 and b = 0 at lambda = deltaT = 1.
     params = NonlinearParams(b=0.5, lam=1.0, delta_t=1.0)
-    rows = hypothesis_residuals(params, geom)
-    assert rows.shape == (4, geom.field_dim)
-    assert np.array_equal(rows, (0.5 * math.exp(-1.0)) * geom.mix_matrix)
-    assert np.all(hypothesis_residuals(NonlinearParams(b=0.0), geom) == 0.0)
+    cfg = EveConfig(geom, params, SensorModel(), EveStrategy())
+    table = _attack_columns(geom.plane, cfg._settings | {"b": [0.5, 0.0]})
+    assert table.residuals.shape == (2, 4, 2)
+    assert np.array_equal(table.residuals[0], (0.5 * math.exp(-1.0)) * geom.plane)
+    assert np.array_equal(table.residuals[0], cfg._table.residuals[0])
+    assert np.all(table.residuals[1] == 0.0) and np.all(table.offsets[1] == 0.0)
 
 
 def test_infer_validates_readings(geom):
@@ -120,9 +139,10 @@ def test_infer_validates_readings(geom):
 def test_infer_accepts_flat_single_reading(geom):
     params = NonlinearParams(b=0.1)
     sensor = SensorModel(sigma=1e-30)
-    field = general_field(Bb84Symbol.Z1, Bb84Symbol.Z1, params, geom)
+    mix = decay_factor(params) * geom.mix_matrix[Bb84Symbol.Z1]
+    field = geom.config_matrix[Bb84Symbol.Z1] + mix
     inferred, posterior = infer_alice_state(
-        field.copy(), Bb84Symbol.Z1, geom, params, sensor, np.random.default_rng(4)
+        field, Bb84Symbol.Z1, geom, params, sensor, np.random.default_rng(4)
     )
     assert inferred is Bb84Symbol.Z1
     assert tuple(posterior) == (0.0, 1.0, 0.0, 0.0)
@@ -135,7 +155,7 @@ def test_infer_degenerate_posterior_is_exactly_uniform(geom):
     counts = np.zeros(4, dtype=int)
     n = 4000
     for _ in range(n):
-        readings = sense(config_field(Bb84Symbol.XP, geom), sensor, rng)
+        readings = readings_of(geom, Bb84Symbol.XP, Bb84Symbol.XP, params, sensor.sigma, 1, rng)
         inferred, posterior = infer_alice_state(
             readings, Bb84Symbol.XP, geom, params, sensor, rng, born_factor=False
         )
@@ -150,7 +170,7 @@ def test_infer_born_factor_reweights_by_outcome_law(geom):
     params = NonlinearParams(b=0.0)
     sensor = SensorModel(sigma=2.5e-12)
     rng = np.random.default_rng(9)
-    readings = sense(config_field(Bb84Symbol.Z0, geom), sensor, rng)
+    readings = readings_of(geom, Bb84Symbol.Z0, Bb84Symbol.Z0, params, sensor.sigma, 1, rng)
     inferred, posterior = infer_alice_state(
         readings, Bb84Symbol.Z0, geom, params, sensor, rng, born_factor=True
     )
@@ -163,11 +183,10 @@ def test_infer_born_factor_reweights_by_outcome_law(geom):
 def test_infer_consumes_one_tie_break_draw_even_without_ties(geom):
     params = NonlinearParams(b=0.1)
     sensor = SensorModel(sigma=1e-13)
-    field = general_field(Bb84Symbol.Z1, Bb84Symbol.Z1, params, geom)
     used = np.random.default_rng(21)
     shadow = np.random.default_rng(21)
-    readings = sense(field, sensor, used)
-    sense(field, sensor, shadow)
+    readings = readings_of(geom, Bb84Symbol.Z1, Bb84Symbol.Z1, params, sensor.sigma, 1, used)
+    shadow.standard_normal((1, geom.field_dim))
     infer_alice_state(readings, Bb84Symbol.Z1, geom, params, sensor, used)
     shadow.random()
     assert used.random() == shadow.random()
@@ -179,14 +198,44 @@ def test_infer_tiny_sigma_identifies_the_preparation(geom, sigma):
     params = NonlinearParams(b=0.05)
     sensor = SensorModel(sigma=sigma)
     rng = np.random.default_rng(13)
-    for prepared in SYMBOLS:
-        outcome = eve_dual_basis_measure(prepare(prepared), rng)
-        field = general_field(outcome, prepared, params, geom)
-        readings = sense(field, sensor, rng)
+    for prepared, outcome in itertools.product(SYMBOLS, SYMBOLS):
+        if BRANCH_WEIGHTS[prepared, outcome] == 0.0:
+            continue
+        readings = readings_of(geom, outcome, prepared, params, sigma, 1, rng)
         inferred, posterior = infer_alice_state(readings, outcome, geom, params, sensor, rng)
         assert inferred is prepared
         assert posterior[prepared] == 1.0
         assert posterior.sum() == 1.0
+
+
+@pytest.mark.parametrize("sigma", [2.5e-12, 1e-30])
+@pytest.mark.parametrize("born", [True, False])
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("b", [0.0, 0.05])
+def test_infer_matches_the_full_field_reference(geom, b, samples, born, sigma):
+    # Same readings and tie-break uniform; at b = 0 all or some hypotheses tie.
+    params = NonlinearParams(b=b)
+    sensor = SensorModel(sigma=sigma, samples=samples)
+    residuals = decay_factor(params) * geom.mix_matrix
+    rng = np.random.default_rng(31)
+    pairs = [(p, o) for p in SYMBOLS for o in SYMBOLS if BRANCH_WEIGHTS[p, o] > 0.0]
+    for prepared, outcome in pairs * 3:
+        readings = readings_of(geom, outcome, prepared, params, sigma, samples, rng)
+        seed = int(rng.integers(2**32))
+        inferred, posterior = infer_alice_state(
+            readings, outcome, geom, params, sensor, np.random.default_rng(seed), born
+        )
+        want, want_posterior = oracles.full_field_inference(
+            readings,
+            outcome,
+            geom.config_matrix,
+            residuals,
+            sigma,
+            born,
+            np.random.default_rng(seed).random(),
+        )
+        assert inferred == want
+        np.testing.assert_allclose(posterior, want_posterior, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -194,7 +243,8 @@ def test_infer_rejects_readings_that_overflow(geom):
     params = NonlinearParams(b=0.05)
     sensor = SensorModel(sigma=1e308, samples=8)
     rng = np.random.default_rng(4)
-    readings = sense(general_field(Bb84Symbol.Z0, Bb84Symbol.Z0, params, geom), sensor, rng)
+    readings = readings_of(geom, Bb84Symbol.Z0, Bb84Symbol.Z0, params, sensor.sigma, 8, rng)
+    assert np.isinf(readings).any()
     with pytest.raises(ValidationError, match="sensor.sigma"):
         infer_alice_state(readings, Bb84Symbol.Z0, geom, params, sensor, rng)
     # each reading finite, but their sum is not
@@ -216,10 +266,8 @@ def test_huge_finite_sigma_still_runs(geom):
     sensor = SensorModel(sigma=1e300, samples=8)
     accuracy = monte_carlo_accuracy(params, geom, sensor, 4000, np.random.default_rng(1))
     assert accuracy == pytest.approx(0.25, abs=4 * oracles.binomial_sigma(0.25, 4000))
-    rng = np.random.default_rng(5)
-    for prepared in SYMBOLS:
-        _, record = attack_round(prepared, geom, params, sensor, EveStrategy("Threshold"), rng)
-        assert abs(sum(record.posterior) - 1.0) <= 1e-9
+    rounds = attacked_rounds(geom, 200, 5, "Threshold", b=0.05, sigma=1e300, samples=8)
+    assert np.abs(rounds["posterior"].sum(axis=1) - 1.0).max() <= 1e-9
 
 
 @pytest.mark.filterwarnings("error")
@@ -228,12 +276,8 @@ def test_the_scalar_reference_names_a_field_that_overflows_eves_scores(geom):
     huge = Geometry(geom.sites, geom.probes, test_mass=1e200)
     params, sensor = NonlinearParams(b=0.05), SensorModel(sigma=1e190)
     named = r"^geometry\.testMass, sensor\.sigma: "
-    with pytest.raises(ValidationError, match=named):
-        attack_round(
-            Bb84Symbol.Z0, huge, params, sensor, EveStrategy("Threshold"), np.random.default_rng(1)
-        )
     rng = np.random.default_rng(2)
-    readings = sense(general_field(Bb84Symbol.Z0, Bb84Symbol.Z0, params, huge), sensor, rng)
+    readings = readings_of(huge, Bb84Symbol.Z0, Bb84Symbol.Z0, params, sensor.sigma, 1, rng)
     with pytest.raises(ValidationError, match=named):
         infer_alice_state(readings, Bb84Symbol.Z0, huge, params, sensor, rng)
 
@@ -242,7 +286,7 @@ def test_the_scalar_reference_names_a_field_that_overflows_eves_scores(geom):
 def test_analytic_accuracy_of_a_huge_field_does_not_overflow(geom):
     huge = Geometry(geom.sites, geom.probes, test_mass=1e200)
     params, sensor = NonlinearParams(b=0.05), SensorModel(sigma=1e190)
-    residuals = hypothesis_residuals(params, huge)
+    residuals = decay_factor(params) * huge.mix_matrix
     # math.dist scales before squaring, so the full-field distances stay finite.
     closest = min(math.dist(r, s) for r, s in itertools.combinations(residuals, 2))
     est = analytic_accuracy(params, huge, sensor)
@@ -259,9 +303,9 @@ def test_infer_born_factor_keeps_a_possible_preparation_at_tiny_sigma(geom):
     # posterior must stay a distribution over the possible ones.
     params = NonlinearParams(b=0.05)
     sensor = SensorModel(sigma=1e-200)
-    residuals = hypothesis_residuals(params, geom)
+    residuals = decay_factor(params) * geom.mix_matrix
     outcome = Bb84Symbol.Z0
-    readings = config_field(outcome, geom) + residuals[Bb84Symbol.Z1]
+    readings = geom.config_matrix[outcome] + residuals[Bb84Symbol.Z1]
     inferred, posterior = infer_alice_state(
         readings, outcome, geom, params, sensor, np.random.default_rng(2)
     )
@@ -272,153 +316,90 @@ def test_infer_born_factor_keeps_a_possible_preparation_at_tiny_sigma(geom):
 
 
 def test_attack_round_draw_order_contract(geom):
-    params = NonlinearParams(b=0.2)
+    # A round's interception reads its own block: the outcome, tie-break and Box-Muller columns.
     sensor = SensorModel(sigma=1e-12, samples=2)
-    used = np.random.default_rng(33)
-    shadow = np.random.default_rng(33)
-    attack_round(Bb84Symbol.XP, geom, params, sensor, EveStrategy("CloneInferred"), used)
-    shadow.random()  # interception outcome
-    shadow.standard_normal((2, geom.field_dim))  # sensor noise block
-    shadow.random()  # tie break
-    assert used.random() == shadow.random()
+    cfg = EveConfig(geom, NonlinearParams(b=0.2), sensor, EveStrategy())
+    _, transcript = run_session(300, cfg, seed=33)
+    u = protocol._uniforms(protocol._round_draws(33, 0, 300))
+    noise = protocol._box_muller(u[:, protocol._NOISE_U], u[:, protocol._NOISE_V])
+    outcome, inferred, posterior, resent = _attack_batch(
+        transcript["alice"].astype(np.intp),
+        cfg._table,
+        0,
+        u[:, protocol._EVE_OUTCOME],
+        noise,
+        u[:, protocol._TIE_BREAK],
+    )
+    assert np.array_equal(transcript["outcome"], outcome)
+    assert np.array_equal(transcript["inferred"], inferred)
+    assert np.array_equal(transcript["resent"], resent)
+    assert np.array_equal(transcript["posterior"], posterior)
 
 
 def test_attack_round_resend_measured_distribution(geom):
-    params = NonlinearParams(b=0.0)
-    sensor = SensorModel(sigma=2.5e-12)
-    strategy = EveStrategy("ResendMeasured")
-    rng = np.random.default_rng(5)
-    n = 20_000
-    counts = np.zeros(4, dtype=int)
-    for _ in range(n):
-        resent_state, record = attack_round(Bb84Symbol.Z1, geom, params, sensor, strategy, rng)
-        assert record.resent is record.outcome
-        assert resent_state == prepare(record.outcome)
-        counts[record.resent] += 1
+    rounds = attacked_rounds(geom, 80_000, 5, "ResendMeasured")
+    assert np.array_equal(rounds["resent"], rounds["outcome"])
+    resent = rounds["resent"][rounds["alice"] == Bb84Symbol.Z1]
+    n = len(resent)
+    counts = np.bincount(resent, minlength=4)
     assert counts[Bb84Symbol.Z0] == 0
     for s, p in ((Bb84Symbol.Z1, 0.5), (Bb84Symbol.XP, 0.25), (Bb84Symbol.XM, 0.25)):
         assert counts[s] / n == pytest.approx(p, abs=4 * oracles.binomial_sigma(p, n))
 
 
 def test_attack_round_noiseless_clone_is_perfect(geom):
-    params = NonlinearParams(b=0.1)
-    sensor = SensorModel(sigma=1e-30)
-    strategy = EveStrategy("CloneInferred")
-    rng = np.random.default_rng(6)
-    for prepared in SYMBOLS:
-        for _ in range(50):
-            resent_state, record = attack_round(prepared, geom, params, sensor, strategy, rng)
-            assert record.inferred is prepared
-            assert record.resent is prepared
-            assert record.cloned
-            assert resent_state == prepare(prepared)
+    rounds = attacked_rounds(geom, 400, 6, b=0.1, sigma=1e-30)
+    assert set(rounds["alice"].tolist()) == {0, 1, 2, 3}
+    assert np.array_equal(rounds["inferred"], rounds["alice"])
+    assert np.array_equal(rounds["resent"], rounds["alice"])
 
 
 def test_attack_round_born_off_resend_is_uniform_and_preparation_blind(geom):
-    params = NonlinearParams(b=0.0)
-    sensor = SensorModel(sigma=2.5e-12)
-    strategy = EveStrategy("CloneInferred")
-    n = 8000
-    freqs = {}
+    rounds = attacked_rounds(geom, 32_000, 40, born_factor=False)
     for prepared in (Bb84Symbol.Z0, Bb84Symbol.XM):
-        rng = np.random.default_rng(40)
-        counts = np.zeros(4, dtype=int)
-        for _ in range(n):
-            _, record = attack_round(
-                prepared, geom, params, sensor, strategy, rng, born_factor=False
-            )
-            counts[record.resent] += 1
-        freqs[prepared] = counts / n
-    bound = 4 * oracles.binomial_sigma(0.25, n)
-    for frequencies in freqs.values():
+        resent = rounds["resent"][rounds["alice"] == prepared]
+        bound = 4 * oracles.binomial_sigma(0.25, len(resent))
+        frequencies = np.bincount(resent, minlength=4) / len(resent)
         assert frequencies == pytest.approx([0.25] * 4, abs=bound)
 
 
 def test_attack_round_born_on_at_b0_equals_resend_measured(geom):
-    params = NonlinearParams(b=0.0)
-    sensor = SensorModel(sigma=2.5e-12)
-    clone_resents = []
-    measured_resents = []
-    for strategy, sink in (
-        (EveStrategy("CloneInferred"), clone_resents),
-        (EveStrategy("ResendMeasured"), measured_resents),
-    ):
-        for i in range(500):
-            rng = np.random.default_rng([77, i])
-            _, record = attack_round(
-                Bb84Symbol.XP, geom, params, sensor, strategy, rng, born_factor=True
-            )
-            sink.append(record.resent)
-    assert clone_resents == measured_resents
+    clone = attacked_rounds(geom, 2000, 77, "CloneInferred", born_factor=True)
+    measured = attacked_rounds(geom, 2000, 77, "ResendMeasured")
+    assert np.array_equal(clone["resent"], measured["resent"])
 
 
 def test_attack_round_resend_measured_ignores_the_field(geom):
-    sensor = SensorModel(sigma=2.5e-12)
-    strategy = EveStrategy("ResendMeasured")
-    transcripts = []
-    for b in (0.0, 0.7):
-        params = NonlinearParams(b=b)
-        resents = []
-        for i in range(300):
-            rng = np.random.default_rng([88, i])
-            _, record = attack_round(Bb84Symbol.Z0, geom, params, sensor, strategy, rng)
-            resents.append((record.outcome, record.resent))
-        transcripts.append(resents)
-    assert transcripts[0] == transcripts[1]
+    transcripts = [attacked_rounds(geom, 1000, 88, "ResendMeasured", b=b) for b in (0.0, 0.7)]
+    for column in ("outcome", "resent"):
+        assert np.array_equal(transcripts[0][column], transcripts[1][column])
 
 
 def test_attack_round_threshold_overrides_outcome_when_confident(geom):
-    params = NonlinearParams(b=0.1)
-    sensor = SensorModel(sigma=1e-30)
-    strategy = EveStrategy("Threshold", tau=0.9)
-    rng = np.random.default_rng(13)
-    overrides = 0
-    for _ in range(200):
-        _, record = attack_round(Bb84Symbol.Z1, geom, params, sensor, strategy, rng)
-        assert record.resent is Bb84Symbol.Z1  # posterior peak is 1 >= tau
-        overrides += record.outcome is not Bb84Symbol.Z1
-    assert overrides > 0  # cross-basis outcomes occurred and were overridden
+    rounds = attacked_rounds(geom, 800, 13, "Threshold", b=0.1, sigma=1e-30, tau=0.9)
+    assert np.array_equal(rounds["resent"], rounds["alice"])  # posterior peak is 1 >= tau
+    assert (rounds["outcome"] != rounds["alice"]).any()  # cross-basis outcomes were overridden
 
 
 def test_attack_round_threshold_falls_back_to_outcome_when_unsure(geom):
-    params = NonlinearParams(b=0.0)
-    sensor = SensorModel(sigma=2.5e-12)
-    threshold_resents = []
-    measured_resents = []
-    for strategy, sink in (
-        (EveStrategy("Threshold", tau=0.9), threshold_resents),
-        (EveStrategy("ResendMeasured"), measured_resents),
-    ):
-        for i in range(300):
-            rng = np.random.default_rng([99, i])
-            _, record = attack_round(
-                Bb84Symbol.XM, geom, params, sensor, strategy, rng, born_factor=False
-            )
-            sink.append(record.resent)
-    assert threshold_resents == measured_resents
+    threshold = attacked_rounds(geom, 1000, 99, "Threshold", tau=0.9, born_factor=False)
+    measured = attacked_rounds(geom, 1000, 99, "ResendMeasured", born_factor=False)
+    assert np.array_equal(threshold["resent"], measured["resent"])
 
 
 def test_attack_round_cloned_flag(geom):
-    params = NonlinearParams(b=0.0)
-    sensor = SensorModel(sigma=2.5e-12)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        _, record = attack_round(
-            Bb84Symbol.Z0, geom, params, sensor, EveStrategy("ResendMeasured"), rng
-        )
-        assert record.cloned == (record.resent is Bb84Symbol.Z0)
+    # Eve clones a round when she resends Alice's state, whose overlap with it is 1.
+    rounds = attacked_rounds(geom, 800, 3, "ResendMeasured")
+    cloned = rounds["resent"] == rounds["alice"]
+    assert np.array_equal(cloned, rounds["outcome"] == rounds["alice"])
+    overlap = 2.0 * BRANCH_WEIGHTS[rounds["alice"], rounds["resent"]]
+    assert np.array_equal(overlap == 1.0, cloned)
+    assert cloned.any() and not cloned.all()
 
 
 def test_attack_round_validates_strategy(geom):
     with pytest.raises(ValidationError, match="strategy"):
-        attack_round(
-            Bb84Symbol.Z0,
-            geom,
-            NonlinearParams(b=0.0),
-            SensorModel(sigma=1.0),
-            "CloneInferred",
-            np.random.default_rng(0),
-        )
+        EveConfig(geom, NonlinearParams(b=0.0), SensorModel(sigma=1.0), "CloneInferred")
 
 
 def test_analytic_accuracy_degenerate_case(geom):
@@ -454,7 +435,7 @@ def test_analytic_accuracy_matches_union_bound_oracle(geom):
     params = NonlinearParams(b=0.07)
     sensor = SensorModel(sigma=3e-12, samples=2)
     est = analytic_accuracy(params, geom, sensor)
-    want = oracles.union_bound_accuracy(hypothesis_residuals(params, geom), 3e-12, 2)
+    want = oracles.union_bound_accuracy(decay_factor(params) * geom.mix_matrix, 3e-12, 2)
     assert np.allclose(est.per_hypothesis, want, rtol=1e-9, atol=1e-12)
     assert est.mean == pytest.approx(float(np.mean(want)), rel=1e-9)
 
@@ -559,20 +540,6 @@ def test_cloning_fidelity_uniform_resend(geom):
     assert fidelity == pytest.approx(float(oracles.uniform_resend_fidelity()), abs=0.012)
 
 
-class FixedDraws:
-    """A generator stand-in handing one trial's variates to attack_round."""
-
-    def __init__(self, outcome_u, noise, tie_u):
-        self._uniforms = [outcome_u, tie_u]
-        self._noise = noise
-
-    def random(self):
-        return self._uniforms.pop(0)
-
-    def standard_normal(self, shape):
-        return self._noise.reshape(shape)
-
-
 def test_cloning_fidelity_follows_its_draw_order_and_attack_round(geom):
     params = NonlinearParams(b=0.02)
     sensor = SensorModel(sigma=2.5e-12, samples=2)
@@ -590,8 +557,18 @@ def test_cloning_fidelity_follows_its_draw_order_and_attack_round(geom):
     for p, u, z, t in zip(prepared.tolist(), outcome_draws.tolist(), noise, tie_draws.tolist()):
         # the full-field reference, fed noise whose plane projection is z
         in_plane = np.tile(z @ geom.plane_basis / math.sqrt(sensor.samples), (sensor.samples, 1))
-        resent, _ = attack_round(
-            SYMBOLS[p], geom, params, sensor, strategy, FixedDraws(u, in_plane, t)
+        *_, resent = oracles.full_field_round(
+            p,
+            geom.config_matrix,
+            geom.mix_matrix,
+            decay_factor(params),
+            sensor.sigma,
+            True,
+            "Threshold",
+            0.7,
+            u,
+            in_plane,
+            t,
         )
         overlaps.append(2.0 * float(BRANCH_WEIGHTS[p, resent]))
     assert len(set(overlaps)) > 1

@@ -12,16 +12,16 @@ from gravsim import (
     Geometry,
     NonlinearParams,
     SYMBOLS,
+    EveConfig,
+    EveStrategy,
+    SensorModel,
     ValidationError,
-    branch_weights,
-    config_field,
     decay_factor,
     default_geometry,
-    general_field,
-    mix_field,
     point_mass_field,
 )
 from gravsim.gravity import NEWTON_G
+from gravsim.qubits import BRANCH_WEIGHTS
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ def test_default_geometry_layout(geom):
     assert geom.grav_const == NEWTON_G
     ring_radii = np.linalg.norm(geom.probes, axis=1)
     assert np.allclose(ring_radii, 0.5, atol=1e-15)
-    assert np.array_equal(geom.site_position(Bb84Symbol.XM), np.array([-0.1, -0.1, 0.0]))
+    assert np.array_equal(geom.sites[Bb84Symbol.XM], np.array([-0.1, -0.1, 0.0]))
 
 
 def test_config_field_matches_reference(geom):
@@ -150,40 +150,16 @@ def test_config_field_matches_reference(geom):
                 for probe in geom.probes
             ]
         )
-        assert np.allclose(config_field(s, geom), want, rtol=1e-14, atol=0.0)
-
-
-def test_config_field_accepts_labels_and_returns_copies(geom):
-    by_symbol = config_field(Bb84Symbol.Z1, geom)
-    by_label = config_field("Z1", geom)
-    assert np.array_equal(by_symbol, by_label)
-    by_symbol[0] = 123.0  # mutating the returned copy must not poison the cache
-    assert config_field(Bb84Symbol.Z1, geom)[0] != 123.0
-
-
-def test_mix_field_degenerate_weights_reproduce_config(geom):
-    for s in SYMBOLS:
-        weights = [0.0, 0.0, 0.0, 0.0]
-        weights[s] = 1.0
-        assert np.array_equal(mix_field(weights, geom), config_field(s, geom))
-
-
-def test_mix_field_is_linear(geom):
-    wa = branch_weights(Bb84Symbol.Z0)
-    wb = branch_weights(Bb84Symbol.XM)
-    blended = mix_field(0.5 * wa + 0.5 * wb, geom)
-    parts = 0.5 * mix_field(wa, geom) + 0.5 * mix_field(wb, geom)
-    assert np.allclose(blended, parts, rtol=1e-12, atol=0.0)
-
-
-def test_mix_field_validates_weights(geom):
-    with pytest.raises(ValidationError):
-        mix_field((0.9, 0.9, 0.0, 0.0), geom)
+        assert np.allclose(geom.config_matrix[s], want, rtol=1e-14, atol=0.0)
 
 
 def test_mix_matrix_rows_match_mix_field(geom):
+    # Row p is the configuration fields weighted by the branch weights of p.
     for s in SYMBOLS:
-        assert np.array_equal(geom.mix_matrix[s], mix_field(branch_weights(s), geom))
+        assert np.array_equal(geom.mix_matrix[s], BRANCH_WEIGHTS[s] @ geom.config_matrix)
+    np.testing.assert_allclose(
+        geom.mix_matrix, BRANCH_WEIGHTS @ geom.config_matrix, rtol=1e-15, atol=0.0
+    )
 
 
 def test_nonlinear_params_validation():
@@ -208,29 +184,39 @@ def test_decay_factor_formula():
     assert decay_factor(params) == 0.8 * math.exp(-2.0)
 
 
+def residual_table(params, geom):
+    """The attack table of params: Eve's residuals and their offsets in the plane."""
+    return EveConfig(geom, params, SensorModel(), EveStrategy())._table
+
+
 def test_general_field_linear_limit_is_exact(geom):
-    params = NonlinearParams(b=0.0, lam=0.7, delta_t=3.0)
-    for prepared in SYMBOLS:
-        for outcome in SYMBOLS:
-            field = general_field(outcome, prepared, params, geom)
-            assert np.array_equal(field, config_field(outcome, geom))
+    # At b = 0 the field Eve senses is her configuration field: every residual is exactly 0.
+    table = residual_table(NonlinearParams(b=0.0, lam=0.7, delta_t=3.0), geom)
+    assert not table.residuals.any()
+    assert not table.offsets.any()
+    assert table.reach.tolist() == [0.0]
 
 
 def test_general_field_composition(geom):
+    # Eve's residual is decay_factor times the mixture field, carried by the plane basis.
     params = NonlinearParams(b=0.4, lam=0.5, delta_t=1.0)
-    weights = branch_weights(Bb84Symbol.XP)
-    field = general_field(Bb84Symbol.Z0, Bb84Symbol.XP, params, geom)
-    expected = config_field(Bb84Symbol.Z0, geom) + decay_factor(params) * mix_field(
-        weights, geom
-    )
-    assert np.array_equal(field, expected)
+    residuals = residual_table(params, geom).residuals[0]
+    assert np.array_equal(residuals, decay_factor(params) * geom.plane)
     # the nonlinear part is small but must actually be there
-    assert not np.array_equal(field, config_field(Bb84Symbol.Z0, geom))
+    assert residuals.any()
+    for h in range(4):
+        for k in range(4):
+            np.testing.assert_allclose(
+                (residuals[h] - residuals[k]) @ geom.plane_basis,
+                decay_factor(params) * (geom.mix_matrix[h] - geom.mix_matrix[k]),
+                rtol=0.0,
+                atol=1e-24,
+            )
 
 
 def test_frozen_mixture_norms(geom):
     # all four preparations give the same mixture magnitude in the bundled
     # symmetric layout; the literal pins the calibration used by the tests
     for s in SYMBOLS:
-        norm = float(np.linalg.norm(mix_field(branch_weights(s), geom)))
+        norm = float(np.linalg.norm(geom.mix_matrix[s]))
         assert norm == pytest.approx(8.165808171600106e-10, rel=1e-12)

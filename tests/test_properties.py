@@ -19,20 +19,17 @@ from gravsim import (
     StrategyMode,
     SweepSpec,
     config_from_dict,
+    decay_factor,
     default_geometry,
-    eve_dual_basis_measure,
     exclusion_limit,
-    general_field,
     infer_alice_state,
     load_config,
-    prepare,
     run_session,
-    sense,
     serialize_config,
     signal_to_noise,
     sweep,
 )
-from gravsim.attack import POSTERIOR_TOLERANCE
+from gravsim.attack import _EVE_EDGES, POSTERIOR_TOLERANCE
 from gravsim.gravity import NEWTON_G
 
 GEOM = default_geometry()
@@ -58,8 +55,10 @@ def test_posterior_is_a_distribution(log10_sigma, b, samples, prepared, born_fac
     params = NonlinearParams(b=b)
     sensor = SensorModel(sigma=10.0**log10_sigma, samples=samples)
     rng = np.random.default_rng(seed)
-    outcome = eve_dual_basis_measure(prepare(prepared), rng)
-    readings = sense(general_field(outcome, prepared, params, GEOM), sensor, rng)
+    # Eve's outcome from one uniform, then her readings: the field plus sensor noise.
+    outcome = int((rng.random() >= _EVE_EDGES[prepared]).sum())
+    field = GEOM.config_matrix[outcome] + decay_factor(params) * GEOM.mix_matrix[prepared]
+    readings = field + sensor.sigma * rng.standard_normal((samples, GEOM.field_dim))
     inferred, posterior = infer_alice_state(
         readings, outcome, GEOM, params, sensor, rng, born_factor
     )

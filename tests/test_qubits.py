@@ -1,4 +1,8 @@
-"""Unit tests for symbols, the Born table, and Born-rule measurements."""
+"""Unit tests for symbols, the Born table, and Born-rule measurements.
+
+Eve's and Bob's measurements are checked as the session engine makes them:
+each reads one uniform of its round's block against a row of the Born table.
+"""
 
 import numpy as np
 import pytest
@@ -7,16 +11,34 @@ import oracles
 from gravsim import (
     Basis,
     Bb84Symbol,
+    EveConfig,
+    EveStrategy,
+    NonlinearParams,
     SYMBOLS,
+    SensorModel,
     ValidationError,
-    bob_measure,
     branch_weights,
     default_geometry,
-    eve_dual_basis_measure,
-    mix_field,
-    prepare,
+    run_session,
 )
-from gravsim.qubits import as_symbol
+from gravsim import protocol
+from gravsim.attack import _EVE_EDGES, _attack_batch
+from gravsim.qubits import BRANCH_WEIGHTS, _BOB_P0, as_symbol
+
+GEOM = default_geometry()
+
+
+def session(n, seed, mode="ResendMeasured"):
+    """An n-round session at b = 0 with Eve on every round, and its uniforms, (n, 8)."""
+    cfg = EveConfig(GEOM, NonlinearParams(b=0.0), SensorModel(), EveStrategy(mode))
+    _, transcript = run_session(n, cfg, seed=seed)
+    return transcript, protocol._uniforms(protocol._round_draws(seed, 0, n))
+
+
+def honest_session(n, seed):
+    """An n-round session without Eve, and its uniforms, (n, 8)."""
+    _, transcript = run_session(n, seed=seed)
+    return transcript, protocol._uniforms(protocol._round_draws(seed, 0, n))
 
 
 def test_symbol_order_and_properties():
@@ -51,14 +73,15 @@ def test_as_symbol_takes_no_bool_or_float_and_names_its_path():
 
 
 def test_prepare_returns_the_symbol():
+    # A preparation is its symbol, given as the symbol, its index or its label.
     for s in SYMBOLS:
-        assert prepare(s) is s
-        assert prepare(int(s)) is s
+        for given in (s, int(s), s.label):
+            assert np.array_equal(branch_weights(given), BRANCH_WEIGHTS[s])
 
 
 def test_prepare_rejects_non_symbol():
-    with pytest.raises(ValidationError):
-        prepare(9)
+    with pytest.raises(ValidationError, match="^branch_weights: "):
+        branch_weights(9)
 
 
 def test_branch_weights_row_is_read_only():
@@ -94,46 +117,31 @@ def test_branch_weights_agree_with_oracle_and_born_rule():
 
 
 def test_branch_weights_validation():
-    # A caller-supplied weight vector enters the model only through mix_field,
-    # which owns the checks the table rows satisfy by construction.
-    geom = default_geometry()
-    with pytest.raises(ValidationError, match="non-negative"):
-        mix_field((-0.1, 0.5, 0.3, 0.3), geom)
-    with pytest.raises(ValidationError, match="sum to 1"):
-        mix_field((0.5, 0.5, 0.25, 0.25), geom)
-    with pytest.raises(ValidationError, match="four"):
-        mix_field((0.5, 0.5), geom)
+    # No caller supplies weights: every row of the table is a distribution by construction.
+    assert BRANCH_WEIGHTS.shape == (4, 4)
+    assert (BRANCH_WEIGHTS >= 0.0).all()
+    assert BRANCH_WEIGHTS.sum(axis=1).tolist() == [1.0] * 4
+    assert _EVE_EDGES[:, -1].tolist() == [1.0] * 4
+    with pytest.raises(ValueError):
+        BRANCH_WEIGHTS[0, 0] = 0.0
 
 
 def test_eve_measure_frequencies_and_impossible_outcome():
-    rng = np.random.default_rng(31)
-    state = prepare(Bb84Symbol.Z1)
-    n = 20_000
-    counts = np.zeros(4, dtype=int)
-    for _ in range(n):
-        counts[eve_dual_basis_measure(state, rng)] += 1
+    transcript, _ = session(80_000, 31)
+    outcomes = transcript["outcome"][transcript["alice"] == Bb84Symbol.Z1]
+    n = len(outcomes)
+    counts = np.bincount(outcomes, minlength=4)
     assert counts[Bb84Symbol.Z0] == 0
     for t, p in ((Bb84Symbol.Z1, 0.5), (Bb84Symbol.XP, 0.25), (Bb84Symbol.XM, 0.25)):
         assert counts[t] / n == pytest.approx(p, abs=4 * oracles.binomial_sigma(p, n))
 
 
 def test_eve_measure_consumes_exactly_one_draw():
-    state = prepare(Bb84Symbol.XM)
-    used = np.random.default_rng(17)
-    shadow = np.random.default_rng(17)
-    eve_dual_basis_measure(state, used)
-    shadow.random()
-    assert used.random() == shadow.random()
-
-
-class FixedDraw:
-    """Stands in for a Generator whose next uniform is known."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+    # Each round's outcome is read from its own block's outcome uniform alone.
+    transcript, uniforms = session(2000, 17)
+    u = uniforms[:, protocol._EVE_OUTCOME]
+    edges = _EVE_EDGES[transcript["alice"]]
+    assert np.array_equal(transcript["outcome"], (u[:, np.newaxis] >= edges).sum(axis=1))
 
 
 def test_eve_measure_thresholds_are_exact_quarters():
@@ -159,42 +167,33 @@ def test_eve_measure_thresholds_are_exact_quarters():
             (below(1.0), Bb84Symbol.XP),
         ),
     }
+    table = EveConfig(GEOM, NonlinearParams(b=0.0), SensorModel(), EveStrategy())._table
     for prepared, draws in cases.items():
-        for u, outcome in draws:
-            assert eve_dual_basis_measure(prepared, FixedDraw(u)) is outcome, (prepared, u)
-
-
-def test_measurements_reject_non_symbols():
-    rng = np.random.default_rng(0)
-    for state in (2, "Z0", None):
-        with pytest.raises(ValidationError, match="eve_dual_basis_measure"):
-            eve_dual_basis_measure(state, rng)
-        with pytest.raises(ValidationError, match="bob_measure"):
-            bob_measure(state, Basis.Z, rng)
+        u = np.array([draw for draw, _ in draws])
+        n = len(u)
+        outcome, *_ = _attack_batch(np.full(n, prepared), table, 0, u, np.zeros((n, 2)), u)
+        assert outcome.tolist() == [int(want) for _, want in draws], prepared
 
 
 def test_bob_measure_eigenstates_are_deterministic():
-    rng = np.random.default_rng(3)
-    for s, basis, bit in (
-        (Bb84Symbol.Z0, Basis.Z, 0),
-        (Bb84Symbol.Z1, Basis.Z, 1),
-        (Bb84Symbol.XP, Basis.X, 0),
-        (Bb84Symbol.XM, Basis.X, 1),
-    ):
-        bits = {bob_measure(prepare(s), basis, rng) for _ in range(64)}
-        assert bits == {bit}
+    # Without Eve, Bob measures Alice's state; in its own basis he reads its bit.
+    transcript, _ = honest_session(4000, 3)
+    sifted = transcript[transcript["sifted"]]
+    assert set(sifted["alice"].tolist()) == {0, 1, 2, 3}
+    assert sifted["bob_basis"].tolist() == [Bb84Symbol(a).basis is Basis.X for a in sifted["alice"]]
+    assert np.array_equal(sifted["bob_bit"], sifted["alice"] & 1)
+    assert not sifted["error"].any()
 
 
 def test_bob_measure_conjugate_basis_is_fair():
-    rng = np.random.default_rng(11)
-    n = 10_000
-    ones = sum(bob_measure(prepare(Bb84Symbol.Z0), Basis.X, rng) for _ in range(n))
-    assert ones / n == pytest.approx(0.5, abs=4 * oracles.binomial_sigma(0.5, n))
+    transcript, _ = honest_session(20_000, 11)
+    bits = transcript["bob_bit"][~transcript["sifted"]]
+    n = len(bits)
+    assert bits.mean() == pytest.approx(0.5, abs=4 * oracles.binomial_sigma(0.5, n))
 
 
 def test_bob_measure_consumes_exactly_one_draw():
-    used = np.random.default_rng(23)
-    shadow = np.random.default_rng(23)
-    bob_measure(prepare(Bb84Symbol.XP), Basis.Z, used)
-    shadow.random()
-    assert used.random() == shadow.random()
+    # Bob's bit is read from his round's bit uniform alone, against the state Eve resent.
+    transcript, uniforms = session(2000, 23)
+    p0 = _BOB_P0[transcript["resent"], transcript["bob_basis"]]
+    assert np.array_equal(transcript["bob_bit"], uniforms[:, protocol._BOB_BIT] >= p0)

@@ -1,12 +1,13 @@
 """Contract tests for the batch session engine and its counter-based random stream.
 
 run_session simulates rounds in vectorised chunks and scores Eve's attack
-on two plane coordinates. These tests pin that engine to the full-field
-scalar reference (attack_round, bob_measure) fed the very same variates,
-with the plane normals z laid into the field as the in-plane noise
-z @ plane_basis, and check the stream contract: a session is a prefix of
-any longer one with the same seed, the chunk size never changes a result,
-not even a sweep's, and memory does not grow with the session length.
+on two plane coordinates. These tests pin that engine to the independent
+full-field reference oracles.full_field_round, and Bob to the exact Born
+law of oracles.bob_bit_distribution, fed the very same variates, with the
+plane normals z laid into the field as the in-plane noise z @ plane_basis,
+and check the stream contract: a session is a prefix of any longer one
+with the same seed, the chunk size never changes a result, not even a
+sweep's, and memory does not grow with the session length.
 """
 
 import math
@@ -21,8 +22,6 @@ from hypothesis import strategies as st
 
 import oracles
 from gravsim import (
-    SYMBOLS,
-    Basis,
     EveConfig,
     EveStrategy,
     Geometry,
@@ -30,11 +29,9 @@ from gravsim import (
     SensorModel,
     SweepSpec,
     ValidationError,
-    attack_round,
-    bob_measure,
     cloning_fidelity,
+    decay_factor,
     default_geometry,
-    hypothesis_residuals,
     load_config,
     monte_carlo_accuracy,
     run_session,
@@ -44,42 +41,35 @@ from gravsim import protocol
 from gravsim.attack import _LOG_PRIORS, _check_table, _hmax, _logits, _plane_statistic
 
 GEOM = default_geometry()
-BASES = (Basis.Z, Basis.X)
+# Sites off the symmetric square: the four mix rows have different norms, so
+# the offsets count * |r_h|^2 / 2 differ between hypotheses and enter the scores.
+SKEWED = Geometry(
+    [[0.1, 0.1, 0.0], [0.12, -0.08, 0.0], [-0.1, 0.13, 0.02], [-0.07, -0.1, 0.0]], GEOM.probes
+)
 
 
-def in_plane_noise(z, sensor):
-    """Full-field noise for attack_round's sensor block whose plane projection is z.
+def in_plane_noise(z, sensor, geom=GEOM):
+    """Full-field noise for a round's (samples, dim) readings whose plane projection is z.
 
     Each of the `samples` readings gets z @ plane_basis / sqrt(samples), so
     their sum is sqrt(samples) * z @ plane_basis, as the engine assumes.
     """
-    row = z @ GEOM.plane_basis / math.sqrt(sensor.samples)
+    row = z @ geom.plane_basis / math.sqrt(sensor.samples)
     return np.tile(row, (sensor.samples, 1))
 
 
-class Replay:
-    """A generator stand-in handing out fixed variates in the order they are asked for."""
-
-    def __init__(self, uniforms, normals=None):
-        self._uniforms = list(uniforms)
-        self._normals = normals
-
-    def random(self):
-        return self._uniforms.pop(0)
-
-    def standard_normal(self, shape):
-        normals, self._normals = self._normals, None
-        return normals.reshape(shape)
-
-    def exhausted(self) -> bool:
-        return not self._uniforms and self._normals is None
-
-
 def eve_config(
-    mode="CloneInferred", b=0.05, sigma=2.5e-12, samples=1, fraction=1.0, born=True, tau=0.9
+    mode="CloneInferred",
+    b=0.05,
+    sigma=2.5e-12,
+    samples=1,
+    fraction=1.0,
+    born=True,
+    tau=0.9,
+    geom=GEOM,
 ):
     return EveConfig(
-        geometry=GEOM,
+        geometry=geom,
         params=NonlinearParams(b=b),
         sensor=SensorModel(sigma=sigma, samples=samples),
         strategy=EveStrategy(mode, tau=tau),
@@ -98,6 +88,7 @@ SCALAR_CASES = {
     "b0-ties": eve_config(b=0.0, born=False),
     "b0-born": eve_config("Threshold", b=0.0),
     "break": eve_config(b=0.1, sigma=1e-30),
+    "skewed": eve_config("Threshold", samples=3, tau=0.6, geom=SKEWED),
 }
 
 
@@ -106,39 +97,43 @@ def test_engine_matches_the_scalar_reference(case):
     cfg = SCALAR_CASES[case]
     seed, n = 17, 300
     _, transcript = run_session(n, cfg, seed=seed)
-    uniforms = protocol._round_variates(seed, 0, n)
+    uniforms = protocol._uniforms(protocol._round_draws(seed, 0, n))
     normals = protocol._box_muller(uniforms[:, 6], uniforms[:, 7])
+    decay = decay_factor(cfg.params)
     resends = set()
     for row, u, z in zip(transcript, uniforms.tolist(), normals):
         alice_u, coin_u, outcome_u, tie_u, basis_u, bit_u, _, _ = u
-        alice = SYMBOLS[int(4.0 * alice_u)]
+        alice = int(4.0 * alice_u)
         assert row["alice"] == alice
-        state, eve = alice, None
-        if coin_u < cfg.attack_fraction:
-            rng = Replay([outcome_u, tie_u], in_plane_noise(z, cfg.sensor))
-            state, eve = attack_round(
-                alice, cfg.geometry, cfg.params, cfg.sensor, cfg.strategy, rng, cfg.born_factor
+        state, attacked = alice, coin_u < cfg.attack_fraction
+        assert row["attacked"] == attacked
+        if attacked:
+            outcome, inferred, posterior, state = oracles.full_field_round(
+                alice,
+                cfg.geometry.config_matrix,
+                cfg.geometry.mix_matrix,
+                decay,
+                cfg.sensor.sigma,
+                cfg.born_factor,
+                cfg.strategy.mode.value,
+                cfg.strategy.tau,
+                outcome_u,
+                in_plane_noise(z, cfg.sensor, cfg.geometry),
+                tie_u,
             )
-            assert rng.exhausted()
-        bob_basis = BASES[int(2.0 * basis_u)]
-        bob_bit = bob_measure(state, bob_basis, Replay([bit_u]))
-        assert (BASES[row["bob_basis"]], row["bob_bit"]) == (bob_basis, bob_bit)
-        sifted = bob_basis is alice.basis
-        assert row["sifted"] == sifted
-        assert row["error"] == (sifted and bob_bit != alice.bit)
-        assert row["attacked"] == (eve is not None)
-        if eve is not None:
-            assert (row["outcome"], row["inferred"], row["resent"]) == (
-                eve.outcome,
-                eve.inferred,
-                eve.resent,
-            )
-            assert (row["resent"] == row["alice"]) == eve.cloned
-            np.testing.assert_allclose(row["posterior"], eve.posterior, rtol=0.0, atol=1e-12)
+            assert (row["outcome"], row["inferred"], row["resent"]) == (outcome, inferred, state)
+            np.testing.assert_allclose(row["posterior"], posterior, rtol=0.0, atol=1e-12)
             resends.add(bool(row["resent"] == row["inferred"]))
         else:
             assert (row["outcome"], row["inferred"], row["resent"]) == (-1, -1, -1)
             assert not row["posterior"].any()
+        bob_basis = int(2.0 * basis_u)
+        p0 = oracles.bob_bit_distribution(oracles.LABELS[state], "ZX"[bob_basis])[0]
+        bob_bit = 0 if bit_u < p0 else 1
+        assert (row["bob_basis"], row["bob_bit"]) == (bob_basis, bob_bit)
+        sifted = bob_basis == alice >> 1
+        assert row["sifted"] == sifted
+        assert row["error"] == (sifted and bob_bit != alice & 1)
     if case == "threshold":
         assert resends == {True, False}
     if case == "fraction-0.7":
@@ -152,7 +147,7 @@ def test_eve_accuracy_follows_the_full_field_law(b, seed):
     n = 200_000
     cfg = eve_config(b=b, born=False)
     stats, _ = run_session(n, cfg, seed=seed, with_records=False)
-    residuals = hypothesis_residuals(cfg.params, GEOM)
+    residuals = decay_factor(cfg.params) * GEOM.mix_matrix
     expected = oracles.four_hypothesis_mc(residuals, cfg.sensor.sigma, 1, n, seed)
     spread = math.hypot(
         oracles.binomial_sigma(stats.eve_accuracy, n), oracles.binomial_sigma(expected, n)
@@ -232,7 +227,7 @@ def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, variates):
 def test_round_block_layout():
     # every round owns 8 draws, two Philox counter steps: six uniforms and one Box-Muller pair
     assert protocol._BLOCK == 8
-    uniforms = protocol._round_variates(5, 3, 5)
+    uniforms = protocol._uniforms(protocol._round_draws(5, 3, 5))
     raw = np.random.Philox(5).random_raw(5 * 8)[3 * 8 :]
     assert uniforms.tolist() == ((raw.reshape(2, 8) >> 11) * 2.0**-53).tolist()
     u, v = uniforms[0, 6:]
