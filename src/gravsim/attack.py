@@ -20,7 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_flag, check_integer, check_number, is_number
+from .errors import (
+    ValidationError,
+    check_flag,
+    check_generator,
+    check_integer,
+    check_number,
+    is_number,
+)
 from .gravity import Geometry, NonlinearParams, decay_factor
 from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, as_symbol
 
@@ -122,15 +129,12 @@ class EveConfig:
         return _attack_columns(self.geometry.plane, self._settings)
 
 
-# Row s, column h: log P(outcome s | preparation h). Zero-probability pairs
-# get -inf so they can never be inferred.
+# The log prior of hypothesis h (row) given Eve's outcome s: column s
+# without the Born factor (all 0), column 4 + s with it, log P(outcome s | h).
+# Zero-probability pairs get -inf so they can never be inferred.
 with np.errstate(divide="ignore"):
-    _OUTCOME_LOG_LIKELIHOOD = np.log(BRANCH_WEIGHTS.T)
-_OUTCOME_LOG_LIKELIHOOD.setflags(write=False)
-
-# The log prior of each hypothesis given the outcome: [0] without the Born
-# factor, [1] with it.
-_LOG_PRIORS = np.stack([np.zeros((4, 4)), _OUTCOME_LOG_LIKELIHOOD])
+    _LOG_PRIORS = np.hstack([np.zeros((4, 4)), np.log(BRANCH_WEIGHTS)])
+_LOG_PRIORS.setflags(write=False)
 
 # Eve's outcome thresholds, row per preparation: the cumulative branch
 # weights, exact multiples of 1/4 that end at 1. A uniform u gives the
@@ -139,47 +143,51 @@ _EVE_EDGES = np.cumsum(BRANCH_WEIGHTS, axis=1)
 
 
 def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
-    """Hypothesis log-posteriors up to a shared constant, (..., dim) -> (..., 4).
+    """Hypothesis log-posteriors up to a shared constant, (dim, ...) -> (4, ...).
 
-    statistic is the sum of `count` readings minus count times Eve's
-    configuration field; residuals are the (4, dim) hypothesis residuals
-    r_h, or one such table per statistic row, and offsets their _offsets in
-    the same layout; sigma is a number or a column of one per row. Every
-    caller first checks with _check_scores that the statistic's scores
-    cannot overflow. The Gaussian scores S.r_h - count * |r_h|^2 / 2
-    are shifted in field units so that the best hypothesis the prior allows
-    is exactly 0 (one the prior rules out is capped at 0 and keeps its -inf
-    prior), and only then divided by sigma, once per factor: no sigma > 0
-    gives NaN, a hypothesis the data rule out scores -inf, and exact ties
-    stay exact. The dot products go through einsum rather than BLAS, which
-    sums every row in the same order whatever the batch shape, so a row's
-    logits depend neither on the rows beside it nor on whether its residuals
-    are shared with them.
+    The kernel is hypothesis-major: axis 0 of the logits is the hypothesis
+    and the rows of a batch lie along the last axis, so each hypothesis is
+    one contiguous row. statistic is the sum of `count` readings minus
+    count times Eve's configuration field, a (dim,) vector or a (dim, n)
+    batch; residuals are the (4, dim) hypothesis residuals r_h, or a
+    (4, dim, n) table with one per statistic, and offsets their _offsets as
+    (4, 1) or (4, n) (a lone (dim,) statistic takes (4,)); sigma and
+    log_prior broadcast against the (4, n) logits. Every caller first checks
+    with _check_scores that the statistic's scores cannot overflow. The
+    Gaussian scores S.r_h - count * |r_h|^2 / 2 are shifted in field units
+    so that the best hypothesis the prior allows is exactly 0 (one the prior
+    rules out is capped at 0 and keeps its -inf prior), and only then
+    divided by sigma, once per factor: no sigma > 0 gives NaN, a hypothesis
+    the data rule out scores -inf, and exact ties stay exact. The dot
+    products go through einsum rather than BLAS, which sums every row in
+    the same order whatever the batch shape, so a row's logits depend
+    neither on the rows beside it nor on whether its residuals are shared
+    with them.
     """
-    score = np.einsum("...d,...hd->...h", statistic, residuals)
+    score = np.einsum("d...,hd...->h...", statistic, residuals)
     score -= offsets
-    best = _hmax(np.where(log_prior == -np.inf, -np.inf, score))[..., np.newaxis]
+    best = _hmax(np.where(log_prior == -np.inf, -np.inf, score))
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
         return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
 
 
 def _hmax(x) -> np.ndarray:
-    """Row maxima of x, (..., 4) -> (...), as np.maximum folded over the four columns in order.
+    """Maxima over the hypotheses, (4, ...) -> (...), np.maximum folded over the rows in order.
 
-    Bit for bit x.max(axis=-1), ties between 0.0 and -0.0 included, and
-    NaN where it gives NaN; but a fold of four columns is far faster than
-    a reduction along an axis of length 4.
+    Bit for bit x.max(axis=0), ties between 0.0 and -0.0 included, and NaN
+    where it gives NaN; but a fold of four contiguous rows is far faster
+    than a reduction along an axis of length 4.
     """
-    return np.maximum(np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2]), x[..., 3])
+    return np.maximum(np.maximum(np.maximum(x[0], x[1]), x[2]), x[3])
 
 
 def _hsum(x) -> np.ndarray:
-    """Row sums of x, (..., 4) -> (...), added column by column from 0 in order.
+    """Sums over the hypotheses, (4, ...) -> (...), added row by row from 0 in order.
 
-    Bit for bit x.sum(axis=-1), -0.0 rows included, for the reason _hmax
+    Bit for bit x.sum(axis=0), -0.0 entries included, for the reason _hmax
     gives; a boolean x gives integer counts.
     """
-    return 0 + x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
+    return 0 + x[0] + x[1] + x[2] + x[3]
 
 
 def _offsets(residuals, count) -> np.ndarray:
@@ -277,23 +285,31 @@ def _attack_columns(plane, settings) -> _AttackTable:
     )
 
 
-def _column(values, at):
-    """values[at]: one number for one setting, else a column against per-row arrays."""
-    return values[at] if np.ndim(at) == 0 else values[at][:, np.newaxis]
+def _gather(values, at) -> np.ndarray:
+    """Rows `at` of an _AttackTable column, with the row axis moved last.
+
+    (P, ...) -> (..., n) for an array of n rows, and (..., 1) for one row
+    `at`, so that the result broadcasts against a hypothesis-major batch.
+    """
+    if np.ndim(at) == 0:
+        return values[at, ..., np.newaxis]
+    return np.moveaxis(values, 0, -1).take(at, axis=-1)
 
 
 def _plane_statistic(table, at, truth, normals) -> np.ndarray:
-    """Eve's statistic in plane coordinates, (n,) true hypotheses and (n, 2) normals -> (n, 2).
+    """Eve's statistic in plane coordinates, (n,) true hypotheses and (2, n) normals -> (2, n).
 
     Row i is under setting at[i] of the _AttackTable, or `at` for every
-    row. The sum of `count` readings minus count times Eve's configuration
-    field, projected on the plane, is count * residuals[truth] plus noise of
+    row; the two plane axes are the rows of normals and of the result. The
+    sum of `count` readings minus count times Eve's configuration field,
+    projected on the plane, is count * residuals[truth] plus noise of
     standard deviation sigma * sqrt(count) per axis, and the scores depend
     on the readings through that projection alone. Callers first check the
     table with _check_table, for an extent no normal exceeds.
     """
-    count, scale = _column(table.count, at), _column(table.scale, at)
-    return count * table.residuals[at, truth] + scale * normals
+    # Row 4p + h of the flattened residuals is hypothesis h of setting p.
+    residuals = table.residuals.reshape(-1, 2).T.take(4 * at + truth, axis=1)
+    return _gather(table.count, at) * residuals + _gather(table.scale, at) * normals
 
 
 def _check_table(table, extent: float) -> None:
@@ -310,22 +326,22 @@ def _check_table(table, extent: float) -> None:
 
 
 def _break_ties(logits, peak, u) -> np.ndarray:
-    """Index of each row's maximum, (n, 4) -> (n,); a tie goes to peak floor(u * ties) of the row.
+    """Index of each column's maximum, (4, n) -> (n,); a tie goes to its peak floor(u * ties).
 
-    peak holds each row's maximum, (n, 1). u holds one uniform draw per
-    row, so the stream position never depends on the data. A row whose
-    peak matches no entry (a NaN row) gives 0.
+    peak holds each column's maximum, (n,). u holds one uniform draw per
+    column, so the stream position never depends on the data. A column
+    whose peak matches no entry (a NaN column) gives 0.
     """
-    is_peak = logits == peak
-    n_ties = _hsum(is_peak)
+    # rank_h counts the column's peaks at hypotheses 0 to h. The pick-th peak
+    # is the first hypothesis whose rank exceeds pick, so its index is the
+    # number of ranks at or below pick.
+    is_peak = (logits == peak).view(np.int8)
+    rank_0 = is_peak[0]
+    rank_1 = rank_0 + is_peak[1]
+    rank_2 = rank_1 + is_peak[2]
+    n_ties = rank_2 + is_peak[3]
     pick = np.minimum((u * n_ties).astype(np.int64), n_ties - 1)
-    # seen counts the row's peaks before column h; the chosen one is the pick-th.
-    chosen = np.zeros(len(is_peak), dtype=np.int64)
-    seen = is_peak[:, 0].astype(np.int64)
-    for h in range(1, 4):
-        chosen += h * (is_peak[:, h] & (seen == pick))
-        seen += is_peak[:, h]
-    return chosen
+    return 0 + (rank_0 <= pick) + (rank_1 <= pick) + (rank_2 <= pick)
 
 
 def _readings(readings) -> np.ndarray:
@@ -374,7 +390,8 @@ def infer_alice_state(
     under the sensor's Gaussian noise, and optionally multiplies in
     the probability of Eve's outcome under each hypothesis (born_factor).
     Ties in the maximum are broken uniformly at random; one uniform draw is
-    consumed on every call so the stream position never depends on the data.
+    consumed from rng, a numpy Generator, on every call so the stream
+    position never depends on the data.
 
     Returns (inferred symbol, posterior over the four preparations).
     """
@@ -389,6 +406,7 @@ def infer_alice_state(
         )
     outcome = as_symbol(eve_outcome, "infer_alice_state")
     born_factor = check_flag(born_factor, "eve.bornFactor")
+    rng = check_generator(rng, "infer_alice_state.rng")
     count = data.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         statistic = data.sum(axis=0) - count * geom.config_matrix[outcome]
@@ -400,7 +418,7 @@ def infer_alice_state(
         residuals,
         _offsets(residuals, count),
         sensor.sigma,
-        _OUTCOME_LOG_LIKELIHOOD[outcome] if born_factor else 0.0,
+        _LOG_PRIORS[:, 4 * born_factor + outcome],
     )
     peak = logits.max()
     weights = np.exp(logits - peak)
@@ -433,28 +451,30 @@ def _attack_batch(
     Threshold the inference only when the posterior peak reaches tau.
     Returns (outcome, inferred, posterior, resent) as arrays of symbol
     indices and an (n, 4) posterior; every posterior row is checked to be
-    a distribution.
+    a distribution. Inside, the kernel is hypothesis-major: noise.T, the
+    logits and the weights are (2, n) and (4, n), and the posterior is
+    returned as the .T view of its (4, n) array.
     """
-    outcome = _hsum(outcome_draws[:, np.newaxis] >= _EVE_EDGES[prepared])
-    statistic = _plane_statistic(table, at, prepared, noise)
+    outcome = _hsum(outcome_draws >= _EVE_EDGES.T.take(prepared, axis=1))
+    statistic = _plane_statistic(table, at, prepared, noise.T)
     logits = _logits(
         statistic,
-        table.residuals[at],
-        table.offsets[at],
-        _column(table.sigma, at),
-        _LOG_PRIORS[table.born[at], outcome],
+        _gather(table.residuals, at),
+        _gather(table.offsets, at),
+        table.sigma[at],
+        _LOG_PRIORS.take(4 * table.born[at] + outcome, axis=1),
     )
-    peak = _hmax(logits)[:, np.newaxis]
+    peak = _hmax(logits)
     weights = np.exp(logits - peak)
-    total = _hsum(weights)[:, np.newaxis]
+    total = _hsum(weights)
     posterior = weights / total
     normalized = abs(_hsum(posterior) - 1.0) <= POSTERIOR_TOLERANCE
     if not ((posterior >= 0.0).all() and normalized.all()):
         raise ValidationError("posterior must be non-negative and sum to 1")
     inferred = _break_ties(logits, peak, tie_draws)
-    # The peak weight is exp(0) = 1, so 1 / total is each row's largest posterior.
-    resent = np.where(1.0 / total[:, 0] >= table.resend_from[at], inferred, outcome)
-    return outcome, inferred, posterior, resent
+    # The peak weight is exp(0) = 1, so 1 / total is each round's largest posterior.
+    resent = np.where(1.0 / total >= table.resend_from[at], inferred, outcome)
+    return outcome, inferred, posterior.T, resent
 
 
 @dataclass(frozen=True)
@@ -536,19 +556,24 @@ def monte_carlo_accuracy(
     sufficient statistic is sampled directly from its Gaussian law in the
     plane of the hypotheses (geom.plane), so the outcome-based factor plays
     no role (matching analytic_accuracy). Ties are broken uniformly at
-    random. Draw order from `rng`: rng.integers(4, n) for the truths, an
-    (n, 2) standard normal block for the noise in the plane and n uniforms
-    for the tie-breaks.
+    random. Draw order from `rng`, which must be a numpy Generator:
+    rng.integers(4, n) for the truths, an (n, 2) standard normal block for
+    the noise in the plane and n uniforms for the tie-breaks. The kernel
+    scores the trials hypothesis-major, the transposed noise as a (2, n)
+    statistic and (4, n) logits, and the accuracy is the count of hits over
+    n, which is bit for bit their mean.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
+    rng = check_generator(rng, "monte_carlo_accuracy.rng")
     table = EveConfig(geom, params, sensor, EveStrategy(), born_factor=False)._table
     truths = rng.integers(4, size=n_trials)
     noise = rng.standard_normal((n_trials, 2))
     _check_table(table, float(np.abs(noise).max()))
-    statistic = _plane_statistic(table, 0, truths, noise)
-    logits = _logits(statistic, table.residuals[0], table.offsets[0], table.sigma[0])
-    chosen = _break_ties(logits, _hmax(logits)[:, np.newaxis], rng.random(n_trials))
-    return float(np.mean(chosen == truths))
+    statistic = _plane_statistic(table, 0, truths, noise.T)
+    residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
+    logits = _logits(statistic, residuals, offsets, table.sigma[0])
+    chosen = _break_ties(logits, _hmax(logits), rng.random(n_trials))
+    return float(np.count_nonzero(chosen == truths) / n_trials)
 
 
 def cloning_fidelity(
@@ -563,11 +588,13 @@ def cloning_fidelity(
     """Average |<prepared|resent>|^2, twice the resent symbol's branch weight, over preparations.
 
     The trials run through the session engine's attack. Draw order from
-    `rng`: rng.integers(4, n) for the preparations, n uniforms for Eve's
-    outcomes, an (n, 2) standard normal block for the sensor noise in the
-    plane of the hypotheses and n uniforms for the tie-breaks.
+    `rng`, which must be a numpy Generator: rng.integers(4, n) for the
+    preparations, n uniforms for Eve's outcomes, an (n, 2) standard normal
+    block for the sensor noise in the plane of the hypotheses and n
+    uniforms for the tie-breaks.
     """
     n = check_integer(n_trials, "cloning_fidelity.n_trials", minimum=1)
+    rng = check_generator(rng, "cloning_fidelity.rng")
     table = EveConfig(geom, params, sensor, strategy, born_factor=born_factor)._table
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)

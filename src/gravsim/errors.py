@@ -4,10 +4,13 @@ Every configuration type checks its own fields with the functions below,
 so a value means the same wherever it enters: from JSON, a sweep grid or a
 direct call. A number is an int, float or numpy integer or floating value,
 never a bool, and is finite; an integer is an int or numpy integer, never a
-bool; a flag is a bool or numpy bool; a list is any sequence, numpy arrays
-included, that is not a string. Each message starts with the key path of
-the value, such as "nonlinear.b" or "limit.lambdaGrid[1]".
+bool; a flag is a bool or numpy bool; a generator is a numpy Generator; a
+list is any sequence, numpy arrays included, that is not a string. Each
+message starts with the key path of the value, such as "nonlinear.b" or
+"limit.lambdaGrid[1]".
 """
+
+from __future__ import annotations
 
 import math
 from collections.abc import Sequence
@@ -76,6 +79,13 @@ def check_flag(value, path: str) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValidationError(f"{path}: expected true or false, got {value!r}")
     return bool(value)
+
+
+def check_generator(value, path: str) -> np.random.Generator:
+    """value, which must be a numpy Generator (not a seed or a legacy RandomState)."""
+    if not isinstance(value, np.random.Generator):
+        raise ValidationError(f"{path}: expected a numpy Generator, got {value!r}")
+    return value
 
 
 def is_list(value) -> bool:

@@ -150,15 +150,19 @@ def _round_draws(seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """The uniform (x >> 11) * 2**-53 in [0, 1) of each uint64 draw x."""
-    return (raw >> 11) * 2.0**-53
+    """The uniform (x >> 11) * 2**-53 in [0, 1) of each uint64 draw x, as a C-ordered array.
+
+    C order makes the uniforms of a transposed (8, n) view of a chunk's
+    draws one contiguous row per stream.
+    """
+    return np.multiply(raw >> 11, 2.0**-53, order="C")
 
 
 def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Normal pairs (r cos(2 pi v), r sin(2 pi v)) with r = sqrt(-2 log(1 - u)), shape (n, 2)."""
+    """Normal pairs (r cos(2 pi v), r sin(2 pi v)) with r = sqrt(-2 log(1 - u)), shape (2, n)."""
     radius = np.sqrt(-2.0 * np.log1p(-u))
     angle = 2.0 * math.pi * v
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)])
 
 
 # The largest |component| _box_muller gives the engine: its radius at the largest uniform.
@@ -195,7 +199,10 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     the engine can draw, so a setting that could overflow Eve's scores
     fails whatever the seeds, n_rounds and attack fraction. The rounds run
     in chunks (_chunks) as array operations on independent rows, so every
-    session's counts and transcript rows are those it has alone. Per
+    session's counts and transcript rows are those it has alone. A chunk's
+    (n, 8) raw draws become uniforms once, as an (8, n) array with one
+    contiguous row per stream (_ALICE to _NOISE_V); _box_muller gives Eve's
+    normals as (2, n), handed to _attack_batch as its (n, 2) .T view. Per
     session, the counts are the sifted rounds' (error, Alice's bit, Eve's
     guess) table, 2 x 2 x 3 cells, then the attacked rounds whose inference
     was wrong and right. The transcript, if given, receives the rounds of
@@ -211,7 +218,8 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     for chunk in _chunks(n_points, n_rounds, block):
         sessions = slice(chunk[0][0], chunk[0][0] + len(chunk))
         blocks = [_round_draws(int(seeds[point]), start, stop) for point, start, stop in chunk]
-        uniforms = _uniforms(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+        raw = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        uniforms = _uniforms(raw.T)
         # The block of each round within the chunk; with one block, that is 0 for all.
         # Kept: the per-round-settings path on every chunk made a 2000-round Eve
         # session 3% slower (2327 -> 2399 us) and a 5000-round honest session
@@ -219,21 +227,21 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
         owner = 0
         if len(chunk) > 1:
             owner = np.repeat(np.arange(len(chunk)), [stop - start for _, start, stop in chunk])
-        alice = (4.0 * uniforms[:, _ALICE]).astype(np.intp)
+        alice = (4.0 * uniforms[_ALICE]).astype(np.intp)
         state = alice.copy()
         # Eve's guess per round: her inferred bit when its basis is Alice's, else no guess.
         guess = np.full(len(alice), _NO_GUESS)
         if table is not None:
-            attacked = np.flatnonzero(uniforms[:, _COIN] < table.fraction[sessions.start + owner])
+            attacked = np.flatnonzero(uniforms[_COIN] < table.fraction[sessions.start + owner])
             attacked_owner = owner[attacked] if len(chunk) > 1 else 0
             at = sessions.start + attacked_owner
             outcome, inferred, posterior, resent = _attack_batch(
                 alice[attacked],
                 table,
                 at,
-                uniforms[attacked, _EVE_OUTCOME],
-                _box_muller(uniforms[attacked, _NOISE_U], uniforms[attacked, _NOISE_V]),
-                uniforms[attacked, _TIE_BREAK],
+                uniforms[_EVE_OUTCOME].take(attacked),
+                _box_muller(uniforms[_NOISE_U].take(attacked), uniforms[_NOISE_V].take(attacked)).T,
+                uniforms[_TIE_BREAK].take(attacked),
             )
             state[attacked] = resent
             same_basis = inferred >> 1 == alice[attacked] >> 1
@@ -241,8 +249,8 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
             # Per block: attacked rounds whose inference was wrong, then right.
             scored = 2 * attacked_owner + (inferred == alice[attacked])
             hits[sessions] += np.bincount(scored, minlength=2 * len(chunk)).reshape(-1, 2)
-        bob_basis = (2.0 * uniforms[:, _BOB_BASIS]).astype(np.intp)
-        bob_bit = (uniforms[:, _BOB_BIT] >= _BOB_P0[state, bob_basis]).astype(np.intp)
+        bob_basis = (2.0 * uniforms[_BOB_BASIS]).astype(np.intp)
+        bob_bit = (uniforms[_BOB_BIT] >= _BOB_P0[state, bob_basis]).astype(np.intp)
         sifted = bob_basis == alice >> 1
         error = sifted & (bob_bit != alice & 1)
         # Per block: the sifted rounds' (error, Alice's bit, Eve's guess) cells.

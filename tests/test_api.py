@@ -144,6 +144,7 @@ def rng():
 NUMBER = (True, math.nan)  # a bool and a NaN, never numbers
 FLAG = (1, math.nan, "no")  # only true or false is a flag
 SYMBOL = (True, 1.0, 4, "Q0")  # a symbol is a Bb84Symbol, its label or its index 0 to 3
+GENERATOR = (None, 3, np.random.RandomState(0))  # only a numpy Generator, never a seed
 
 # Each validated type and entry point: the key path its message starts with,
 # the call, one numpy scalar it accepts and values it rejects.
@@ -228,6 +229,10 @@ BOUNDARY = [
     ("cloning_fidelity.born_factor", "eve.bornFactor",
      lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, GEOM, SENSOR, 10, rng(), v),
      np.bool_(False), FLAG),
+    ("monte_carlo_accuracy.rng", "monte_carlo_accuracy.rng",
+     lambda v: monte_carlo_accuracy(BASE.nonlinear, GEOM, SENSOR, 10, v), rng(), GENERATOR),
+    ("cloning_fidelity.rng", "cloning_fidelity.rng",
+     lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, GEOM, SENSOR, 10, v), rng(), GENERATOR),
     ("key_rate.qber", "key_rate.qber", lambda v: key_rate(v, 0.0), np.float32(0.1), NUMBER),
     ("key_rate.eve_info", "key_rate.eveInfo", lambda v: key_rate(0.0, v), np.float32(0.5), NUMBER),
     ("binary_entropy.p", "binary_entropy.p", lambda v: binary_entropy(v), np.float32(0.25), NUMBER),
@@ -253,6 +258,9 @@ BOUNDARY = [
     ("infer_alice_state.born_factor", "eve.bornFactor",
      lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, BASE.nonlinear, SENSOR, rng(), v),
      np.bool_(False), FLAG),
+    ("infer_alice_state.rng", "infer_alice_state.rng",
+     lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, BASE.nonlinear, SENSOR, v),
+     rng(), GENERATOR),
     # one reading among zeros; readings come from outside, so each must be a real number
     ("infer_alice_state.readings", "infer_alice_state",
      lambda v: infer_alice_state(

@@ -101,9 +101,9 @@ def test_sense_shape_and_vanishing_noise(geom):
     sensor = SensorModel(sigma=1e-30, samples=3)
     table = EveConfig(geom, NonlinearParams(b=0.05), sensor, EveStrategy())._table
     truth = np.arange(4)
-    statistic = _plane_statistic(table, 0, truth, np.random.default_rng(1).standard_normal((4, 2)))
-    assert statistic.shape == (4, 2)
-    assert np.abs(statistic - 3.0 * table.residuals[0, truth]).max() < 1e-25
+    statistic = _plane_statistic(table, 0, truth, np.random.default_rng(1).standard_normal((2, 4)))
+    assert statistic.shape == (2, 4)
+    assert np.abs(statistic - 3.0 * table.residuals[0, truth].T).max() < 1e-25
 
 
 def test_sense_mean_converges():
@@ -111,8 +111,9 @@ def test_sense_mean_converges():
     n = 100_000
     uniforms = protocol._uniforms(protocol._round_draws(8, 0, n))
     normals = protocol._box_muller(uniforms[:, 6], uniforms[:, 7])
-    assert np.abs(normals.mean(axis=0)).max() < 5.0 / math.sqrt(n)
-    assert np.abs(normals.var(axis=0) - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
+    assert normals.shape == (2, n)
+    assert np.abs(normals.mean(axis=1)).max() < 5.0 / math.sqrt(n)
+    assert np.abs(normals.var(axis=1) - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
 
 
 def test_hypothesis_residuals_scale_with_decay(geom):
@@ -327,7 +328,7 @@ def test_attack_round_draw_order_contract(geom):
         cfg._table,
         0,
         u[:, protocol._EVE_OUTCOME],
-        noise,
+        noise.T,
         u[:, protocol._TIE_BREAK],
     )
     assert np.array_equal(transcript["outcome"], outcome)

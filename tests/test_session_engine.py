@@ -98,7 +98,7 @@ def test_engine_matches_the_scalar_reference(case):
     seed, n = 17, 300
     _, transcript = run_session(n, cfg, seed=seed)
     uniforms = protocol._uniforms(protocol._round_draws(seed, 0, n))
-    normals = protocol._box_muller(uniforms[:, 6], uniforms[:, 7])
+    normals = protocol._box_muller(uniforms[:, 6], uniforms[:, 7]).T
     decay = decay_factor(cfg.params)
     resends = set()
     for row, u, z in zip(transcript, uniforms.tolist(), normals):
@@ -234,7 +234,7 @@ def test_round_block_layout():
     radius = math.sqrt(-2.0 * math.log1p(-u))
     z = protocol._box_muller(uniforms[:, 6], uniforms[:, 7])
     assert z.shape == (2, 2)
-    assert z[0] == pytest.approx(
+    assert z[:, 0] == pytest.approx(
         [radius * math.cos(2.0 * math.pi * v), radius * math.sin(2.0 * math.pi * v)],
         rel=1e-15,
     )
@@ -329,9 +329,10 @@ def test_a_setting_the_rule_accepts_scores_every_normal_the_engine_draws(
     corners = [(x, y) for x in (-e, 0.0, e) for y in (-e, 0.0, e)]
     truth, outcome = np.divmod(np.arange(16).repeat(len(corners)), 4)
     normals = np.tile(corners, (16, 1))
-    statistic = _plane_statistic(table, 0, truth, normals)
-    prior = _LOG_PRIORS[int(born), outcome]
-    logits = _logits(statistic, table.residuals[0], table.offsets[0], table.sigma[0], prior)
+    statistic = _plane_statistic(table, 0, truth, normals.T)
+    prior = _LOG_PRIORS.take(4 * int(born) + outcome, axis=1)
+    offsets = table.offsets[0][:, np.newaxis]
+    logits = _logits(statistic, table.residuals[0], offsets, table.sigma[0], prior)
     assert np.isfinite(statistic).all()
     assert not np.isnan(logits).any() and (logits < np.inf).all()
     assert np.isfinite(_hmax(logits)).all()
