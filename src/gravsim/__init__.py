@@ -38,7 +38,6 @@ from .config import (
     RunConfig,
     SweepSpec,
     config_from_dict,
-    default_geometry,
     load_config,
     parse_config,
     serialize_config,
@@ -48,6 +47,7 @@ from .gravity import (
     Geometry,
     NonlinearParams,
     decay_factor,
+    default_geometry,
     point_mass_field,
 )
 from .protocol import (

@@ -20,13 +20,14 @@ from .attack import (
     CHANCE_LEVEL,
     SensorModel,
     _attack_columns,
+    _check_table,
     analytic_accuracy,
     monte_carlo_accuracy,
 )
 from .errors import ValidationError, check_flag, check_integer, check_number, check_numbers
 from .gravity import Geometry, NonlinearParams, decay_factor
 from .protocol import STAT_COLUMNS  # noqa: F401 (re-exported)
-from .protocol import _session_stats, _simulate
+from .protocol import _NORMAL_EXTENT, _session_stats, _simulate
 from .qubits import Bb84Symbol, as_symbol
 
 if TYPE_CHECKING:
@@ -46,23 +47,26 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     Each grid value is checked once, by base_config.with_overrides, and the
     points are columns of the checked values. Every field is checked on
     its own, so the first point that holds a rejected value is the first
-    point that with_overrides rejects: the points before it run, and then
-    its with_overrides raises.
+    point that with_overrides rejects. Then no session runs: the settings
+    of the points before it are checked as _simulate checks them, and
+    then its with_overrides raises.
     """
     names = spec.parameter_names
     checked = [[_checked(base_config, name, v) for v in values] for name, values in spec.grids]
     points = list(itertools.product(*checked))
     valid = next((k for k, point in enumerate(points) if None in point), len(points))
+    combos = list(itertools.product(*(values for _, values in spec.grids)))
     table = None
-    if base_config.eve.enabled:
+    if base_config.eve.enabled and valid > 0:
         columns = dict(zip(names, zip(*points[:valid])))
         settings = {**base_config.to_eve_config()._settings, **columns}
         table = _attack_columns(base_config.geometry.plane, settings)
+    if valid < len(points):
+        if table is not None:
+            _check_table(table, _NORMAL_EXTENT)
+        base_config.with_overrides(dict(zip(names, combos[valid])))  # raises
     seeds = range(spec.seed_base, spec.seed_base + valid)
     counts = _simulate(spec.rounds_per_point, seeds, table)
-    combos = list(itertools.product(*(values for _, values in spec.grids)))
-    if valid < len(points):  # raises: this point holds a rejected value
-        base_config.with_overrides(dict(zip(names, combos[valid])))
     rows = []
     for combo, point_counts in zip(combos, counts):
         row: dict = dict(zip(names, combo))

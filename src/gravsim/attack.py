@@ -143,26 +143,25 @@ _EVE_EDGES = np.cumsum(BRANCH_WEIGHTS, axis=1)
 
 
 def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
-    """Hypothesis log-posteriors up to a shared constant, (dim, ...) -> (4, ...).
+    """Hypothesis log-posteriors up to a shared constant, (dim, n) -> (4, n).
 
     The kernel is hypothesis-major: axis 0 of the logits is the hypothesis
     and the rows of a batch lie along the last axis, so each hypothesis is
-    one contiguous row. statistic is the sum of `count` readings minus
-    count times Eve's configuration field, a (dim,) vector or a (dim, n)
-    batch; residuals are the (4, dim) hypothesis residuals r_h, or a
-    (4, dim, n) table with one per statistic, and offsets their _offsets as
-    (4, 1) or (4, n) (a lone (dim,) statistic takes (4,)); sigma and
-    log_prior broadcast against the (4, n) logits. Every caller first checks
-    with _check_scores that the statistic's scores cannot overflow. The
-    Gaussian scores S.r_h - count * |r_h|^2 / 2 are shifted in field units
-    so that the best hypothesis the prior allows is exactly 0 (one the prior
-    rules out is capped at 0 and keeps its -inf prior), and only then
-    divided by sigma, once per factor: no sigma > 0 gives NaN, a hypothesis
-    the data rule out scores -inf, and exact ties stay exact. The dot
-    products go through einsum rather than BLAS, which sums every row in
-    the same order whatever the batch shape, so a row's logits depend
-    neither on the rows beside it nor on whether its residuals are shared
-    with them.
+    one contiguous row. statistic is the sum of `count` readings minus count
+    times Eve's configuration field, a (dim, n) batch (n = 1 for
+    infer_alice_state); residuals are the (4, dim) hypothesis residuals r_h,
+    or a (4, dim, n) table with one per statistic, and offsets their
+    _offsets as (4, 1) or (4, n); sigma and log_prior broadcast against the
+    (4, n) logits. Every caller first checks with _check_scores that the
+    statistic's scores cannot overflow. The Gaussian scores S.r_h - count *
+    |r_h|^2 / 2 are shifted in field units so that the best hypothesis the
+    prior allows is exactly 0 (one the prior rules out is capped at 0 and
+    keeps its -inf prior), and only then divided by sigma, once per factor:
+    no sigma > 0 gives NaN, a hypothesis the data rule out scores -inf, and
+    exact ties stay exact. The dot products go through einsum rather than
+    BLAS, which sums every row in the same order whatever the batch shape,
+    so a row's logits depend neither on the rows beside it nor on whether
+    its residuals are shared with them.
     """
     score = np.einsum("d...,hd...->h...", statistic, residuals)
     score -= offsets
@@ -344,6 +343,18 @@ def _break_ties(logits, peak, u) -> np.ndarray:
     return 0 + (rank_0 <= pick) + (rank_1 <= pick) + (rank_2 <= pick)
 
 
+def _posterior(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peaks, weight totals and posteriors of (4, n) logits; each posterior column is checked."""
+    peak = _hmax(logits)
+    weights = np.exp(logits - peak)
+    total = _hsum(weights)
+    posterior = weights / total
+    normalized = abs(_hsum(posterior) - 1.0) <= POSTERIOR_TOLERANCE
+    if not ((posterior >= 0.0).all() and normalized.all()):
+        raise ValidationError("posterior must be non-negative and sum to 1")
+    return peak, total, posterior
+
+
 def _readings(readings) -> np.ndarray:
     """readings as a float64 array, each entry checked to be a number other than NaN.
 
@@ -389,7 +400,9 @@ def infer_alice_state(
     expected nonlinear residuals decay_factor(params) * geom.mix_matrix
     under the sensor's Gaussian noise, and optionally multiplies in
     the probability of Eve's outcome under each hypothesis (born_factor).
-    Ties in the maximum are broken uniformly at random; one uniform draw is
+    The readings are scored as one column of the session engine's batch,
+    with its tie-break and posterior check (_posterior): ties in the
+    maximum are broken uniformly at random, and one uniform draw is
     consumed from rng, a numpy Generator, on every call so the stream
     position never depends on the data.
 
@@ -414,19 +427,15 @@ def infer_alice_state(
     span, reach = float(np.abs(statistic).max()), float(np.abs(residuals).max())
     _check_scores(span, reach, count, sensor.sigma, geom.field_dim)
     logits = _logits(
-        statistic,
+        statistic[:, np.newaxis],
         residuals,
-        _offsets(residuals, count),
+        _offsets(residuals, count)[:, np.newaxis],
         sensor.sigma,
-        _LOG_PRIORS[:, 4 * born_factor + outcome],
+        _LOG_PRIORS[:, 4 * born_factor + outcome, np.newaxis],
     )
-    peak = logits.max()
-    weights = np.exp(logits - peak)
-    posterior = weights / weights.sum()
-    ties = np.flatnonzero(logits == peak)
-    u = rng.random()
-    inferred = SYMBOLS[int(ties[min(int(u * ties.size), ties.size - 1)])]
-    return inferred, posterior
+    peak, _, posterior = _posterior(logits)
+    inferred = _break_ties(logits, peak, rng.random())
+    return SYMBOLS[int(inferred[0])], posterior[:, 0]
 
 
 def _attack_batch(
@@ -464,13 +473,7 @@ def _attack_batch(
         table.sigma[at],
         _LOG_PRIORS.take(4 * table.born[at] + outcome, axis=1),
     )
-    peak = _hmax(logits)
-    weights = np.exp(logits - peak)
-    total = _hsum(weights)
-    posterior = weights / total
-    normalized = abs(_hsum(posterior) - 1.0) <= POSTERIOR_TOLERANCE
-    if not ((posterior >= 0.0).all() and normalized.all()):
-        raise ValidationError("posterior must be non-negative and sum to 1")
+    peak, total, posterior = _posterior(logits)
     inferred = _break_ties(logits, peak, tie_draws)
     # The peak weight is exp(0) = 1, so 1 / total is each round's largest posterior.
     resent = np.where(1.0 / total >= table.resend_from[at], inferred, outcome)

@@ -34,9 +34,9 @@ from .attack import (
     _attack_batch,
     _check_table,
 )
-from .config import default_geometry, load_config
+from .config import load_config
 from .errors import GravsimError, ValidationError
-from .gravity import NonlinearParams
+from .gravity import NonlinearParams, default_geometry
 from .protocol import binary_entropy, key_rate, run_session
 from .qubits import SYMBOLS, Basis, Bb84Symbol, branch_weights
 

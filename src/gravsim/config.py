@@ -23,35 +23,11 @@ import numpy as np
 from .analysis import _confidence, _delay_schedule, _lambda_grid
 from .attack import DEFAULT_SIGMA  # noqa: F401 (re-exported)
 from .attack import EveConfig, EveStrategy, SensorModel, StrategyMode, _attack_fraction
-from .errors import ValidationError, check_flag, check_integer, check_number, check_numbers, is_list
+from .errors import ValidationError, check_flag, check_integer, check_number, is_list
 from .gravity import Geometry, NonlinearParams
 from .qubits import _LABELS, Bb84Symbol, as_symbol
 
 DEFAULT_ROUNDS = 10000
-
-_HALF_DIAG = 0.3535533905932738  # 0.5 * cos(pi/4)
-
-_DEFAULT_SITES = (
-    (0.1, 0.1, 0.0),
-    (0.1, -0.1, 0.0),
-    (-0.1, 0.1, 0.0),
-    (-0.1, -0.1, 0.0),
-)
-_DEFAULT_PROBES = (
-    (0.5, 0.0, 0.0),
-    (_HALF_DIAG, _HALF_DIAG, 0.0),
-    (0.0, 0.5, 0.0),
-    (-_HALF_DIAG, _HALF_DIAG, 0.0),
-    (-0.5, 0.0, 0.0),
-    (-_HALF_DIAG, -_HALF_DIAG, 0.0),
-    (0.0, -0.5, 0.0),
-    (_HALF_DIAG, -_HALF_DIAG, 0.0),
-)
-
-
-def default_geometry() -> Geometry:
-    """Four mass sites on the corners of a 0.2 m square, eight probes on a 0.5 m ring."""
-    return Geometry(sites=np.array(_DEFAULT_SITES), probes=np.array(_DEFAULT_PROBES))
 
 
 def _check_string(value, path: str) -> str:
@@ -277,33 +253,17 @@ def _as_object(value, path: str, keys) -> dict:
     return value
 
 
-def _as_vec3(value, path: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValidationError(f"{path}: expected a 3-vector, got {value!r}")
-    return check_numbers(value, path)
-
-
 def _read_sites(value, path: str) -> list:
-    """The sites object of a geometry section as one 3-vector per symbol, in symbol order."""
+    """The sites object of a geometry section as one row per symbol, in symbol order."""
     sites = _as_object(value, path, _LABELS)
     missing = [label for label in _LABELS if label not in sites]
     if missing:
         raise ValidationError(f"{path}: missing site(s) {missing}")
-    return [_as_vec3(sites[label], f"{path}.{label}") for label in _LABELS]
-
-
-def _read_probes(value, path: str) -> list:
-    """The probes list of a geometry section, each a 3-vector."""
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{path}: expected a non-empty list of 3-vectors")
-    return [_as_vec3(probe, f"{path}[{k}]") for k, probe in enumerate(value)]
+    return [sites[label] for label in _LABELS]
 
 
 # The keys whose JSON form is not their field's value: how each is read and written.
-_CODECS = {
-    "sites": (_read_sites, lambda sites: dict(zip(_LABELS, sites.tolist()))),
-    "probes": (_read_probes, np.ndarray.tolist),
-}
+_CODECS = {"sites": (_read_sites, lambda sites: dict(zip(_LABELS, sites.tolist())))}
 
 
 def _keys(name: str) -> dict:
@@ -343,9 +303,7 @@ def config_from_dict(
 ) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
     document = _as_object(document, "", _SECTIONS)
-    geometry = (
-        _section(document, "geometry", Geometry) if "geometry" in document else default_geometry()
-    )
+    geometry = _section(document, "geometry", Geometry)
     nonlinear = _section(document, "nonlinear", NonlinearParams)
     sensor = _section(document, "sensor", SensorModel)
     eve = _section(document, "eve", EveSettings)
@@ -420,7 +378,9 @@ def load_config(source: str, rounds: int | None = None, seed: int | None = None)
 
 
 def _to_json(value):
-    """A field value as JSON: a symbol by its label, a strategy by its name, a tuple as a list."""
+    """A field value as JSON: a symbol by label, a strategy by name, a tuple or array as a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, Bb84Symbol):
         return value.label
     if isinstance(value, StrategyMode):

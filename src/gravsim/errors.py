@@ -5,9 +5,9 @@ so a value means the same wherever it enters: from JSON, a sweep grid or a
 direct call. A number is an int, float or numpy integer or floating value,
 never a bool, and is finite; an integer is an int or numpy integer, never a
 bool; a flag is a bool or numpy bool; a generator is a numpy Generator; a
-list is any sequence, numpy arrays included, that is not a string. Each
-message starts with the key path of the value, such as "nonlinear.b" or
-"limit.lambdaGrid[1]".
+list is any sequence that is not a string, or a numpy array with an axis.
+Each message starts with the key path of the value, such as "nonlinear.b"
+or "limit.lambdaGrid[1]".
 """
 
 from __future__ import annotations
@@ -89,8 +89,10 @@ def check_generator(value, path: str) -> np.random.Generator:
 
 
 def is_list(value) -> bool:
-    """Whether value is a list of values: a sequence or numpy array, but not a string."""
-    return isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, (str, bytes))
+    """Whether value is a list of values: a sequence or a numpy array with an axis, not a string."""
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
 def check_numbers(values, path: str, **bounds) -> tuple[float, ...]:

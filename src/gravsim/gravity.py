@@ -11,13 +11,13 @@ the realized configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryError, ValidationError, check_number
-from .qubits import BRANCH_WEIGHTS, SYMBOLS
+from .errors import GeometryError, ValidationError, check_number, check_numbers, is_list
+from .qubits import _LABELS, BRANCH_WEIGHTS
 
 NEWTON_G = 6.674e-11
 
@@ -50,56 +50,102 @@ def point_mass_field(
     return grav_const * mass * offset / distance**3
 
 
+_HALF_DIAG = 0.3535533905932738  # 0.5 * cos(pi/4)
+
+_DEFAULT_SITES = (
+    (0.1, 0.1, 0.0),
+    (0.1, -0.1, 0.0),
+    (-0.1, 0.1, 0.0),
+    (-0.1, -0.1, 0.0),
+)
+_DEFAULT_PROBES = (
+    (0.5, 0.0, 0.0),
+    (_HALF_DIAG, _HALF_DIAG, 0.0),
+    (0.0, 0.5, 0.0),
+    (-_HALF_DIAG, _HALF_DIAG, 0.0),
+    (-0.5, 0.0, 0.0),
+    (-_HALF_DIAG, -_HALF_DIAG, 0.0),
+    (0.0, -0.5, 0.0),
+    (_HALF_DIAG, -_HALF_DIAG, 0.0),
+)
+
+
+def _vector(value, path: str) -> tuple[float, ...]:
+    """value as three numbers, coordinate i checked as path[i]."""
+    if not is_list(value) or len(value) != 3:
+        raise ValidationError(f"{path}: expected a 3-vector, got {value!r}")
+    return check_numbers(value, path)
+
+
 @dataclass(frozen=True, eq=False)
 class Geometry:
-    """Immutable mass-site and probe layout.
+    """Immutable mass-site and probe layout, by default the bundled square and ring.
 
     sites holds one 3-vector per BB84 symbol in (Z0, Z1, Xp, Xm) order and
     probes at least one 3-vector; coordinates in meters, test_mass in kg.
+    Each coordinate is a number by the errors.check_number rule, named
+    geometry.sites.<label>[i] or geometry.probes[k][i]. config_matrix is
+    the read-only (4, field_dim) matrix whose row s is the field of the mass
+    at site s, computed once from the table of site-probe offsets.
     """
 
-    sites: np.ndarray
-    probes: np.ndarray
+    sites: np.ndarray = _DEFAULT_SITES
+    probes: np.ndarray = _DEFAULT_PROBES
     test_mass: float = 1.0
     grav_const: float = NEWTON_G
+    config_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sites = np.asarray(self.sites, dtype=np.float64)
-        probes = np.asarray(self.probes, dtype=np.float64)
-        if sites.shape != (4, 3):
-            raise ValidationError(f"geometry.sites: expected shape (4, 3), got {sites.shape}")
-        if probes.ndim != 2 or probes.shape[0] < 1 or probes.shape[1] != 3:
+        if not is_list(self.sites) or len(self.sites) != 4:
             raise ValidationError(
-                f"geometry.probes: expected shape (n, 3) with n >= 1, got {probes.shape}"
+                f"geometry.sites: expected one 3-vector for each of {list(_LABELS)}, "
+                f"got {self.sites!r}"
             )
-        if not np.isfinite(sites).all():
-            raise ValidationError("geometry.sites: coordinates must be finite")
-        if not np.isfinite(probes).all():
-            raise ValidationError("geometry.probes: coordinates must be finite")
+        if not is_list(self.probes) or len(self.probes) == 0:
+            raise ValidationError(
+                f"geometry.probes: expected a non-empty list of 3-vectors, got {self.probes!r}"
+            )
+        sites = np.array(
+            [_vector(site, f"geometry.sites.{label}") for site, label in zip(self.sites, _LABELS)]
+        )
+        probes = np.array([_vector(v, f"geometry.probes[{k}]") for k, v in enumerate(self.probes)])
         for i in range(4):
             for j in range(i + 1, 4):
                 if np.array_equal(sites[i], sites[j]):
-                    raise GeometryError(
-                        f"geometry.sites: {SYMBOLS[i].label} and {SYMBOLS[j].label} coincide"
-                    )
-        for k, probe in enumerate(probes):
-            gaps = np.linalg.norm(sites - probe, axis=1)
-            if float(gaps.min()) < MIN_PROBE_SEPARATION:
-                nearest = SYMBOLS[int(gaps.argmin())].label
-                raise GeometryError(
-                    f"geometry.probes[{k}]: closer than {MIN_PROBE_SEPARATION} m "
-                    f"to site {nearest}"
-                )
+                    raise GeometryError(f"geometry.sites: {_LABELS[i]} and {_LABELS[j]} coincide")
+        # The (4, n, 3) probe-to-site offsets and their (4, n) distances, each
+        # sqrt(offset @ offset) by matmul, which rounds as np.linalg.norm does.
+        with np.errstate(over="ignore"):
+            offsets = sites[:, np.newaxis] - probes
+            distances = np.sqrt(offsets[..., np.newaxis, :] @ offsets[..., np.newaxis])[..., 0, 0]
+        near = (distances < MIN_PROBE_SEPARATION).any(axis=0)
+        if near.any():
+            k = int(near.argmax())
+            raise GeometryError(
+                f"geometry.probes[{k}]: closer than {MIN_PROBE_SEPARATION} m "
+                f"to site {_LABELS[int(distances[:, k].argmin())]}"
+            )
+        # Each cube is a scalar float power, C pow: numpy's array power rounds
+        # some cubes differently.
+        try:
+            cubes = np.array([d**3 for d in distances.ravel().tolist()])
+        except OverflowError:  # a distance beyond the cube root of the largest double
+            cubes = np.array([math.inf])
+        if not np.isfinite(cubes).all():
+            raise GeometryError("geometry.probes: a probe lies too far from a site to cube the distance")
         test_mass = check_number(self.test_mass, "geometry.testMass", above=0.0)
         grav_const = check_number(self.grav_const, "geometry.gravConst", above=0.0)
-        sites.setflags(write=False)
-        probes.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = (grav_const * test_mass * offsets / cubes.reshape(4, -1, 1)).reshape(4, -1)
+        for array in (sites, probes, matrix):
+            array.setflags(write=False)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "probes", probes)
         object.__setattr__(self, "test_mass", test_mass)
         object.__setattr__(self, "grav_const", grav_const)
+        object.__setattr__(self, "config_matrix", matrix)
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(self.config_matrix).all() and np.isfinite(self.plane).all()
+            finite = np.isfinite(matrix).all() and np.isfinite(self.plane).all()
         if not finite:
             raise GeometryError(
                 f"geometry.testMass, geometry.gravConst: a test mass of {test_mass!r} kg with "
@@ -113,22 +159,6 @@ class Geometry:
     @property
     def field_dim(self) -> int:
         return 3 * self.n_probes
-
-    @cached_property
-    def config_matrix(self) -> np.ndarray:
-        """Read-only (4, field_dim) matrix; row s is the field of the mass at site s."""
-        rows = [
-            np.concatenate(
-                [
-                    point_mass_field(self.sites[s], probe, self.test_mass, self.grav_const)
-                    for probe in self.probes
-                ]
-            )
-            for s in range(4)
-        ]
-        matrix = np.array(rows)
-        matrix.setflags(write=False)
-        return matrix
 
     @cached_property
     def mix_matrix(self) -> np.ndarray:
@@ -188,6 +218,11 @@ class Geometry:
         plane = np.stack([half[0], -half[0], half[1], -half[1]])
         plane.setflags(write=False)
         return plane
+
+
+def default_geometry() -> Geometry:
+    """The bundled layout: four mass sites on a 0.2 m square, eight probes on a 0.5 m ring."""
+    return Geometry()
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,6 @@ class Bb84Symbol(enum.IntEnum):
     def bit(self) -> int:
         return int(self) & 1
 
-    @classmethod
-    def from_label(cls, label: str) -> "Bb84Symbol":
-        try:
-            return _BY_LABEL[label]
-        except KeyError:
-            raise ValidationError(
-                f"unknown symbol label {label!r}; expected one of {sorted(_BY_LABEL)}"
-            ) from None
-
 
 SYMBOLS: tuple[Bb84Symbol, ...] = tuple(Bb84Symbol)
 

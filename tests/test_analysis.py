@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gravsim.analysis
 import oracles
 from gravsim import (
     STAT_COLUMNS,
@@ -212,6 +213,27 @@ def test_sweep_raises_the_error_of_its_first_failing_point(base_config, geom):
     with pytest.raises(ValidationError) as grid:
         sweep(idle, huge.with_overrides({"b": 0.05}))
     assert str(grid.value) == str(alone.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sweep_whose_first_point_is_rejected_raises_that_points_error(
+    base_config, geom, monkeypatch
+):
+    # The base settings overflow Eve's scores, but no point runs them.
+    huge = replace(base_config, geometry=Geometry(geom.sites, geom.probes, test_mass=1e200))
+    huge = huge.with_overrides({"b": 0.05, "sigma": 1e190})
+    spec = SweepSpec(grids=(("tau", (0.0, 0.5)),), rounds_per_point=50, seed_base=3)
+    with pytest.raises(ValidationError, match=r"^eve\.tau: must lie in \(0, 1\], got 0\.0$"):
+        sweep(spec, huge)
+    loud = base_config.with_overrides({"sigma": 5e307, "b": 0.05})
+    spec = SweepSpec(grids=(("sigma", (-1.0, 1e-12)),), rounds_per_point=50, seed_base=3)
+    with pytest.raises(ValidationError, match=r"^sensor\.sigma: must be > 0, got -1\.0$"):
+        sweep(spec, loud)
+    # A rejected point runs no session, also for the valid points before it.
+    monkeypatch.setattr(gravsim.analysis, "_simulate", None)
+    spec = SweepSpec(grids=(("tau", (0.5, 0.0)),), rounds_per_point=50, seed_base=3)
+    with pytest.raises(ValidationError, match=r"^eve\.tau: "):
+        sweep(spec, base_config)
 
 
 def test_sweep_over_strategy_strings(base_config):

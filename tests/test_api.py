@@ -100,6 +100,7 @@ def test_removed_names_are_not_exported():
         for module in MODULES:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(gravsim.Geometry, "site_position")
+    assert not hasattr(gravsim.Bb84Symbol, "from_label")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -149,6 +150,12 @@ GENERATOR = (None, 3, np.random.RandomState(0))  # only a numpy Generator, never
 # Each validated type and entry point: the key path its message starts with,
 # the call, one numpy scalar it accepts and values it rejects.
 BOUNDARY = [
+    ("Geometry.sites", "geometry.sites.Z0[2]",
+     lambda v: Geometry([[0.1, 0.1, v], *GEOM.sites.tolist()[1:]], GEOM.probes), np.float32(0.0),
+     NUMBER + ("0.1", 1j, None, 10**400)),
+    ("Geometry.probes", "geometry.probes[1][0]",
+     lambda v: Geometry(GEOM.sites, [[0.5, 0.0, 0.0], [v, 0.5, 0.0]]), np.float32(0.5),
+     NUMBER + ("0.1", 1j, None, 10**400)),
     ("Geometry.test_mass", "geometry.testMass",
      lambda v: Geometry(GEOM.sites, GEOM.probes, test_mass=v), np.float32(2.0), NUMBER),
     ("Geometry.grav_const", "geometry.gravConst",

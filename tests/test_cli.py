@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -16,6 +17,10 @@ from gravsim import cli, protocol
 from gravsim import (
     SYMBOLS,
     ExclusionExperiment,
+    Geometry,
+    ValidationError,
+    config_from_dict,
+    default_geometry,
     exclusion_limit,
     load_config,
     run_session,
@@ -369,6 +374,28 @@ def test_a_field_that_overflows_eves_scores_exits_3_with_one_line(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("gravsim: geometry.testMass, sensor.sigma: ")
+
+
+@pytest.mark.parametrize(
+    "value", [True, "0.1", None, math.nan, 10**400], ids=["bool", "str", "None", "nan", "huge-int"]
+)
+@pytest.mark.parametrize(
+    "row, column, path", [("Z0", 2, "geometry.sites.Z0[2]"), (1, 0, "geometry.probes[1][0]")]
+)
+def test_a_bad_coordinate_gives_one_error_from_every_entry_point(capsys, value, row, column, path):
+    geom = default_geometry()
+    sites = dict(zip(("Z0", "Z1", "Xp", "Xm"), geom.sites.tolist()))
+    probes = geom.probes.tolist()
+    (sites if isinstance(row, str) else probes)[row][column] = value
+    with pytest.raises(ValidationError) as direct:
+        Geometry(list(sites.values()), probes)
+    assert str(direct.value).startswith(f"{path}: ")
+    document = {"session": {"seed": 1}, "geometry": {"sites": sites, "probes": probes}}
+    with pytest.raises(ValidationError) as parsed:
+        config_from_dict(document)
+    assert str(parsed.value) == str(direct.value)
+    code, out, err = run_main(["run", "--config", json.dumps(document)], capsys)
+    assert (code, out, err) == (3, "", f"gravsim: {direct.value}\n")
 
 
 def test_limit_requires_limit_section(capsys):

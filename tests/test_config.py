@@ -142,19 +142,21 @@ def test_an_integer_beyond_double_precision_is_not_finite():
 def test_geometry_section_requirements():
     with pytest.raises(ValidationError, match="missing site"):
         config_from_dict(minimal(geometry={"sites": {"Z0": [0, 0, 0]}, "probes": [[1, 0, 0]]}))
-    with pytest.raises(ValidationError, match="geometry.probes"):
-        config_from_dict(
-            minimal(
-                geometry={
-                    "sites": {
-                        "Z0": [0.1, 0.1, 0],
-                        "Z1": [0.1, -0.1, 0],
-                        "Xp": [-0.1, 0.1, 0],
-                        "Xm": [-0.1, -0.1, 0],
-                    }
+    # sites without probes take the default ring
+    cfg = config_from_dict(
+        minimal(
+            geometry={
+                "sites": {
+                    "Z0": [0.2, 0.2, 0],
+                    "Z1": [0.2, -0.2, 0],
+                    "Xp": [-0.2, 0.2, 0],
+                    "Xm": [-0.2, -0.2, 0],
                 }
-            )
+            }
         )
+    )
+    assert np.array_equal(cfg.geometry.probes, default_geometry().probes)
+    assert cfg.geometry.sites.tolist()[0] == [0.2, 0.2, 0.0]
     with pytest.raises(ValidationError, match=r"geometry.sites.Z0\[2\]"):
         config_from_dict(
             minimal(
@@ -169,6 +171,22 @@ def test_geometry_section_requirements():
                 }
             )
         )
+
+
+def test_a_partial_geometry_section_takes_the_defaults():
+    default = default_geometry()
+    cfg = config_from_dict(minimal(geometry={"testMass": 2.0}))
+    assert cfg.geometry.test_mass == 2.0
+    assert cfg.geometry.grav_const == default.grav_const
+    assert np.array_equal(cfg.geometry.sites, default.sites)
+    assert np.array_equal(cfg.geometry.probes, default.probes)
+    assert np.array_equal(cfg.geometry.config_matrix, 2.0 * default.config_matrix)
+    probes = config_from_dict(minimal(geometry={"probes": [[0.0, 0.0, 1.0]]})).geometry
+    assert np.array_equal(probes.sites, default.sites)
+    assert probes.probes.tolist() == [[0.0, 0.0, 1.0]]
+    assert config_from_dict(minimal(geometry={})).geometry.config_matrix.tobytes() == (
+        default.config_matrix.tobytes()
+    )
 
 
 def test_seed_is_required_and_overridable():

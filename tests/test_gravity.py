@@ -79,6 +79,21 @@ def test_geometry_rejects_probe_near_site():
         Geometry(sites=sites, probes=probes)
 
 
+@pytest.mark.parametrize("x", [1e103, 1e200])
+def test_geometry_rejects_a_probe_too_far_to_cube_its_distance(x):
+    with pytest.raises(GeometryError, match=r"^geometry\.probes: a probe lies too far"):
+        Geometry(probes=[[0.5, 0.0, 0.0], [x, 0.0, 0.0]])
+
+
+def test_geometry_rejects_coordinates_that_are_not_3_vectors_of_numbers():
+    with pytest.raises(ValidationError, match=r"^geometry\.probes\[0\]: expected a 3-vector"):
+        Geometry(probes=[[0.5, 0.0]])
+    with pytest.raises(ValidationError, match=r"^geometry\.sites: expected one 3-vector"):
+        Geometry(sites=np.array(1.0))
+    with pytest.raises(ValidationError, match=r"^geometry\.sites\.Xm\[1\]: expected a number"):
+        Geometry(sites=[[0.1, 0.1, 0.0], [0.1, -0.1, 0.0], [-0.1, 0.1, 0.0], [-0.1, 1j, 0.0]])
+
+
 def test_geometry_rejects_bad_mass_and_constant(geom):
     with pytest.raises(ValidationError, match="geometry.testMass"):
         Geometry(sites=geom.sites, probes=geom.probes, test_mass=0.0)

@@ -48,11 +48,11 @@ def test_symbol_order_and_properties():
     assert [s.bit for s in SYMBOLS] == [0, 1, 0, 1]
 
 
-def test_from_label_roundtrip_and_error():
+def test_as_symbol_label_roundtrip_and_error():
     for s in SYMBOLS:
-        assert Bb84Symbol.from_label(s.label) is s
+        assert as_symbol(s.label) is s
     with pytest.raises(ValidationError, match="Z2"):
-        Bb84Symbol.from_label("Z2")
+        as_symbol("Z2")
 
 
 def test_as_symbol_coercions():
