@@ -43,13 +43,7 @@ from .config import (
     serialize_config,
 )
 from .errors import GeometryError, GravsimError, ValidationError
-from .gravity import (
-    Geometry,
-    NonlinearParams,
-    decay_factor,
-    default_geometry,
-    point_mass_field,
-)
+from .gravity import Geometry, NonlinearParams, decay_factor
 from .protocol import (
     ABORT_QBER,
     SessionStats,
@@ -96,7 +90,6 @@ __all__ = [
     "cloning_fidelity",
     "config_from_dict",
     "decay_factor",
-    "default_geometry",
     "exclusion_limit",
     "infer_alice_state",
     "key_rate",
@@ -104,7 +97,6 @@ __all__ = [
     "min_detectable_b",
     "monte_carlo_accuracy",
     "parse_config",
-    "point_mass_field",
     "run_session",
     "serialize_config",
     "signal_to_noise",

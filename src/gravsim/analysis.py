@@ -24,7 +24,14 @@ from .attack import (
     analytic_accuracy,
     monte_carlo_accuracy,
 )
-from .errors import ValidationError, check_flag, check_integer, check_number, check_numbers
+from .errors import (
+    ValidationError,
+    check_flag,
+    check_instance,
+    check_integer,
+    check_number,
+    check_numbers,
+)
 from .gravity import Geometry, NonlinearParams, decay_factor
 from .protocol import STAT_COLUMNS  # noqa: F401 (re-exported)
 from .protocol import _NORMAL_EXTENT, _session_stats, _simulate
@@ -170,6 +177,8 @@ class ExclusionExperiment:
     null_observation: bool = True
 
     def __post_init__(self) -> None:
+        check_instance(self.sensor, SensorModel, "sensor")
+        check_instance(self.geometry, Geometry, "geometry")
         object.__setattr__(self, "delta_t_schedule", _delay_schedule(self.delta_t_schedule))
         object.__setattr__(self, "preparation", as_symbol(self.preparation, "limit.preparation"))
         object.__setattr__(
@@ -223,8 +232,7 @@ def exclusion_limit(
     larger b would have been detected. Bounds are capped at 1, the top of
     b's physical range, which is where fast relaxation leaves no constraint.
     """
-    if not isinstance(experiment, ExclusionExperiment):
-        raise ValidationError(f"exclusion_limit: expected an ExclusionExperiment, got {experiment!r}")
+    check_instance(experiment, ExclusionExperiment, "exclusion_limit.experiment")
     if not experiment.null_observation:
         raise ValidationError(
             "limit.nullObservation: exclusion limits require a null observation"

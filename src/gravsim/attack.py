@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     check_flag,
     check_generator,
+    check_instance,
     check_integer,
     check_number,
     is_number,
@@ -99,8 +100,10 @@ class EveConfig:
     born_factor: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.strategy, EveStrategy):
-            raise ValidationError(f"eve.strategy: expected an EveStrategy, got {self.strategy!r}")
+        check_instance(self.geometry, Geometry, "geometry")
+        check_instance(self.params, NonlinearParams, "nonlinear")
+        check_instance(self.sensor, SensorModel, "sensor")
+        check_instance(self.strategy, EveStrategy, "eve.strategy")
         object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
         object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
 

@@ -36,7 +36,7 @@ from .attack import (
 )
 from .config import load_config
 from .errors import GravsimError, ValidationError
-from .gravity import NonlinearParams, default_geometry
+from .gravity import Geometry, NonlinearParams
 from .protocol import binary_entropy, key_rate, run_session
 from .qubits import SYMBOLS, Basis, Bb84Symbol, branch_weights
 
@@ -216,7 +216,7 @@ def _exclusion_result(config) -> LimitResult:
 
 
 def _cmd_limit(args) -> int:
-    config = load_config(args.config, args.rounds, args.seed)
+    config = load_config(args.config)
     if config.limit is None:
         raise ValidationError("limit: the config has no limit section")
     result = _exclusion_result(config)
@@ -269,7 +269,7 @@ def _check_measurement_frequencies() -> None:
 def _check_linear_limit_field() -> None:
     # At b = 0 the field Eve senses is her configuration field: no residual is left.
     params = NonlinearParams(b=0.0, lam=0.7, delta_t=3.0)
-    table = EveConfig(default_geometry(), params, SensorModel(), EveStrategy())._table
+    table = EveConfig(Geometry(), params, SensorModel(), EveStrategy())._table
     for prepared in SYMBOLS:
         if table.residuals[0, prepared].any() or table.offsets[0, prepared] != 0.0:
             raise AssertionError(f"b=0 residual is not zero for {prepared.label}")
@@ -277,7 +277,7 @@ def _check_linear_limit_field() -> None:
 
 def _break_regime_config() -> EveConfig:
     return EveConfig(
-        geometry=default_geometry(),
+        geometry=Geometry(),
         params=NonlinearParams(b=0.5),
         sensor=SensorModel(sigma=1e-30, samples=1),
         strategy=EveStrategy(StrategyMode.CLONE_INFERRED),
@@ -296,7 +296,7 @@ def _check_break_regime_session() -> None:
 
 def _check_intercept_resend_session() -> None:
     eve_config = EveConfig(
-        geometry=default_geometry(),
+        geometry=Geometry(),
         params=NonlinearParams(b=0.0),
         sensor=SensorModel(sigma=2.5e-12, samples=1),
         strategy=EveStrategy(StrategyMode.RESEND_MEASURED),
@@ -329,7 +329,7 @@ def _check_replay_determinism() -> None:
 
 
 def _check_posterior_normalization() -> None:
-    geom = default_geometry()
+    geom = Geometry()
     rng = np.random.default_rng(99)
     prepared = np.arange(4)
     for b, sigma in ((0.05, 1e-10), (0.3, 1e-11), (1.0, 1e-12)):
@@ -382,34 +382,40 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+# Each option's argparse settings; a subcommand takes only the options its handler reads.
+_OPTIONS = {
+    "--config": {
+        "default": "default.json",
+        "help": "config file path, bundled config name, or inline JSON (default: default.json)",
+    },
+    "--rounds": {"type": int, "help": "override the round count"},
+    "--seed": {"type": int, "help": "override the base seed"},
+    "--out": {"help": "write output to this file (selftest: as well as to stdout)"},
+    "--format": {
+        "choices": ("csv", "json"),
+        "default": "json",
+        "help": "output format (default: json)",
+    },
+}
+_SESSION_OPTIONS = ("--config", "--rounds", "--seed", "--out", "--format")
+_SUBCOMMANDS = (
+    ("run", "simulate one key-exchange session", _SESSION_OPTIONS),
+    ("sweep", "run a parameter grid of sessions", _SESSION_OPTIONS),
+    ("limit", "compute exclusion limits on the coupling", ("--config", "--out", "--format")),
+    ("selftest", "run built-in consistency checks", ("--out",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config",
-        default="default.json",
-        help="config file path, bundled config name, or inline JSON (default: default.json)",
-    )
-    common.add_argument("--rounds", type=int, default=None, help="override the round count")
-    common.add_argument("--seed", type=int, default=None, help="override the base seed")
-    common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="json",
-        help="output format (default: json)",
-    )
     parser = argparse.ArgumentParser(
         prog="gravsim",
         description="Simulate gravitational side-channel attacks on BB84 key exchange.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (
-        ("run", "simulate one key-exchange session"),
-        ("sweep", "run a parameter grid of sessions"),
-        ("limit", "compute exclusion limits on the coupling"),
-        ("selftest", "run built-in consistency checks"),
-    ):
-        subparsers.add_parser(name, parents=[common], help=summary)
+    for name, summary, options in _SUBCOMMANDS:
+        subparser = subparsers.add_parser(name, help=summary)
+        for option in options:
+            subparser.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -144,13 +144,6 @@ class SweepSpec:
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.grids)
 
-    @property
-    def n_points(self) -> int:
-        count = 1
-        for _, values in self.grids:
-            count *= len(values)
-        return count
-
 
 @dataclass(frozen=True)
 class EveSettings:

@@ -5,7 +5,9 @@ so a value means the same wherever it enters: from JSON, a sweep grid or a
 direct call. A number is an int, float or numpy integer or floating value,
 never a bool, and is finite; an integer is an int or numpy integer, never a
 bool; a flag is a bool or numpy bool; a generator is a numpy Generator; a
-list is any sequence that is not a string, or a numpy array with an axis.
+list is any sequence that is not a string, or a numpy array with an axis;
+a part of a composite type, such as the sensor of an EveConfig, is an
+instance of its own type, which has checked its fields.
 Each message starts with the key path of the value, such as "nonlinear.b"
 or "limit.lambdaGrid[1]".
 """
@@ -86,6 +88,12 @@ def check_generator(value, path: str) -> np.random.Generator:
     if not isinstance(value, np.random.Generator):
         raise ValidationError(f"{path}: expected a numpy Generator, got {value!r}")
     return value
+
+
+def check_instance(value, cls: type, path: str) -> None:
+    """Raise ValidationError unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{path}: expected an instance of {cls.__name__}, got {value!r}")
 
 
 def is_list(value) -> bool:

@@ -25,31 +25,6 @@ MIN_PROBE_SEPARATION = 1e-6
 
 _EPSILON = float(np.finfo(np.float64).eps)
 
-
-def point_mass_field(
-    site_pos, probe_pos, mass: float, grav_const: float = NEWTON_G
-) -> np.ndarray:
-    """Gravitational acceleration at a probe due to a point mass at a site.
-
-    Returns grav_const * mass * (site - probe) / |site - probe|^3, the
-    acceleration vector pointing from the probe toward the mass. Raises
-    GeometryError when probe and site are separated by less than the
-    minimum separation.
-    """
-    site = np.asarray(site_pos, dtype=np.float64)
-    probe = np.asarray(probe_pos, dtype=np.float64)
-    if site.shape != (3,) or probe.shape != (3,):
-        raise ValidationError("point_mass_field: positions must be 3-vectors")
-    offset = site - probe
-    distance = float(np.linalg.norm(offset))
-    if distance < MIN_PROBE_SEPARATION:
-        raise GeometryError(
-            f"probe at {probe.tolist()} is within {MIN_PROBE_SEPARATION} m "
-            f"of the mass site at {site.tolist()}"
-        )
-    return grav_const * mass * offset / distance**3
-
-
 _HALF_DIAG = 0.3535533905932738  # 0.5 * cos(pi/4)
 
 _DEFAULT_SITES = (
@@ -218,11 +193,6 @@ class Geometry:
         plane = np.stack([half[0], -half[0], half[1], -half[1]])
         plane.setflags(write=False)
         return plane
-
-
-def default_geometry() -> Geometry:
-    """The bundled layout: four mass sites on a 0.2 m square, eight probes on a 0.5 m ring."""
-    return Geometry()
 
 
 @dataclass(frozen=True)

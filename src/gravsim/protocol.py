@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import EveConfig, _attack_batch, _check_table
-from .errors import ValidationError, check_integer, check_number
+from .errors import check_instance, check_integer, check_number
 from .qubits import _BOB_P0
 
 ABORT_QBER = 0.11
@@ -328,8 +328,8 @@ def run_session(
     """
     n_rounds = check_integer(n_rounds, "session.rounds", minimum=1)
     seed = check_integer(seed, "session.seed", minimum=0)
-    if eve_config is not None and not isinstance(eve_config, EveConfig):
-        raise ValidationError(f"run_session: eve_config must be an EveConfig, got {eve_config!r}")
+    if eve_config is not None:
+        check_instance(eve_config, EveConfig, "run_session.eve_config")
     transcript = None
     if with_records:
         transcript = np.zeros(n_rounds, _TRANSCRIPT)

@@ -22,18 +22,18 @@ from conftest import gravsim_env, record_acceptance
 from gravsim import (
     EveConfig,
     EveStrategy,
+    Geometry,
     NonlinearParams,
     SYMBOLS,
     SensorModel,
     analytic_accuracy,
     cloning_fidelity,
     decay_factor,
-    default_geometry,
     monte_carlo_accuracy,
     run_session,
 )
 
-GEOMETRY = default_geometry()
+GEOMETRY = Geometry()
 SESSION_ROUNDS = 100_000
 # The QBER tolerance of 0.005 is 2.6 standard errors at 10^5 rounds, so a fair
 # seed misses it about 1% of the time; at 10^6 rounds it is 8 standard errors.

@@ -23,7 +23,6 @@ from gravsim import (
     SweepSpec,
     ValidationError,
     analytic_accuracy,
-    default_geometry,
     exclusion_limit,
     load_config,
     min_detectable_b,
@@ -37,7 +36,7 @@ MIX_NORM = 8.165808171600106e-10  # |mix row| for every preparation in the bundl
 
 @pytest.fixture(scope="module")
 def geom():
-    return default_geometry()
+    return Geometry()
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +55,6 @@ def small_spec() -> SweepSpec:
 def test_sweep_spec_properties():
     spec = small_spec()
     assert spec.parameter_names == ("b", "sigma")
-    assert spec.n_points == 4
     assert set(spec.parameter_names) <= set(SWEEP_PARAMETERS)
 
 
@@ -137,8 +135,8 @@ def test_sweep_takes_numpy_scalars_as_grid_values(base_config):
 def test_sweep_rows_follow_grid_order(base_config):
     spec = small_spec()
     rows = sweep(spec, base_config)
-    assert len(rows) == spec.n_points
     expected_combos = list(itertools.product((0.0, 0.1), (2.5e-12, 1e-30)))
+    assert len(rows) == len(expected_combos)
     for row, (b, sigma) in zip(rows, expected_combos):
         assert list(row) == ["b", "sigma", *STAT_COLUMNS]
         assert row["b"] == b

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import gravsim
+import gravsim.analysis
 import gravsim.attack
 import gravsim.cli
+import gravsim.config
 import gravsim.errors
 import gravsim.gravity
 import gravsim.protocol
@@ -61,6 +63,9 @@ REMOVED = (
     "eve_dual_basis_measure",
     "bob_measure",
     "FieldVector",
+    # second paths to the layout and the point-mass field; Geometry() and its config_matrix remain
+    "point_mass_field",
+    "default_geometry",
 )
 # private helpers of the per-round record objects the columnar transcript replaced,
 # and of the scalar per-round attack pipeline
@@ -79,6 +84,8 @@ MODULES = (
     gravsim.gravity,
     gravsim.attack,
     gravsim.protocol,
+    gravsim.analysis,
+    gravsim.config,
     gravsim.errors,
     gravsim.cli,
 )
@@ -101,6 +108,7 @@ def test_removed_names_are_not_exported():
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(gravsim.Geometry, "site_position")
     assert not hasattr(gravsim.Bb84Symbol, "from_label")
+    assert not hasattr(gravsim.SweepSpec, "n_points")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -146,6 +154,7 @@ NUMBER = (True, math.nan)  # a bool and a NaN, never numbers
 FLAG = (1, math.nan, "no")  # only true or false is a flag
 SYMBOL = (True, 1.0, 4, "Q0")  # a symbol is a Bb84Symbol, its label or its index 0 to 3
 GENERATOR = (None, 3, np.random.RandomState(0))  # only a numpy Generator, never a seed
+PART = ("s", 1.0)  # a part of a composite type is an instance of its own type
 
 # Each validated type and entry point: the key path its message starts with,
 # the call, one numpy scalar it accepts and values it rejects.
@@ -171,6 +180,14 @@ BOUNDARY = [
      lambda v: SensorModel(sigma=1e-12, samples=v), np.int64(3), NUMBER + (2.0,)),
     ("EveStrategy.tau", "eve.tau",
      lambda v: EveStrategy("Threshold", tau=v), np.float32(0.5), NUMBER),
+    ("EveConfig.geometry", "geometry",
+     lambda v: EveConfig(v, BASE.nonlinear, SENSOR, STRATEGY), GEOM, PART),
+    ("EveConfig.params", "nonlinear",
+     lambda v: EveConfig(GEOM, v, SENSOR, STRATEGY), BASE.nonlinear, PART + (SENSOR,)),
+    ("EveConfig.sensor", "sensor",
+     lambda v: EveConfig(GEOM, BASE.nonlinear, v, STRATEGY), SENSOR, PART + (BASE.nonlinear,)),
+    ("EveConfig.strategy", "eve.strategy",
+     lambda v: EveConfig(GEOM, BASE.nonlinear, SENSOR, v), STRATEGY, PART + ("CloneInferred",)),
     ("EveConfig.attack_fraction", "eve.attackFraction",
      lambda v: eve_config(attack_fraction=v), np.float32(0.5), NUMBER),
     ("EveConfig.born_factor", "eve.bornFactor",
@@ -209,6 +226,12 @@ BOUNDARY = [
     ("SweepSpec.rounds_per_point", "sweep.roundsPerPoint",
      lambda v: spec(rounds_per_point=v), np.int64(10), NUMBER),
     ("SweepSpec.seed_base", "sweep.seedBase", lambda v: spec(seed_base=v), np.int64(0), NUMBER),
+    ("ExclusionExperiment.sensor", "sensor",
+     lambda v: ExclusionExperiment(v, GEOM, (1.0,)), SENSOR, PART),
+    ("ExclusionExperiment.geometry", "geometry",
+     lambda v: ExclusionExperiment(SENSOR, v, (1.0,)), GEOM, PART),
+    ("exclusion_limit.experiment", "exclusion_limit.experiment",
+     lambda v: exclusion_limit(v, [0.0]), EXPERIMENT, PART + (SENSOR,)),
     ("ExclusionExperiment.delta_t_schedule", "limit.deltaTSchedule[0]",
      lambda v: ExclusionExperiment(SENSOR, GEOM, delta_t_schedule=[v]), np.float32(1.0), NUMBER),
     ("ExclusionExperiment.null_observation", "limit.nullObservation",
@@ -245,6 +268,8 @@ BOUNDARY = [
     ("binary_entropy.p", "binary_entropy.p", lambda v: binary_entropy(v), np.float32(0.25), NUMBER),
     ("run_session.n_rounds", "session.rounds",
      lambda v: run_session(v, seed=0), np.int64(5), NUMBER),
+    ("run_session.eve_config", "run_session.eve_config",
+     lambda v: run_session(5, v, seed=0), eve_config(), PART + (BASE,)),
     ("run_session.seed", "session.seed", lambda v: run_session(5, seed=v), np.uint32(3), NUMBER),
     ("signal_to_noise.b", "nonlinear.b",
      lambda v: signal_to_noise(v, 0.0, 0.0, SENSOR, GEOM), np.float32(0.25), NUMBER + ("x",)),

@@ -25,7 +25,6 @@ from gravsim import (
     analytic_accuracy,
     cloning_fidelity,
     decay_factor,
-    default_geometry,
     infer_alice_state,
     monte_carlo_accuracy,
     run_session,
@@ -41,7 +40,7 @@ CLOSEST_PAIR_NORM = 1.2191467782674696e-10
 
 @pytest.fixture(scope="module")
 def geom():
-    return default_geometry()
+    return Geometry()
 
 
 def readings_of(geom, outcome, prepared, params, sigma, samples, rng):

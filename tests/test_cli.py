@@ -20,7 +20,6 @@ from gravsim import (
     Geometry,
     ValidationError,
     config_from_dict,
-    default_geometry,
     exclusion_limit,
     load_config,
     run_session,
@@ -383,7 +382,7 @@ def test_a_field_that_overflows_eves_scores_exits_3_with_one_line(capsys):
     "row, column, path", [("Z0", 2, "geometry.sites.Z0[2]"), (1, 0, "geometry.probes[1][0]")]
 )
 def test_a_bad_coordinate_gives_one_error_from_every_entry_point(capsys, value, row, column, path):
-    geom = default_geometry()
+    geom = Geometry()
     sites = dict(zip(("Z0", "Z1", "Xp", "Xm"), geom.sites.tolist()))
     probes = geom.probes.tolist()
     (sites if isinstance(row, str) else probes)[row][column] = value
@@ -424,6 +423,11 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+    # each subcommand takes only the flags its handler reads
+    for argv in (["selftest", "--rounds", "5"], ["limit", "--seed", "5"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_successive_main_calls_do_not_share_options(tmp_path, capsys):
@@ -475,7 +479,12 @@ def test_unwritable_out_exits_4(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    probe = "import sys, gravsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the selftest runs on numpy alone: no scipy, nor a test-only package
+    probe = (
+        "import sys, gravsim.cli; code = gravsim.cli.main(['selftest']); "
+        "print(code, sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'pytest', 'hypothesis')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -484,7 +493,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         env=gravsim_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_import_loads_no_thread_pool(tmp_path):

@@ -10,10 +10,10 @@ from gravsim import (
     SWEEP_PARAMETERS,
     Bb84Symbol,
     EveConfig,
+    Geometry,
     StrategyMode,
     ValidationError,
     config_from_dict,
-    default_geometry,
     load_config,
     parse_config,
     serialize_config,
@@ -71,7 +71,7 @@ def test_minimal_inline_config_uses_defaults():
     assert cfg.eve.enabled
     assert cfg.sweep is None
     assert cfg.limit is None
-    default = default_geometry()
+    default = Geometry()
     assert np.array_equal(cfg.geometry.sites, default.sites)
     assert np.array_equal(cfg.geometry.probes, default.probes)
 
@@ -155,7 +155,7 @@ def test_geometry_section_requirements():
             }
         )
     )
-    assert np.array_equal(cfg.geometry.probes, default_geometry().probes)
+    assert np.array_equal(cfg.geometry.probes, Geometry().probes)
     assert cfg.geometry.sites.tolist()[0] == [0.2, 0.2, 0.0]
     with pytest.raises(ValidationError, match=r"geometry.sites.Z0\[2\]"):
         config_from_dict(
@@ -174,7 +174,7 @@ def test_geometry_section_requirements():
 
 
 def test_a_partial_geometry_section_takes_the_defaults():
-    default = default_geometry()
+    default = Geometry()
     cfg = config_from_dict(minimal(geometry={"testMass": 2.0}))
     assert cfg.geometry.test_mass == 2.0
     assert cfg.geometry.grav_const == default.grav_const

@@ -17,8 +17,6 @@ from gravsim import (
     SensorModel,
     ValidationError,
     decay_factor,
-    default_geometry,
-    point_mass_field,
 )
 from gravsim.gravity import NEWTON_G
 from gravsim.qubits import BRANCH_WEIGHTS
@@ -26,37 +24,29 @@ from gravsim.qubits import BRANCH_WEIGHTS
 
 @pytest.fixture(scope="module")
 def geom():
-    return default_geometry()
+    return Geometry()
 
 
 def test_point_mass_field_matches_reference():
+    # row s of a one-probe geometry's config_matrix is the field of the mass at site s
     cases = [
-        ((0.1, 0.1, 0.0), (0.5, 0.0, 0.0), 1.0),
-        ((0.1, -0.1, 0.0), (0.0, 0.5, 0.0), 2.5),
-        ((-0.1, 0.1, 0.0), (0.3, -0.2, 0.4), 0.7),
+        (Bb84Symbol.Z0, (0.1, 0.1, 0.0), (0.5, 0.0, 0.0), 1.0),
+        (Bb84Symbol.Z1, (0.1, -0.1, 0.0), (0.0, 0.5, 0.0), 2.5),
+        (Bb84Symbol.XP, (-0.1, 0.1, 0.0), (0.3, -0.2, 0.4), 0.7),
     ]
-    for site, probe, mass in cases:
-        got = point_mass_field(site, probe, mass)
+    for symbol, site, probe, mass in cases:
+        got = Geometry(probes=[probe], test_mass=mass).config_matrix[symbol]
         want = oracles.point_mass_reference(site, probe, mass, NEWTON_G)
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_point_mass_field_inverse_square_and_direction():
-    near = point_mass_field((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    far = point_mass_field((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    assert near[0] == pytest.approx(4.0 * far[0], rel=1e-12)
-    assert near[0] > 0.0  # acceleration points from the probe toward the mass
-    assert near[1] == near[2] == 0.0
-
-
-def test_point_mass_field_rejects_probe_on_site():
-    with pytest.raises(GeometryError):
-        point_mass_field((0.0, 0.0, 0.0), (0.0, 0.0, 1e-9), 1.0)
-
-
-def test_point_mass_field_shape_validation():
-    with pytest.raises(ValidationError):
-        point_mass_field((0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
+    sites = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    near = Geometry(sites, probes=[[0.0, 0.0, 0.0]]).config_matrix
+    far = Geometry(2.0 * sites, probes=[[0.0, 0.0, 0.0]]).config_matrix
+    assert near == pytest.approx(4.0 * far, rel=1e-12)
+    # each field points from the probe toward its mass
+    assert np.array_equal(np.sign(near), sites)
 
 
 def test_geometry_shape_validation():

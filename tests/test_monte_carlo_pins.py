@@ -14,15 +14,15 @@ import pytest
 
 from gravsim import (
     EveStrategy,
+    Geometry,
     NonlinearParams,
     SensorModel,
     cloning_fidelity,
-    default_geometry,
     min_detectable_b,
     monte_carlo_accuracy,
 )
 
-GEOM = default_geometry()
+GEOM = Geometry()
 
 MONTE_CARLO = [
     # (b, sigma, samples, n_trials, repr of the accuracy); generator default_rng(5)

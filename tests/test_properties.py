@@ -1,6 +1,7 @@
 """Property tests: posterior, hypothesis plane, exclusion limit, config round trips, sweeps."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from gravsim import (
     SweepSpec,
     config_from_dict,
     decay_factor,
-    default_geometry,
     exclusion_limit,
     infer_alice_state,
     load_config,
@@ -32,7 +32,7 @@ from gravsim import (
 from gravsim.attack import _EVE_EDGES, POSTERIOR_TOLERANCE
 from gravsim.gravity import NEWTON_G
 
-GEOM = default_geometry()
+GEOM = Geometry()
 SWEEP_BASE = load_config("default.json")
 
 # Fixed example order, so a Tier-1 run is reproducible like the rest of the suite.
@@ -301,7 +301,7 @@ def session_sweep_grids(draw):
 def test_sweep_rows_equal_lone_sessions(grids, rounds, seed_base):
     spec = SweepSpec(grids, rounds_per_point=rounds, seed_base=seed_base)
     rows = sweep(spec, SESSION_SWEEP_BASE)
-    assert len(rows) == spec.n_points
+    assert len(rows) == math.prod(len(values) for _, values in spec.grids)
     for k, row in enumerate(rows):
         point = {name: row[name] for name in spec.parameter_names}
         config = SESSION_SWEEP_BASE.with_overrides(point)

@@ -11,11 +11,11 @@ from gravsim import (
     ABORT_QBER,
     EveConfig,
     EveStrategy,
+    Geometry,
     NonlinearParams,
     SensorModel,
     ValidationError,
     binary_entropy,
-    default_geometry,
     key_rate,
     run_session,
 )
@@ -24,7 +24,7 @@ from gravsim.protocol import _mutual_information
 
 @pytest.fixture(scope="module")
 def geom():
-    return default_geometry()
+    return Geometry()
 
 
 def eve_config(

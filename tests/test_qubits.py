@@ -13,19 +13,19 @@ from gravsim import (
     Bb84Symbol,
     EveConfig,
     EveStrategy,
+    Geometry,
     NonlinearParams,
     SYMBOLS,
     SensorModel,
     ValidationError,
     branch_weights,
-    default_geometry,
     run_session,
 )
 from gravsim import protocol
 from gravsim.attack import _EVE_EDGES, _attack_batch
 from gravsim.qubits import BRANCH_WEIGHTS, _BOB_P0, as_symbol
 
-GEOM = default_geometry()
+GEOM = Geometry()
 
 
 def session(n, seed, mode="ResendMeasured"):

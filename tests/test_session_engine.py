@@ -31,7 +31,6 @@ from gravsim import (
     ValidationError,
     cloning_fidelity,
     decay_factor,
-    default_geometry,
     load_config,
     monte_carlo_accuracy,
     run_session,
@@ -40,7 +39,7 @@ from gravsim import (
 from gravsim import protocol
 from gravsim.attack import _LOG_PRIORS, _check_table, _hmax, _logits, _plane_statistic
 
-GEOM = default_geometry()
+GEOM = Geometry()
 # Sites off the symmetric square: the four mix rows have different norms, so
 # the offsets count * |r_h|^2 / 2 differ between hypotheses and enter the scores.
 SKEWED = Geometry(
