@@ -8,6 +8,7 @@ threshold at each relaxation rate lambda.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
@@ -21,8 +22,11 @@ from .attack import (
     SensorModel,
     _attack_columns,
     _check_table,
+    _mc_hits,
+    _mc_settings,
+    _mc_trials,
+    _Trials,
     analytic_accuracy,
-    monte_carlo_accuracy,
 )
 from .errors import (
     ValidationError,
@@ -58,6 +62,10 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     of the points before it are checked as _simulate checks them, and
     then its with_overrides raises.
     """
+    from .config import RunConfig, SweepSpec  # config imports this module
+
+    check_instance(spec, SweepSpec, "sweep.spec")
+    check_instance(base_config, RunConfig, "sweep.base_config")
     names = spec.parameter_names
     checked = [[_checked(base_config, name, v) for v in values] for name, values in spec.grids]
     points = list(itertools.product(*checked))
@@ -90,6 +98,26 @@ def _checked(base_config: "RunConfig", name: str, value):
         return None
 
 
+# The largest mc_rounds whose bisection steps _step_trials keeps: 16 steps of
+# 2**15 trials hold 13 MB (int8 truths, float64 normals and tie uniforms).
+_CACHED_TRIALS_MAX = 2**15
+
+
+@functools.lru_cache(maxsize=16)
+def _step_trials(seed: int, step: int, mc_rounds: int) -> _Trials:
+    """The read-only trials of Monte Carlo bisection step `step`, from default_rng([seed, step]).
+
+    They depend on neither the amplitude nor the setting scored, so a scan
+    over lambda scores every candidate of step k on one draw. 16 entries
+    hold one bisection at the default tolerance: the b = 1 probe and 14
+    halvings.
+    """
+    trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds)
+    for array in (trials.truths, trials.normals, trials.ties):
+        array.setflags(write=False)
+    return trials
+
+
 def min_detectable_b(
     lam: float,
     delta_t: float,
@@ -104,9 +132,15 @@ def min_detectable_b(
 
     Bisection on b in [0, 1]. The objective is the mean analytic accuracy
     bound; with mc_rounds > 0 each candidate is scored by Monte Carlo
-    instead, seeded deterministically per bisection step. Returns the upper bracket
-    end (the smallest b found with accuracy >= target within tolerance), or
-    None when the target is out of reach even at b = 1.
+    instead: the candidate of bisection step k (0 for the b = 1 probe) gets
+    monte_carlo_accuracy with mc_rounds trials from
+    np.random.default_rng([seed, k]). Those trials do not depend on lambda,
+    delta_t, the sensor or the geometry, so the calls of a lambda scan share
+    them: up to mc_rounds = 2**15, the 16 steps drawn last are kept, keyed
+    by (seed, k, mc_rounds), in at most 13 MB (0.8 MB at 2000 trials).
+    Returns the upper bracket end (the smallest b found with accuracy >=
+    target within tolerance), or None when the target is out of reach even
+    at b = 1.
     """
     target_accuracy = check_number(
         target_accuracy, "min_detectable_b.targetAccuracy", above=CHANCE_LEVEL, below=1.0
@@ -114,14 +148,22 @@ def min_detectable_b(
     tolerance = check_number(tolerance, "min_detectable_b.tolerance", above=0.0)
     mc_rounds = check_integer(mc_rounds, "min_detectable_b.mc_rounds", minimum=0)
     seed = check_integer(seed, "min_detectable_b.seed", minimum=0)
+    params = NonlinearParams(lam=lam, delta_t=delta_t)
+    check_instance(geom, Geometry, "min_detectable_b.geom")
+    check_instance(sensor, SensorModel, "min_detectable_b.sensor")
 
-    def score(b: float, step: int) -> float:
-        params = NonlinearParams(b=b, lam=lam, delta_t=delta_t)
-        if mc_rounds > 0:
-            return monte_carlo_accuracy(
-                params, geom, sensor, mc_rounds, np.random.default_rng([seed, step])
-            )
-        return analytic_accuracy(params, geom, sensor).mean
+    if mc_rounds > 0:
+        settings = _mc_settings(params, sensor)
+        draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
+
+        def score(b: float, step: int) -> float:
+            table = _attack_columns(geom.plane, {**settings, "b": b})
+            return _mc_hits(table, draw(seed, step, mc_rounds)) / mc_rounds
+
+    else:
+
+        def score(b: float, step: int) -> float:
+            return analytic_accuracy(NonlinearParams(b, params.lam, params.delta_t), geom, sensor).mean
 
     if score(1.0, 0) < target_accuracy:
         return None
@@ -216,6 +258,8 @@ def signal_to_noise(
     b, lam and delta_t are checked as NonlinearParams checks them.
     """
     factor = decay_factor(NonlinearParams(b=b, lam=lam, delta_t=delta_t))
+    check_instance(sensor, SensorModel, "signal_to_noise.sensor")
+    check_instance(geom, Geometry, "signal_to_noise.geom")
     mix = geom.mix_matrix[as_symbol(preparation, "limit.preparation")]
     return math.sqrt(sensor.samples) * (factor * float(np.linalg.norm(mix))) / sensor.sigma
 

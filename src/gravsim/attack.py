@@ -411,6 +411,9 @@ def infer_alice_state(
 
     Returns (inferred symbol, posterior over the four preparations).
     """
+    check_instance(geom, Geometry, "infer_alice_state.geom")
+    check_instance(params, NonlinearParams, "infer_alice_state.params")
+    check_instance(sensor, SensorModel, "infer_alice_state.sensor")
     data = _readings(readings)
     if data.ndim == 1:
         data = data[np.newaxis, :]
@@ -523,6 +526,9 @@ def analytic_accuracy(
     the bound collapses to 0 and only the chance level 1/4 remains
     informative.
     """
+    check_instance(params, NonlinearParams, "analytic_accuracy.params")
+    check_instance(geom, Geometry, "analytic_accuracy.geom")
+    check_instance(sensor, SensorModel, "analytic_accuracy.sensor")
     residuals = (decay_factor(params) * geom.plane).tolist()
     scale = math.sqrt(sensor.samples) / sensor.sigma
     separations = np.zeros((4, 4))
@@ -549,6 +555,66 @@ def analytic_accuracy(
     )
 
 
+class _Trials(NamedTuple):
+    """One batch of Monte Carlo classifier trials, as _mc_trials draws it.
+
+    truths holds the n true hypotheses as int8, normals the (2, n) plane
+    noise (row k is plane axis k), ties n tie-break uniforms, and extent
+    the largest |normal|, for _check_table.
+    """
+
+    truths: np.ndarray
+    normals: np.ndarray
+    ties: np.ndarray
+    extent: float
+
+
+def _mc_trials(rng: np.random.Generator, n: int) -> _Trials:
+    """n trials drawn from rng, in monte_carlo_accuracy's documented order.
+
+    rng.integers(4, n) gives the truths, an (n, 2) standard normal block
+    the plane noise, stored transposed, and n uniforms the tie-breaks.
+    """
+    truths = rng.integers(4, size=n).astype(np.int8)
+    noise = rng.standard_normal((n, 2))
+    ties = rng.random(n)
+    return _Trials(truths, np.ascontiguousarray(noise.T), ties, float(np.abs(noise).max()))
+
+
+def _mc_hits(table: _AttackTable, trials: _Trials) -> int:
+    """How many trials the classifier of row 0 of the table gets right.
+
+    The statistic of each trial is sampled from its Gaussian law in the
+    plane of the hypotheses and scored hypothesis-major, as a (2, n)
+    statistic and (4, n) logits; ties are broken by the trials' uniforms.
+    """
+    _check_table(table, trials.extent)
+    statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
+    residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
+    logits = _logits(statistic, residuals, offsets, table.sigma[0])
+    chosen = _break_ties(logits, _hmax(logits), trials.ties)
+    return int(np.count_nonzero(chosen == trials.truths))
+
+
+def _mc_settings(params: NonlinearParams, sensor: SensorModel) -> dict:
+    """The _attack_columns settings of the field classifier at params with sensor.
+
+    _mc_hits reads only the residuals and the sensor's columns, so the
+    resend policy is a placeholder.
+    """
+    return {
+        "b": params.b,
+        "lambda": params.lam,
+        "deltaT": params.delta_t,
+        "samples": sensor.samples,
+        "sigma": sensor.sigma,
+        "strategy": StrategyMode.CLONE_INFERRED,
+        "tau": 0.9,
+        "attackFraction": 1.0,
+        "bornFactor": False,
+    }
+
+
 def monte_carlo_accuracy(
     params: NonlinearParams,
     geom: Geometry,
@@ -571,15 +637,11 @@ def monte_carlo_accuracy(
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     rng = check_generator(rng, "monte_carlo_accuracy.rng")
-    table = EveConfig(geom, params, sensor, EveStrategy(), born_factor=False)._table
-    truths = rng.integers(4, size=n_trials)
-    noise = rng.standard_normal((n_trials, 2))
-    _check_table(table, float(np.abs(noise).max()))
-    statistic = _plane_statistic(table, 0, truths, noise.T)
-    residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
-    logits = _logits(statistic, residuals, offsets, table.sigma[0])
-    chosen = _break_ties(logits, _hmax(logits), rng.random(n_trials))
-    return float(np.count_nonzero(chosen == truths) / n_trials)
+    check_instance(geom, Geometry, "geometry")
+    check_instance(params, NonlinearParams, "nonlinear")
+    check_instance(sensor, SensorModel, "sensor")
+    table = _attack_columns(geom.plane, _mc_settings(params, sensor))
+    return _mc_hits(table, _mc_trials(rng, n_trials)) / n_trials
 
 
 def cloning_fidelity(

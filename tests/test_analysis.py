@@ -26,6 +26,7 @@ from gravsim import (
     exclusion_limit,
     load_config,
     min_detectable_b,
+    monte_carlo_accuracy,
     run_session,
     signal_to_noise,
     sweep,
@@ -387,6 +388,65 @@ def test_min_detectable_b_monte_carlo_mode(geom):
     mc = min_detectable_b(0.0, 0.0, sensor, geom, 0.8, mc_rounds=4000, seed=3)
     assert mc == pytest.approx(analytic, abs=5e-3)
     assert mc == min_detectable_b(0.0, 0.0, sensor, geom, 0.8, mc_rounds=4000, seed=3)
+
+
+STEP_TRIALS = gravsim.analysis._step_trials
+
+
+def test_kept_bisection_trials_reject_writes():
+    STEP_TRIALS.cache_clear()
+    min_detectable_b(0.0, 0.0, SensorModel(), Geometry(), 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    trials = STEP_TRIALS(2, 0, 50)
+    assert STEP_TRIALS.cache_info().hits == 1
+    for array in (trials.truths, trials.normals, trials.ties):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_kept_bisection_trials_stay_within_their_bound(geom):
+    STEP_TRIALS.cache_clear()
+    sensor = SensorModel()
+    for seed in range(3):
+        min_detectable_b(0.0, 0.0, sensor, geom, 0.8, tolerance=1e-6, mc_rounds=30, seed=seed)
+        info = STEP_TRIALS.cache_info()
+        assert info.maxsize == 16
+        assert info.currsize <= 16
+    assert info.misses == 3 * 21  # the b = 1 probe and 20 halvings per seed, none reused
+    assert info.currsize == 16
+
+
+def test_runs_above_the_trial_cap_draw_each_step_afresh(geom):
+    cap = gravsim.analysis._CACHED_TRIALS_MAX
+    STEP_TRIALS.cache_clear()
+    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=cap, seed=4)
+    before = STEP_TRIALS.cache_info()
+    assert before.currsize == 5  # the b = 1 probe and 4 halvings
+    for _ in range(2):
+        min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=cap + 1, seed=4)
+    assert STEP_TRIALS.cache_info() == before
+
+
+def test_an_overflowing_setting_raises_alike_on_fresh_and_kept_trials():
+    geom = Geometry(test_mass=1e150, grav_const=1e150)
+    STEP_TRIALS.cache_clear()
+    for lam, kept in ((0.0, 0), (0.5, 1)):
+        with pytest.raises(ValidationError) as probe:
+            params = NonlinearParams(b=1.0, lam=lam, delta_t=1.0)
+            monte_carlo_accuracy(params, geom, SensorModel(), 2000, np.random.default_rng([1, 0]))
+        assert str(probe.value).startswith("geometry.testMass, sensor.sigma: ")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(probe.value))}$"):
+            min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, mc_rounds=2000, seed=1)
+        assert STEP_TRIALS.cache_info().hits == kept
+
+
+def test_a_bad_relaxation_rate_is_rejected_before_any_draw(geom):
+    STEP_TRIALS.cache_clear()
+    for lam in (-1.0, math.nan, True):
+        with pytest.raises(ValidationError, match=r"^nonlinear\.lambda: "):
+            min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, mc_rounds=2000, seed=1)
+    with pytest.raises(ValidationError, match=r"^nonlinear\.deltaT: "):
+        min_detectable_b(0.0, -1.0, SensorModel(), geom, 0.8, mc_rounds=2000, seed=1)
+    assert STEP_TRIALS.cache_info().misses == 0
 
 
 def test_signal_to_noise_formula(geom):

@@ -30,6 +30,7 @@ from gravsim import (
     SensorModel,
     SweepSpec,
     ValidationError,
+    analytic_accuracy,
     binary_entropy,
     branch_weights,
     cloning_fidelity,
@@ -41,6 +42,7 @@ from gravsim import (
     monte_carlo_accuracy,
     run_session,
     signal_to_noise,
+    sweep,
 )
 
 REMOVED = (
@@ -251,6 +253,32 @@ BOUNDARY = [
     ("min_detectable_b.seed", "min_detectable_b.seed",
      lambda v: min_detectable_b(0.0, 0.0, SENSOR, GEOM, 0.8, tolerance=0.1, mc_rounds=20, seed=v),
      np.int64(3), NUMBER),
+    ("min_detectable_b.geom", "min_detectable_b.geom",
+     lambda v: min_detectable_b(0.0, 0.0, SENSOR, v, 0.8, tolerance=0.1), GEOM, PART + (SENSOR,)),
+    ("min_detectable_b.sensor", "min_detectable_b.sensor",
+     lambda v: min_detectable_b(0.0, 0.0, v, GEOM, 0.8, tolerance=0.1), SENSOR, PART + (GEOM,)),
+    ("min_detectable_b.geom (Monte Carlo)", "min_detectable_b.geom",
+     lambda v: min_detectable_b(0.0, 0.0, SENSOR, v, 0.8, tolerance=0.1, mc_rounds=20),
+     GEOM, PART + (SENSOR,)),
+    ("min_detectable_b.sensor (Monte Carlo)", "min_detectable_b.sensor",
+     lambda v: min_detectable_b(0.0, 0.0, v, GEOM, 0.8, tolerance=0.1, mc_rounds=20),
+     SENSOR, PART + (GEOM,)),
+    ("monte_carlo_accuracy.params", "nonlinear",
+     lambda v: monte_carlo_accuracy(v, GEOM, SENSOR, 10, rng()), BASE.nonlinear, PART + (SENSOR,)),
+    ("monte_carlo_accuracy.geom", "geometry",
+     lambda v: monte_carlo_accuracy(BASE.nonlinear, v, SENSOR, 10, rng()), GEOM, PART),
+    ("monte_carlo_accuracy.sensor", "sensor",
+     lambda v: monte_carlo_accuracy(BASE.nonlinear, GEOM, v, 10, rng()),
+     SENSOR, PART + (BASE.nonlinear,)),
+    ("analytic_accuracy.params", "analytic_accuracy.params",
+     lambda v: analytic_accuracy(v, GEOM, SENSOR), BASE.nonlinear, PART + (SENSOR,)),
+    ("analytic_accuracy.geom", "analytic_accuracy.geom",
+     lambda v: analytic_accuracy(BASE.nonlinear, v, SENSOR), GEOM, PART),
+    ("analytic_accuracy.sensor", "analytic_accuracy.sensor",
+     lambda v: analytic_accuracy(BASE.nonlinear, GEOM, v), SENSOR, PART + (BASE.nonlinear,)),
+    ("sweep.spec", "sweep.spec", lambda v: sweep(v, BASE), spec(), PART + (BASE,)),
+    ("sweep.base_config", "sweep.base_config",
+     lambda v: sweep(spec(), v), BASE, PART + (spec(), eve_config())),
     ("monte_carlo_accuracy.n_trials", "monte_carlo_accuracy.n_trials",
      lambda v: monte_carlo_accuracy(BASE.nonlinear, GEOM, SENSOR, v, rng()), np.int64(10), NUMBER),
     ("cloning_fidelity.n_trials", "cloning_fidelity.n_trials",
@@ -277,6 +305,10 @@ BOUNDARY = [
      lambda v: signal_to_noise(0.1, v, 1.0, SENSOR, GEOM), np.int64(2), NUMBER + (-1,)),
     ("signal_to_noise.delta_t", "nonlinear.deltaT",
      lambda v: signal_to_noise(0.1, 1.0, v, SENSOR, GEOM), np.float32(0.5), NUMBER + (-1,)),
+    ("signal_to_noise.sensor", "signal_to_noise.sensor",
+     lambda v: signal_to_noise(0.1, 0.0, 0.0, v, GEOM), SENSOR, PART + (GEOM,)),
+    ("signal_to_noise.geom", "signal_to_noise.geom",
+     lambda v: signal_to_noise(0.1, 0.0, 0.0, SENSOR, v), GEOM, PART + (SENSOR,)),
     ("signal_to_noise.preparation", "limit.preparation",
      lambda v: signal_to_noise(0.1, 0.0, 0.0, SENSOR, GEOM, v), np.int64(1), SYMBOL),
     ("ExclusionExperiment.preparation", "limit.preparation",
@@ -290,6 +322,15 @@ BOUNDARY = [
     ("infer_alice_state.born_factor", "eve.bornFactor",
      lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, BASE.nonlinear, SENSOR, rng(), v),
      np.bool_(False), FLAG),
+    ("infer_alice_state.geom", "infer_alice_state.geom",
+     lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, v, BASE.nonlinear, SENSOR, rng()),
+     GEOM, PART + (SENSOR,)),
+    ("infer_alice_state.params", "infer_alice_state.params",
+     lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, v, SENSOR, rng()),
+     BASE.nonlinear, PART + (SENSOR,)),
+    ("infer_alice_state.sensor", "infer_alice_state.sensor",
+     lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, BASE.nonlinear, v, rng()),
+     SENSOR, PART + (BASE.nonlinear,)),
     ("infer_alice_state.rng", "infer_alice_state.rng",
      lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, BASE.nonlinear, SENSOR, v),
      rng(), GENERATOR),
