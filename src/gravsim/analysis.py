@@ -37,8 +37,7 @@ from .errors import (
     check_numbers,
 )
 from .gravity import Geometry, NonlinearParams, decay_factor
-from .protocol import STAT_COLUMNS  # noqa: F401 (re-exported)
-from .protocol import _NORMAL_EXTENT, _session_stats, _simulate
+from .protocol import _NORMAL_EXTENT, STAT_COLUMNS, _session_rows, _simulate
 from .qubits import Bb84Symbol, as_symbol
 
 if TYPE_CHECKING:
@@ -82,12 +81,9 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
         base_config.with_overrides(dict(zip(names, combos[valid])))  # raises
     seeds = range(spec.seed_base, spec.seed_base + valid)
     counts = _simulate(spec.rounds_per_point, seeds, table)
-    rows = []
-    for combo, point_counts in zip(combos, counts):
-        row: dict = dict(zip(names, combo))
-        row.update(_session_stats(spec.rounds_per_point, point_counts, table is not None).to_dict())
-        rows.append(row)
-    return rows
+    stats = _session_rows(spec.rounds_per_point, counts, table is not None)
+    columns = names + STAT_COLUMNS
+    return [dict(zip(columns, combo + row)) for combo, row in zip(combos, stats)]
 
 
 def _checked(base_config: "RunConfig", name: str, value):

@@ -259,13 +259,15 @@ def _attack_columns(plane, settings) -> _AttackTable:
     """The _AttackTable of P settings, built from the checked values of their fields.
 
     settings maps each configuration key of EveConfig._settings to one
-    value for every row or to a sequence of P values, one per row; plane
+    value for every row or to a list or tuple of P values, one per row; plane
     is the geom.plane that all rows share. A row's residuals are its decay
     b * exp(-lambda * deltaT), computed as decay_factor computes it, times
     plane. Its count is the float of samples, so a count beyond int64 runs
     as any other.
     """
-    rows = np.broadcast(*(np.array(settings[key], dtype=object) for key in _SETTING_KEYS))
+    values = [settings[key] for key in _SETTING_KEYS]
+    n_rows = max((len(v) for v in values if isinstance(v, (list, tuple))), default=1)
+    rows = zip(*(v if isinstance(v, (list, tuple)) else [v] * n_rows for v in values), strict=True)
     columns = np.array(
         [
             (b * math.exp(-lam * t), float(n), s, s * math.sqrt(n), _RESEND_FROM.get(m, tau), f, bf)

@@ -125,14 +125,17 @@ def _key_rates(qber: float, eve_info: float) -> tuple[float, float]:
 
 def _mutual_information(table: list[list[int]]) -> float:
     """Plug-in mutual information (bits) of an empirical joint count table, a list of rows."""
-    n = sum(map(sum, table))
     rows = [sum(row) for row in table]
-    cols = [sum(col) for col in zip(*table)]
+    return _plug_in_information(table, sum(rows), rows, [sum(col) for col in zip(*table)])
+
+
+def _plug_in_information(table, n: int, row_sums, col_sums) -> float:
+    """_mutual_information of a table with n counts and the given row and column sums."""
     total = 0.0
-    for a, row in enumerate(table):
-        for e, c in enumerate(row):
+    for row, row_sum in zip(table, row_sums):
+        for c, col_sum in zip(row, col_sums):
             if c:
-                total += (c / n) * math.log2(c * n / (rows[a] * cols[e]))
+                total += (c / n) * math.log2(c * n / (row_sum * col_sum))
     return max(0.0, total)
 
 
@@ -142,11 +145,118 @@ def _round_draws(seed: int, start: int, stop: int) -> np.ndarray:
     Round i owns draws [i * K, (i + 1) * K) of Philox(seed), with K = 8
     whatever the configuration; Philox yields 4 draws per counter step, so
     the stream is entered by advancing the counter 2 * start steps.
+    _simulate reads the same draws from one generator re-keyed per session.
     """
     bitgen = np.random.Philox(seed)
     if start:
         bitgen.advance(start * _BLOCK // 4)
     return bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK)
+
+
+# The hash of numpy's SeedSequence (mix_entropy and generate_state in
+# numpy/random/bit_generator.pyx) on its 4-word uint32 pool. Its hash
+# constants run through a fixed sequence, one step per hashed word, that
+# depends on no seed.
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# The fewest seeds whose keys _philox_keys hashes in one array pass. The
+# pass costs ~70 us whatever the number of seeds and numpy's SeedSequence
+# ~7 us per seed, so the pass wins from about 10 seeds; 16 leaves a margin.
+_HASHED_KEYS_MIN = 16
+
+
+def _philox_keys(seeds) -> list[list[int]]:
+    """The Philox key [k0, k1] that Philox(seed) derives, for each seed.
+
+    That key is SeedSequence(seed).generate_state(2, np.uint64); below
+    _HASHED_KEYS_MIN seeds numpy computes it, and from there _hashed_keys.
+    """
+    if len(seeds) >= _HASHED_KEYS_MIN:
+        return _hashed_keys(seeds)
+    return [np.random.SeedSequence(int(s)).generate_state(2, np.uint64).tolist() for s in seeds]
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> list[int]:
+    """SeedSequence's hash constants init * mult**k mod 2**32 for k in [0, steps]."""
+    constants = [init]
+    for _ in range(steps):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 rows: xor constants[0], multiply by constants[1]."""
+    value = (value ^ constants[0]) * constants[1]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of uint32 rows."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _hashed_keys(seeds) -> list[list[int]]:
+    """_philox_keys of P >= 1 seeds as one pass of uint32 array operations on a (4, P) pool.
+
+    A seed's entropy is its little-endian 32-bit words. SeedSequence hashes
+    a pool word that has no entropy word as 0, so seeds of up to 4 words
+    are zero-padded to the pool. mix_entropy hashes in steps: the 4 pool
+    words, then for each pool word src the mixing of it into the other
+    three, then each later word of a longer seed into all 4 pool words;
+    hash step k xors constant a[k] and multiplies by a[k + 1]. Here the
+    steps of one such group are one array operation on 4 rows: src is
+    mixed into all four and its own row restored, and a later word j is
+    mixed into the columns of the seeds that have it.
+    """
+    seeds = [int(s) for s in seeds]
+    n_limbs = max(2, -(-max(seeds).bit_length() // 64))
+    limbs = np.array([[s >> 64 * k & _MASK64 for s in seeds] for k in range(n_limbs)], np.uint64)
+    words = np.stack([limbs, limbs >> 32], axis=1).astype(np.uint32).reshape(-1, len(seeds))
+    # The hash steps of each group, by row; 0 stands in on src's own row.
+    pool_rows = range(_POOL_WORDS)
+    groups = [pool_rows]
+    for src in pool_rows:
+        first = _POOL_WORDS + (_POOL_WORDS - 1) * src
+        groups.append([first + dst - (dst > src) if dst != src else 0 for dst in pool_rows])
+    for j in range(_POOL_WORDS, len(words)):
+        groups.append(range(_POOL_WORDS * j, _POOL_WORDS * (j + 1)))
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * len(words))
+    b = _hash_constants(_INIT_B, _MULT_B, _POOL_WORDS)
+    constants = [[[a[k] for k in steps], [a[k + 1] for k in steps]] for steps in groups]
+    constants = np.array([*constants, [b[:-1], b[1:]]], np.uint32)[..., np.newaxis]
+    pool = _hashmix(words[:_POOL_WORDS], constants[0])
+    for src in range(_POOL_WORDS):
+        mixed = _mix(pool, _hashmix(pool[src], constants[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    if len(words) > _POOL_WORDS:
+        # A seed has word j when it or a later word is nonzero.
+        present = np.logical_or.accumulate(words[::-1] != 0)[::-1]
+        for j in range(_POOL_WORDS, len(words)):
+            mixed = _mix(pool, _hashmix(words[j], constants[1 + j]))
+            pool = np.where(present[j], mixed, pool)
+    # generate_state(2, np.uint64): four hashed pool words, paired little-endian.
+    state = _hashmix(pool, constants[-1])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64).tolist()
+
+
+def _rekey(bitgen: np.random.Philox, key: list[int], start: int) -> None:
+    """Set bitgen to the state Philox(seed) of key [k0, k1] reaches at round `start`."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if start:
+        bitgen.advance(start * _BLOCK // 4)
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -194,10 +304,13 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     """Run len(seeds) sessions of n_rounds rounds in one chunked pass; returns (P, 14) counts.
 
     Session p reads Philox(seeds[p]) (see run_session) and faces Eve with
-    row p of table, an _AttackTable, or no Eve when table is None. Before
-    the first round, _check_table checks every row for the largest normal
-    the engine can draw, so a setting that could overflow Eve's scores
-    fails whatever the seeds, n_rounds and attack fraction. The rounds run
+    row p of table, an _AttackTable, or no Eve when table is None. The pass
+    draws from one Philox, built from seeds[0] and re-keyed (_rekey) to a
+    session's key (_philox_keys) only where a block does not continue the
+    block drawn before it, so each session's stream is entered once.
+    Before the first round, _check_table checks every row for the largest
+    normal the engine can draw, so a setting that could overflow Eve's
+    scores fails whatever the seeds, n_rounds and attack fraction. The rounds run
     in chunks (_chunks) as array operations on independent rows, so every
     session's counts and transcript rows are those it has alone. A chunk's
     (n, 8) raw draws become uniforms once, as an (8, n) array with one
@@ -214,10 +327,18 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     cells, hits = counts[:, :12], counts[:, 12:]
     if table is not None:
         _check_table(table, _NORMAL_EXTENT)
+    bitgen = np.random.Philox(int(seeds[0])) if n_points else None
+    keys = _philox_keys(seeds) if n_points > 1 else None
+    drawn = (0, 0)  # the (point, round) at which bitgen's stream continues
     first = 0
     for chunk in _chunks(n_points, n_rounds, block):
         sessions = slice(chunk[0][0], chunk[0][0] + len(chunk))
-        blocks = [_round_draws(int(seeds[point]), start, stop) for point, start, stop in chunk]
+        blocks = []
+        for point, start, stop in chunk:
+            if (point, start) != drawn:
+                _rekey(bitgen, keys[point], start)
+            blocks.append(bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK))
+            drawn = (point, stop)
         raw = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         uniforms = _uniforms(raw.T)
         # The block of each round within the chunk; with one block, that is 0 for all.
@@ -270,32 +391,38 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     return counts
 
 
-def _session_stats(n_rounds: int, counts: np.ndarray, with_eve: bool) -> SessionStats:
-    """SessionStats of one session from its row of _simulate's counts."""
-    tally = counts.tolist()
-    sifted_count, error_count = sum(tally[:12]), sum(tally[6:12])
-    attacked_count, inferred_correct = tally[12] + tally[13], tally[13]
-    eve_accuracy = inferred_correct / attacked_count if attacked_count else None
-    mutual_info = None
-    if with_eve and sifted_count:
-        # Alice's bit against Eve's guess, over correct and erroneous sifted rounds.
-        joint = [[tally[i] + tally[i + 6] for i in range(row, row + 3)] for row in (0, 3)]
-        mutual_info = _mutual_information(joint)
-    if sifted_count:
-        qber = error_count / sifted_count
-        theory, attack_rate = _key_rates(qber, mutual_info if mutual_info is not None else 0.0)
-    else:
-        qber = theory = attack_rate = None
-    return SessionStats(
-        rounds=n_rounds,
-        sifted_count=sifted_count,
-        qber=qber,
-        eve_accuracy=eve_accuracy,
-        eve_mutual_info=mutual_info,
-        key_rate_theory=theory,
-        key_rate_attack=attack_rate,
-        aborted=qber is None or qber > ABORT_QBER,
+def _session_rows(n_rounds: int, counts: np.ndarray, with_eve: bool) -> list[tuple]:
+    """The SessionStats fields (STAT_COLUMNS) of each session, from its row of _simulate's counts.
+
+    The integer marginals of all sessions are taken at once; the ratios
+    and the mutual information are computed on Python ints, so that
+    c * n is exact however many rounds a session has.
+    """
+    # Alice's bit against Eve's guess, over correct and erroneous sifted rounds.
+    tables = (counts[:, :6] + counts[:, 6:12]).reshape(-1, 2, 3)
+    marginals = zip(
+        counts[:, :12].sum(axis=1).tolist(),
+        counts[:, 6:12].sum(axis=1).tolist(),
+        (counts[:, 12] + counts[:, 13]).tolist(),
+        counts[:, 13].tolist(),
+        tables.tolist(),
+        tables.sum(axis=2).tolist(),
+        tables.sum(axis=1).tolist(),
     )
+    rows = []
+    for sifted, errors, attacked, correct, table, row_sums, col_sums in marginals:
+        eve_accuracy = correct / attacked if attacked else None
+        info = None
+        if with_eve and sifted:
+            info = _plug_in_information(table, sifted, row_sums, col_sums)
+        if sifted:
+            qber = errors / sifted
+            theory, attack_rate = _key_rates(qber, info if info is not None else 0.0)
+        else:
+            qber = theory = attack_rate = None
+        aborted = qber is None or qber > ABORT_QBER
+        rows.append((n_rounds, sifted, qber, eve_accuracy, info, theory, attack_rate, aborted))
+    return rows
 
 
 def run_session(
@@ -337,4 +464,5 @@ def run_session(
             transcript[name] = -1
     table = None if eve_config is None else eve_config._table
     counts = _simulate(n_rounds, [seed], table, transcript)
-    return _session_stats(n_rounds, counts[0], eve_config is not None), transcript
+    (stats,) = _session_rows(n_rounds, counts, eve_config is not None)
+    return SessionStats(*stats), transcript

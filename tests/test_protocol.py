@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gravsim import (
     ABORT_QBER,
+    STAT_COLUMNS,
     EveConfig,
     EveStrategy,
     Geometry,
@@ -19,6 +22,7 @@ from gravsim import (
     key_rate,
     run_session,
 )
+from gravsim import protocol
 from gravsim.protocol import _mutual_information
 
 
@@ -115,6 +119,85 @@ def test_eve_information_independent_guess_is_zero():
 def test_eve_information_wrong_basis_counts_as_no_guess():
     # every round in the no-guess column, as when Eve infers a conjugate-basis symbol
     assert _mutual_information(np.array([[0, 0, 3], [0, 0, 5]])) == 0.0
+
+
+def reference_row(n_rounds: int, tally: list[int], with_eve: bool) -> tuple:
+    """The STAT_COLUMNS of one count row, on Python ints and math.log2 term by term.
+
+    tally holds the sifted (error, Alice's bit, Eve's guess) cells, index
+    6 * error + 3 * bit + guess, then the attacked rounds inferred wrong and right.
+    """
+    sifted, errors = sum(tally[:12]), sum(tally[6:12])
+    attacked, correct = tally[12] + tally[13], tally[13]
+    accuracy = correct / attacked if attacked else None
+    info = None
+    if with_eve and sifted:
+        joint = [[tally[i] + tally[i + 6] for i in range(row, row + 3)] for row in (0, 3)]
+        rows = [sum(row) for row in joint]
+        cols = [sum(col) for col in zip(*joint)]
+        total = 0.0
+        for a in range(2):
+            for e in range(3):
+                c = joint[a][e]
+                if c:
+                    total += (c / sifted) * math.log2(c * sifted / (rows[a] * cols[e]))
+        info = max(0.0, total)
+    if not sifted:
+        return (n_rounds, 0, None, accuracy, info, None, None, True)
+    qber = errors / sifted
+    h = 0.0 if qber in (0.0, 1.0) else -(qber * math.log2(qber) + (1 - qber) * math.log2(1 - qber))
+    theory = max(0.0, 1.0 - 2.0 * h)
+    attack = max(0.0, 1.0 - h - (info if info is not None else 0.0))
+    return (n_rounds, sifted, qber, accuracy, info, theory, attack, qber > ABORT_QBER)
+
+
+# Count rows: the 12 sifted cells (error, Alice's bit, Eve's guess), then attacked wrong, right.
+COUNT_ROWS = {
+    "all zero": [0] * 14,
+    "sifted, never attacked": [0, 0, 40, 0, 0, 45, 0, 0, 3, 0, 0, 2, 0, 0],
+    "one joint cell": [7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7],
+    "qber exactly 0.11": [20, 9, 5, 22, 18, 15, 3, 2, 1, 2, 2, 1, 30, 40],
+    "mixed": [12, 3, 30, 4, 11, 28, 1, 2, 5, 2, 0, 6, 9, 31],
+    "c * n beyond 2**53": [
+        90_000_000, 1_500_000, 2_250_001, 700_001, 25_000_000, 3_333_333,
+        1_000_000, 123_457, 77, 5, 1_234_567, 999_983, 4_000_003, 110_000_009,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", COUNT_ROWS)
+@pytest.mark.parametrize("with_eve", [True, False])
+def test_session_rows_equal_the_reference_formula(name, with_eve):
+    tally = COUNT_ROWS[name]
+    (row,) = protocol._session_rows(50, np.array([tally], dtype=np.int64), with_eve)
+    assert row == reference_row(50, tally, with_eve)
+    assert len(row) == len(STAT_COLUMNS)
+
+
+def test_session_rows_edge_rows():
+    rows = protocol._session_rows(9, np.array(list(COUNT_ROWS.values()), dtype=np.int64), True)
+    by_name = dict(zip(COUNT_ROWS, rows))
+    assert by_name["all zero"] == (9, 0, None, None, None, None, None, True)
+    never = by_name["sifted, never attacked"]
+    assert never[3] is None and never[4] == 0.0
+    assert by_name["one joint cell"][2:5] == (0.0, 1.0, 0.0)
+    exact = by_name["qber exactly 0.11"]
+    assert exact[1] == 100 and exact[2] == 0.11 == ABORT_QBER and exact[-1] is False
+    big = COUNT_ROWS["c * n beyond 2**53"]
+    assert by_name["c * n beyond 2**53"][1] > 1.2e8
+    assert max(big[:12]) * sum(big[:12]) > 2**53
+    # each row is the row alone, whatever the rows beside it
+    assert rows == [reference_row(9, tally, True) for tally in COUNT_ROWS.values()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**9), min_size=14, max_size=14),
+    st.booleans(),
+)
+def test_session_rows_equal_the_reference_on_any_counts(tally, with_eve):
+    (row,) = protocol._session_rows(3, np.array([tally], dtype=np.int64), with_eve)
+    assert row == reference_row(3, tally, with_eve)
 
 
 def test_eve_information_matches_session_statistic(geom):
