@@ -163,23 +163,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# The fewest seeds whose keys _philox_keys hashes in one array pass. The
-# pass costs ~70 us whatever the number of seeds and numpy's SeedSequence
-# ~7 us per seed, so the pass wins from about 10 seeds; 16 leaves a margin.
-_HASHED_KEYS_MIN = 16
-
-
-def _philox_keys(seeds) -> list[list[int]]:
-    """The Philox key [k0, k1] that Philox(seed) derives, for each seed.
-
-    That key is SeedSequence(seed).generate_state(2, np.uint64); below
-    _HASHED_KEYS_MIN seeds numpy computes it, and from there _hashed_keys.
-    """
-    if len(seeds) >= _HASHED_KEYS_MIN:
-        return _hashed_keys(seeds)
-    return [np.random.SeedSequence(int(s)).generate_state(2, np.uint64).tolist() for s in seeds]
-
-
 def _hash_constants(init: int, mult: int, steps: int) -> list[int]:
     """SeedSequence's hash constants init * mult**k mod 2**32 for k in [0, steps]."""
     constants = [init]
@@ -201,7 +184,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _hashed_keys(seeds) -> list[list[int]]:
-    """_philox_keys of P >= 1 seeds as one pass of uint32 array operations on a (4, P) pool.
+    """The Philox key [k0, k1] that Philox(seed) derives, for each of P >= 1 seeds.
+
+    That key is SeedSequence(seed).generate_state(2, np.uint64), computed
+    here as one pass of uint32 array operations on a (4, P) pool.
 
     A seed's entropy is its little-endian 32-bit words. SeedSequence hashes
     a pool word that has no entropy word as 0, so seeds of up to 4 words
@@ -245,8 +231,8 @@ def _hashed_keys(seeds) -> list[list[int]]:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64).tolist()
 
 
-def _rekey(bitgen: np.random.Philox, key: list[int], start: int) -> None:
-    """Set bitgen to the state Philox(seed) of key [k0, k1] reaches at round `start`."""
+def _rekey(bitgen: np.random.Philox, key: list[int]) -> None:
+    """Set bitgen to the fresh state of the Philox(seed) whose key is [k0, k1]."""
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -255,8 +241,6 @@ def _rekey(bitgen: np.random.Philox, key: list[int], start: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    if start:
-        bitgen.advance(start * _BLOCK // 4)
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -305,9 +289,9 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
 
     Session p reads Philox(seeds[p]) (see run_session) and faces Eve with
     row p of table, an _AttackTable, or no Eve when table is None. The pass
-    draws from one Philox, built from seeds[0] and re-keyed (_rekey) to a
-    session's key (_philox_keys) only where a block does not continue the
-    block drawn before it, so each session's stream is entered once.
+    draws from one Philox, built from seeds[0] and re-keyed (_rekey) to the
+    key (_hashed_keys) of each later session at its first block; _chunks
+    yields a session's blocks in order, so each stream is entered once.
     Before the first round, _check_table checks every row for the largest
     normal the engine can draw, so a setting that could overflow Eve's
     scores fails whatever the seeds, n_rounds and attack fraction. The rounds run
@@ -328,17 +312,15 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     if table is not None:
         _check_table(table, _NORMAL_EXTENT)
     bitgen = np.random.Philox(int(seeds[0])) if n_points else None
-    keys = _philox_keys(seeds) if n_points > 1 else None
-    drawn = (0, 0)  # the (point, round) at which bitgen's stream continues
+    keys = _hashed_keys(seeds) if n_points > 1 else None
     first = 0
     for chunk in _chunks(n_points, n_rounds, block):
         sessions = slice(chunk[0][0], chunk[0][0] + len(chunk))
         blocks = []
         for point, start, stop in chunk:
-            if (point, start) != drawn:
-                _rekey(bitgen, keys[point], start)
+            if point and not start:
+                _rekey(bitgen, keys[point])
             blocks.append(bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK))
-            drawn = (point, stop)
         raw = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         uniforms = _uniforms(raw.T)
         # The block of each round within the chunk; with one block, that is 0 for all.
