@@ -22,11 +22,12 @@ from .attack import (
     SensorModel,
     _attack_columns,
     _check_table,
+    _decay_columns,
     _mc_hits,
     _mc_settings,
     _mc_trials,
     _Trials,
-    analytic_accuracy,
+    _union_bound,
 )
 from .errors import (
     ValidationError,
@@ -126,17 +127,21 @@ def min_detectable_b(
 ) -> float | None:
     """Smallest amplitude b whose inference accuracy reaches the target.
 
-    Bisection on b in [0, 1]. The objective is the mean analytic accuracy
-    bound; with mc_rounds > 0 each candidate is scored by Monte Carlo
-    instead: the candidate of bisection step k (0 for the b = 1 probe) gets
-    monte_carlo_accuracy with mc_rounds trials from
+    Bisection on b in [0, 1]. The objective is the mean of
+    analytic_accuracy's bound; with mc_rounds > 0 each candidate is scored
+    by Monte Carlo instead: the candidate of bisection step k (0 for the
+    b = 1 probe) gets monte_carlo_accuracy with mc_rounds trials from
     np.random.default_rng([seed, k]). Those trials do not depend on lambda,
     delta_t, the sensor or the geometry, so the calls of a lambda scan share
     them: up to mc_rounds = 2**15, the 16 steps drawn last are kept, keyed
     by (seed, k, mc_rounds), in at most 13 MB (0.8 MB at 2000 trials).
-    Returns the upper bracket end (the smallest b found with accuracy >=
-    target within tolerance), or None when the target is out of reach even
-    at b = 1.
+    Arguments are checked once, and a candidate b is scored from the
+    constants of the call: its decay is b * exp(-lambda * delta_t), the
+    product decay_factor forms. Returns the upper bracket end (the smallest
+    b found with accuracy >= target within tolerance), or None when the
+    target is out of reach even at b = 1. The bisection also stops, and
+    returns the upper end, when no float lies strictly between the two
+    ends, so a tolerance below the float spacing at the crossing ends there.
     """
     target_accuracy = check_number(
         target_accuracy, "min_detectable_b.targetAccuracy", above=CHANCE_LEVEL, below=1.0
@@ -148,26 +153,31 @@ def min_detectable_b(
     check_instance(geom, Geometry, "min_detectable_b.geom")
     check_instance(sensor, SensorModel, "min_detectable_b.sensor")
 
+    relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
-        settings = _mc_settings(params, sensor)
+        # The sensor's columns, from a table whose amplitude columns each candidate replaces.
+        table = _attack_columns(geom.plane, _mc_settings(params, sensor))
         draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
 
         def score(b: float, step: int) -> float:
-            table = _attack_columns(geom.plane, {**settings, "b": b})
-            return _mc_hits(table, draw(seed, step, mc_rounds)) / mc_rounds
+            columns = _decay_columns(np.array([b * relax]), table.count, geom.plane)
+            return _mc_hits(table._replace(**columns), draw(seed, step, mc_rounds)) / mc_rounds
 
     else:
+        scale = math.sqrt(sensor.samples) / sensor.sigma
 
         def score(b: float, step: int) -> float:
-            return analytic_accuracy(NonlinearParams(b, params.lam, params.delta_t), geom, sensor).mean
+            return _union_bound(b * relax * geom.plane, scale)[2]
 
     if score(1.0, 0) < target_accuracy:
         return None
     lo, hi = 0.0, 1.0
     step = 0
     while hi - lo > tolerance:
-        step += 1
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float lies strictly between lo and hi
+            break
+        step += 1
         if score(mid, step) >= target_accuracy:
             hi = mid
         else:

@@ -145,7 +145,7 @@ _LOG_PRIORS.setflags(write=False)
 _EVE_EDGES = np.cumsum(BRANCH_WEIGHTS, axis=1)
 
 
-def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
+def _logits(statistic, residuals, offsets, sigma, log_prior=None) -> np.ndarray:
     """Hypothesis log-posteriors up to a shared constant, (dim, n) -> (4, n).
 
     The kernel is hypothesis-major: axis 0 of the logits is the hypothesis
@@ -155,19 +155,26 @@ def _logits(statistic, residuals, offsets, sigma, log_prior=0.0) -> np.ndarray:
     infer_alice_state); residuals are the (4, dim) hypothesis residuals r_h,
     or a (4, dim, n) table with one per statistic, and offsets their
     _offsets as (4, 1) or (4, n); sigma and log_prior broadcast against the
-    (4, n) logits. Every caller first checks with _check_scores that the
-    statistic's scores cannot overflow. The Gaussian scores S.r_h - count *
-    |r_h|^2 / 2 are shifted in field units so that the best hypothesis the
-    prior allows is exactly 0 (one the prior rules out is capped at 0 and
-    keeps its -inf prior), and only then divided by sigma, once per factor:
-    no sigma > 0 gives NaN, a hypothesis the data rule out scores -inf, and
-    exact ties stay exact. The dot products go through einsum rather than
-    BLAS, which sums every row in the same order whatever the batch shape,
-    so a row's logits depend neither on the rows beside it nor on whether
-    its residuals are shared with them.
+    (4, n) logits, and log_prior None means no prior. Every caller first
+    checks with _check_scores that the statistic's scores cannot overflow.
+    The Gaussian scores S.r_h - count * |r_h|^2 / 2 are shifted in field
+    units so that the best hypothesis the prior allows is exactly 0 (one the
+    prior rules out is capped at 0 and keeps its -inf prior), and only then
+    divided by sigma, once per factor: no sigma > 0 gives NaN, a hypothesis
+    the data rule out scores -inf, and exact ties stay exact. Without a
+    prior the best is the maximum over all hypotheses, so the mask and the
+    cap change nothing and are skipped; the logits are those of a 0.0 prior
+    up to the sign of a zero, with the same ties. The dot products go
+    through einsum rather than BLAS, which sums every row in the same order
+    whatever the batch shape, so a row's logits depend neither on the rows
+    beside it nor on whether its residuals are shared with them.
     """
     score = np.einsum("d...,hd...->h...", statistic, residuals)
     score -= offsets
+    if log_prior is None:
+        score -= _hmax(score)
+        with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
+            return score / sigma / sigma
     best = _hmax(np.where(log_prior == -np.inf, -np.inf, score))
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
         return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
@@ -275,18 +282,29 @@ def _attack_columns(plane, settings) -> _AttackTable:
         ]
     )
     decay, count, sigma, scale, resend_from, fraction, born = columns.T
-    residuals = decay[:, np.newaxis, np.newaxis] * plane
     return _AttackTable(
-        residuals=residuals,
-        offsets=_offsets(residuals, count[:, np.newaxis]),
+        **_decay_columns(decay, count, plane),
         count=count,
         sigma=sigma,
         scale=scale,
-        reach=np.abs(residuals).max(axis=(1, 2)),
         born=born.astype(np.intp),
         resend_from=resend_from,
         fraction=fraction,
     )
+
+
+def _decay_columns(decay, count, plane) -> dict:
+    """The _AttackTable columns that depend on the amplitude, for P rows of decay and count (P,).
+
+    residuals are decay * plane (P, 4, 2), offsets their _offsets (P, 4)
+    and reach their largest |component| (P,).
+    """
+    residuals = decay[:, np.newaxis, np.newaxis] * plane
+    return {
+        "residuals": residuals,
+        "offsets": _offsets(residuals, count[:, np.newaxis]),
+        "reach": np.abs(residuals).max(axis=(1, 2)),
+    }
 
 
 def _gather(values, at) -> np.ndarray:
@@ -512,6 +530,32 @@ def _normal_tail(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+# The hypothesis pairs (i, j), i < j, in order.
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
+
+def _union_bound(residuals, scale: float) -> tuple[list, list, float]:
+    """The union bound of analytic_accuracy on (4, 2) plane residuals, unchecked.
+
+    scale is sqrt(samples) / sigma. Returns the separations
+    d_ij = scale * |r_i - r_j| of the _PAIRS in order, the per-hypothesis
+    bounds 1 - min(1, sum over j != i of Q(d_ij / 2)), floored at 0, and
+    their mean.
+    """
+    rows = residuals.tolist()
+    separations = []
+    tails = [[], [], [], []]  # tails[i] in the order of j, as the pairs come
+    for i, j in _PAIRS:
+        distance = math.dist(rows[i], rows[j])
+        d = scale * distance if distance else 0.0  # scale may be inf at a subnormal sigma
+        separations.append(d)
+        tail = _normal_tail(d / 2.0)
+        tails[i].append(tail)
+        tails[j].append(tail)
+    bounds = [max(0.0, 1.0 - min(1.0, sum(tail))) for tail in tails]
+    return separations, bounds, sum(bounds) / 4
+
+
 def analytic_accuracy(
     params: NonlinearParams, geom: Geometry, sensor: SensorModel
 ) -> AccuracyEstimate:
@@ -531,25 +575,13 @@ def analytic_accuracy(
     check_instance(params, NonlinearParams, "analytic_accuracy.params")
     check_instance(geom, Geometry, "analytic_accuracy.geom")
     check_instance(sensor, SensorModel, "analytic_accuracy.sensor")
-    residuals = (decay_factor(params) * geom.plane).tolist()
     scale = math.sqrt(sensor.samples) / sensor.sigma
-    separations = np.zeros((4, 4))
-    closest = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            distance = math.dist(residuals[i], residuals[j])
-            d = scale * distance if distance else 0.0  # scale may be inf at a subnormal sigma
-            separations[i, j] = separations[j, i] = d
-            if closest is None or d <= closest[0]:
-                closest = (d, i, j)
-    bounds = []
-    for i in range(4):
-        tail_sum = sum(_normal_tail(separations[i, j] / 2.0) for j in range(4) if j != i)
-        bounds.append(max(0.0, 1.0 - min(1.0, tail_sum)))
-    d_min, a, b = closest
+    separations, bounds, mean = _union_bound(decay_factor(params) * geom.plane, scale)
+    closest = min(reversed(range(len(_PAIRS))), key=separations.__getitem__)  # the later on a tie
+    d_min, (a, b) = separations[closest], _PAIRS[closest]
     return AccuracyEstimate(
         per_hypothesis=tuple(bounds),
-        mean=float(np.mean(bounds)),
+        mean=mean,
         chance=CHANCE_LEVEL,
         closest_pair=(SYMBOLS[a], SYMBOLS[b]),
         d_min=d_min,

@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import gravsim.analysis
 import oracles
+from conftest import gravsim_env
 from gravsim import (
     STAT_COLUMNS,
     SWEEP_PARAMETERS,
@@ -362,6 +365,30 @@ def test_min_detectable_b_brackets_the_crossing(geom):
     assert mean_accuracy(b_star - tol) < target
 
 
+def test_min_detectable_b_stops_where_no_float_lies_between_the_bracket_ends(geom):
+    # A tolerance below the float spacing at the crossing once left the
+    # bracket ends adjacent, with the midpoint equal to one of them, forever.
+    code = (
+        "from gravsim import Geometry, SensorModel, min_detectable_b\n"
+        "for mc_rounds in (0, 50):\n"
+        "    b = min_detectable_b(0.0, 0.0, SensorModel(), Geometry(), 0.8, tolerance=1e-20,"
+        " mc_rounds=mc_rounds, seed=2)\n"
+        "    print(repr(b))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=gravsim_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    analytic, monte_carlo = (float(line) for line in result.stdout.split())
+    sensor = SensorModel()
+
+    def mean_accuracy(b):
+        return analytic_accuracy(NonlinearParams(b=b), geom, sensor).mean
+
+    assert mean_accuracy(analytic) >= 0.8 > mean_accuracy(math.nextafter(analytic, 0.0))
+    assert 0.0 < monte_carlo < 1.0
+
+
 def test_min_detectable_b_scales_with_noise_and_samples(geom):
     target, tol = 0.8, 1e-4
     base = min_detectable_b(0.0, 0.0, SensorModel(sigma=2.5e-12), geom, target, tolerance=tol)
@@ -439,14 +466,19 @@ def test_an_overflowing_setting_raises_alike_on_fresh_and_kept_trials():
         assert STEP_TRIALS.cache_info().hits == kept
 
 
-def test_a_bad_relaxation_rate_is_rejected_before_any_draw(geom):
+def test_a_bad_relaxation_rate_is_rejected_before_any_draw(geom, monkeypatch):
+    # mc_rounds 0 scores each candidate by the union bound, which must not run either.
+    scored = []
+    monkeypatch.setattr(gravsim.analysis, "_union_bound", lambda *args: scored.append(args))
     STEP_TRIALS.cache_clear()
-    for lam in (-1.0, math.nan, True):
-        with pytest.raises(ValidationError, match=r"^nonlinear\.lambda: "):
-            min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, mc_rounds=2000, seed=1)
-    with pytest.raises(ValidationError, match=r"^nonlinear\.deltaT: "):
-        min_detectable_b(0.0, -1.0, SensorModel(), geom, 0.8, mc_rounds=2000, seed=1)
+    for mc_rounds in (2000, 0):
+        for lam in (-1.0, math.nan, True):
+            with pytest.raises(ValidationError, match=r"^nonlinear\.lambda: "):
+                min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, mc_rounds=mc_rounds, seed=1)
+        with pytest.raises(ValidationError, match=r"^nonlinear\.deltaT: "):
+            min_detectable_b(0.0, -1.0, SensorModel(), geom, 0.8, mc_rounds=mc_rounds, seed=1)
     assert STEP_TRIALS.cache_info().misses == 0
+    assert scored == []
 
 
 def test_signal_to_noise_formula(geom):

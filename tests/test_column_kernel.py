@@ -8,16 +8,32 @@ reduction of each round along the last axis gives, on rounds with exact
 ties, signed zeros, infinities, NaN and rounds that the prior masks
 entirely. Any NaN counts as equal to any NaN. _logits must give, bit for
 bit, the transpose of what the same kernel written for rounds of (n, dim)
-statistics (the einsum "...d,...hd->...h") gives.
+statistics (the einsum "...d,...hd->...h") gives. Without a prior it must
+give the logits of a 0.0 prior up to the sign of a zero, with the same tie
+choices, and Monte Carlo hits (which score without one) must count what
+those logits choose.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from gravsim.attack import _break_ties, _hmax, _hsum, _logits
+from gravsim import Geometry, NonlinearParams, SensorModel
+from gravsim.attack import (
+    _attack_columns,
+    _break_ties,
+    _gather,
+    _hmax,
+    _hsum,
+    _logits,
+    _mc_hits,
+    _mc_settings,
+    _mc_trials,
+    _plane_statistic,
+)
 
 # A small pool makes exact ties, signed zeros and specials common.
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan, 5e-324, -1e308, 1e308]
@@ -144,7 +160,9 @@ def plane_batches(draw):
         sigma = draw(SIGMAS)
     else:
         sigma = draw(arrays(np.float64, (n, 1), elements=SIGMAS))
-    log_prior = draw(arrays(np.float64, (n, 4), elements=PRIORS)) if draw(st.booleans()) else 0.0
+    log_prior = draw(
+        st.one_of(st.just(0.0), st.none(), arrays(np.float64, (n, 4), elements=PRIORS))
+    )
     return statistic, residuals, offsets, sigma, log_prior
 
 
@@ -159,9 +177,20 @@ def plane_batches(draw):
         np.array([[0.0, -np.inf, -np.inf, -np.inf], [-np.inf] * 4, [0.0, 0.0, -np.inf, 0.0]]),
     )
 )
+@example(
+    case=(
+        np.array([[0.0, -0.0], [-0.0, 1.0], [1.0, 2.0]]),
+        np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.5], [1.0, 0.5]]),
+        np.array([0.0, -0.0, 0.5, 0.5]),
+        5e-324,
+        None,
+    )
+)
 def test_logits_equal_the_row_major_kernel_bit_for_bit(case):
     statistic, residuals, offsets, sigma, log_prior = case
-    expected = row_major_logits(statistic, residuals, offsets, sigma, log_prior)
+    prior_free = log_prior is None
+    reference_prior = 0.0 if prior_free else log_prior
+    expected = row_major_logits(statistic, residuals, offsets, sigma, reference_prior)
     per_row = residuals.ndim == 3
     got = _logits(
         np.ascontiguousarray(statistic.T),
@@ -171,7 +200,14 @@ def test_logits_equal_the_row_major_kernel_bit_for_bit(case):
         np.ascontiguousarray(log_prior.T) if np.ndim(log_prior) else log_prior,
     )
     assert got.shape == (4, len(statistic))
-    assert np.array_equal(got.T.view(np.int64), expected.view(np.int64))
+    if not prior_free:
+        assert np.array_equal(got.T.view(np.int64), expected.view(np.int64))
+        return
+    # No prior: the 0.0 prior's mask, cap and add change at most the sign of a zero.
+    assert np.array_equal(bits(got.T + 0.0), bits(expected))
+    u = np.linspace(0.0, 1.0, len(statistic), endpoint=False)
+    choices = _break_ties(got, _hmax(got), u)
+    assert np.array_equal(choices, _break_ties(expected.T, _hmax(expected.T), u))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -185,3 +221,23 @@ def test_logits_of_one_full_field_row_equal_the_row_major_kernel(data, dim, sigm
     expected = row_major_logits(statistic, residuals, offsets, sigma, log_prior)
     got = _logits(statistic, residuals, offsets, sigma, log_prior)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "b, sigma",
+    [(0.0, 2.5e-12), (0.02, 2.5e-12), (0.05, 1e-170), (2e-21, 1e-30)],
+    ids=["four-way-ties", "default", "tiny-sigma", "tiny-sigma-near-ties"],
+)
+def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
+    params, sensor = NonlinearParams(b=b), SensorModel(sigma=sigma)
+    table = _attack_columns(Geometry().plane, _mc_settings(params, sensor))
+    trials = _mc_trials(np.random.default_rng(7), 2000)
+    statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
+    residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
+    logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
+    if b == 0.0:
+        assert (logits == 0.0).all()  # every column a four-way tie
+    elif sigma == 1e-170:
+        assert (logits == -np.inf).any()  # scores below the best overflow to -inf
+    chosen = _break_ties(logits, _hmax(logits), trials.ties)
+    assert _mc_hits(table, trials) == np.count_nonzero(chosen == trials.truths)

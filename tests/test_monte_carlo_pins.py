@@ -1,5 +1,7 @@
 """Golden pins of the Monte Carlo path: exact values of monte_carlo_accuracy,
-cloning_fidelity and Monte Carlo min_detectable_b for fixed generators.
+cloning_fidelity and Monte Carlo min_detectable_b for fixed generators;
+and of the analytic path: every field of analytic_accuracy and analytic
+min_detectable_b.
 
 The values were recorded before the scoring kernel moved to a
 hypothesis-major layout, and any change to the kernel's layout or
@@ -13,7 +15,16 @@ trials for reuse: a lambda scan at one seed, and calls that interleave two
 seeds and two trial counts, so that reused, fresh and evicted steps all
 meet a pinned value. The oracle test bisects over monte_carlo_accuracy
 itself, as min_detectable_b is documented to.
+
+The analytic pins were recorded before min_detectable_b scored its
+candidates from per-call constants rather than through analytic_accuracy;
+they cover b = 0, several readings with relaxation, a tiny and a
+subnormal sigma (a huge or infinite separation scale), a field of
+1e200 kg sensed with sigma 1e190 and unreachable targets. The analytic
+oracle test bisects over analytic_accuracy itself.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,12 +35,14 @@ from gravsim import (
     Geometry,
     NonlinearParams,
     SensorModel,
+    analytic_accuracy,
     cloning_fidelity,
     min_detectable_b,
     monte_carlo_accuracy,
 )
 
 GEOM = Geometry()
+HUGE = Geometry(GEOM.sites, GEOM.probes, test_mass=1e200)
 
 MONTE_CARLO = [
     # (b, sigma, samples, n_trials, repr of the accuracy); generator default_rng(5)
@@ -169,3 +182,108 @@ def test_min_detectable_b_is_a_bisection_over_monte_carlo_accuracy(
             lam, 1.0, sensor, GEOM, target, tolerance=1e-3, mc_rounds=mc_rounds, seed=seed
         )
         assert b == expected
+
+
+XP_XM = "(<Bb84Symbol.XP: 2>, <Bb84Symbol.XM: 3>)"
+Z1_XM = "(<Bb84Symbol.Z1: 1>, <Bb84Symbol.XM: 3>)"
+ESTIMATES = [
+    # (b, lambda, deltaT, sigma, samples, geometry, repr of each AccuracyEstimate field)
+    (0.0, 0.0, 0.0, 2.5e-12, 1, GEOM, ["(0.0, 0.0, 0.0, 0.0)", "0.0", "0.25", XP_XM, "0.0", "0.5"]),
+    (
+        0.02, 0.0, 0.0, 2.5e-12, 1, GEOM,
+        [
+            "(0.40319790261327104, 0.40319790261327104, 0.40319790261327104, 0.40319790261327104)",
+            "0.40319790261327104", "0.25", Z1_XM, "0.9753174226139755", "0.687104199085792",
+        ],
+    ),
+    (
+        0.3, 0.7, 1.0, 1e-11, 4, GEOM,
+        [
+            "(0.9652443141378145, 0.9652443141378144, 0.9652443141378145, 0.9652443141378145)",
+            "0.9652443141378145", "0.25", Z1_XM, "3.6324622395136164", "0.9653325368705494",
+        ],
+    ),
+    (
+        0.05, 0.0, 0.0, 5e-300, 1, GEOM,
+        ["(1.0, 1.0, 1.0, 1.0)", "1.0", "0.25", Z1_XM, "1.2191467782674696e+288", "1.0"],
+    ),
+    (0.05, 0.0, 0.0, 5e-324, 1, GEOM, ["(1.0, 1.0, 1.0, 1.0)", "1.0", "0.25", XP_XM, "inf", "1.0"]),
+    (
+        0.05, 0.0, 0.0, 1e190, 1, HUGE,
+        ["(0.0, 0.0, 0.0, 0.0)", "0.0", "0.25", Z1_XM, "0.06095733891337346", "0.5121573476076087"],
+    ),
+    (
+        1e-300, 0.0, 0.0, 5e-300, 3, GEOM,
+        [
+            "(0.0, 0.0, 0.0, 0.0)", "0.0", "0.25", Z1_XM,
+            "4.223248323686433e-11", "0.5000000000084242",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("b, lam, delta_t, sigma, samples, geom, expected", ESTIMATES)
+def test_analytic_accuracy_is_pinned(b, lam, delta_t, sigma, samples, geom, expected):
+    params = NonlinearParams(b=b, lam=lam, delta_t=delta_t)
+    est = analytic_accuracy(params, geom, SensorModel(sigma=sigma, samples=samples))
+    assert [repr(getattr(est, f.name)) for f in dataclasses.fields(est)] == expected
+    assert est.mean == float(np.mean(est.per_hypothesis))
+
+
+ANALYTIC = [
+    # (lambda, deltaT, sigma, samples, geometry, target, repr of min_detectable_b); tolerance 1e-4
+    (0.0, 0.0, 2.5e-12, 1, GEOM, 0.8, "0.039794921875"),
+    (0.7, 1.0, 2.5e-12, 1, GEOM, 0.8, "0.08013916015625"),
+    (0.3, 2.5, 1e-11, 4, GEOM, 0.6, "0.11505126953125"),
+    (0.0, 0.0, 2.5e-12, 1, GEOM, 0.99, "0.095458984375"),
+    (0.0, 0.0, 5e-300, 1, GEOM, 0.9, "6.103515625e-05"),
+    (0.0, 0.0, 1e190, 1, HUGE, 0.3, "0.68157958984375"),
+    (0.0, 0.0, 1e190, 1, HUGE, 0.8, "None"),
+    (6.0, 1.0, 2.5e-12, 1, GEOM, 0.8, "None"),
+]
+
+
+@pytest.mark.parametrize("lam, delta_t, sigma, samples, geom, target, expected", ANALYTIC)
+def test_analytic_min_detectable_b_is_pinned(lam, delta_t, sigma, samples, geom, target, expected):
+    sensor = SensorModel(sigma=sigma, samples=samples)
+    assert repr(min_detectable_b(lam, delta_t, sensor, geom, target)) == expected
+
+
+def bisect_over_analytic(lam, delta_t, sensor, geom, target, tolerance):
+    """min_detectable_b's bisection, written out over analytic_accuracy's mean."""
+
+    def accuracy(b):
+        return analytic_accuracy(NonlinearParams(b, lam, delta_t), geom, sensor).mean
+
+    if accuracy(1.0) < target:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if accuracy(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize(
+    "lam, delta_t, sigma, samples, geom, target, tolerance",
+    [
+        (0.0, 0.0, 2.5e-12, 1, GEOM, 0.8, 1e-4),
+        (1.3, 1.0, 2.5e-12, 1, GEOM, 0.8, 1e-6),
+        (0.4, 3.5, 1e-11, 1, GEOM, 0.7, 1e-9),
+        (0.2, 1.0, 1e-11, 5, GEOM, 0.9, 1e-6),
+        (0.0, 0.0, 1e-299, 2, GEOM, 0.95, 1e-12),  # sqrt(samples) / sigma near the float limit
+        (0.0, 0.0, 1e190, 1, HUGE, 0.3, 1e-6),
+        (0.0, 0.0, 2.5e-12, 1, GEOM, 0.999, 1e-4),
+        (6.0, 1.0, 2.5e-12, 1, GEOM, 0.8, 1e-4),  # out of reach: None
+    ],
+)
+def test_min_detectable_b_is_a_bisection_over_analytic_accuracy(
+    lam, delta_t, sigma, samples, geom, target, tolerance
+):
+    sensor = SensorModel(sigma=sigma, samples=samples)
+    expected = bisect_over_analytic(lam, delta_t, sensor, geom, target, tolerance)
+    b = min_detectable_b(lam, delta_t, sensor, geom, target, tolerance=tolerance)
+    assert b == expected
