@@ -4,11 +4,13 @@ and of the analytic path: every field of analytic_accuracy and analytic
 min_detectable_b.
 
 The values were recorded before the scoring kernel moved to a
-hypothesis-major layout, and any change to the kernel's layout or
-arithmetic must leave them exactly as they are. The cases cover four-way
-ties (b = 0), scores that overflow to -inf (sigma 1e-30), several readings,
-a batch of three trials, every resend strategy with and without the Born
-prior, and a bisection scored by Monte Carlo at two relaxation rates.
+hypothesis-major layout (the sigma 1e-170 one before Monte Carlo scored
+without a prior), and any change to the kernel's layout or arithmetic
+must leave them exactly as they are. The cases cover four-way ties
+(b = 0), scores far below the best (sigma 1e-30), scores that overflow to
+-inf (sigma 1e-170), several readings, a batch of three trials, every
+resend strategy with and without the Born prior, and a bisection scored
+by Monte Carlo at two relaxation rates.
 
 The scans were recorded before min_detectable_b kept each bisection step's
 trials for reuse: a lambda scan at one seed, and calls that interleave two
@@ -49,6 +51,7 @@ MONTE_CARLO = [
     (0.0, 2.5e-12, 1, 2000, "0.2615"),
     (0.02, 2.5e-12, 1, 2000, "0.5675"),
     (0.05, 1e-30, 1, 2000, "1.0"),
+    (0.05, 1e-170, 1, 2000, "1.0"),
     (2e-21, 1e-30, 1, 2000, "0.3175"),
     (0.01, 2.5e-12, 3, 2000, "0.5195"),
     (0.01, 2.5e-12, 1, 2000, "0.3955"),
