@@ -19,12 +19,12 @@ import numpy as np
 
 from .attack import (
     CHANCE_LEVEL,
+    EveConfig,
+    EveStrategy,
     SensorModel,
-    _attack_columns,
     _check_table,
     _decay_columns,
     _mc_hits,
-    _mc_settings,
     _mc_trials,
     _Trials,
     _union_bound,
@@ -56,13 +56,14 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     compatibility and has no effect.
 
     Each grid value is checked once, by base_config.with_overrides, and the
-    points are columns of the checked values. Every field is checked on
+    points are columns of the checked values, which EveConfig._columns
+    takes under the fields config._KEYS names. Every field is checked on
     its own, so the first point that holds a rejected value is the first
     point that with_overrides rejects. Then no session runs: the settings
     of the points before it are checked as _simulate checks them, and
     then its with_overrides raises.
     """
-    from .config import RunConfig, SweepSpec  # config imports this module
+    from .config import _KEYS, RunConfig, SweepSpec  # config imports this module
 
     check_instance(spec, SweepSpec, "sweep.spec")
     check_instance(base_config, RunConfig, "sweep.base_config")
@@ -73,9 +74,8 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     combos = list(itertools.product(*(values for _, values in spec.grids)))
     table = None
     if base_config.eve.enabled and valid > 0:
-        columns = dict(zip(names, zip(*points[:valid])))
-        settings = {**base_config.to_eve_config()._settings, **columns}
-        table = _attack_columns(base_config.geometry.plane, settings)
+        columns = {_KEYS[name][1]: column for name, column in zip(names, zip(*points[:valid]))}
+        table = base_config.to_eve_config()._columns(**columns)
     if valid < len(points):
         if table is not None:
             _check_table(table, _NORMAL_EXTENT)
@@ -156,7 +156,7 @@ def min_detectable_b(
     relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
         # The sensor's columns, from a table whose amplitude columns each candidate replaces.
-        table = _attack_columns(geom.plane, _mc_settings(params, sensor))
+        table = EveConfig(geom, params, sensor, EveStrategy())._table
         draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
 
         def score(b: float, step: int) -> float:

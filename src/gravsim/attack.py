@@ -107,21 +107,6 @@ class EveConfig:
         object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
         object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
 
-    @property
-    def _settings(self) -> dict:
-        """The checked value of every field the _AttackTable reads, by its configuration key."""
-        return {
-            "b": self.params.b,
-            "lambda": self.params.lam,
-            "deltaT": self.params.delta_t,
-            "samples": self.sensor.samples,
-            "sigma": self.sensor.sigma,
-            "strategy": self.strategy.mode,
-            "tau": self.strategy.tau,
-            "attackFraction": self.attack_fraction,
-            "bornFactor": self.born_factor,
-        }
-
     @cached_property
     def _table(self) -> _AttackTable:
         """The _AttackTable of this configuration alone, built on first use.
@@ -129,7 +114,44 @@ class EveConfig:
         Cached: rebuilding it on every run_session call made a 2000-round
         Eve session 4% slower (2141 -> 2228 us, interleaved medians).
         """
-        return _attack_columns(self.geometry.plane, self._settings)
+        return self._columns()
+
+    def _columns(self, **columns) -> _AttackTable:
+        """The _AttackTable of this configuration, with P checked values per field in columns.
+
+        A field the columns give takes one value per row, every other one
+        this configuration's own; a name not in fields fails to unpack. A
+        row's residuals are its decay b * exp(-lam * delta_t), formed as
+        decay_factor forms it, times geometry.plane. Its count is the float
+        of samples, so a count beyond int64 runs as any other.
+        """
+        fields = {
+            "b": self.params.b,
+            "lam": self.params.lam,
+            "delta_t": self.params.delta_t,
+            "samples": self.sensor.samples,
+            "sigma": self.sensor.sigma,
+            "mode": self.strategy.mode,
+            "tau": self.strategy.tau,
+            "attack_fraction": self.attack_fraction,
+            "born_factor": self.born_factor,
+        }
+        n_rows = max(map(len, columns.values()), default=1)
+        values = {name: [value] * n_rows for name, value in fields.items()} | columns
+        rows = [
+            (b * math.exp(-lam * t), float(n), s, s * math.sqrt(n), _RESEND_FROM.get(m, tau), f, bf)
+            for b, lam, t, n, s, m, tau, f, bf in zip(*values.values(), strict=True)
+        ]
+        decay, count, sigma, scale, resend_from, fraction, born = np.array(rows).T
+        return _AttackTable(
+            **_decay_columns(decay, count, self.geometry.plane),
+            count=count,
+            sigma=sigma,
+            scale=scale,
+            born=born.astype(np.intp),
+            resend_from=resend_from,
+            fraction=fraction,
+        )
 
 
 # The log prior of hypothesis h (row) given Eve's outcome s: column s
@@ -230,6 +252,7 @@ def _check_scores(span: float, reach: float, count: float, sigma: float, dim: in
 class _AttackTable(NamedTuple):
     """Eve's constants for P EveConfigs, stacked on axis 0 for _attack_batch.
 
+    Every table comes from EveConfig._columns; _mc_hits reads no resend column.
     Row p holds the constants of configuration p, so that a round gathering
     row p is scored bit for bit as in a batch of that configuration alone:
     residuals decay_factor * geom.plane (P, 4, 2) and their _offsets (P, 4)
@@ -255,42 +278,6 @@ class _AttackTable(NamedTuple):
 # The posterior peak from which each strategy forwards Eve's inference
 # rather than her outcome; Threshold's is its tau.
 _RESEND_FROM = {StrategyMode.CLONE_INFERRED: -math.inf, StrategyMode.RESEND_MEASURED: math.inf}
-
-# The configuration keys of EveConfig._settings, in the order _attack_columns reads them.
-_SETTING_KEYS = (
-    "b", "lambda", "deltaT", "samples", "sigma", "strategy", "tau", "attackFraction", "bornFactor"
-)
-
-
-def _attack_columns(plane, settings) -> _AttackTable:
-    """The _AttackTable of P settings, built from the checked values of their fields.
-
-    settings maps each configuration key of EveConfig._settings to one
-    value for every row or to a list or tuple of P values, one per row; plane
-    is the geom.plane that all rows share. A row's residuals are its decay
-    b * exp(-lambda * deltaT), computed as decay_factor computes it, times
-    plane. Its count is the float of samples, so a count beyond int64 runs
-    as any other.
-    """
-    values = [settings[key] for key in _SETTING_KEYS]
-    n_rows = max((len(v) for v in values if isinstance(v, (list, tuple))), default=1)
-    rows = zip(*(v if isinstance(v, (list, tuple)) else [v] * n_rows for v in values), strict=True)
-    columns = np.array(
-        [
-            (b * math.exp(-lam * t), float(n), s, s * math.sqrt(n), _RESEND_FROM.get(m, tau), f, bf)
-            for b, lam, t, n, s, m, tau, f, bf in rows
-        ]
-    )
-    decay, count, sigma, scale, resend_from, fraction, born = columns.T
-    return _AttackTable(
-        **_decay_columns(decay, count, plane),
-        count=count,
-        sigma=sigma,
-        scale=scale,
-        born=born.astype(np.intp),
-        resend_from=resend_from,
-        fraction=fraction,
-    )
 
 
 def _decay_columns(decay, count, plane) -> dict:
@@ -379,7 +366,7 @@ def _posterior(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _readings(readings) -> np.ndarray:
-    """readings as a float64 array, each entry checked to be a number other than NaN.
+    """readings as a float64 array, each entry checked to be a finite number.
 
     Readings come from outside the program, so an array that is not of
     integers or floats is checked entry by entry (errors.is_number) rather
@@ -400,8 +387,9 @@ def _readings(readings) -> np.ndarray:
             raise ValidationError(
                 "infer_alice_state: readings must lie within double precision"
             ) from None
-    if np.isnan(data).any():
-        raise ValidationError("infer_alice_state: readings must be real numbers, got nan")
+    bad = data[~np.isfinite(data)]
+    if bad.size:
+        raise ValidationError(f"infer_alice_state: readings must be finite, got {bad[0]}")
     return data
 
 
@@ -417,8 +405,8 @@ def infer_alice_state(
     """Gaussian maximum-likelihood identification of Alice's preparation.
 
     readings holds k sensed fields, shape (k, field_dim) or one flat field;
-    every entry must be a number (never a bool, string or complex value)
-    other than NaN. Subtracts the configuration field of Eve's own outcome
+    every entry and their sum must be finite numbers (never a bool, string
+    or complex value). Subtracts the configuration field of Eve's own outcome
     from the readings, scores the four preparation hypotheses against their
     expected nonlinear residuals decay_factor(params) * geom.mix_matrix
     under the sensor's Gaussian noise, and optionally multiplies in
@@ -449,6 +437,8 @@ def infer_alice_state(
     count = data.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         statistic = data.sum(axis=0) - count * geom.config_matrix[outcome]
+    if not np.isfinite(statistic).all():
+        raise ValidationError("infer_alice_state: readings overflow double precision when summed")
     residuals = decay_factor(params) * geom.mix_matrix
     span, reach = float(np.abs(statistic).max()), float(np.abs(residuals).max())
     _check_scores(span, reach, count, sensor.sigma, geom.field_dim)
@@ -621,6 +611,8 @@ def _mc_hits(table: _AttackTable, trials: _Trials) -> int:
     The statistic of each trial is sampled from its Gaussian law in the
     plane of the hypotheses and scored hypothesis-major, as a (2, n)
     statistic and (4, n) logits; ties are broken by the trials' uniforms.
+    The table is an EveConfig table, of any strategy: the classifier reads
+    its residuals and sensor columns, never born, resend_from or fraction.
     """
     _check_table(table, trials.extent)
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
@@ -628,25 +620,6 @@ def _mc_hits(table: _AttackTable, trials: _Trials) -> int:
     logits = _logits(statistic, residuals, offsets, table.sigma[0])
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
     return int(np.count_nonzero(chosen == trials.truths))
-
-
-def _mc_settings(params: NonlinearParams, sensor: SensorModel) -> dict:
-    """The _attack_columns settings of the field classifier at params with sensor.
-
-    _mc_hits reads only the residuals and the sensor's columns, so the
-    resend policy is a placeholder.
-    """
-    return {
-        "b": params.b,
-        "lambda": params.lam,
-        "deltaT": params.delta_t,
-        "samples": sensor.samples,
-        "sigma": sensor.sigma,
-        "strategy": StrategyMode.CLONE_INFERRED,
-        "tau": 0.9,
-        "attackFraction": 1.0,
-        "bornFactor": False,
-    }
 
 
 def monte_carlo_accuracy(
@@ -671,10 +644,7 @@ def monte_carlo_accuracy(
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     rng = check_generator(rng, "monte_carlo_accuracy.rng")
-    check_instance(geom, Geometry, "geometry")
-    check_instance(params, NonlinearParams, "nonlinear")
-    check_instance(sensor, SensorModel, "sensor")
-    table = _attack_columns(geom.plane, _mc_settings(params, sensor))
+    table = EveConfig(geom, params, sensor, EveStrategy())._table
     return _mc_hits(table, _mc_trials(rng, n_trials)) / n_trials
 
 

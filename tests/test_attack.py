@@ -21,16 +21,19 @@ from gravsim import (
     SYMBOLS,
     SensorModel,
     StrategyMode,
+    SWEEP_PARAMETERS,
     ValidationError,
     analytic_accuracy,
     cloning_fidelity,
     decay_factor,
     infer_alice_state,
+    load_config,
     monte_carlo_accuracy,
     run_session,
 )
 from gravsim import protocol
-from gravsim.attack import _attack_batch, _attack_columns, _plane_statistic
+from gravsim.attack import _attack_batch, _plane_statistic
+from gravsim.config import _KEYS
 from gravsim.qubits import BRANCH_WEIGHTS
 
 # Distance between the closest pair of geom.mix_matrix rows, the residuals at b=1 in the
@@ -119,11 +122,39 @@ def test_hypothesis_residuals_scale_with_decay(geom):
     # One attack table, two settings: b = 0.5 and b = 0 at lambda = deltaT = 1.
     params = NonlinearParams(b=0.5, lam=1.0, delta_t=1.0)
     cfg = EveConfig(geom, params, SensorModel(), EveStrategy())
-    table = _attack_columns(geom.plane, cfg._settings | {"b": [0.5, 0.0]})
+    table = cfg._columns(b=[0.5, 0.0])
     assert table.residuals.shape == (2, 4, 2)
     assert np.array_equal(table.residuals[0], (0.5 * math.exp(-1.0)) * geom.plane)
     assert np.array_equal(table.residuals[0], cfg._table.residuals[0])
     assert np.all(table.residuals[1] == 0.0) and np.all(table.offsets[1] == 0.0)
+
+
+# Two grid values per sweep parameter, as a grid gives them: strategies as
+# strings, a sample count beyond int64 and a sigma near the bottom of the range.
+SWEEP_VALUES = {
+    "b": (0.5, 0.0),
+    "lambda": (2.0, 0.0),
+    "deltaT": (0.25, 3.0),
+    "sigma": (1e-170, 3e-12),
+    "samples": (2**70, 3),
+    "strategy": ("Threshold", "ResendMeasured"),
+    "tau": (0.5, 1.0),
+    "attackFraction": (0.25, 0.0),
+}
+
+
+@pytest.mark.parametrize("key", SWEEP_PARAMETERS)
+def test_a_sweep_column_row_is_the_table_of_its_lone_configuration(key):
+    # The sweep builds a column under the field _KEYS names for each swept
+    # key; a sweep parameter missing from SWEEP_VALUES fails here.
+    base = load_config("default.json").with_overrides({"b": 0.05, "lambda": 0.5, "deltaT": 1.0})
+    points = [base.with_overrides({key: v}) for v in SWEEP_VALUES[key]]
+    column = [point._setting(key) for point in points]
+    table = base.to_eve_config()._columns(**{_KEYS[key][1]: column})
+    for row, point in enumerate(points):
+        lone = point.to_eve_config()._table
+        for name, got, want in zip(table._fields, table, lone):
+            assert got[row].tobytes() == want[0].tobytes(), (key, row, name)
 
 
 def test_infer_validates_readings(geom):
@@ -245,12 +276,18 @@ def test_infer_rejects_readings_that_overflow(geom):
     rng = np.random.default_rng(4)
     readings = readings_of(geom, Bb84Symbol.Z0, Bb84Symbol.Z0, params, sensor.sigma, 8, rng)
     assert np.isinf(readings).any()
-    with pytest.raises(ValidationError, match="sensor.sigma"):
-        infer_alice_state(readings, Bb84Symbol.Z0, geom, params, sensor, rng)
-    # each reading finite, but their sum is not
-    readings = np.full((2, geom.field_dim), 1e308)
-    with pytest.raises(ValidationError, match="sensor.sigma"):
-        infer_alice_state(readings, Bb84Symbol.Z0, geom, params, sensor, rng)
+    # The readings are at fault, not the sensor: the default sigma gives the same errors.
+    infinite = "^infer_alice_state: readings must be finite"
+    for sensor in (sensor, SensorModel()):
+        with pytest.raises(ValidationError, match=infinite):
+            infer_alice_state(readings, Bb84Symbol.Z0, geom, params, sensor, rng)
+        for value in (np.inf, -np.inf):
+            with pytest.raises(ValidationError, match=infinite):
+                infer_alice_state(np.full(geom.field_dim, value), 0, geom, params, sensor, rng)
+        # each reading finite, but their sum is not
+        summed = np.full((2, geom.field_dim), 1e308)
+        with pytest.raises(ValidationError, match="^infer_alice_state: readings overflow"):
+            infer_alice_state(summed, Bb84Symbol.Z0, geom, params, sensor, rng)
 
 
 @pytest.mark.filterwarnings("error")

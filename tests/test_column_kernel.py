@@ -21,16 +21,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from gravsim import Geometry, NonlinearParams, SensorModel
+from gravsim import EveConfig, EveStrategy, Geometry, NonlinearParams, SensorModel
 from gravsim.attack import (
-    _attack_columns,
     _break_ties,
     _gather,
     _hmax,
     _hsum,
     _logits,
     _mc_hits,
-    _mc_settings,
     _mc_trials,
     _plane_statistic,
 )
@@ -230,7 +228,7 @@ def test_logits_of_one_full_field_row_equal_the_row_major_kernel(data, dim, sigm
 )
 def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     params, sensor = NonlinearParams(b=b), SensorModel(sigma=sigma)
-    table = _attack_columns(Geometry().plane, _mc_settings(params, sensor))
+    table = EveConfig(Geometry(), params, sensor, EveStrategy())._table
     trials = _mc_trials(np.random.default_rng(7), 2000)
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
