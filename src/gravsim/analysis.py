@@ -8,6 +8,7 @@ threshold at each relaxation rate lambda.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -55,7 +56,8 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     the error of its first failing point. max_workers is accepted for
     compatibility and has no effect.
 
-    Each grid value is checked once, by base_config.with_overrides, and the
+    Each grid value is checked once, by rebuilding the configuration
+    section that owns it (_checked), as with_overrides would, and the
     points are columns of the checked values, which EveConfig._columns
     takes under the fields config._KEYS names. Every field is checked on
     its own, so the first point that holds a rejected value is the first
@@ -68,7 +70,10 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     check_instance(spec, SweepSpec, "sweep.spec")
     check_instance(base_config, RunConfig, "sweep.base_config")
     names = spec.parameter_names
-    checked = [[_checked(base_config, name, v) for v in values] for name, values in spec.grids]
+    checked = [
+        [_checked(base_config._owner(name), _KEYS[name][1], v) for v in values]
+        for name, values in spec.grids
+    ]
     points = list(itertools.product(*checked))
     valid = next((k for k, point in enumerate(points) if None in point), len(points))
     combos = list(itertools.product(*(values for _, values in spec.grids)))
@@ -87,31 +92,44 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     return [dict(zip(columns, combo + row)) for combo, row in zip(combos, stats)]
 
 
-def _checked(base_config: "RunConfig", name: str, value):
-    """Sweep parameter `name` at `value` as with_overrides checks it, or None if it rejects it."""
+def _checked(section, field: str, value):
+    """The sweep value of `field` of the config section, as with_overrides checks it, or None.
+
+    Only the section that owns the field is rebuilt (the EveStrategy for
+    strategy and tau), which checks what with_overrides checks: None means
+    that with_overrides rejects the value.
+    """
     try:
-        return base_config.with_overrides({name: value})._setting(name)
+        return getattr(dataclasses.replace(section, **{field: value}), field)
     except ValidationError:
         return None
 
 
 # The largest mc_rounds whose bisection steps _step_trials keeps: 16 steps of
-# 2**15 trials hold 13 MB (int8 truths, float64 normals and tie uniforms).
+# 2**15 trials hold 16.5 MiB (int8 truths, float64 normals, tie uniforms and
+# critical amplitudes: 33 bytes per trial).
 _CACHED_TRIALS_MAX = 2**15
 
 
 @functools.lru_cache(maxsize=16)
-def _step_trials(seed: int, step: int, mc_rounds: int) -> _Trials:
-    """The read-only trials of Monte Carlo bisection step `step`, from default_rng([seed, step]).
+def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trials:
+    """The read-only trials of bisection step `step` on geom.plane, from default_rng([seed, step]).
 
-    They depend on neither the amplitude nor the setting scored, so a scan
-    over lambda scores every candidate of step k on one draw. 16 entries
-    hold one bisection at the default tolerance: the b = 1 probe and 14
-    halvings.
+    The draws depend on neither the amplitude nor the setting scored, and
+    their critical amplitudes (attack._critical_amplitudes) on the plane
+    alone, so a scan over lambda scores every candidate of step k on one
+    draw and its critical amplitudes, computed once: attack._mc_hits counts
+    the amplitudes below the candidate's rounding band and re-scores with
+    the kernel only the trials within it (every trial where no decision
+    can be certain). Keyed by (seed, step, mc_rounds, geom), the geometry
+    object whose plane the amplitudes use. 16 entries hold one bisection
+    at the default tolerance, the b = 1 probe and 14 halvings, in at most
+    16.5 MiB up to _CACHED_TRIALS_MAX trials.
     """
-    trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds)
-    for array in (trials.truths, trials.normals, trials.ties):
-        array.setflags(write=False)
+    trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds, geom.plane)
+    for array in (trials.truths, trials.normals, trials.ties, trials.critical):
+        if array is not None:
+            array.setflags(write=False)
     return trials
 
 
@@ -132,16 +150,24 @@ def min_detectable_b(
     by Monte Carlo instead: the candidate of bisection step k (0 for the
     b = 1 probe) gets monte_carlo_accuracy with mc_rounds trials from
     np.random.default_rng([seed, k]). Those trials do not depend on lambda,
-    delta_t, the sensor or the geometry, so the calls of a lambda scan share
-    them: up to mc_rounds = 2**15, the 16 steps drawn last are kept, keyed
-    by (seed, k, mc_rounds), in at most 13 MB (0.8 MB at 2000 trials).
-    Arguments are checked once, and a candidate b is scored from the
-    constants of the call: its decay is b * exp(-lambda * delta_t), the
-    product decay_factor forms. Returns the upper bracket end (the smallest
-    b found with accuracy >= target within tolerance), or None when the
-    target is out of reach even at b = 1. The bisection also stops, and
-    returns the upper end, when no float lies strictly between the two
-    ends, so a tolerance below the float spacing at the crossing ends there.
+    delta_t, the sensor or the geometry, and each trial's critical
+    amplitude (attack._critical_amplitudes) depends on geom.plane alone, so
+    the calls of a lambda scan share both: up to mc_rounds = 2**15, the 16
+    steps drawn last are kept with their critical amplitudes, keyed by
+    (seed, k, mc_rounds, geom), in at most 16.5 MiB (1.1 MB at 2000
+    trials). A candidate then counts the trials whose critical amplitude
+    lies below its amplitude in noise units, b * exp(-lambda * delta_t) *
+    sqrt(samples) / sigma, and the kernel re-scores only those within the
+    rounding band about it (attack._mc_hits), which covers every trial at
+    b = 0 and wherever no decision can be certain; the count is the
+    kernel's bit for bit. Arguments are checked once, and a candidate b is
+    scored from the constants of the call: its decay is
+    b * exp(-lambda * delta_t), the product decay_factor forms. Returns the
+    upper bracket end (the smallest b found with accuracy >= target within
+    tolerance), or None when the target is out of reach even at b = 1. The
+    bisection also stops, and returns the upper end, when no float lies
+    strictly between the two ends, so a tolerance below the float spacing
+    at the crossing ends there.
     """
     target_accuracy = check_number(
         target_accuracy, "min_detectable_b.targetAccuracy", above=CHANCE_LEVEL, below=1.0
@@ -161,7 +187,8 @@ def min_detectable_b(
 
         def score(b: float, step: int) -> float:
             columns = _decay_columns(np.array([b * relax]), table.count, geom.plane)
-            return _mc_hits(table._replace(**columns), draw(seed, step, mc_rounds)) / mc_rounds
+            trials = draw(seed, step, mc_rounds, geom)
+            return _mc_hits(table._replace(**columns), trials) / mc_rounds
 
     else:
         scale = math.sqrt(sensor.samples) / sensor.sigma

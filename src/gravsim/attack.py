@@ -7,13 +7,16 @@ configuration field identifies the preparation by Gaussian maximum
 likelihood; she then resends by her strategy. infer_alice_state scores
 measured readings on the full field; the session engine and cloning
 fidelity (_attack_batch) and Monte Carlo score whole batches in the plane
-of the hypotheses. All of them share one scoring kernel, _logits.
+of the hypotheses. All of them share one scoring kernel, _logits; Monte
+Carlo decides most trials from their critical amplitudes instead, exactly
+as the kernel would, and scores the rest with it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -255,10 +258,10 @@ class _AttackTable(NamedTuple):
     Every table comes from EveConfig._columns; _mc_hits reads no resend column.
     Row p holds the constants of configuration p, so that a round gathering
     row p is scored bit for bit as in a batch of that configuration alone:
-    residuals decay_factor * geom.plane (P, 4, 2) and their _offsets (P, 4)
-    for the scores, and per configuration (P,): count (the number of
-    readings), sigma, scale = sigma * sqrt(count), reach (the largest
-    |residual|), born (1 where the outcome's likelihood weighs in),
+    residuals decay * geom.plane (P, 4, 2) and their _offsets (P, 4) for the
+    scores, and per configuration (P,): decay (the decay_factor of its
+    amplitude), count (the number of readings), sigma,
+    scale = sigma * sqrt(count), reach (the largest |residual|), born (1 where the outcome's likelihood weighs in),
     resend_from, the posterior peak from which Eve forwards her inference
     rather than her outcome (-inf for CloneInferred, tau for Threshold and
     inf for ResendMeasured), and fraction, the share of rounds she attacks.
@@ -266,6 +269,7 @@ class _AttackTable(NamedTuple):
 
     residuals: np.ndarray
     offsets: np.ndarray
+    decay: np.ndarray
     count: np.ndarray
     sigma: np.ndarray
     scale: np.ndarray
@@ -284,12 +288,13 @@ def _decay_columns(decay, count, plane) -> dict:
     """The _AttackTable columns that depend on the amplitude, for P rows of decay and count (P,).
 
     residuals are decay * plane (P, 4, 2), offsets their _offsets (P, 4)
-    and reach their largest |component| (P,).
+    and reach their largest |component| (P,); decay is kept as given.
     """
     residuals = decay[:, np.newaxis, np.newaxis] * plane
     return {
         "residuals": residuals,
         "offsets": _offsets(residuals, count[:, np.newaxis]),
+        "decay": decay,
         "reach": np.abs(residuals).max(axis=(1, 2)),
     }
 
@@ -580,21 +585,53 @@ def analytic_accuracy(
 
 
 class _Trials(NamedTuple):
-    """One batch of Monte Carlo classifier trials, as _mc_trials draws it.
+    """One batch of Monte Carlo classifier trials on a plane, as _mc_trials draws it.
 
     truths holds the n true hypotheses as int8, normals the (2, n) plane
     noise (row k is plane axis k), ties n tie-break uniforms, and extent
-    the largest |normal|, for _check_table.
+    the largest |normal|, for _check_table. critical holds each trial's
+    critical amplitude on the plane (_critical_amplitudes), or is None when
+    the plane leaves no decision certain; pmax is the plane's largest row
+    and dmin its smallest distance between two rows.
     """
 
     truths: np.ndarray
     normals: np.ndarray
     ties: np.ndarray
     extent: float
+    critical: np.ndarray | None
+    pmax: float
+    dmin: float
 
 
-def _mc_trials(rng: np.random.Generator, n: int) -> _Trials:
-    """n trials drawn from rng, in monte_carlo_accuracy's documented order.
+# The hypotheses other than each true one, (4, 3): row t lists h != t in order.
+_OTHERS = np.array([[h for h in range(4) if h != t] for t in range(4)])
+
+
+def _critical_amplitudes(truths, normals, plane) -> tuple[np.ndarray | None, float, float]:
+    """Each trial's critical amplitude on the (4, 2) plane P, with the plane's pmax and dmin.
+
+    A trial of true hypothesis t and plane noise N, scored at amplitude
+    x = decay * sqrt(count) / sigma in noise units, has the truth strictly
+    out-score hypothesis h exactly when x > tau_h = -2 N.(P_t - P_h) /
+    |P_t - P_h|^2, so it is a hit for every x above its critical amplitude
+    max over h != t of tau_h, and a miss for every x below it. The
+    amplitudes are None when two rows coincide, or when a squared row
+    distance leaves the normal range of doubles.
+    """
+    rows = plane.tolist()
+    pmax = max(math.hypot(*row) for row in rows)
+    dmin = min(math.dist(rows[i], rows[j]) for i, j in _PAIRS)
+    if not (sys.float_info.min <= dmin * dmin and 4.0 * pmax * pmax < math.inf):
+        return None, pmax, dmin
+    differences = plane[:, np.newaxis] - plane[_OTHERS]  # P_t - P_h, (4, 3, 2)
+    weights = -2.0 * differences / (differences * differences).sum(axis=-1, keepdims=True)
+    taus = np.einsum("kcn,cn->kn", weights.transpose(1, 2, 0).take(truths, axis=-1), normals)
+    return np.maximum(np.maximum(taus[0], taus[1]), taus[2]), pmax, dmin
+
+
+def _mc_trials(rng: np.random.Generator, n: int, plane) -> _Trials:
+    """n trials drawn from rng, in monte_carlo_accuracy's documented order, on the (4, 2) plane.
 
     rng.integers(4, n) gives the truths, an (n, 2) standard normal block
     the plane noise, stored transposed, and n uniforms the tie-breaks.
@@ -602,24 +639,76 @@ def _mc_trials(rng: np.random.Generator, n: int) -> _Trials:
     truths = rng.integers(4, size=n).astype(np.int8)
     noise = rng.standard_normal((n, 2))
     ties = rng.random(n)
-    return _Trials(truths, np.ascontiguousarray(noise.T), ties, float(np.abs(noise).max()))
+    normals = np.ascontiguousarray(noise.T)
+    critical = _critical_amplitudes(truths, normals, plane)
+    return _Trials(truths, normals, ties, float(np.abs(noise).max()), *critical)
+
+
+# The half width of the rounding band, relative to the scores: a score and a
+# critical amplitude round off within a few units of 2**-52 of them.
+_BAND_WIDTH = 2.0**-30
+# Scores below this magnitude lie within 2**122 of underflow, where the
+# rounding of a product is no longer relative to it.
+_TINY_SCORES = 2.0**-900
+
+
+def _rounding_band(table: _AttackTable, trials: _Trials) -> tuple[float, float] | None:
+    """The amplitudes (x - tol, x + tol) about row 0's x whose trials _mc_hits re-scores.
+
+    x = decay * sqrt(count) / sigma, and tol = 2**-30 * (x * pmax^2 +
+    sqrt(2) * extent * pmax) / dmin^2 bounds, many times over, how far the
+    rounding of the kernel's scores and of a critical amplitude can move a
+    decision. None, for a band that covers every trial, when no decision
+    can be certain: x is 0 or not finite, the trials carry no critical
+    amplitudes, or the scores' magnitude, the squared residual
+    (decay * pmax)^2 or the logits' x * (x * pmax^2 + sqrt(2) * extent *
+    pmax), lies below 2**-900.
+    """
+    if trials.critical is None:
+        return None
+    decay, count, sigma = table.decay[0].item(), table.count[0].item(), table.sigma[0].item()
+    x = decay * math.sqrt(count) / sigma
+    spread = x * trials.pmax * trials.pmax + math.sqrt(2.0) * trials.extent * trials.pmax
+    tol = _BAND_WIDTH * spread / (trials.dmin * trials.dmin)
+    residual = decay * trials.pmax
+    if not (0.0 < x and tol < math.inf) or min(residual * residual, x * spread) < _TINY_SCORES:
+        return None
+    return x - tol, x + tol
 
 
 def _mc_hits(table: _AttackTable, trials: _Trials) -> int:
     """How many trials the classifier of row 0 of the table gets right.
 
-    The statistic of each trial is sampled from its Gaussian law in the
-    plane of the hypotheses and scored hypothesis-major, as a (2, n)
-    statistic and (4, n) logits; ties are broken by the trials' uniforms.
-    The table is an EveConfig table, of any strategy: the classifier reads
-    its residuals and sensor columns, never born, resend_from or fraction.
+    The table is an EveConfig table, of any strategy, on the plane of the
+    trials: the classifier reads its residuals and sensor columns, never
+    born, resend_from or fraction. A trial whose critical amplitude lies
+    below the rounding band's lower end is a hit and one above its upper
+    end a miss; only the trials within the band are scored by the kernel,
+    all of them where no decision can be certain (_rounding_band None: x
+    is 0 or not finite, two plane rows coincide, or the scores lie within
+    2**-900 of underflow). The kernel samples each statistic from its
+    Gaussian law in the plane of the hypotheses and scores it
+    hypothesis-major, as a (2, n) statistic and (4, n) logits, and ties are
+    broken by the trials' uniforms. Every trial's decision, and so the
+    count, is the kernel's bit for bit. The table is checked for every
+    trial's extent first.
     """
     _check_table(table, trials.extent)
-    statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
+    band = _rounding_band(table, trials)
+    if band is None:
+        hits, near = 0, slice(None)
+    else:
+        low, high = band
+        hits = int(np.count_nonzero(trials.critical < low))
+        if np.count_nonzero(trials.critical <= high) == hits:
+            return hits
+        near = np.flatnonzero((low <= trials.critical) & (trials.critical <= high))
+    truths = trials.truths[near]
+    statistic = _plane_statistic(table, 0, truths, trials.normals[:, near])
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
     logits = _logits(statistic, residuals, offsets, table.sigma[0])
-    chosen = _break_ties(logits, _hmax(logits), trials.ties)
-    return int(np.count_nonzero(chosen == trials.truths))
+    chosen = _break_ties(logits, _hmax(logits), trials.ties[near])
+    return hits + int(np.count_nonzero(chosen == truths))
 
 
 def monte_carlo_accuracy(
@@ -637,15 +726,17 @@ def monte_carlo_accuracy(
     no role (matching analytic_accuracy). Ties are broken uniformly at
     random. Draw order from `rng`, which must be a numpy Generator:
     rng.integers(4, n) for the truths, an (n, 2) standard normal block for
-    the noise in the plane and n uniforms for the tie-breaks. The kernel
-    scores the trials hypothesis-major, the transposed noise as a (2, n)
-    statistic and (4, n) logits, and the accuracy is the count of hits over
-    n, which is bit for bit their mean.
+    the noise in the plane and n uniforms for the tie-breaks. _mc_hits
+    counts the hits, from the trials' critical amplitudes on the plane and
+    by the kernel on the trials they leave undecided, which scores them
+    hypothesis-major, the transposed noise as a (2, n) statistic and (4, n)
+    logits; the accuracy is the count over n, which is bit for bit the mean
+    of the kernel's hits.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     rng = check_generator(rng, "monte_carlo_accuracy.rng")
     table = EveConfig(geom, params, sensor, EveStrategy())._table
-    return _mc_hits(table, _mc_trials(rng, n_trials)) / n_trials
+    return _mc_hits(table, _mc_trials(rng, n_trials, geom.plane)) / n_trials
 
 
 def cloning_fidelity(

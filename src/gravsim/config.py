@@ -210,13 +210,17 @@ class RunConfig:
             born_factor=self.eve.born_factor,
         )
 
+    def _owner(self, key: str):
+        """The object whose field configuration key `key` sets; None when its section is absent."""
+        owner = self
+        for name in _KEYS[key][0].split("."):
+            owner = owner if name == "session" else getattr(owner, name)
+        return owner
+
     def _setting(self, key: str):
         """The value that configuration key `key` sets, or None when its section is absent."""
-        section, field, _ = _KEYS[key]
-        owner = self
-        for name in section.split("."):
-            owner = owner if name == "session" else getattr(owner, name)
-        return None if owner is None else getattr(owner, field)
+        owner = self._owner(key)
+        return None if owner is None else getattr(owner, _KEYS[key][1])
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
         """A copy with sweep parameters applied; keys come from SWEEP_PARAMETERS.

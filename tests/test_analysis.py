@@ -421,13 +421,39 @@ STEP_TRIALS = gravsim.analysis._step_trials
 
 
 def test_kept_bisection_trials_reject_writes():
+    geom = Geometry()
     STEP_TRIALS.cache_clear()
-    min_detectable_b(0.0, 0.0, SensorModel(), Geometry(), 0.8, tolerance=0.1, mc_rounds=50, seed=2)
-    trials = STEP_TRIALS(2, 0, 50)
+    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    trials = STEP_TRIALS(2, 0, 50, geom)
     assert STEP_TRIALS.cache_info().hits == 1
-    for array in (trials.truths, trials.normals, trials.ties):
+    for array in (trials.truths, trials.normals, trials.ties, trials.critical):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_kept_bisection_trials_of_another_geometry_are_drawn_anew(geom):
+    # The critical amplitudes are those of the plane of the geometry they are kept for.
+    STEP_TRIALS.cache_clear()
+    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    other = Geometry(geom.sites, geom.probes, test_mass=2.0)
+    min_detectable_b(0.0, 0.0, SensorModel(), other, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    info = STEP_TRIALS.cache_info()
+    assert (info.hits, info.misses) == (0, 10)
+    kept, drawn = STEP_TRIALS(2, 0, 50, geom), STEP_TRIALS(2, 0, 50, other)
+    assert np.array_equal(kept.normals, drawn.normals)
+    assert np.array_equal(kept.critical, 2.0 * drawn.critical)  # twice the mass, twice the plane
+
+
+def test_kept_bisection_trials_at_the_cap_stay_within_their_documented_size(geom):
+    # 16 steps of _CACHED_TRIALS_MAX trials: truths, normals, ties and critical amplitudes.
+    cap = gravsim.analysis._CACHED_TRIALS_MAX
+    STEP_TRIALS.cache_clear()
+    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=2**-15, mc_rounds=cap, seed=5)
+    kept = [STEP_TRIALS(5, step, cap, geom) for step in range(16)]
+    assert STEP_TRIALS.cache_info().hits == 16
+    arrays = [(t.truths, t.normals, t.ties, t.critical) for t in kept]
+    size = sum(array.nbytes for entry in arrays for array in entry)
+    assert size <= 16.5 * 2**20  # the bound analysis._CACHED_TRIALS_MAX documents
 
 
 def test_kept_bisection_trials_stay_within_their_bound(geom):

@@ -11,7 +11,11 @@ bit, the transpose of what the same kernel written for rounds of (n, dim)
 statistics (the einsum "...d,...hd->...h") gives. Without a prior it must
 give the logits of a 0.0 prior up to the sign of a zero, with the same tie
 choices, and Monte Carlo hits (which score without one) must count what
-those logits choose.
+those logits choose. _mc_hits counts most trials from their critical
+amplitudes and re-scores only those within its rounding band, so its count
+must equal the kernel's on skewed planes, at any sigma and sample count,
+at amplitudes placed on a trial's critical amplitude and one ulp of the
+decay either side, and where the band covers every trial.
 """
 
 import numpy as np
@@ -21,9 +25,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from gravsim import EveConfig, EveStrategy, Geometry, NonlinearParams, SensorModel
+from gravsim import EveConfig, EveStrategy, Geometry, NonlinearParams, SensorModel, ValidationError
 from gravsim.attack import (
     _break_ties,
+    _check_table,
+    _decay_columns,
     _gather,
     _hmax,
     _hsum,
@@ -221,15 +227,24 @@ def test_logits_of_one_full_field_row_equal_the_row_major_kernel(data, dim, sigm
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def kernel_hits(table, trials, log_prior=None) -> int:
+    """Hits of row 0 of table on every trial, each scored by the kernel itself."""
+    statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
+    residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
+    logits = _logits(statistic, residuals, offsets, table.sigma[0], log_prior)
+    chosen = _break_ties(logits, _hmax(logits), trials.ties)
+    return int(np.count_nonzero(chosen == trials.truths))
+
+
 @pytest.mark.parametrize(
     "b, sigma",
     [(0.0, 2.5e-12), (0.02, 2.5e-12), (0.05, 1e-170), (2e-21, 1e-30)],
     ids=["four-way-ties", "default", "tiny-sigma", "tiny-sigma-near-ties"],
 )
 def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
-    params, sensor = NonlinearParams(b=b), SensorModel(sigma=sigma)
-    table = EveConfig(Geometry(), params, sensor, EveStrategy())._table
-    trials = _mc_trials(np.random.default_rng(7), 2000)
+    geom, params, sensor = Geometry(), NonlinearParams(b=b), SensorModel(sigma=sigma)
+    table = EveConfig(geom, params, sensor, EveStrategy())._table
+    trials = _mc_trials(np.random.default_rng(7), 2000, geom.plane)
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
     logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
@@ -238,4 +253,73 @@ def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     elif sigma == 1e-170:
         assert (logits == -np.inf).any()  # scores below the best overflow to -inf
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
-    assert _mc_hits(table, trials) == np.count_nonzero(chosen == trials.truths)
+    hits = _mc_hits(table, trials)
+    assert hits == np.count_nonzero(chosen == trials.truths) == kernel_hits(table, trials)
+    if b > 0.0:  # a hit is a trial whose critical amplitude lies below x, in noise units
+        x = table.decay[0] * np.sqrt(table.count[0]) / table.sigma[0]
+        assert hits == np.count_nonzero(trials.critical < x)
+
+
+def plane_of(first, second) -> np.ndarray:
+    """Rows Z0, Z1, Xp and Xm of a plane: each half diagonal followed by its negative."""
+    return np.array([first, -np.asarray(first), second, -np.asarray(second)], dtype=float)
+
+
+SKEWED = Geometry(
+    Geometry().sites + [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.0, -0.03, 0.0]],
+    Geometry().probes,
+)
+# Planes of the bundled and a skewed geometry, and planes whose second half
+# diagonal has any length and angle against the first, at any scale.
+PLANES = st.one_of(
+    st.sampled_from([Geometry().plane, SKEWED.plane]),
+    st.builds(
+        lambda ratio, angle, scale: scale
+        * plane_of([1.0, 0.0], ratio * np.array([np.cos(angle), np.sin(angle)])),
+        st.floats(0.05, 3.0),
+        st.floats(0.0, np.pi),
+        st.floats(-15.0, 10.0).map(lambda exponent: 10.0**exponent),
+    ),
+)
+GEOM_PLANE = Geometry().plane
+COINCIDENT = plane_of([0.5, 0.25], [0.5, 0.25])  # rows Z0 and Xp coincide, and Z1 and Xm
+SENSOR_SIGMAS = st.one_of(
+    st.sampled_from([1e-200, 1e-170, 2.5e-12, 1e5]),
+    st.floats(-200.0, 5.0).map(lambda exponent: 10.0**exponent),
+)
+
+
+@st.composite
+def monte_carlo_settings(draw):
+    """A plane, trials on it, a sensor and a decay, often one that puts a trial on the band."""
+    plane = draw(PLANES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    trials = _mc_trials(rng, draw(st.integers(1, 300)), plane)
+    sigma = draw(SENSOR_SIGMAS)
+    samples = draw(st.integers(1, 50))
+    decay = draw(st.floats(0.0, 1.0))
+    positive = [] if trials.critical is None else trials.critical[trials.critical > 0.0]
+    if len(positive) and draw(st.booleans()):
+        # x = decay * sqrt(samples) / sigma on a critical amplitude, or one ulp of decay off
+        decay = float(draw(st.sampled_from(positive))) * sigma / np.sqrt(samples)
+        decay = float(np.nextafter(decay, draw(st.sampled_from([-np.inf, decay, np.inf]))))
+    return plane, trials, sigma, samples, decay
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=monte_carlo_settings())
+@example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(1), 200, GEOM_PLANE), 2.5e-12, 1, 0.0))
+@example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(2), 200, GEOM_PLANE), 1e-170, 3, 0.05))
+@example(case=(COINCIDENT, _mc_trials(np.random.default_rng(3), 200, COINCIDENT), 0.3, 2, 0.4))
+def test_monte_carlo_hits_are_the_kernel_count_on_every_setting(case):
+    plane, trials, sigma, samples, decay = case
+    sensor = SensorModel(sigma=sigma, samples=samples)
+    table = EveConfig(Geometry(), NonlinearParams(), sensor, EveStrategy())._table
+    table = table._replace(**_decay_columns(np.array([decay]), table.count, plane))
+    try:
+        hits = _mc_hits(table, trials)
+    except ValidationError:  # the scores overflow: the kernel is never run
+        with pytest.raises(ValidationError):
+            _check_table(table, trials.extent)
+        return
+    assert hits == kernel_hits(table, trials) == kernel_hits(table, trials, 0.0)
