@@ -24,7 +24,6 @@ from .attack import (
     EveStrategy,
     SensorModel,
     _check_table,
-    _decay_columns,
     _mc_hits,
     _mc_trials,
     _Trials,
@@ -118,13 +117,14 @@ def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trial
     The draws depend on neither the amplitude nor the setting scored, and
     their critical amplitudes (attack._critical_amplitudes) on the plane
     alone, so a scan over lambda scores every candidate of step k on one
-    draw and its critical amplitudes, computed once: attack._mc_hits counts
-    the amplitudes below the candidate's rounding band and re-scores with
-    the kernel only the trials within it (every trial where no decision
-    can be certain). Keyed by (seed, step, mc_rounds, geom), the geometry
-    object whose plane the amplitudes use. 16 entries hold one bisection
-    at the default tolerance, the b = 1 probe and 14 halvings, in at most
-    16.5 MiB up to _CACHED_TRIALS_MAX trials.
+    draw and its critical amplitudes, computed and sorted once:
+    attack._mc_hits finds the amplitudes below the candidate's rounding
+    band by binary search and re-scores with the kernel only the trials
+    within it (every trial where no decision can be certain). The arrays
+    are sorted before they are made read-only. Keyed by (seed, step,
+    mc_rounds, geom), the geometry object whose plane the amplitudes use.
+    16 entries hold one bisection at the default tolerance, the b = 1 probe
+    and 14 halvings, in at most 16.5 MiB up to _CACHED_TRIALS_MAX trials.
     """
     trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds, geom.plane)
     for array in (trials.truths, trials.normals, trials.ties, trials.critical):
@@ -153,21 +153,24 @@ def min_detectable_b(
     delta_t, the sensor or the geometry, and each trial's critical
     amplitude (attack._critical_amplitudes) depends on geom.plane alone, so
     the calls of a lambda scan share both: up to mc_rounds = 2**15, the 16
-    steps drawn last are kept with their critical amplitudes, keyed by
-    (seed, k, mc_rounds, geom), in at most 16.5 MiB (1.1 MB at 2000
-    trials). A candidate then counts the trials whose critical amplitude
-    lies below its amplitude in noise units, b * exp(-lambda * delta_t) *
-    sqrt(samples) / sigma, and the kernel re-scores only those within the
-    rounding band about it (attack._mc_hits), which covers every trial at
-    b = 0 and wherever no decision can be certain; the count is the
-    kernel's bit for bit. Arguments are checked once, and a candidate b is
-    scored from the constants of the call: its decay is
-    b * exp(-lambda * delta_t), the product decay_factor forms. Returns the
-    upper bracket end (the smallest b found with accuracy >= target within
-    tolerance), or None when the target is out of reach even at b = 1. The
-    bisection also stops, and returns the upper end, when no float lies
-    strictly between the two ends, so a tolerance below the float spacing
-    at the crossing ends there.
+    steps drawn last are kept with their critical amplitudes, sorted,
+    keyed by (seed, k, mc_rounds, geom), in at most 16.5 MiB (1.1 MB at
+    2000 trials). A candidate is then scalar work (attack._mc_hits): an
+    overflow check on floats and a binary search for the trials whose
+    critical amplitude lies below its amplitude in noise units,
+    b * exp(-lambda * delta_t) * sqrt(samples) / sigma; the kernel
+    re-scores only the trials within the rounding band about it, which
+    covers every trial at b = 0 and wherever no decision can be certain,
+    and the count is the kernel's bit for bit. Analytic candidates scale
+    the rows of geom.plane, read as floats once per call, and take the
+    union bound on plain floats (attack._union_bound). Arguments are
+    checked once, and a candidate b is scored from the constants of the
+    call: its decay is b * exp(-lambda * delta_t), the product decay_factor
+    forms. Returns the upper bracket end (the smallest b found with
+    accuracy >= target within tolerance), or None when the target is out of
+    reach even at b = 1. The bisection also stops, and returns the upper
+    end, when no float lies strictly between the two ends, so a tolerance
+    below the float spacing at the crossing ends there.
     """
     target_accuracy = check_number(
         target_accuracy, "min_detectable_b.targetAccuracy", above=CHANCE_LEVEL, below=1.0
@@ -181,20 +184,20 @@ def min_detectable_b(
 
     relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
-        # The sensor's columns, from a table whose amplitude columns each candidate replaces.
+        # The sensor's columns, from one table; each candidate passes its own decay.
         table = EveConfig(geom, params, sensor, EveStrategy())._table
         draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
 
         def score(b: float, step: int) -> float:
-            columns = _decay_columns(np.array([b * relax]), table.count, geom.plane)
-            trials = draw(seed, step, mc_rounds, geom)
-            return _mc_hits(table._replace(**columns), trials) / mc_rounds
+            return _mc_hits(table, b * relax, draw(seed, step, mc_rounds, geom)) / mc_rounds
 
     else:
         scale = math.sqrt(sensor.samples) / sensor.sigma
+        rows = geom.plane.tolist()
 
         def score(b: float, step: int) -> float:
-            return _union_bound(b * relax * geom.plane, scale)[2]
+            decay = b * relax
+            return _union_bound([[decay * u, decay * v] for u, v in rows], scale)[2]
 
     if score(1.0, 0) < target_accuracy:
         return None

@@ -255,7 +255,7 @@ def _check_scores(span: float, reach: float, count: float, sigma: float, dim: in
 class _AttackTable(NamedTuple):
     """Eve's constants for P EveConfigs, stacked on axis 0 for _attack_batch.
 
-    Every table comes from EveConfig._columns; _mc_hits reads no resend column.
+    Every table comes from EveConfig._columns; _mc_hits reads only count, sigma and scale.
     Row p holds the constants of configuration p, so that a round gathering
     row p is scored bit for bit as in a batch of that configuration alone:
     residuals decay * geom.plane (P, 4, 2) and their _offsets (P, 4) for the
@@ -319,7 +319,8 @@ def _plane_statistic(table, at, truth, normals) -> np.ndarray:
     projected on the plane, is count * residuals[truth] plus noise of
     standard deviation sigma * sqrt(count) per axis, and the scores depend
     on the readings through that projection alone. Callers first check the
-    table with _check_table, for an extent no normal exceeds.
+    table with _check_table, or its rule for one row (_mc_hits), for an
+    extent no normal exceeds.
     """
     # Row 4p + h of the flattened residuals is hypothesis h of setting p.
     residuals = table.residuals.reshape(-1, 2).T.take(4 * at + truth, axis=1)
@@ -529,15 +530,16 @@ def _normal_tail(x: float) -> float:
 _PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 
-def _union_bound(residuals, scale: float) -> tuple[list, list, float]:
-    """The union bound of analytic_accuracy on (4, 2) plane residuals, unchecked.
+def _union_bound(rows, scale: float) -> tuple[list, list, float]:
+    """The union bound of analytic_accuracy on the four plane residuals, unchecked.
 
-    scale is sqrt(samples) / sigma. Returns the separations
-    d_ij = scale * |r_i - r_j| of the _PAIRS in order, the per-hypothesis
-    bounds 1 - min(1, sum over j != i of Q(d_ij / 2)), floored at 0, and
-    their mean.
+    rows holds the (4, 2) plane residuals as four [x, y] lists of Python
+    floats, so a caller that scales a plane per candidate forms them
+    without an array; scale is sqrt(samples) / sigma. Returns the
+    separations d_ij = scale * |r_i - r_j| of the _PAIRS in order, the
+    per-hypothesis bounds 1 - min(1, sum over j != i of Q(d_ij / 2)),
+    floored at 0, and their mean.
     """
-    rows = residuals.tolist()
     separations = []
     tails = [[], [], [], []]  # tails[i] in the order of j, as the pairs come
     for i, j in _PAIRS:
@@ -571,7 +573,8 @@ def analytic_accuracy(
     check_instance(geom, Geometry, "analytic_accuracy.geom")
     check_instance(sensor, SensorModel, "analytic_accuracy.sensor")
     scale = math.sqrt(sensor.samples) / sensor.sigma
-    separations, bounds, mean = _union_bound(decay_factor(params) * geom.plane, scale)
+    residuals = (decay_factor(params) * geom.plane).tolist()
+    separations, bounds, mean = _union_bound(residuals, scale)
     closest = min(reversed(range(len(_PAIRS))), key=separations.__getitem__)  # the later on a tie
     d_min, (a, b) = separations[closest], _PAIRS[closest]
     return AccuracyEstimate(
@@ -589,16 +592,21 @@ class _Trials(NamedTuple):
 
     truths holds the n true hypotheses as int8, normals the (2, n) plane
     noise (row k is plane axis k), ties n tie-break uniforms, and extent
-    the largest |normal|, for _check_table. critical holds each trial's
-    critical amplitude on the plane (_critical_amplitudes), or is None when
-    the plane leaves no decision certain; pmax is the plane's largest row
-    and dmin its smallest distance between two rows.
+    the largest |normal|, for the overflow check. plane is the (4, 2) plane
+    the trials are scored on and reach its largest |component|, the reach
+    of a unit decay. critical holds the trials' critical amplitudes on the
+    plane (_critical_amplitudes) in ascending order, not in the order of
+    the draws, or is None when the plane leaves no decision certain; pmax
+    is the plane's largest row and dmin its smallest distance between two
+    rows.
     """
 
     truths: np.ndarray
     normals: np.ndarray
     ties: np.ndarray
     extent: float
+    plane: np.ndarray
+    reach: float
     critical: np.ndarray | None
     pmax: float
     dmin: float
@@ -634,14 +642,19 @@ def _mc_trials(rng: np.random.Generator, n: int, plane) -> _Trials:
     """n trials drawn from rng, in monte_carlo_accuracy's documented order, on the (4, 2) plane.
 
     rng.integers(4, n) gives the truths, an (n, 2) standard normal block
-    the plane noise, stored transposed, and n uniforms the tie-breaks.
+    the plane noise, stored transposed, and n uniforms the tie-breaks. The
+    critical amplitudes are sorted in place, once per batch, so that
+    _mc_hits finds a candidate's count by binary search.
     """
     truths = rng.integers(4, size=n).astype(np.int8)
     noise = rng.standard_normal((n, 2))
     ties = rng.random(n)
     normals = np.ascontiguousarray(noise.T)
-    critical = _critical_amplitudes(truths, normals, plane)
-    return _Trials(truths, normals, ties, float(np.abs(noise).max()), *critical)
+    critical, pmax, dmin = _critical_amplitudes(truths, normals, plane)
+    if critical is not None:
+        critical.sort()
+    extent, reach = float(np.abs(noise).max()), float(np.abs(plane).max())
+    return _Trials(truths, normals, ties, extent, plane, reach, critical, pmax, dmin)
 
 
 # The half width of the rounding band, relative to the scores: a score and a
@@ -652,21 +665,22 @@ _BAND_WIDTH = 2.0**-30
 _TINY_SCORES = 2.0**-900
 
 
-def _rounding_band(table: _AttackTable, trials: _Trials) -> tuple[float, float] | None:
-    """The amplitudes (x - tol, x + tol) about row 0's x whose trials _mc_hits re-scores.
+def _rounding_band(
+    decay: float, count: float, sigma: float, trials: _Trials
+) -> tuple[float, float] | None:
+    """The amplitudes [x - tol, x + tol] about x whose trials _mc_hits re-scores.
 
-    x = decay * sqrt(count) / sigma, and tol = 2**-30 * (x * pmax^2 +
-    sqrt(2) * extent * pmax) / dmin^2 bounds, many times over, how far the
-    rounding of the kernel's scores and of a critical amplitude can move a
-    decision. None, for a band that covers every trial, when no decision
-    can be certain: x is 0 or not finite, the trials carry no critical
-    amplitudes, or the scores' magnitude, the squared residual
-    (decay * pmax)^2 or the logits' x * (x * pmax^2 + sqrt(2) * extent *
-    pmax), lies below 2**-900.
+    decay, count and sigma are the candidate's, as floats, and x = decay *
+    sqrt(count) / sigma. tol = 2**-30 * (x * pmax^2 + sqrt(2) * extent *
+    pmax) / dmin^2 bounds, many times over, how far the rounding of the
+    kernel's scores and of a critical amplitude can move a decision. None,
+    for a band that covers every trial, when no decision can be certain: x
+    is 0 or not finite, the trials carry no critical amplitudes, or the
+    scores' magnitude, the squared residual (decay * pmax)^2 or the logits'
+    x * (x * pmax^2 + sqrt(2) * extent * pmax), lies below 2**-900.
     """
     if trials.critical is None:
         return None
-    decay, count, sigma = table.decay[0].item(), table.count[0].item(), table.sigma[0].item()
     x = decay * math.sqrt(count) / sigma
     spread = x * trials.pmax * trials.pmax + math.sqrt(2.0) * trials.extent * trials.pmax
     tol = _BAND_WIDTH * spread / (trials.dmin * trials.dmin)
@@ -676,33 +690,42 @@ def _rounding_band(table: _AttackTable, trials: _Trials) -> tuple[float, float] 
     return x - tol, x + tol
 
 
-def _mc_hits(table: _AttackTable, trials: _Trials) -> int:
-    """How many trials the classifier of row 0 of the table gets right.
+def _mc_hits(table: _AttackTable, decay: float, trials: _Trials) -> int:
+    """How many trials the classifier at amplitude decay, on row 0's sensor, gets right.
 
-    The table is an EveConfig table, of any strategy, on the plane of the
-    trials: the classifier reads its residuals and sensor columns, never
-    born, resend_from or fraction. A trial whose critical amplitude lies
-    below the rounding band's lower end is a hit and one above its upper
-    end a miss; only the trials within the band are scored by the kernel,
-    all of them where no decision can be certain (_rounding_band None: x
-    is 0 or not finite, two plane rows coincide, or the scores lie within
-    2**-900 of underflow). The kernel samples each statistic from its
-    Gaussian law in the plane of the hypotheses and scores it
-    hypothesis-major, as a (2, n) statistic and (4, n) logits, and ties are
-    broken by the trials' uniforms. Every trial's decision, and so the
-    count, is the kernel's bit for bit. The table is checked for every
-    trial's extent first.
+    The table is an EveConfig table, of any strategy: the classifier reads
+    its count, sigma and scale, never its amplitude columns or born,
+    resend_from or fraction; decay (>= 0, a float) is the candidate's, and
+    its residuals decay * trials.plane. The overflow check is _check_table's
+    on those residuals, from the scalar reach decay * trials.reach, which
+    equals their largest |component| bit for bit (rounding is monotone), so
+    it raises the same error at the same candidate. Then a trial whose
+    critical amplitude lies below the rounding band is a hit and one above
+    it a miss, counted by binary search in the sorted amplitudes; when the
+    band holds trials, the unsorted amplitudes are computed again to find
+    them in draw order, and the kernel scores only those, on the
+    residuals' _decay_columns. It scores all trials where no decision can
+    be certain (_rounding_band None: x is 0 or not finite, two plane rows
+    coincide, or the scores lie within 2**-900 of underflow). The kernel
+    samples each statistic from its Gaussian law in the plane of the
+    hypotheses and scores it hypothesis-major, as a (2, n) statistic and
+    (4, n) logits, and ties are broken by the trials' uniforms. Every
+    trial's decision, and so the count, is the kernel's bit for bit.
     """
-    _check_table(table, trials.extent)
-    band = _rounding_band(table, trials)
+    count, sigma, scale = table.count[0].item(), table.sigma[0].item(), table.scale[0].item()
+    reach = decay * trials.reach
+    _check_scores(count * reach + scale * trials.extent, reach, count, sigma, 2)
+    band = _rounding_band(decay, count, sigma, trials)
     if band is None:
         hits, near = 0, slice(None)
     else:
         low, high = band
-        hits = int(np.count_nonzero(trials.critical < low))
-        if np.count_nonzero(trials.critical <= high) == hits:
+        hits = int(trials.critical.searchsorted(low, "left"))
+        if trials.critical.searchsorted(high, "right") == hits:
             return hits
-        near = np.flatnonzero((low <= trials.critical) & (trials.critical <= high))
+        critical = _critical_amplitudes(trials.truths, trials.normals, trials.plane)[0]
+        near = np.flatnonzero((low <= critical) & (critical <= high))
+    table = table._replace(**_decay_columns(np.array([decay]), table.count, trials.plane))
     truths = trials.truths[near]
     statistic = _plane_statistic(table, 0, truths, trials.normals[:, near])
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
@@ -727,16 +750,17 @@ def monte_carlo_accuracy(
     random. Draw order from `rng`, which must be a numpy Generator:
     rng.integers(4, n) for the truths, an (n, 2) standard normal block for
     the noise in the plane and n uniforms for the tie-breaks. _mc_hits
-    counts the hits, from the trials' critical amplitudes on the plane and
-    by the kernel on the trials they leave undecided, which scores them
-    hypothesis-major, the transposed noise as a (2, n) statistic and (4, n)
-    logits; the accuracy is the count over n, which is bit for bit the mean
-    of the kernel's hits.
+    counts the hits at the table's own decay, from the trials' critical
+    amplitudes on the plane and by the kernel on the trials they leave
+    undecided, which scores them hypothesis-major, the transposed noise as
+    a (2, n) statistic and (4, n) logits; the accuracy is the count over n,
+    which is bit for bit the mean of the kernel's hits.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     rng = check_generator(rng, "monte_carlo_accuracy.rng")
     table = EveConfig(geom, params, sensor, EveStrategy())._table
-    return _mc_hits(table, _mc_trials(rng, n_trials, geom.plane)) / n_trials
+    trials = _mc_trials(rng, n_trials, geom.plane)
+    return _mc_hits(table, table.decay[0].item(), trials) / n_trials
 
 
 def cloning_fidelity(

@@ -104,7 +104,15 @@ def is_list(value) -> bool:
 
 
 def check_numbers(values, path: str, **bounds) -> tuple[float, ...]:
-    """values as a tuple of floats, element k checked by check_number as path[k]."""
+    """values as a tuple of floats, element k checked by check_number as path[k].
+
+    The indexed paths are built only once an element has failed: the check
+    then runs again, and raises under the first failing element's path.
+    """
     if not is_list(values):
         raise ValidationError(f"{path}: expected a list of numbers, got {values!r}")
+    try:
+        return tuple(check_number(v, path, **bounds) for v in values)
+    except ValidationError:
+        pass
     return tuple(check_number(v, f"{path}[{k}]", **bounds) for k, v in enumerate(values))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gravsim.analysis
+import gravsim.attack
 import oracles
 from conftest import gravsim_env
 from gravsim import (
@@ -429,6 +430,25 @@ def test_kept_bisection_trials_reject_writes():
     for array in (trials.truths, trials.normals, trials.ties, trials.critical):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_kept_bisection_trials_hold_their_critical_amplitudes_sorted(geom):
+    # Kept and fresh trials hold the amplitudes of their draws in ascending
+    # order, and the in-place sort leaves the kept arrays read-only.
+    STEP_TRIALS.cache_clear()
+    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=500, seed=6)
+    kept = STEP_TRIALS(6, 2, 500, geom)
+    assert STEP_TRIALS.cache_info().hits == 1
+    fresh = gravsim.attack._mc_trials(np.random.default_rng([6, 2]), 500, geom.plane)
+    drawn, *_ = gravsim.attack._critical_amplitudes(fresh.truths, fresh.normals, geom.plane)
+    assert not (np.diff(drawn) >= 0.0).all()  # the draws come in no order
+    for trials in (kept, fresh):
+        assert (np.diff(trials.critical) >= 0.0).all()
+        assert np.array_equal(trials.critical, np.sort(drawn))
+    for array in (kept.truths, kept.normals, kept.ties, kept.critical):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept.critical.sort()
 
 
 def test_kept_bisection_trials_of_another_geometry_are_drawn_anew(geom):

@@ -15,8 +15,14 @@ those logits choose. _mc_hits counts most trials from their critical
 amplitudes and re-scores only those within its rounding band, so its count
 must equal the kernel's on skewed planes, at any sigma and sample count,
 at amplitudes placed on a trial's critical amplitude and one ulp of the
-decay either side, and where the band covers every trial.
+decay either side, with an end of the band exactly on one, and where the
+band covers every trial; the kernel must score exactly the band's trials,
+and a setting whose scores overflow must raise _check_table's message.
 """
+
+import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,11 +30,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gravsim.attack
 import oracles
 from gravsim import EveConfig, EveStrategy, Geometry, NonlinearParams, SensorModel, ValidationError
 from gravsim.attack import (
     _break_ties,
     _check_table,
+    _critical_amplitudes,
     _decay_columns,
     _gather,
     _hmax,
@@ -37,6 +45,7 @@ from gravsim.attack import (
     _mc_hits,
     _mc_trials,
     _plane_statistic,
+    _rounding_band,
 )
 
 # A small pool makes exact ties, signed zeros and specials common.
@@ -253,7 +262,7 @@ def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     elif sigma == 1e-170:
         assert (logits == -np.inf).any()  # scores below the best overflow to -inf
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
-    hits = _mc_hits(table, trials)
+    hits = _mc_hits(table, table.decay[0].item(), trials)
     assert hits == np.count_nonzero(chosen == trials.truths) == kernel_hits(table, trials)
     if b > 0.0:  # a hit is a trial whose critical amplitude lies below x, in noise units
         x = table.decay[0] * np.sqrt(table.count[0]) / table.sigma[0]
@@ -269,10 +278,13 @@ SKEWED = Geometry(
     Geometry().sites + [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.0, -0.03, 0.0]],
     Geometry().probes,
 )
-# Planes of the bundled and a skewed geometry, and planes whose second half
+# Planes of the bundled and a skewed geometry, a plane so large that most
+# decays overflow the scores (its longest row is not along an axis, so its
+# largest component is not its largest row), and planes whose second half
 # diagonal has any length and angle against the first, at any scale.
+HUGE = plane_of([1.0, 0.0], [1.5, 1.5]) * 1e154
 PLANES = st.one_of(
-    st.sampled_from([Geometry().plane, SKEWED.plane]),
+    st.sampled_from([Geometry().plane, SKEWED.plane, HUGE]),
     st.builds(
         lambda ratio, angle, scale: scale
         * plane_of([1.0, 0.0], ratio * np.array([np.cos(angle), np.sin(angle)])),
@@ -289,9 +301,38 @@ SENSOR_SIGMAS = st.one_of(
 )
 
 
+def on_band_end(trials, amplitude, sigma, samples, end):
+    """A decay whose rounding band has its low (end 0) or high (end 1) end exactly on amplitude.
+
+    The band's half width hardly changes over a few ulps of the decay, so
+    the decays within 64 ulps of where the end should fall reach most floats
+    near amplitude; when none of them puts the end on it, the nearest one.
+    """
+    count = float(samples)
+    unit = sigma / math.sqrt(count)  # the decay of x = 1
+    band = _rounding_band(amplitude * unit, count, sigma, trials)
+    if band is None:
+        return amplitude * unit
+    half = (band[1] - band[0]) / 2.0
+    estimate = (amplitude + half if end == 0 else amplitude - half) * unit
+    up = down = estimate
+    for _ in range(64):
+        for decay in (up, down):
+            band = _rounding_band(decay, count, sigma, trials)
+            if band is not None and band[end] == amplitude:
+                return decay
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+    return estimate
+
+
 @st.composite
 def monte_carlo_settings(draw):
-    """A plane, trials on it, a sensor and a decay, often one that puts a trial on the band."""
+    """A plane, trials on it, a sensor and a decay, often one that puts a trial on the band.
+
+    A placed decay puts x on a critical amplitude or one ulp of the decay
+    off it, or puts an end of the rounding band exactly on one, where the
+    count depends on which end includes its trial.
+    """
     plane = draw(PLANES)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     trials = _mc_trials(rng, draw(st.integers(1, 300)), plane)
@@ -300,10 +341,29 @@ def monte_carlo_settings(draw):
     decay = draw(st.floats(0.0, 1.0))
     positive = [] if trials.critical is None else trials.critical[trials.critical > 0.0]
     if len(positive) and draw(st.booleans()):
-        # x = decay * sqrt(samples) / sigma on a critical amplitude, or one ulp of decay off
-        decay = float(draw(st.sampled_from(positive))) * sigma / np.sqrt(samples)
-        decay = float(np.nextafter(decay, draw(st.sampled_from([-np.inf, decay, np.inf]))))
+        amplitude = float(draw(st.sampled_from(positive)))
+        place = draw(st.sampled_from(["x", "low", "high"]))
+        if place == "x":
+            # x = decay * sqrt(samples) / sigma on a critical amplitude, or one ulp of decay off
+            decay = amplitude * sigma / np.sqrt(samples)
+            decay = float(np.nextafter(decay, draw(st.sampled_from([-np.inf, decay, np.inf]))))
+        else:
+            decay = on_band_end(trials, amplitude, sigma, samples, ["low", "high"].index(place))
     return plane, trials, sigma, samples, decay
+
+
+END_TRIALS = _mc_trials(np.random.default_rng(4), 200, GEOM_PLANE)
+
+
+def at_end(index, toward):
+    """A setting with x on a positive critical amplitude of END_TRIALS, or one ulp of decay off.
+
+    index 0 is the smallest positive amplitude in the sorted array and -1
+    the largest; the decay moves one ulp toward `toward`.
+    """
+    positive = END_TRIALS.critical[END_TRIALS.critical > 0.0]
+    decay = float(positive[index]) * 2.5e-12  # sigma 2.5e-12, one sample
+    return GEOM_PLANE, END_TRIALS, 2.5e-12, 1, float(np.nextafter(decay, toward))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -311,15 +371,38 @@ def monte_carlo_settings(draw):
 @example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(1), 200, GEOM_PLANE), 2.5e-12, 1, 0.0))
 @example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(2), 200, GEOM_PLANE), 1e-170, 3, 0.05))
 @example(case=(COINCIDENT, _mc_trials(np.random.default_rng(3), 200, COINCIDENT), 0.3, 2, 0.4))
+# the scores overflow, and the readings overflow
+@example(case=(HUGE, _mc_trials(np.random.default_rng(5), 200, HUGE), 2.5e-12, 1, 0.5))
+@example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(6), 200, GEOM_PLANE), 1e308, 4, 0.5))
+# x on the smallest and on the largest positive critical amplitude, and one ulp either side
+@example(case=at_end(0, -np.inf))
+@example(case=at_end(0, 0.0))
+@example(case=at_end(0, np.inf))
+@example(case=at_end(-1, -np.inf))
+@example(case=at_end(-1, 0.0))
+@example(case=at_end(-1, np.inf))
 def test_monte_carlo_hits_are_the_kernel_count_on_every_setting(case):
     plane, trials, sigma, samples, decay = case
     sensor = SensorModel(sigma=sigma, samples=samples)
     table = EveConfig(Geometry(), NonlinearParams(), sensor, EveStrategy())._table
     table = table._replace(**_decay_columns(np.array([decay]), table.count, plane))
     try:
-        hits = _mc_hits(table, trials)
-    except ValidationError:  # the scores overflow: the kernel is never run
-        with pytest.raises(ValidationError):
-            _check_table(table, trials.extent)
+        _check_table(table, trials.extent)
+    except ValidationError as error:  # the scores overflow: the kernel is never run
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(error))}$"):
+            _mc_hits(table, decay, trials)
         return
+    with mock.patch.object(gravsim.attack, "_plane_statistic", wraps=_plane_statistic) as kernel:
+        hits = _mc_hits(table, decay, trials)
     assert hits == kernel_hits(table, trials) == kernel_hits(table, trials, 0.0)
+    # The kernel scores, in draw order, exactly the trials within the rounding band, or all.
+    band = _rounding_band(decay, float(samples), sensor.sigma, trials)
+    if band is None:
+        band_trials = [trials.normals]
+    else:
+        critical = _critical_amplitudes(trials.truths, trials.normals, plane)[0]
+        near = (band[0] <= critical) & (critical <= band[1])
+        band_trials = [trials.normals[:, near]] if near.any() else []
+    scored = [call.args[3] for call in kernel.call_args_list]
+    assert len(scored) == len(band_trials)
+    assert all(map(np.array_equal, scored, band_trials))
