@@ -91,7 +91,7 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(out, text)
 
 
-# Transcript rows formatted per block: bounds the Python strings alive at once.
+# Transcript rows per block: bounds the byte table and the text of one block.
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -135,28 +135,64 @@ def _row_cells(key: int) -> str:
     return "," + ",".join(map(_fmt, cells)) + ","
 
 
+def _index_digits(size: int) -> np.ndarray:
+    """The round indices 0..size-1 as right-aligned ASCII digit rows, NUL for each leading zero.
+
+    The digit in place p of consecutive integers runs through "0".."9", each
+    repeated 10**p times, so every column is a tiled pattern.
+    """
+    width = len(str(max(size - 1, 0)))
+    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
+    digits = np.empty((size, width), np.uint8)
+    for place in range(width):
+        period = 10**place
+        pattern = np.repeat(ascii_digits[: -(-size // period)], period)
+        column = np.tile(pattern, -(-size // pattern.size))[:size]
+        if place:
+            column[:period] = 0
+        digits[:, width - 1 - place] = column
+    return digits
+
+
+def _byte_rows(strings) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 table, each padded with NULs to the longest."""
+    table = np.array(strings, dtype=bytes)
+    return table.view(np.uint8).reshape(table.size, table.itemsize)
+
+
 def _transcript_csv(transcript) -> str:
     """The per-round table under RECORD_COLUMNS; floats are written with repr.
 
     A line is the round index, the cells of its row key and the posterior.
     Only the keys that occur are formatted, once each: an honest session has
-    at most 16.
+    at most 16. Each block of rows is a NUL-padded byte table, one row per
+    line: the index digits, the key's cells taken from a per-key byte table,
+    and the tail (`repr` of the posterior on an attacked round, blanks
+    otherwise). Dropping the NULs leaves the text; no cell contains one.
     """
     keys = _row_keys(transcript)
     counts = np.bincount(keys)
-    cells = np.empty(counts.size, dtype=object)
-    for key in np.flatnonzero(counts).tolist():
-        cells[key] = _row_cells(key)
+    present = np.flatnonzero(counts)
+    found = _byte_rows([_row_cells(key) for key in present.tolist()])
+    cells = np.zeros((counts.size, found.shape[1]), np.uint8)
+    cells[present] = found
+    digits = _index_digits(transcript.size)
+    tail_at = digits.shape[1] + cells.shape[1]
+    blank = np.frombuffer(b",,,\n", np.uint8)
     parts = [_csv_text(RECORD_COLUMNS, ())]
     for start in range(0, transcript.size, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, transcript.size)
         attacked = transcript["attacked"][start:stop]
-        tails = [",,,\n"] * (stop - start)
         posteriors = transcript["posterior"][start:stop][attacked].tolist()
-        for row, posterior in zip(np.flatnonzero(attacked).tolist(), posteriors):
-            tails[row] = ",".join(map(repr, posterior)) + "\n"
-        lines = zip(range(start, stop), cells[keys[start:stop]].tolist(), tails)
-        parts.append("".join([str(index) + row + tail for index, row, tail in lines]))
+        # %r is the float repr of the byte contract; one format per row beats a join
+        tails = _byte_rows(["%r,%r,%r,%r\n" % (z0, z1, xp, xm) for z0, z1, xp, xm in posteriors])
+        table = np.zeros((stop - start, tail_at + max(blank.size, tails.shape[1])), np.uint8)
+        table[:, : digits.shape[1]] = digits[start:stop]
+        table[:, digits.shape[1] : tail_at] = cells.take(keys[start:stop], axis=0)
+        # an attacked row's tail, longer than the blanks, overwrites them
+        table[:, tail_at : tail_at + blank.size] = blank
+        table[np.flatnonzero(attacked), tail_at : tail_at + tails.shape[1]] = tails
+        parts.append(table.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 

@@ -245,6 +245,69 @@ def test_transcript_csv_formats_every_reachable_row_key():
         assert line == _reference_line(index, record)
 
 
+def _assert_reference_csv(transcript):
+    text = cli._transcript_csv(transcript)
+    assert "\0" not in text
+    lines = text.split("\n")
+    assert lines[0] == ",".join(RECORD_COLUMNS)
+    assert lines[-1] == ""
+    assert len(lines) == transcript.size + 2
+    for index, (line, record) in enumerate(zip(lines[1:], transcript)):
+        assert line == _reference_line(index, record)
+
+
+def _synthetic_transcript(attacked, seed):
+    """Random consistent rows: Eve's three symbols and a posterior exactly where attacked."""
+    rng = np.random.default_rng(seed)
+    size = attacked.size
+    transcript = np.zeros(size, protocol._TRANSCRIPT)
+    alice = rng.integers(0, 4, size)
+    bob_basis, bob_bit = rng.integers(0, 2, (2, size))
+    sifted = bob_basis == alice >> 1
+    transcript["alice"], transcript["bob_basis"], transcript["bob_bit"] = alice, bob_basis, bob_bit
+    transcript["sifted"], transcript["error"] = sifted, sifted & (bob_bit != alice & 1)
+    eve = np.where(attacked[:, None], rng.integers(0, 4, (size, 3)), -1)
+    transcript["outcome"], transcript["inferred"], transcript["resent"] = eve.T
+    transcript["attacked"] = attacked
+    # the writer must ignore the posterior of a round Eve sat out
+    transcript["posterior"] = rng.random((size, 4))
+    special = np.array([0.0, 5e-324, 1e-300, 1e-5, 0.1, 0.25, 1 / 3, 1.0, 1e16])
+    pick = rng.random((size, 4)) < 0.5
+    transcript["posterior"][pick] = rng.choice(special, pick.sum())
+    return transcript
+
+
+def test_transcript_csv_matches_the_reference_across_block_kinds_and_index_widths():
+    # 10 241 rows: the index crosses 9999 -> 10000, and the 1024-row blocks
+    # cycle through all honest, all attacked, and mixed with the block's last
+    # row attacked; the final block is one attacked row
+    block, row = np.divmod(np.arange(10 * cli._CSV_BLOCK_ROWS + 1), cli._CSV_BLOCK_ROWS)
+    attacked = np.random.default_rng(5).random(block.size) < 0.5
+    attacked |= row == cli._CSV_BLOCK_ROWS - 1
+    attacked[block % 3 == 0] = False
+    attacked[block % 3 == 1] = True
+    assert 0 < attacked[block == 2].mean() < 1 and attacked[block == 2][-1]
+    _assert_reference_csv(_synthetic_transcript(attacked, seed=11))
+
+
+@pytest.mark.parametrize("attacked", [False, True])
+def test_transcript_csv_of_one_row(attacked):
+    _assert_reference_csv(_synthetic_transcript(np.array([attacked]), seed=3))
+
+
+@pytest.mark.parametrize("rounds", [1, 9, 10, 1023, 1024, 1025, 3000])
+def test_transcript_csv_matches_the_reference_on_engine_transcripts(rounds):
+    for mode, fraction, born in itertools.product(
+        ("CloneInferred", "ResendMeasured", "Threshold"), (0.0, 0.7, 1.0), (True, False)
+    ):
+        eve = {"strategy": mode, "attackFraction": fraction, "bornFactor": born}
+        document = {"nonlinear": {"b": 0.02}, "eve": eve, "session": {"seed": rounds}}
+        _, transcript = run_session(rounds, config_from_dict(document).to_eve_config(), seed=rounds)
+        if rounds > 1000:
+            assert transcript["attacked"].mean() == pytest.approx(fraction, abs=0.1)
+        _assert_reference_csv(transcript)
+
+
 def test_run_stdout_is_reproducible(capsys):
     first = run_main(["run", "--config", MINIMAL], capsys)
     second = run_main(["run", "--config", MINIMAL], capsys)
