@@ -14,7 +14,6 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,23 +28,14 @@ from .attack import (
     _Trials,
     _union_bound,
 )
-from .errors import (
-    ValidationError,
-    check_flag,
-    check_instance,
-    check_integer,
-    check_number,
-    check_numbers,
-)
+from .config import _KEYS, RunConfig, SweepSpec, _confidence, _delay_schedule, _lambda_grid
+from .errors import ValidationError, check_flag, check_instance, check_integer, check_number
 from .gravity import Geometry, NonlinearParams, decay_factor
 from .protocol import _NORMAL_EXTENT, STAT_COLUMNS, _session_rows, _simulate
 from .qubits import Bb84Symbol, as_symbol
 
-if TYPE_CHECKING:
-    from .config import RunConfig, SweepSpec
 
-
-def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = None) -> list[dict]:
+def sweep(spec: SweepSpec, base_config: RunConfig, max_workers: int | None = None) -> list[dict]:
     """Run one session per grid point; returns rows in grid order.
 
     Each row maps the swept parameter names to their values at that point
@@ -64,8 +54,6 @@ def sweep(spec: SweepSpec, base_config: "RunConfig", max_workers: int | None = N
     of the points before it are checked as _simulate checks them, and
     then its with_overrides raises.
     """
-    from .config import _KEYS, RunConfig, SweepSpec  # config imports this module
-
     check_instance(spec, SweepSpec, "sweep.spec")
     check_instance(base_config, RunConfig, "sweep.base_config")
     names = spec.parameter_names
@@ -118,11 +106,11 @@ def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trial
     their critical amplitudes (attack._critical_amplitudes) on the plane
     alone, so a scan over lambda scores every candidate of step k on one
     draw and its critical amplitudes, computed and sorted once:
-    attack._mc_hits finds the amplitudes below the candidate's rounding
-    band by binary search and re-scores with the kernel only the trials
-    within it (every trial where no decision can be certain). The arrays
-    are sorted before they are made read-only. Keyed by (seed, step,
-    mc_rounds, geom), the geometry object whose plane the amplitudes use.
+    attack._mc_hits counts the amplitudes below the candidate's rounding
+    band by binary search, or runs the kernel on every trial when the band
+    holds one or no decision can be certain. The arrays are sorted before
+    they are made read-only. Keyed by (seed, step, mc_rounds, geom), the
+    geometry object whose plane the amplitudes use.
     16 entries hold one bisection at the default tolerance, the b = 1 probe
     and 14 halvings, in at most 16.5 MiB up to _CACHED_TRIALS_MAX trials.
     """
@@ -158,19 +146,19 @@ def min_detectable_b(
     2000 trials). A candidate is then scalar work (attack._mc_hits): an
     overflow check on floats and a binary search for the trials whose
     critical amplitude lies below its amplitude in noise units,
-    b * exp(-lambda * delta_t) * sqrt(samples) / sigma; the kernel
-    re-scores only the trials within the rounding band about it, which
-    covers every trial at b = 0 and wherever no decision can be certain,
-    and the count is the kernel's bit for bit. Analytic candidates scale
-    the rows of geom.plane, read as floats once per call, and take the
-    union bound on plain floats (attack._union_bound). Arguments are
-    checked once, and a candidate b is scored from the constants of the
-    call: its decay is b * exp(-lambda * delta_t), the product decay_factor
-    forms. Returns the upper bracket end (the smallest b found with
-    accuracy >= target within tolerance), or None when the target is out of
-    reach even at b = 1. The bisection also stops, and returns the upper
-    end, when no float lies strictly between the two ends, so a tolerance
-    below the float spacing at the crossing ends there.
+    b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When the rounding
+    band about it holds a trial's critical amplitude, or covers every trial
+    (at b = 0 and wherever no decision can be certain), the kernel scores
+    every trial instead, and the count is the kernel's bit for bit.
+    Analytic candidates scale the rows of geom.plane, read as floats once
+    per call, and take the union bound on plain floats
+    (attack._union_bound). Arguments are checked once, and a candidate b is
+    scored from the constants of the call: its decay is b * exp(-lambda *
+    delta_t), the product decay_factor forms. Returns the upper bracket end
+    (the smallest b found with accuracy >= target within tolerance), or None
+    when the target is out of reach even at b = 1. The bisection also stops,
+    and returns the upper end, when no float lies strictly between the two
+    ends, so a tolerance below the float spacing at the crossing ends there.
     """
     target_accuracy = check_number(
         target_accuracy, "min_detectable_b.targetAccuracy", above=CHANCE_LEVEL, below=1.0
@@ -213,29 +201,6 @@ def min_detectable_b(
         else:
             lo = mid
     return hi
-
-
-def _nonnegative_floats(values, path: str, what: str) -> tuple[float, ...]:
-    """values as a non-empty tuple of floats >= 0; messages name path and index."""
-    floats = check_numbers(values, path, low=0.0)
-    if not floats:
-        raise ValidationError(f"{path}: must contain at least one {what}")
-    return floats
-
-
-def _lambda_grid(values) -> tuple[float, ...]:
-    """The relaxation rates of an exclusion scan, checked."""
-    return _nonnegative_floats(values, "limit.lambdaGrid", "value")
-
-
-def _delay_schedule(values) -> tuple[float, ...]:
-    """The observation delays of a null experiment, checked."""
-    return _nonnegative_floats(values, "limit.deltaTSchedule", "delay")
-
-
-def _confidence(value) -> float:
-    """An exclusion confidence level, checked to lie in (0.5, 1)."""
-    return check_number(value, "limit.confidence", above=0.5, below=1.0)
 
 
 @dataclass(frozen=True)

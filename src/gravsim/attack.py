@@ -258,18 +258,18 @@ class _AttackTable(NamedTuple):
     Every table comes from EveConfig._columns; _mc_hits reads only count, sigma and scale.
     Row p holds the constants of configuration p, so that a round gathering
     row p is scored bit for bit as in a batch of that configuration alone:
-    residuals decay * geom.plane (P, 4, 2) and their _offsets (P, 4) for the
-    scores, and per configuration (P,): decay (the decay_factor of its
-    amplitude), count (the number of readings), sigma,
-    scale = sigma * sqrt(count), reach (the largest |residual|), born (1 where the outcome's likelihood weighs in),
-    resend_from, the posterior peak from which Eve forwards her inference
-    rather than her outcome (-inf for CloneInferred, tau for Threshold and
-    inf for ResendMeasured), and fraction, the share of rounds she attacks.
+    residuals decay * geom.plane (P, 4, 2), with decay the decay_factor of
+    its amplitude, and their _offsets (P, 4) for the scores, and per
+    configuration (P,): count (the number of readings), sigma,
+    scale = sigma * sqrt(count), reach (the largest |residual|), born (1
+    where the outcome's likelihood weighs in), resend_from, the posterior
+    peak from which Eve forwards her inference rather than her outcome
+    (-inf for CloneInferred, tau for Threshold and inf for
+    ResendMeasured), and fraction, the share of rounds she attacks.
     """
 
     residuals: np.ndarray
     offsets: np.ndarray
-    decay: np.ndarray
     count: np.ndarray
     sigma: np.ndarray
     scale: np.ndarray
@@ -288,13 +288,12 @@ def _decay_columns(decay, count, plane) -> dict:
     """The _AttackTable columns that depend on the amplitude, for P rows of decay and count (P,).
 
     residuals are decay * plane (P, 4, 2), offsets their _offsets (P, 4)
-    and reach their largest |component| (P,); decay is kept as given.
+    and reach their largest |component| (P,).
     """
     residuals = decay[:, np.newaxis, np.newaxis] * plane
     return {
         "residuals": residuals,
         "offsets": _offsets(residuals, count[:, np.newaxis]),
-        "decay": decay,
         "reach": np.abs(residuals).max(axis=(1, 2)),
     }
 
@@ -668,7 +667,7 @@ _TINY_SCORES = 2.0**-900
 def _rounding_band(
     decay: float, count: float, sigma: float, trials: _Trials
 ) -> tuple[float, float] | None:
-    """The amplitudes [x - tol, x + tol] about x whose trials _mc_hits re-scores.
+    """The amplitudes [x - tol, x + tol] about x; a trial within it sends _mc_hits to the kernel.
 
     decay, count and sigma are the candidate's, as floats, and x = decay *
     sqrt(count) / sigma. tol = 2**-30 * (x * pmax^2 + sqrt(2) * extent *
@@ -699,39 +698,32 @@ def _mc_hits(table: _AttackTable, decay: float, trials: _Trials) -> int:
     its residuals decay * trials.plane. The overflow check is _check_table's
     on those residuals, from the scalar reach decay * trials.reach, which
     equals their largest |component| bit for bit (rounding is monotone), so
-    it raises the same error at the same candidate. Then a trial whose
-    critical amplitude lies below the rounding band is a hit and one above
-    it a miss, counted by binary search in the sorted amplitudes; when the
-    band holds trials, the unsorted amplitudes are computed again to find
-    them in draw order, and the kernel scores only those, on the
-    residuals' _decay_columns. It scores all trials where no decision can
-    be certain (_rounding_band None: x is 0 or not finite, two plane rows
-    coincide, or the scores lie within 2**-900 of underflow). The kernel
-    samples each statistic from its Gaussian law in the plane of the
-    hypotheses and scores it hypothesis-major, as a (2, n) statistic and
-    (4, n) logits, and ties are broken by the trials' uniforms. Every
-    trial's decision, and so the count, is the kernel's bit for bit.
+    it raises the same error at the same candidate. Then, when the rounding
+    band holds no critical amplitude, a trial whose amplitude lies below it
+    is a hit and one above it a miss, counted by binary search in the
+    sorted amplitudes. Otherwise, or where no decision can be certain
+    (_rounding_band None: x is 0 or not finite, two plane rows coincide, or
+    the scores lie within 2**-900 of underflow), the kernel scores every
+    trial, on the residuals' _decay_columns. It samples each statistic from
+    its Gaussian law in the plane of the hypotheses and scores it
+    hypothesis-major, as a (2, n) statistic and (4, n) logits, and ties are
+    broken by the trials' uniforms. Every trial's decision, and so the
+    count, is the kernel's bit for bit.
     """
     count, sigma, scale = table.count[0].item(), table.sigma[0].item(), table.scale[0].item()
     reach = decay * trials.reach
     _check_scores(count * reach + scale * trials.extent, reach, count, sigma, 2)
     band = _rounding_band(decay, count, sigma, trials)
-    if band is None:
-        hits, near = 0, slice(None)
-    else:
-        low, high = band
-        hits = int(trials.critical.searchsorted(low, "left"))
-        if trials.critical.searchsorted(high, "right") == hits:
+    if band is not None:
+        hits = int(trials.critical.searchsorted(band[0], "left"))
+        if trials.critical.searchsorted(band[1], "right") == hits:
             return hits
-        critical = _critical_amplitudes(trials.truths, trials.normals, trials.plane)[0]
-        near = np.flatnonzero((low <= critical) & (critical <= high))
     table = table._replace(**_decay_columns(np.array([decay]), table.count, trials.plane))
-    truths = trials.truths[near]
-    statistic = _plane_statistic(table, 0, truths, trials.normals[:, near])
+    statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
     logits = _logits(statistic, residuals, offsets, table.sigma[0])
-    chosen = _break_ties(logits, _hmax(logits), trials.ties[near])
-    return hits + int(np.count_nonzero(chosen == truths))
+    chosen = _break_ties(logits, _hmax(logits), trials.ties)
+    return int(np.count_nonzero(chosen == trials.truths))
 
 
 def monte_carlo_accuracy(
@@ -750,17 +742,18 @@ def monte_carlo_accuracy(
     random. Draw order from `rng`, which must be a numpy Generator:
     rng.integers(4, n) for the truths, an (n, 2) standard normal block for
     the noise in the plane and n uniforms for the tie-breaks. _mc_hits
-    counts the hits at the table's own decay, from the trials' critical
-    amplitudes on the plane and by the kernel on the trials they leave
-    undecided, which scores them hypothesis-major, the transposed noise as
-    a (2, n) statistic and (4, n) logits; the accuracy is the count over n,
-    which is bit for bit the mean of the kernel's hits.
+    counts the hits at decay_factor(params), from the trials' critical
+    amplitudes on the plane, or by the kernel on every trial when one of
+    them lies within the rounding band; the kernel scores hypothesis-major,
+    the transposed noise as a (2, n) statistic and (4, n) logits. The
+    accuracy is the count over n, which is bit for bit the mean of the
+    kernel's hits.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     rng = check_generator(rng, "monte_carlo_accuracy.rng")
     table = EveConfig(geom, params, sensor, EveStrategy())._table
     trials = _mc_trials(rng, n_trials, geom.plane)
-    return _mc_hits(table, table.decay[0].item(), trials) / n_trials
+    return _mc_hits(table, decay_factor(params), trials) / n_trials
 
 
 def cloning_fidelity(

@@ -109,6 +109,11 @@ def _row_keys(transcript) -> np.ndarray:
     return key
 
 
+# Bob's basis by index, and Eve's cell by index plus 1: blank for a round she sat out.
+_BOB_BASES = tuple(Basis)
+_EVE_LABELS = (None, *(s.label for s in SYMBOLS))
+
+
 def _row_cells(key: int) -> str:
     """The cells of a row key between round and posteriorZ0, with a comma on each side."""
     key, resent = divmod(key, 5)
@@ -118,18 +123,17 @@ def _row_cells(key: int) -> str:
     bob_basis, bob_bit = divmod(bob, 2)
     symbol = SYMBOLS[alice]
     sifted = bob_basis == alice >> 1
-    eve = (None, *(s.label for s in SYMBOLS))
     cells = (
         symbol.label,
         symbol.basis.value,
         symbol.bit,
-        tuple(Basis)[bob_basis].value,
+        _BOB_BASES[bob_basis].value,
         bob_bit,
         sifted,
         bob_bit != symbol.bit if sifted else None,
-        eve[outcome],
-        eve[inferred],
-        eve[resent],
+        _EVE_LABELS[outcome],
+        _EVE_LABELS[inferred],
+        _EVE_LABELS[resent],
         resent - 1 == alice if resent else None,
     )
     return "," + ",".join(map(_fmt, cells)) + ","

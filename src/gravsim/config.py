@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _confidence, _delay_schedule, _lambda_grid
 from .attack import DEFAULT_SIGMA  # noqa: F401 (re-exported)
 from .attack import EveConfig, EveStrategy, SensorModel, StrategyMode, _attack_fraction
-from .errors import ValidationError, check_flag, check_integer, check_number, is_list
+from .errors import ValidationError, check_flag, check_integer, check_number, check_numbers, is_list
 from .gravity import Geometry, NonlinearParams
 from .qubits import _LABELS, Bb84Symbol, as_symbol
 
@@ -158,6 +157,29 @@ class EveSettings:
         object.__setattr__(self, "attack_fraction", _attack_fraction(self.attack_fraction))
         object.__setattr__(self, "enabled", check_flag(self.enabled, "eve.enabled"))
         object.__setattr__(self, "born_factor", check_flag(self.born_factor, "eve.bornFactor"))
+
+
+def _nonnegative_floats(values, path: str, what: str) -> tuple[float, ...]:
+    """values as a non-empty tuple of floats >= 0; messages name path and index."""
+    floats = check_numbers(values, path, low=0.0)
+    if not floats:
+        raise ValidationError(f"{path}: must contain at least one {what}")
+    return floats
+
+
+def _lambda_grid(values) -> tuple[float, ...]:
+    """The relaxation rates of an exclusion scan, checked."""
+    return _nonnegative_floats(values, "limit.lambdaGrid", "value")
+
+
+def _delay_schedule(values) -> tuple[float, ...]:
+    """The observation delays of a null experiment, checked."""
+    return _nonnegative_floats(values, "limit.deltaTSchedule", "delay")
+
+
+def _confidence(value) -> float:
+    """An exclusion confidence level, checked to lie in (0.5, 1)."""
+    return check_number(value, "limit.confidence", above=0.5, below=1.0)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ bit, the transpose of what the same kernel written for rounds of (n, dim)
 statistics (the einsum "...d,...hd->...h") gives. Without a prior it must
 give the logits of a 0.0 prior up to the sign of a zero, with the same tie
 choices, and Monte Carlo hits (which score without one) must count what
-those logits choose. _mc_hits counts most trials from their critical
-amplitudes and re-scores only those within its rounding band, so its count
-must equal the kernel's on skewed planes, at any sigma and sample count,
-at amplitudes placed on a trial's critical amplitude and one ulp of the
-decay either side, with an end of the band exactly on one, and where the
-band covers every trial; the kernel must score exactly the band's trials,
+those logits choose. _mc_hits counts trials from their critical
+amplitudes, or runs the kernel on every trial when its rounding band holds
+one, so its count must equal the kernel's on skewed planes, at any sigma
+and sample count, at amplitudes placed on a trial's critical amplitude and
+one ulp of the decay either side, with an end of the band exactly on one,
+and where the band covers every trial; the kernel must run at most once,
+on every trial, exactly when the band holds a trial or covers them all,
 and a setting whose scores overflow must raise _check_table's message.
 """
 
@@ -32,11 +33,18 @@ from hypothesis.extra.numpy import arrays
 
 import gravsim.attack
 import oracles
-from gravsim import EveConfig, EveStrategy, Geometry, NonlinearParams, SensorModel, ValidationError
+from gravsim import (
+    EveConfig,
+    EveStrategy,
+    Geometry,
+    NonlinearParams,
+    SensorModel,
+    ValidationError,
+    decay_factor,
+)
 from gravsim.attack import (
     _break_ties,
     _check_table,
-    _critical_amplitudes,
     _decay_columns,
     _gather,
     _hmax,
@@ -262,10 +270,10 @@ def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     elif sigma == 1e-170:
         assert (logits == -np.inf).any()  # scores below the best overflow to -inf
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
-    hits = _mc_hits(table, table.decay[0].item(), trials)
+    hits = _mc_hits(table, decay_factor(params), trials)
     assert hits == np.count_nonzero(chosen == trials.truths) == kernel_hits(table, trials)
     if b > 0.0:  # a hit is a trial whose critical amplitude lies below x, in noise units
-        x = table.decay[0] * np.sqrt(table.count[0]) / table.sigma[0]
+        x = decay_factor(params) * np.sqrt(table.count[0]) / table.sigma[0]
         assert hits == np.count_nonzero(trials.critical < x)
 
 
@@ -395,14 +403,11 @@ def test_monte_carlo_hits_are_the_kernel_count_on_every_setting(case):
     with mock.patch.object(gravsim.attack, "_plane_statistic", wraps=_plane_statistic) as kernel:
         hits = _mc_hits(table, decay, trials)
     assert hits == kernel_hits(table, trials) == kernel_hits(table, trials, 0.0)
-    # The kernel scores, in draw order, exactly the trials within the rounding band, or all.
+    # The kernel runs once, on every trial, exactly when the band holds a trial or is None.
     band = _rounding_band(decay, float(samples), sensor.sigma, trials)
-    if band is None:
-        band_trials = [trials.normals]
-    else:
-        critical = _critical_amplitudes(trials.truths, trials.normals, plane)[0]
-        near = (band[0] <= critical) & (critical <= band[1])
-        band_trials = [trials.normals[:, near]] if near.any() else []
+    held = band is None or bool(
+        ((band[0] <= trials.critical) & (trials.critical <= band[1])).any()
+    )
     scored = [call.args[3] for call in kernel.call_args_list]
-    assert len(scored) == len(band_trials)
-    assert all(map(np.array_equal, scored, band_trials))
+    assert len(scored) == held
+    assert all(np.array_equal(normals, trials.normals) for normals in scored)
