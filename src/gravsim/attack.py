@@ -169,6 +169,17 @@ _LOG_PRIORS.setflags(write=False)
 # outcome that counts the thresholds at or below u.
 _EVE_EDGES = np.cumsum(BRANCH_WEIGHTS, axis=1)
 
+# That outcome for preparation p and quarter q = floor(4u) of [0, 1), at
+# 4 * p + q: every threshold e is a quarter and 4u is exact, so u >= e
+# exactly when q >= 4e.
+_EVE_OUTCOMES = (np.arange(4)[:, np.newaxis] >= 4.0 * _EVE_EDGES[:, np.newaxis]).sum(axis=2).ravel()
+_EVE_OUTCOMES.setflags(write=False)
+
+
+def _eve_outcome(prepared: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Eve's outcomes for prepared symbol indices and uniforms in [0, 1), as in _EVE_EDGES."""
+    return _EVE_OUTCOMES.take(4 * prepared + (4.0 * draws).astype(np.intp))
+
 
 def _logits(statistic, residuals, offsets, sigma, log_prior=None) -> np.ndarray:
     """Hypothesis log-posteriors up to a shared constant, (dim, n) -> (4, n).
@@ -219,7 +230,7 @@ def _hsum(x) -> np.ndarray:
     """Sums over the hypotheses, (4, ...) -> (...), added row by row from 0 in order.
 
     Bit for bit x.sum(axis=0), -0.0 entries included, for the reason _hmax
-    gives; a boolean x gives integer counts.
+    gives.
     """
     return 0 + x[0] + x[1] + x[2] + x[3]
 
@@ -474,18 +485,20 @@ def _attack_batch(
     uniform per round, noise (n, 2) standard normals: the sensor noise in
     the coordinates of geom.plane_basis, summed over the readings and
     divided by sqrt(samples). Eve's outcome is the count of the _EVE_EDGES
-    of the preparation at or below its draw. The scores, posteriors and
-    choices are infer_alice_state's for readings whose noise has that
-    projection (see _plane_statistic, and check the table first). Resend:
-    CloneInferred forwards the inference, ResendMeasured the outcome, and
-    Threshold the inference only when the posterior peak reaches tau.
+    of the preparation at or below its draw, read from the 16-entry
+    _EVE_OUTCOMES by preparation and quarter of the draw (_eve_outcome).
+    The scores, posteriors and choices are infer_alice_state's for readings
+    whose noise has that projection (see _plane_statistic, and check the
+    table first). Resend: CloneInferred forwards the inference,
+    ResendMeasured the outcome, and Threshold the inference only when the
+    posterior peak reaches tau.
     Returns (outcome, inferred, posterior, resent) as arrays of symbol
     indices and an (n, 4) posterior; every posterior row is checked to be
     a distribution. Inside, the kernel is hypothesis-major: noise.T, the
     logits and the weights are (2, n) and (4, n), and the posterior is
     returned as the .T view of its (4, n) array.
     """
-    outcome = _hsum(outcome_draws >= _EVE_EDGES.T.take(prepared, axis=1))
+    outcome = _eve_outcome(prepared, outcome_draws)
     statistic = _plane_statistic(table, at, prepared, noise.T)
     logits = _logits(
         statistic,

@@ -26,13 +26,13 @@ import numpy as np
 
 from .analysis import STAT_COLUMNS, ExclusionExperiment, LimitResult, exclusion_limit, sweep
 from .attack import (
-    _EVE_EDGES,
     EveConfig,
     EveStrategy,
     SensorModel,
     StrategyMode,
     _attack_batch,
     _check_table,
+    _eve_outcome,
 )
 from .config import load_config
 from .errors import GravsimError, ValidationError
@@ -288,11 +288,11 @@ def _check_branch_weight_table() -> None:
 
 
 def _check_measurement_frequencies() -> None:
-    # Eve's outcomes for 100 000 uniforms against the engine's thresholds.
+    # Eve's outcomes for 100 000 uniforms, drawn by the engine's rule.
     rng = np.random.default_rng(12345)
     probs = branch_weights(Bb84Symbol.Z0)
     n = 100_000
-    outcomes = (rng.random(n)[:, np.newaxis] >= _EVE_EDGES[Bb84Symbol.Z0]).sum(axis=1)
+    outcomes = _eve_outcome(np.full(n, Bb84Symbol.Z0), rng.random(n))
     counts = np.bincount(outcomes, minlength=4).tolist()
     for outcome in SYMBOLS:
         p = probs[outcome]

@@ -28,7 +28,9 @@ RNG_CONTRACT = 3
 _ALICE, _COIN, _EVE_OUTCOME, _TIE_BREAK, _BOB_BASIS, _BOB_BIT, _NOISE_U, _NOISE_V = range(8)
 _BLOCK = 8
 
-# uint64 draws simulated per chunk; bounds a session's working memory.
+# uint64 draws per chunk of an honest pass, 1024 rounds; a pass with Eve
+# takes four times as many, 4096 rounds (see _simulate). Bounds a pass's
+# working memory.
 _CHUNK_VARIATES = 8192
 
 # Eve guess categories for the information accounting: her inferred bit when
@@ -304,9 +306,16 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     guess) table, 2 x 2 x 3 cells, then the attacked rounds whose inference
     was wrong and right. The transcript, if given, receives the rounds of
     all sessions in order.
+
+    A chunk of an honest pass holds _CHUNK_VARIATES // _BLOCK rounds (1024),
+    one with Eve four times as many (4096). An attacked chunk carries a
+    fixed cost of numpy calls in _attack_batch whatever its size (a 10-round
+    Eve pass takes over three times an honest one), so a 2000-round Eve
+    session pays it once; honest chunks stay small because at 2048 rounds
+    or more their temporaries page-fault on every pass and run slower.
     """
     n_points = len(seeds)
-    block = max(1, _CHUNK_VARIATES // _BLOCK)
+    block = max(1, _CHUNK_VARIATES * (1 if table is None else 4) // _BLOCK)
     counts = np.zeros((n_points, 14), dtype=np.int64)
     cells, hits = counts[:, :12], counts[:, 12:]
     if table is not None:
@@ -338,8 +347,9 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
             attacked = np.flatnonzero(uniforms[_COIN] < table.fraction[sessions.start + owner])
             attacked_owner = owner[attacked] if len(chunk) > 1 else 0
             at = sessions.start + attacked_owner
+            prepared = alice.take(attacked)
             outcome, inferred, posterior, resent = _attack_batch(
-                alice[attacked],
+                prepared,
                 table,
                 at,
                 uniforms[_EVE_OUTCOME].take(attacked),
@@ -347,10 +357,10 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
                 uniforms[_TIE_BREAK].take(attacked),
             )
             state[attacked] = resent
-            same_basis = inferred >> 1 == alice[attacked] >> 1
+            same_basis = inferred >> 1 == prepared >> 1
             guess[attacked] = np.where(same_basis, inferred & 1, _NO_GUESS)
             # Per block: attacked rounds whose inference was wrong, then right.
-            scored = 2 * attacked_owner + (inferred == alice[attacked])
+            scored = 2 * attacked_owner + (inferred == prepared)
             hits[sessions] += np.bincount(scored, minlength=2 * len(chunk)).reshape(-1, 2)
         bob_basis = (2.0 * uniforms[_BOB_BASIS]).astype(np.intp)
         bob_bit = (uniforms[_BOB_BIT] >= _BOB_P0[state, bob_basis]).astype(np.intp)
@@ -423,9 +433,10 @@ def run_session(
     Box-Muller turns into the two standard normals of Eve's sensor noise in
     the plane of her hypotheses (unused without Eve). A session is
     therefore a prefix of every longer session with the same configuration
-    and seed. Rounds are simulated in vectorised chunks of bounded size,
-    with Eve's attack (_attack_batch) and Bob's Born-rule measurement
-    (_BOB_P0) applied to whole arrays; the chunking never changes a result.
+    and seed. Rounds are simulated in vectorised chunks of 1024 rounds
+    without Eve and 4096 with her (see _simulate), with Eve's attack
+    (_attack_batch) and Bob's Born-rule measurement (_BOB_P0) applied to
+    whole arrays; the chunking never changes a result.
 
     The transcript is a structured array with one row per round and the
     fields alice, bob_basis, bob_bit, sifted, error (False on unsifted

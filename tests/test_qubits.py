@@ -158,6 +158,15 @@ def test_eve_measure_thresholds_are_exact_quarters():
             (0.75, Bb84Symbol.XM),
             (below(1.0), Bb84Symbol.XM),
         ),
+        # Z1 outcomes: never Z0, Z1 on [0, 1/2), Xp on [1/2, 3/4), Xm on [3/4, 1)
+        Bb84Symbol.Z1: (
+            (0.0, Bb84Symbol.Z1),
+            (below(0.5), Bb84Symbol.Z1),
+            (0.5, Bb84Symbol.XP),
+            (below(0.75), Bb84Symbol.XP),
+            (0.75, Bb84Symbol.XM),
+            (below(1.0), Bb84Symbol.XM),
+        ),
         # Xp outcomes: Z0 on [0, 1/4), Z1 on [1/4, 1/2), Xp on [1/2, 1), never Xm
         Bb84Symbol.XP: (
             (below(0.25), Bb84Symbol.Z0),
@@ -165,6 +174,15 @@ def test_eve_measure_thresholds_are_exact_quarters():
             (below(0.5), Bb84Symbol.Z1),
             (0.5, Bb84Symbol.XP),
             (below(1.0), Bb84Symbol.XP),
+        ),
+        # Xm outcomes: Z0 on [0, 1/4), Z1 on [1/4, 1/2), never Xp, Xm on [1/2, 1)
+        Bb84Symbol.XM: (
+            (0.0, Bb84Symbol.Z0),
+            (below(0.25), Bb84Symbol.Z0),
+            (0.25, Bb84Symbol.Z1),
+            (below(0.5), Bb84Symbol.Z1),
+            (0.5, Bb84Symbol.XM),
+            (below(1.0), Bb84Symbol.XM),
         ),
     }
     table = EveConfig(GEOM, NonlinearParams(b=0.0), SensorModel(), EveStrategy())._table

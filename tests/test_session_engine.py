@@ -182,6 +182,10 @@ def test_session_is_a_prefix_of_a_longer_one():
     _, long = run_session(700, cfg, seed=8)
     assert np.array_equal(short, long[:300])
     assert short_stats == run_session(300, cfg, seed=8, with_records=False)[0]
+    # 4500 rounds cross the 4096-round chunk of a pass with Eve.
+    _, crossing = run_session(4500, cfg, seed=8)
+    _, longer = run_session(9000, cfg, seed=8)
+    assert np.array_equal(crossing, longer[:4500])
     _, honest_short = run_session(50, seed=8)
     _, honest_long = run_session(2100, seed=8)
     assert np.array_equal(honest_short, honest_long[:50])
