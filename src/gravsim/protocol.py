@@ -9,6 +9,7 @@ information, key rates) are aggregated from the sifted transcript.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,9 @@ RNG_CONTRACT = 3
 _ALICE, _COIN, _EVE_OUTCOME, _TIE_BREAK, _BOB_BASIS, _BOB_BIT, _NOISE_U, _NOISE_V = range(8)
 _BLOCK = 8
 
-# uint64 draws per chunk of an honest pass, 1024 rounds; a pass with Eve
-# takes four times as many, 4096 rounds (see _simulate). Bounds a pass's
-# working memory.
-_CHUNK_VARIATES = 8192
+# Draws per chunk of a pass, 4096 rounds (see _simulate). Bounds a pass's
+# working memory, and sizes the draw buffers each thread keeps (_Buffers).
+_CHUNK_VARIATES = 32768
 
 # Eve guess categories for the information accounting: her inferred bit when
 # her basis matched the announced one, else a separate no-guess category.
@@ -147,7 +147,8 @@ def _round_draws(seed: int, start: int, stop: int) -> np.ndarray:
     Round i owns draws [i * K, (i + 1) * K) of Philox(seed), with K = 8
     whatever the configuration; Philox yields 4 draws per counter step, so
     the stream is entered by advancing the counter 2 * start steps.
-    _simulate reads the same draws from one generator re-keyed per session.
+    _simulate reads the same draws, as the uniforms _uniforms makes of them,
+    through Generator.random on one Philox re-keyed per session.
     """
     bitgen = np.random.Philox(seed)
     if start:
@@ -246,12 +247,12 @@ def _rekey(bitgen: np.random.Philox, key: list[int]) -> None:
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """The uniform (x >> 11) * 2**-53 in [0, 1) of each uint64 draw x, as a C-ordered array.
+    """The uniform (x >> 11) * 2**-53 in [0, 1) of each uint64 draw x.
 
-    C order makes the uniforms of a transposed (8, n) view of a chunk's
-    draws one contiguous row per stream.
+    Generator.random on Philox makes the same uniforms, bit for bit, from
+    the draws it consumes; _simulate draws with it.
     """
-    return np.multiply(raw >> 11, 2.0**-53, order="C")
+    return (raw >> 11) * 2.0**-53
 
 
 def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -263,6 +264,45 @@ def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 # The largest |component| _box_muller gives the engine: its radius at the largest uniform.
 _NORMAL_EXTENT = float(_box_muller(_uniforms(np.array([2**64 - 1], np.uint64)), np.zeros(1))[0, 0])
+
+
+# Chunks of at least this many rounds (128 KiB of draws, glibc's default
+# mmap threshold) draw into the thread's kept buffers (_Buffers); smaller
+# ones into fresh arrays (see _Buffers.take).
+_KEPT_ROUNDS = 2048
+
+
+class _Buffers(threading.local):
+    """Each thread's chunk buffers, kept across passes: draws (rounds, 8) and streams (8, rounds).
+
+    Fresh arrays of 128 KiB or more come from memory the allocator maps
+    for them and hands back to the system when they are freed, so a pass
+    that allocates them faults them in again every time; kept buffers are
+    faulted in once per thread. They grow to the largest chunk a pass
+    needs and never shrink: at most 512 KiB per thread at 4096-round chunks.
+    """
+
+    def __init__(self) -> None:
+        self.draws = np.empty((0, _BLOCK))
+        self.streams = np.empty((_BLOCK, 0))
+
+    def take(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw and stream buffers of at least `rounds` rounds.
+
+        Below _KEPT_ROUNDS they are fresh: the allocator serves them from
+        memory just freed, still in cache, where the kept buffers have gone
+        cold since the thread's last pass (a 2000-round Eve session drew 30
+        to 40 us slower into them, between other work, on a 2-vCPU Xeon VM).
+        """
+        if rounds < _KEPT_ROUNDS:
+            return np.empty((rounds, _BLOCK)), np.empty((_BLOCK, rounds))
+        if len(self.draws) < rounds:
+            self.draws = np.empty((rounds, _BLOCK))
+            self.streams = np.empty((_BLOCK, rounds))
+        return self.draws, self.streams
+
+
+_buffers = _Buffers()
 
 
 def _chunks(n_points: int, n_rounds: int, block: int):
@@ -298,40 +338,49 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     normal the engine can draw, so a setting that could overflow Eve's
     scores fails whatever the seeds, n_rounds and attack fraction. The rounds run
     in chunks (_chunks) as array operations on independent rows, so every
-    session's counts and transcript rows are those it has alone. A chunk's
-    (n, 8) raw draws become uniforms once, as an (8, n) array with one
-    contiguous row per stream (_ALICE to _NOISE_V); _box_muller gives Eve's
-    normals as (2, n), handed to _attack_batch as its (n, 2) .T view. Per
-    session, the counts are the sifted rounds' (error, Alice's bit, Eve's
-    guess) table, 2 x 2 x 3 cells, then the attacked rounds whose inference
-    was wrong and right. The transcript, if given, receives the rounds of
-    all sessions in order.
+    session's counts and transcript rows are those it has alone. Each
+    block's uniforms (x >> 11) * 2**-53 are drawn as floats
+    (Generator.random, bit for bit _uniforms of the block's _round_draws)
+    into an (n, 8) draw buffer, then copied once, transposed, into an (8, n)
+    stream buffer with one contiguous row per stream (_ALICE to _NOISE_V);
+    both come from _Buffers.take. _box_muller gives Eve's normals as
+    (2, n), handed to _attack_batch as its (n, 2) .T view. Per session, the
+    counts are the sifted rounds' (error, Alice's bit, Eve's guess) table,
+    2 x 2 x 3 cells, then the attacked rounds whose inference was wrong and
+    right. The transcript, if given, receives the rounds of all sessions in
+    order. Nothing returned or written to the transcript is a view of a
+    buffer.
 
-    A chunk of an honest pass holds _CHUNK_VARIATES // _BLOCK rounds (1024),
-    one with Eve four times as many (4096). An attacked chunk carries a
-    fixed cost of numpy calls in _attack_batch whatever its size (a 10-round
-    Eve pass takes over three times an honest one), so a 2000-round Eve
-    session pays it once; honest chunks stay small because at 2048 rounds
-    or more their temporaries page-fault on every pass and run slower.
+    A chunk holds _CHUNK_VARIATES // _BLOCK rounds (4096), with Eve or
+    without. An attacked chunk carries a fixed cost of numpy calls in
+    _attack_batch whatever its size (a 10-round Eve pass takes over three
+    times an honest one), so a 2000-round Eve session pays it once. A chunk
+    of _KEPT_ROUNDS rounds or more draws into the buffers its thread keeps,
+    so it does not page-fault them in on every pass.
     """
     n_points = len(seeds)
-    block = max(1, _CHUNK_VARIATES * (1 if table is None else 4) // _BLOCK)
+    block = max(1, _CHUNK_VARIATES // _BLOCK)
     counts = np.zeros((n_points, 14), dtype=np.int64)
     cells, hits = counts[:, :12], counts[:, 12:]
     if table is not None:
         _check_table(table, _NORMAL_EXTENT)
-    bitgen = np.random.Philox(int(seeds[0])) if n_points else None
+    if not n_points:
+        return counts
+    bitgen = np.random.Philox(int(seeds[0]))
+    generator = np.random.Generator(bitgen)
     keys = _hashed_keys(seeds) if n_points > 1 else None
+    draws, streams = _buffers.take(min(block, n_points * n_rounds))
     first = 0
     for chunk in _chunks(n_points, n_rounds, block):
         sessions = slice(chunk[0][0], chunk[0][0] + len(chunk))
-        blocks = []
+        size = 0
         for point, start, stop in chunk:
             if point and not start:
                 _rekey(bitgen, keys[point])
-            blocks.append(bitgen.random_raw((stop - start) * _BLOCK).reshape(stop - start, _BLOCK))
-        raw = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        uniforms = _uniforms(raw.T)
+            generator.random(out=draws[size : size + stop - start])
+            size += stop - start
+        uniforms = streams[:, :size]
+        np.copyto(uniforms, draws[:size].T)
         # The block of each round within the chunk; with one block, that is 0 for all.
         # Kept: the per-round-settings path on every chunk made a 2000-round Eve
         # session 3% slower (2327 -> 2399 us) and a 5000-round honest session
@@ -433,8 +482,8 @@ def run_session(
     Box-Muller turns into the two standard normals of Eve's sensor noise in
     the plane of her hypotheses (unused without Eve). A session is
     therefore a prefix of every longer session with the same configuration
-    and seed. Rounds are simulated in vectorised chunks of 1024 rounds
-    without Eve and 4096 with her (see _simulate), with Eve's attack
+    and seed. Rounds are simulated in vectorised chunks of 4096 rounds
+    (see _simulate), with Eve's attack
     (_attack_batch) and Bob's Born-rule measurement (_BOB_P0) applied to
     whole arrays; the chunking never changes a result.
 

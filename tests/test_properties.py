@@ -279,12 +279,12 @@ def session_sweep_grids(draw):
     return tuple((name, draw(SESSION_SWEEP_GRIDS[name])) for name in names)
 
 
-# Rounds per point below, at and above the engine's 1024-round blocks, so
+# Rounds per point below, at and above the engine's 4096-round blocks, so
 # that a chunk holds several sessions, one session, or part of one.
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     grids=session_sweep_grids(),
-    rounds=st.sampled_from([300, 37, 1, 1024, 1100]),
+    rounds=st.sampled_from([300, 37, 1, 4096, 4200]),
     seed_base=st.integers(0, 2**32),
 )
 @example(

@@ -7,10 +7,13 @@ law of oracles.bob_bit_distribution, fed the very same variates, with the
 plane normals z laid into the field as the in-plane noise z @ plane_basis,
 and check the stream contract: a session is a prefix of any longer one
 with the same seed, the chunk size never changes a result, not even a
-sweep's, and memory does not grow with the session length.
+sweep's, the draw buffers a thread keeps between passes never show in a
+result, and memory does not grow with the session length.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import tracemalloc
@@ -189,6 +192,10 @@ def test_session_is_a_prefix_of_a_longer_one():
     _, honest_short = run_session(50, seed=8)
     _, honest_long = run_session(2100, seed=8)
     assert np.array_equal(honest_short, honest_long[:50])
+    # And the 4096-round chunk of an honest pass.
+    _, honest_crossing = run_session(4500, seed=8)
+    _, honest_longer = run_session(9000, seed=8)
+    assert np.array_equal(honest_crossing, honest_longer[:4500])
 
 
 @pytest.mark.parametrize("variates", [1, 40, 200])
@@ -206,9 +213,9 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, variates):
         assert np.array_equal(got_transcript, transcript)
 
 
-# Blocks of 1, 25, 1024 (the default) and 4096 rounds: a 130-round point
+# Blocks of 1, 25, 4096 (the default) and 8192 rounds: a 130-round point
 # spans many blocks, fills one, or shares a chunk with its neighbours.
-@pytest.mark.parametrize("variates", [1, 200, 32768])
+@pytest.mark.parametrize("variates", [1, 200, 65536])
 def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, variates):
     base = load_config("default.json")
     base = replace(base, nonlinear=replace(base.nonlinear, b=0.05))
@@ -225,6 +232,54 @@ def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, variates):
     expected = sweep(spec, base)
     monkeypatch.setattr(protocol, "_CHUNK_VARIATES", variates)
     assert sweep(spec, base) == expected
+
+
+LEAK_CFG = eve_config("Threshold", fraction=0.7, tau=0.6)
+
+
+def test_kept_buffers_never_show_in_a_result(monkeypatch):
+    # Fresh buffers give the reference; then every pass, however short,
+    # draws into the buffers its thread keeps.
+    expected = run_session(3000, LEAK_CFG, seed=12)
+    monkeypatch.setattr(protocol, "_KEPT_ROUNDS", 1)
+    stats, transcript = run_session(3000, LEAK_CFG, seed=12)
+    assert stats == expected[0] and np.array_equal(transcript, expected[1])
+    # A larger pass grows the buffers, a smaller one overwrites their start.
+    run_session(9000, LEAK_CFG, seed=13)
+    run_session(100, None, seed=14)
+    assert stats == expected[0] and np.array_equal(transcript, expected[1])
+    again = run_session(3000, LEAK_CFG, seed=12)
+    assert again[0] == stats and np.array_equal(again[1], transcript)
+
+
+def test_threads_draw_into_buffers_of_their_own():
+    spec = SweepSpec(
+        grids=(("strategy", ("Threshold", "ResendMeasured")), ("samples", (1, 3))),
+        rounds_per_point=700,
+        seed_base=30,
+    )
+    base = load_config("default.json").with_overrides({"b": 0.05})
+    jobs = [
+        lambda: run_session(6000, LEAK_CFG, seed=31),
+        lambda: run_session(2500, None, seed=32),
+        lambda: sweep(spec, base),
+        lambda: run_session(4500, LEAK_CFG, seed=33),
+    ]
+    sequential = [job() for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                futures = [pool.submit(job) for job in jobs]
+                for future, want in zip(futures, sequential):
+                    got = future.result(timeout=60)
+                    if isinstance(want, list):  # sweep rows
+                        assert got == want
+                    else:
+                        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_round_block_layout():
@@ -246,7 +301,8 @@ def test_round_block_layout():
 
 def test_session_memory_does_not_grow_with_length():
     cfg = eve_config(fraction=0.7)
-    run_session(10, cfg, seed=1)
+    # A full chunk first, so that neither measured pass allocates the kept draw buffers.
+    run_session(5000, cfg, seed=1)
     peaks = []
     for n in (20_000, 200_000):
         tracemalloc.start()

@@ -1,8 +1,9 @@
 """The session streams of one engine pass: Philox keys hashed for many seeds, and re-keying.
 
 _simulate draws every session of a pass from one Philox, re-keyed to each
-session's key. These tests pin the keys to numpy's own SeedSequence and
-Philox(seed) on edge seeds and on arbitrary integers, and check that a
+session's key, as Generator.random floats. These tests pin the keys to
+numpy's own SeedSequence and Philox(seed) on edge seeds and on arbitrary
+integers, pin those floats to the raw draws' uniforms, and check that a
 sweep's rows equal its points' lone sessions when seeds cross 2**128 and
 sessions span several blocks.
 """
@@ -56,6 +57,35 @@ def test_a_rekeyed_generator_enters_the_stream_as_a_fresh_one(seed):
     assert np.array_equal(raw, protocol._round_draws(seed, 0, 3))
 
 
+def generator_uniforms(bitgen: np.random.Philox, rounds: int) -> np.ndarray:
+    """The (rounds, 8) uniforms _simulate draws from bitgen: Generator.random into a buffer."""
+    out = np.empty((rounds, protocol._BLOCK))
+    np.random.Generator(bitgen).random(out=out)
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# _simulate draws the contract's uniforms (x >> 11) * 2**-53 as floats with
+# Generator.random; the raw draws of _round_draws through _uniforms are the
+# reference.
+@pytest.mark.parametrize("seed", [7, 2**130 + 1])
+def test_generator_floats_are_the_uniforms_of_the_raw_draws(seed):
+    fresh = generator_uniforms(np.random.Philox(seed), 37)
+    assert same_bits(fresh, protocol._uniforms(protocol._round_draws(seed, 0, 37)))
+    advanced = np.random.Philox(seed)
+    advanced.advance(5 * protocol._BLOCK // 4)
+    expected = protocol._uniforms(protocol._round_draws(seed, 5, 42))
+    assert same_bits(generator_uniforms(advanced, 37), expected)
+    rekeyed = np.random.Philox(12345)
+    np.random.Generator(rekeyed).random(3)  # a partly used buffer is discarded by the re-key
+    (key,) = protocol._hashed_keys([seed])
+    protocol._rekey(rekeyed, key)
+    assert same_bits(generator_uniforms(rekeyed, 37), fresh)
+
+
 def test_a_pass_without_sessions_draws_nothing():
     assert protocol._simulate(10, []).shape == (0, 14)
     assert protocol._simulate(10, range(3, 3)).shape == (0, 14)
@@ -75,10 +105,10 @@ def straddling_spec(rounds: int) -> SweepSpec:
     )
 
 
-# 1500 rounds: a point's second block continues its first in the next chunk,
-# and the point after it re-keys mid-pass; 37 rounds: one chunk holds many
-# points, so the re-keys fall inside a chunk.
-@pytest.mark.parametrize("rounds", [1500, 37])
+# 5000 rounds: a point's second block continues its first in the next chunk,
+# and the point after it re-keys mid-pass; 1500 and 37 rounds: one chunk
+# holds several or many points, so the re-keys fall inside a chunk.
+@pytest.mark.parametrize("rounds", [5000, 1500, 37])
 @pytest.mark.parametrize("with_eve", [True, False])
 def test_sweep_rows_equal_lone_sessions_across_the_128_bit_seed_edge(rounds, with_eve):
     base = load_config("default.json")
