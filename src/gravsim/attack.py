@@ -181,7 +181,7 @@ def _eve_outcome(prepared: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return _EVE_OUTCOMES.take(4 * prepared + (4.0 * draws).astype(np.intp))
 
 
-def _logits(statistic, residuals, offsets, sigma, log_prior=None) -> np.ndarray:
+def _logits(statistic, residuals, offsets, sigma, log_prior) -> np.ndarray:
     """Hypothesis log-posteriors up to a shared constant, (dim, n) -> (4, n).
 
     The kernel is hypothesis-major: axis 0 of the logits is the hypothesis
@@ -191,26 +191,20 @@ def _logits(statistic, residuals, offsets, sigma, log_prior=None) -> np.ndarray:
     infer_alice_state); residuals are the (4, dim) hypothesis residuals r_h,
     or a (4, dim, n) table with one per statistic, and offsets their
     _offsets as (4, 1) or (4, n); sigma and log_prior broadcast against the
-    (4, n) logits, and log_prior None means no prior. Every caller first
-    checks with _check_scores that the statistic's scores cannot overflow.
+    (4, n) logits. Every caller first checks with _check_scores that the
+    statistic's scores cannot overflow.
     The Gaussian scores S.r_h - count * |r_h|^2 / 2 are shifted in field
     units so that the best hypothesis the prior allows is exactly 0 (one the
     prior rules out is capped at 0 and keeps its -inf prior), and only then
     divided by sigma, once per factor: no sigma > 0 gives NaN, a hypothesis
-    the data rule out scores -inf, and exact ties stay exact. Without a
-    prior the best is the maximum over all hypotheses, so the mask and the
-    cap change nothing and are skipped; the logits are those of a 0.0 prior
-    up to the sign of a zero, with the same ties. The dot products go
-    through einsum rather than BLAS, which sums every row in the same order
-    whatever the batch shape, so a row's logits depend neither on the rows
-    beside it nor on whether its residuals are shared with them.
+    the data rule out scores -inf, and exact ties stay exact. The dot
+    products go through einsum rather than BLAS, which sums every row in
+    the same order whatever the batch shape, so a row's logits depend
+    neither on the rows beside it nor on whether its residuals are shared
+    with them.
     """
     score = np.einsum("d...,hd...->h...", statistic, residuals)
     score -= offsets
-    if log_prior is None:
-        score -= _hmax(score)
-        with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
-            return score / sigma / sigma
     best = _hmax(np.where(log_prior == -np.inf, -np.inf, score))
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
         return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
@@ -734,7 +728,7 @@ def _mc_hits(table: _AttackTable, decay: float, trials: _Trials) -> int:
     table = table._replace(**_decay_columns(np.array([decay]), table.count, trials.plane))
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
-    logits = _logits(statistic, residuals, offsets, table.sigma[0])
+    logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
     return int(np.count_nonzero(chosen == trials.truths))
 

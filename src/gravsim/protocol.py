@@ -30,7 +30,7 @@ _ALICE, _COIN, _EVE_OUTCOME, _TIE_BREAK, _BOB_BASIS, _BOB_BIT, _NOISE_U, _NOISE_
 _BLOCK = 8
 
 # Draws per chunk of a pass, 4096 rounds (see _simulate). Bounds a pass's
-# working memory, and sizes the draw buffers each thread keeps (_Buffers).
+# working memory, and sizes the draw buffer each thread keeps (_Buffers).
 _CHUNK_VARIATES = 32768
 
 # Eve guess categories for the information accounting: her inferred bit when
@@ -267,63 +267,40 @@ _NORMAL_EXTENT = float(_box_muller(_uniforms(np.array([2**64 - 1], np.uint64)), 
 
 
 # Chunks of at least this many rounds (128 KiB of draws, glibc's default
-# mmap threshold) draw into the thread's kept buffers (_Buffers); smaller
+# mmap threshold) draw into the thread's kept buffer (_Buffers); smaller
 # ones into fresh arrays (see _Buffers.take).
 _KEPT_ROUNDS = 2048
 
 
 class _Buffers(threading.local):
-    """Each thread's chunk buffers, kept across passes: draws (rounds, 8) and streams (8, rounds).
+    """Each thread's (rounds, 8) chunk draw buffer, kept across passes.
 
     Fresh arrays of 128 KiB or more come from memory the allocator maps
     for them and hands back to the system when they are freed, so a pass
-    that allocates them faults them in again every time; kept buffers are
-    faulted in once per thread. They grow to the largest chunk a pass
-    needs and never shrink: at most 512 KiB per thread at 4096-round chunks.
+    that allocates them faults them in again every time; a kept buffer is
+    faulted in once per thread. It grows to the largest chunk a pass needs
+    and never shrinks: at most 256 KiB per thread at 4096-round chunks.
     """
 
     def __init__(self) -> None:
         self.draws = np.empty((0, _BLOCK))
-        self.streams = np.empty((_BLOCK, 0))
 
-    def take(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw and stream buffers of at least `rounds` rounds.
+    def take(self, rounds: int) -> np.ndarray:
+        """A draw buffer of at least `rounds` rounds.
 
-        Below _KEPT_ROUNDS they are fresh: the allocator serves them from
-        memory just freed, still in cache, where the kept buffers have gone
-        cold since the thread's last pass (a 2000-round Eve session drew 30
-        to 40 us slower into them, between other work, on a 2-vCPU Xeon VM).
+        Below _KEPT_ROUNDS it is fresh: the allocator serves it from memory
+        just freed, still in cache, where the kept buffer has gone cold
+        since the thread's last pass (a 2000-round Eve session drew 30 to
+        40 us slower into it, between other work, on a 2-vCPU Xeon VM).
         """
         if rounds < _KEPT_ROUNDS:
-            return np.empty((rounds, _BLOCK)), np.empty((_BLOCK, rounds))
+            return np.empty((rounds, _BLOCK))
         if len(self.draws) < rounds:
             self.draws = np.empty((rounds, _BLOCK))
-            self.streams = np.empty((_BLOCK, rounds))
-        return self.draws, self.streams
+        return self.draws
 
 
 _buffers = _Buffers()
-
-
-def _chunks(n_points: int, n_rounds: int, block: int):
-    """The pass's chunks: lists of (point, start, stop) round ranges, at most `block` rounds each.
-
-    Every session is cut into blocks of `block` rounds, and consecutive
-    blocks share a chunk while they fit in it. A session's blocks before
-    its last are full and fill a chunk alone, so a chunk holds one block
-    each of consecutive sessions.
-    """
-    chunk, size = [], 0
-    for point in range(n_points):
-        for start in range(0, n_rounds, block):
-            stop = min(n_rounds, start + block)
-            if size + stop - start > block:
-                yield chunk
-                chunk, size = [], 0
-            chunk.append((point, start, stop))
-            size += stop - start
-    if chunk:
-        yield chunk
 
 
 def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
@@ -331,32 +308,34 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
 
     Session p reads Philox(seeds[p]) (see run_session) and faces Eve with
     row p of table, an _AttackTable, or no Eve when table is None. The pass
-    draws from one Philox, built from seeds[0] and re-keyed (_rekey) to the
-    key (_hashed_keys) of each later session at its first block; _chunks
-    yields a session's blocks in order, so each stream is entered once.
-    Before the first round, _check_table checks every row for the largest
-    normal the engine can draw, so a setting that could overflow Eve's
-    scores fails whatever the seeds, n_rounds and attack fraction. The rounds run
-    in chunks (_chunks) as array operations on independent rows, so every
-    session's counts and transcript rows are those it has alone. Each
-    block's uniforms (x >> 11) * 2**-53 are drawn as floats
-    (Generator.random, bit for bit _uniforms of the block's _round_draws)
-    into an (n, 8) draw buffer, then copied once, transposed, into an (8, n)
-    stream buffer with one contiguous row per stream (_ALICE to _NOISE_V);
-    both come from _Buffers.take. _box_muller gives Eve's normals as
-    (2, n), handed to _attack_batch as its (n, 2) .T view. Per session, the
-    counts are the sifted rounds' (error, Alice's bit, Eve's guess) table,
-    2 x 2 x 3 cells, then the attacked rounds whose inference was wrong and
-    right. The transcript, if given, receives the rounds of all sessions in
-    order. Nothing returned or written to the transcript is a view of a
-    buffer.
+    is one run of P * n_rounds rounds, session after session, cut every
+    _CHUNK_VARIATES // _BLOCK rounds (4096) into chunks; every chunk but the
+    last is full, so a chunk may hold several sessions or parts of them,
+    and a session may span two chunks or more. The pass draws from one
+    Philox, built from seeds[0] and re-keyed (_rekey) to the key
+    (_hashed_keys) of each later session at its first round; the rounds are
+    drawn in order, so each stream is entered once. Before the first round,
+    _check_table checks every row for the largest normal the engine can
+    draw, so a setting that could overflow Eve's scores fails whatever the
+    seeds, n_rounds and attack fraction. The rounds run as array operations
+    on independent rows, so every session's counts and transcript rows are
+    those it has alone. Each session's part of a chunk is drawn as floats
+    (Generator.random, bit for bit _uniforms of its _round_draws) into the
+    chunk's rows of an (n, 8) draw buffer from _Buffers.take, and each
+    stream (_ALICE to _NOISE_V) is read in place, as a column of it.
+    _box_muller gives Eve's normals as (2, n), handed to _attack_batch as
+    its (n, 2) .T view. Per session, the counts are the sifted rounds'
+    (error, Alice's bit, Eve's guess) table, 2 x 2 x 3 cells, then the
+    attacked rounds whose inference was wrong and right. The transcript, if
+    given, receives the rounds of all sessions in order. Nothing returned or
+    written to the transcript is a view of the buffer.
 
-    A chunk holds _CHUNK_VARIATES // _BLOCK rounds (4096), with Eve or
-    without. An attacked chunk carries a fixed cost of numpy calls in
-    _attack_batch whatever its size (a 10-round Eve pass takes over three
-    times an honest one), so a 2000-round Eve session pays it once. A chunk
-    of _KEPT_ROUNDS rounds or more draws into the buffers its thread keeps,
-    so it does not page-fault them in on every pass.
+    A chunk holds 4096 rounds, with Eve or without. An attacked chunk
+    carries a fixed cost of numpy calls in _attack_batch whatever its size
+    (a 10-round Eve pass takes over three times an honest one), so a
+    2000-round Eve session pays it once. A chunk of _KEPT_ROUNDS rounds or
+    more draws into the buffer its thread keeps, so it does not page-fault
+    it in on every pass.
     """
     n_points = len(seeds)
     block = max(1, _CHUNK_VARIATES // _BLOCK)
@@ -369,32 +348,32 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     bitgen = np.random.Philox(int(seeds[0]))
     generator = np.random.Generator(bitgen)
     keys = _hashed_keys(seeds) if n_points > 1 else None
-    draws, streams = _buffers.take(min(block, n_points * n_rounds))
-    first = 0
-    for chunk in _chunks(n_points, n_rounds, block):
-        sessions = slice(chunk[0][0], chunk[0][0] + len(chunk))
-        size = 0
-        for point, start, stop in chunk:
-            if point and not start:
+    total = n_points * n_rounds
+    draws = _buffers.take(min(block, total))
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        sessions = slice(lo // n_rounds, (hi - 1) // n_rounds + 1)
+        n_sessions = sessions.stop - sessions.start
+        for point in range(sessions.start, sessions.stop):
+            start = point * n_rounds
+            if point and start >= lo:
                 _rekey(bitgen, keys[point])
-            generator.random(out=draws[size : size + stop - start])
-            size += stop - start
-        uniforms = streams[:, :size]
-        np.copyto(uniforms, draws[:size].T)
-        # The block of each round within the chunk; with one block, that is 0 for all.
+            generator.random(out=draws[max(start, lo) - lo : min(start + n_rounds, hi) - lo])
+        uniforms = draws[: hi - lo].T
+        # The session of each round within the chunk; with one session, that is 0 for all.
         # Kept: the per-round-settings path on every chunk made a 2000-round Eve
         # session 3% slower (2327 -> 2399 us) and a 5000-round honest session
         # 5.5% slower (930 -> 981 us), interleaved medians.
         owner = 0
-        if len(chunk) > 1:
-            owner = np.repeat(np.arange(len(chunk)), [stop - start for _, start, stop in chunk])
+        if n_sessions > 1:
+            owner = np.arange(lo, hi) // n_rounds - sessions.start
         alice = (4.0 * uniforms[_ALICE]).astype(np.intp)
         state = alice.copy()
         # Eve's guess per round: her inferred bit when its basis is Alice's, else no guess.
         guess = np.full(len(alice), _NO_GUESS)
         if table is not None:
             attacked = np.flatnonzero(uniforms[_COIN] < table.fraction[sessions.start + owner])
-            attacked_owner = owner[attacked] if len(chunk) > 1 else 0
+            attacked_owner = owner[attacked] if n_sessions > 1 else 0
             at = sessions.start + attacked_owner
             prepared = alice.take(attacked)
             outcome, inferred, posterior, resent = _attack_batch(
@@ -408,18 +387,18 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
             state[attacked] = resent
             same_basis = inferred >> 1 == prepared >> 1
             guess[attacked] = np.where(same_basis, inferred & 1, _NO_GUESS)
-            # Per block: attacked rounds whose inference was wrong, then right.
+            # Per session: attacked rounds whose inference was wrong, then right.
             scored = 2 * attacked_owner + (inferred == prepared)
-            hits[sessions] += np.bincount(scored, minlength=2 * len(chunk)).reshape(-1, 2)
+            hits[sessions] += np.bincount(scored, minlength=2 * n_sessions).reshape(-1, 2)
         bob_basis = (2.0 * uniforms[_BOB_BASIS]).astype(np.intp)
         bob_bit = (uniforms[_BOB_BIT] >= _BOB_P0[state, bob_basis]).astype(np.intp)
         sifted = bob_basis == alice >> 1
         error = sifted & (bob_bit != alice & 1)
-        # Per block: the sifted rounds' (error, Alice's bit, Eve's guess) cells.
+        # Per session: the sifted rounds' (error, Alice's bit, Eve's guess) cells.
         cell = 6 * error + 3 * (alice & 1) + guess + 12 * owner
-        cells[sessions] += np.bincount(cell[sifted], minlength=12 * len(chunk)).reshape(-1, 12)
+        cells[sessions] += np.bincount(cell[sifted], minlength=12 * n_sessions).reshape(-1, 12)
         if transcript is not None:
-            rows = transcript[first : first + len(alice)]
+            rows = transcript[lo:hi]
             rows["alice"], rows["bob_basis"], rows["bob_bit"] = alice, bob_basis, bob_bit
             rows["sifted"], rows["error"] = sifted, error
             if table is not None:
@@ -428,7 +407,6 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
                 rows["inferred"][attacked] = inferred
                 rows["resent"][attacked] = resent
                 rows["posterior"][attacked] = posterior
-        first += len(alice)
     return counts
 
 

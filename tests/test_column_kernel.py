@@ -8,17 +8,16 @@ reduction of each round along the last axis gives, on rounds with exact
 ties, signed zeros, infinities, NaN and rounds that the prior masks
 entirely. Any NaN counts as equal to any NaN. _logits must give, bit for
 bit, the transpose of what the same kernel written for rounds of (n, dim)
-statistics (the einsum "...d,...hd->...h") gives. Without a prior it must
-give the logits of a 0.0 prior up to the sign of a zero, with the same tie
-choices, and Monte Carlo hits (which score without one) must count what
-those logits choose. _mc_hits counts trials from their critical
-amplitudes, or runs the kernel on every trial when its rounding band holds
-one, so its count must equal the kernel's on skewed planes, at any sigma
-and sample count, at amplitudes placed on a trial's critical amplitude and
-one ulp of the decay either side, with an end of the band exactly on one,
-and where the band covers every trial; the kernel must run at most once,
-on every trial, exactly when the band holds a trial or covers them all,
-and a setting whose scores overflow must raise _check_table's message.
+statistics (the einsum "...d,...hd->...h") gives, and Monte Carlo hits
+(scored with a 0.0 prior) must count what its logits choose. _mc_hits
+counts trials from their critical amplitudes, or runs the kernel on every
+trial when its rounding band holds one, so its count must equal the
+kernel's on skewed planes, at any sigma and sample count, at amplitudes
+placed on a trial's critical amplitude and one ulp of the decay either
+side, with an end of the band exactly on one, and where the band covers
+every trial; the kernel must run at most once, on every trial, exactly
+when the band holds a trial or covers them all, and a setting whose scores
+overflow must raise _check_table's message.
 """
 
 import math
@@ -182,7 +181,7 @@ def plane_batches(draw):
     else:
         sigma = draw(arrays(np.float64, (n, 1), elements=SIGMAS))
     log_prior = draw(
-        st.one_of(st.just(0.0), st.none(), arrays(np.float64, (n, 4), elements=PRIORS))
+        st.one_of(st.just(0.0), arrays(np.float64, (n, 4), elements=PRIORS))
     )
     return statistic, residuals, offsets, sigma, log_prior
 
@@ -204,14 +203,12 @@ def plane_batches(draw):
         np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.5], [1.0, 0.5]]),
         np.array([0.0, -0.0, 0.5, 0.5]),
         5e-324,
-        None,
+        0.0,
     )
 )
 def test_logits_equal_the_row_major_kernel_bit_for_bit(case):
     statistic, residuals, offsets, sigma, log_prior = case
-    prior_free = log_prior is None
-    reference_prior = 0.0 if prior_free else log_prior
-    expected = row_major_logits(statistic, residuals, offsets, sigma, reference_prior)
+    expected = row_major_logits(statistic, residuals, offsets, sigma, log_prior)
     per_row = residuals.ndim == 3
     got = _logits(
         np.ascontiguousarray(statistic.T),
@@ -221,14 +218,7 @@ def test_logits_equal_the_row_major_kernel_bit_for_bit(case):
         np.ascontiguousarray(log_prior.T) if np.ndim(log_prior) else log_prior,
     )
     assert got.shape == (4, len(statistic))
-    if not prior_free:
-        assert np.array_equal(got.T.view(np.int64), expected.view(np.int64))
-        return
-    # No prior: the 0.0 prior's mask, cap and add change at most the sign of a zero.
-    assert np.array_equal(bits(got.T + 0.0), bits(expected))
-    u = np.linspace(0.0, 1.0, len(statistic), endpoint=False)
-    choices = _break_ties(got, _hmax(got), u)
-    assert np.array_equal(choices, _break_ties(expected.T, _hmax(expected.T), u))
+    assert np.array_equal(got.T.view(np.int64), expected.view(np.int64))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -244,11 +234,11 @@ def test_logits_of_one_full_field_row_equal_the_row_major_kernel(data, dim, sigm
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-def kernel_hits(table, trials, log_prior=None) -> int:
+def kernel_hits(table, trials) -> int:
     """Hits of row 0 of table on every trial, each scored by the kernel itself."""
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
-    logits = _logits(statistic, residuals, offsets, table.sigma[0], log_prior)
+    logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
     return int(np.count_nonzero(chosen == trials.truths))
 
@@ -402,7 +392,7 @@ def test_monte_carlo_hits_are_the_kernel_count_on_every_setting(case):
         return
     with mock.patch.object(gravsim.attack, "_plane_statistic", wraps=_plane_statistic) as kernel:
         hits = _mc_hits(table, decay, trials)
-    assert hits == kernel_hits(table, trials) == kernel_hits(table, trials, 0.0)
+    assert hits == kernel_hits(table, trials)
     # The kernel runs once, on every trial, exactly when the band holds a trial or is None.
     band = _rounding_band(decay, float(samples), sensor.sigma, trials)
     held = band is None or bool(

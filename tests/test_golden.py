@@ -35,7 +35,7 @@ GOLDEN = {
     # laid out as under contract 2, so this file predates contract 3
     "honest": '{"eve": {"enabled": false}, "session": {"rounds": 300, "seed": 29}}',
     # Eve on half of 2500 rounds: the table crosses the CSV writer's
-    # 1024-row blocks; the engine runs it as one 4096-round attacked chunk
+    # 1024-row blocks; the engine runs it as one attacked chunk of 2500 rounds
     "partial_long": (
         '{"nonlinear": {"b": 0.05}, "eve": {"enabled": true, "strategy": "CloneInferred",'
         ' "attackFraction": 0.5}, "session": {"rounds": 2500, "seed": 31}}'

@@ -279,8 +279,8 @@ def session_sweep_grids(draw):
     return tuple((name, draw(SESSION_SWEEP_GRIDS[name])) for name in names)
 
 
-# Rounds per point below, at and above the engine's 4096-round blocks, so
-# that a chunk holds several sessions, one session, or part of one.
+# Rounds per point below, at and above the engine's 4096-round chunks, so
+# that a chunk holds several sessions, one session, or parts of two.
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     grids=session_sweep_grids(),

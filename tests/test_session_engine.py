@@ -7,14 +7,16 @@ law of oracles.bob_bit_distribution, fed the very same variates, with the
 plane normals z laid into the field as the in-plane noise z @ plane_basis,
 and check the stream contract: a session is a prefix of any longer one
 with the same seed, the chunk size never changes a result, not even a
-sweep's, the draw buffers a thread keeps between passes never show in a
-result, and memory does not grow with the session length.
+sweep's, a pass cuts its sessions' rounds into full chunks, the draw
+buffer a thread keeps between passes never shows in a result, and memory
+does not grow with the session length.
 """
 
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import tracemalloc
 
@@ -213,8 +215,9 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, variates):
         assert np.array_equal(got_transcript, transcript)
 
 
-# Blocks of 1, 25, 4096 (the default) and 8192 rounds: a 130-round point
-# spans many blocks, fills one, or shares a chunk with its neighbours.
+# Chunks of 1, 25, 4096 (the default) and 8192 rounds: the pass's 8 points
+# of 130 rounds span many chunks each, share chunks at their edges, or all
+# lie in one chunk.
 @pytest.mark.parametrize("variates", [1, 200, 65536])
 def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, variates):
     base = load_config("default.json")
@@ -237,14 +240,35 @@ def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, variates):
 LEAK_CFG = eve_config("Threshold", fraction=0.7, tau=0.6)
 
 
+# A pass of P sessions of n rounds is one run of P * n rounds cut every
+# 4096: 2 x 5000 rounds take ceil(10000 / 4096) = 3 attacked chunks, and
+# 2 x 3000 rounds take 2.
+@pytest.mark.parametrize("rounds, chunks", [(5000, 3), (3000, 2)])
+def test_a_pass_runs_full_chunks_across_its_sessions(rounds, chunks):
+    configs = [eve_config("Threshold", fraction=1.0, tau=0.6), LEAK_CFG]
+    table = LEAK_CFG._columns(attack_fraction=[1.0, 0.7])
+    transcript = np.zeros(2 * rounds, protocol._TRANSCRIPT)
+    for name in ("outcome", "inferred", "resent"):
+        transcript[name] = -1
+    with mock.patch.object(protocol, "_attack_batch", wraps=protocol._attack_batch) as batch:
+        counts = protocol._simulate(rounds, [60, 61], table, transcript)
+    assert batch.call_count == chunks == math.ceil(2 * rounds / 4096)
+    # Session 1 spans the last two chunks; each row is the session's alone.
+    rows = protocol._session_rows(rounds, counts, True)
+    for p, (cfg, row) in enumerate(zip(configs, rows)):
+        stats, alone = run_session(rounds, cfg, seed=60 + p)
+        assert stats == protocol.SessionStats(*row)
+        assert np.array_equal(transcript[p * rounds : (p + 1) * rounds], alone)
+
+
 def test_kept_buffers_never_show_in_a_result(monkeypatch):
-    # Fresh buffers give the reference; then every pass, however short,
-    # draws into the buffers its thread keeps.
+    # A fresh buffer gives the reference; then every pass, however short,
+    # draws into the buffer its thread keeps.
     expected = run_session(3000, LEAK_CFG, seed=12)
     monkeypatch.setattr(protocol, "_KEPT_ROUNDS", 1)
     stats, transcript = run_session(3000, LEAK_CFG, seed=12)
     assert stats == expected[0] and np.array_equal(transcript, expected[1])
-    # A larger pass grows the buffers, a smaller one overwrites their start.
+    # A larger pass grows the buffer, a smaller one overwrites its start.
     run_session(9000, LEAK_CFG, seed=13)
     run_session(100, None, seed=14)
     assert stats == expected[0] and np.array_equal(transcript, expected[1])
@@ -301,7 +325,7 @@ def test_round_block_layout():
 
 def test_session_memory_does_not_grow_with_length():
     cfg = eve_config(fraction=0.7)
-    # A full chunk first, so that neither measured pass allocates the kept draw buffers.
+    # A full chunk first, so that neither measured pass allocates the kept draw buffer.
     run_session(5000, cfg, seed=1)
     peaks = []
     for n in (20_000, 200_000):

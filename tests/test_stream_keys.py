@@ -5,7 +5,7 @@ session's key, as Generator.random floats. These tests pin the keys to
 numpy's own SeedSequence and Philox(seed) on edge seeds and on arbitrary
 integers, pin those floats to the raw draws' uniforms, and check that a
 sweep's rows equal its points' lone sessions when seeds cross 2**128 and
-sessions span several blocks.
+sessions span several chunks.
 """
 
 from dataclasses import replace
@@ -105,9 +105,9 @@ def straddling_spec(rounds: int) -> SweepSpec:
     )
 
 
-# 5000 rounds: a point's second block continues its first in the next chunk,
-# and the point after it re-keys mid-pass; 1500 and 37 rounds: one chunk
-# holds several or many points, so the re-keys fall inside a chunk.
+# 5000 rounds: a point continues in the next chunk, and the point after it
+# re-keys inside that chunk; 1500 and 37 rounds: one chunk holds several or
+# many points, so the re-keys fall inside a chunk.
 @pytest.mark.parametrize("rounds", [5000, 1500, 37])
 @pytest.mark.parametrize("with_eve", [True, False])
 def test_sweep_rows_equal_lone_sessions_across_the_128_bit_seed_edge(rounds, with_eve):
