@@ -22,6 +22,7 @@ from .attack import (
     EveConfig,
     EveStrategy,
     SensorModel,
+    _AttackTable,
     _check_table,
     _mc_hits,
     _mc_trials,
@@ -121,6 +122,21 @@ def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trial
     return trials
 
 
+@functools.lru_cache(maxsize=8)
+def _sensor_table(geom: Geometry, sensor: SensorModel) -> _AttackTable:
+    """The read-only EveConfig table whose count, sigma and scale _mc_hits reads, per sensor.
+
+    _mc_hits takes each candidate's decay itself and reads nothing else of
+    the table, which therefore depends on neither lambda nor delta_t: a
+    lambda scan builds it once. Keyed by (geom, sensor), the geometry
+    object and the sensor's values.
+    """
+    table = EveConfig(geom, NonlinearParams(), sensor, EveStrategy())._table
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
 def min_detectable_b(
     lam: float,
     delta_t: float,
@@ -149,7 +165,10 @@ def min_detectable_b(
     b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When the rounding
     band about it holds a trial's critical amplitude, or covers every trial
     (at b = 0 and wherever no decision can be certain), the kernel scores
-    every trial instead, and the count is the kernel's bit for bit.
+    every trial instead, and the count is the kernel's bit for bit. The
+    sensor's count, sigma and scale come from one read-only attack table
+    kept per (geom, sensor) (_sensor_table): the table does not depend on
+    lambda or delta_t, so a scan builds it once.
     Analytic candidates scale the rows of geom.plane, read as floats once
     per call, and take the union bound on plain floats
     (attack._union_bound). Arguments are checked once, and a candidate b is
@@ -172,8 +191,7 @@ def min_detectable_b(
 
     relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
-        # The sensor's columns, from one table; each candidate passes its own decay.
-        table = EveConfig(geom, params, sensor, EveStrategy())._table
+        table = _sensor_table(geom, sensor)
         draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
 
         def score(b: float, step: int) -> float:
@@ -276,6 +294,14 @@ def exclusion_limit(
     in quadrature over the observation schedule reaches z(confidence); any
     larger b would have been detected. Bounds are capped at 1, the top of
     b's physical range, which is where fast relaxation leaves no constraint.
+
+    The bounds are computed as columns over the grid, bit for bit as one
+    lambda at a time: for each delay t, in schedule order, math.exp maps
+    the grid's -2 lambda t (np.exp's kernels may round differently), and
+    the columns are added left to right, so the sum does not depend on the
+    Python version (sum() of floats compensates from Python 3.12 on). The
+    square root, products, quotients and the cap at 1 are numpy array
+    operations, which round exactly as their scalar forms.
     """
     check_instance(experiment, ExclusionExperiment, "exclusion_limit.experiment")
     if not experiment.null_observation:
@@ -291,10 +317,12 @@ def exclusion_limit(
             "limit: the geometry gives a vanishing mixture signal; no limit can be set"
         )
     root_samples = math.sqrt(experiment.sensor.samples)
-    uppers = []
-    for lam in grid:
-        quadrature_sum = sum(math.exp(-2.0 * lam * t) for t in experiment.delta_t_schedule)
-        snr_per_b = root_samples * mix_norm * math.sqrt(quadrature_sum) / experiment.sensor.sigma
+    with np.errstate(all="ignore"):  # overflow, x / 0 and inf * 0 give what Python's floats give
+        rates = -2.0 * np.array(grid)
+        quadrature_sum = np.zeros(len(grid))
+        for t in experiment.delta_t_schedule:
+            quadrature_sum += np.fromiter(map(math.exp, (rates * t).tolist()), float, len(grid))
+        snr_per_b = root_samples * mix_norm * np.sqrt(quadrature_sum) / experiment.sensor.sigma
         # a signal relaxed below double precision constrains nothing
-        uppers.append(min(1.0, z / snr_per_b) if snr_per_b > 0.0 else 1.0)
-    return LimitResult(grid, tuple(uppers), confidence)
+        uppers = np.where(snr_per_b > 0.0, np.minimum(1.0, z / snr_per_b), 1.0)
+    return LimitResult(grid, tuple(uppers.tolist()), confidence)

@@ -544,7 +544,7 @@ def _union_bound(rows, scale: float) -> tuple[list, list, float]:
     without an array; scale is sqrt(samples) / sigma. Returns the
     separations d_ij = scale * |r_i - r_j| of the _PAIRS in order, the
     per-hypothesis bounds 1 - min(1, sum over j != i of Q(d_ij / 2)),
-    floored at 0, and their mean.
+    floored at 0, and their mean; both sums add their terms left to right.
     """
     separations = []
     tails = [[], [], [], []]  # tails[i] in the order of j, as the pairs come
@@ -555,8 +555,9 @@ def _union_bound(rows, scale: float) -> tuple[list, list, float]:
         tail = _normal_tail(d / 2.0)
         tails[i].append(tail)
         tails[j].append(tail)
-    bounds = [max(0.0, 1.0 - min(1.0, sum(tail))) for tail in tails]
-    return separations, bounds, sum(bounds) / 4
+    # Left to right: sum() of floats compensates from Python 3.12 on.
+    bounds = [max(0.0, 1.0 - min(1.0, a + b + c)) for a, b, c in tails]
+    return separations, bounds, (bounds[0] + bounds[1] + bounds[2] + bounds[3]) / 4
 
 
 def analytic_accuracy(

@@ -106,12 +106,19 @@ def is_list(value) -> bool:
 def check_numbers(values, path: str, **bounds) -> tuple[float, ...]:
     """values as a tuple of floats, element k checked by check_number as path[k].
 
+    A list of plain finite floats is checked in one pass: float(v) is v
+    for each, so its least and greatest elements pass check_number exactly
+    when every element does. Any other list is checked element by element.
     The indexed paths are built only once an element has failed: the check
     then runs again, and raises under the first failing element's path.
     """
     if not is_list(values):
         raise ValidationError(f"{path}: expected a list of numbers, got {values!r}")
     try:
+        if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+            check_number(min(values), path, **bounds)
+            check_number(max(values), path, **bounds)
+            return tuple(values)
         return tuple(check_number(v, path, **bounds) for v in values)
     except ValidationError:
         pass

@@ -3,12 +3,15 @@
 import itertools
 import math
 import re
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gravsim.analysis
 import gravsim.attack
@@ -527,6 +530,59 @@ def test_a_bad_relaxation_rate_is_rejected_before_any_draw(geom, monkeypatch):
     assert scored == []
 
 
+SENSOR_TABLE = gravsim.analysis._sensor_table
+
+
+def test_kept_scoring_table_is_built_once_per_geometry_and_sensor(geom):
+    SENSOR_TABLE.cache_clear()
+    sensor = SensorModel(sigma=1e-11, samples=3)
+    for lam in (0.0, 0.5, 1.0, 2.0):
+        min_detectable_b(lam, 0.3, sensor, geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    info = SENSOR_TABLE.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    # An equal sensor reads the same table; another geometry object or sensor builds its own.
+    min_detectable_b(1.0, 0.3, SensorModel(sigma=1e-11, samples=3), geom, 0.8, mc_rounds=50, seed=2)
+    min_detectable_b(1.0, 0.3, sensor, Geometry(), 0.8, mc_rounds=50, seed=2)
+    min_detectable_b(1.0, 0.3, SensorModel(sigma=1e-11), geom, 0.8, mc_rounds=50, seed=2)
+    info = SENSOR_TABLE.cache_info()
+    assert (info.hits, info.misses) == (4, 3)
+    # The analytic route keeps no table.
+    min_detectable_b(1.0, 0.3, SensorModel(sigma=2e-11), geom, 0.8)
+    assert SENSOR_TABLE.cache_info().misses == 3
+
+
+def test_kept_scoring_table_gives_what_a_fresh_table_gives(geom):
+    sensor = SensorModel(sigma=2e-12, samples=2)
+    other = Geometry(geom.sites, geom.probes, test_mass=2.0)
+    calls = [(lam, 0.2, sensor, g, 0.85) for g in (geom, other) for lam in (0.0, 0.7, 3.0)]
+    SENSOR_TABLE.cache_clear()
+    kept = [min_detectable_b(*call, mc_rounds=300, seed=1) for call in calls]
+    assert SENSOR_TABLE.cache_info().misses == 2
+    fresh = []
+    for call in calls:
+        SENSOR_TABLE.cache_clear()
+        fresh.append(min_detectable_b(*call, mc_rounds=300, seed=1))
+    assert [b.hex() for b in kept] == [b.hex() for b in fresh]
+    # The columns _mc_hits reads are those of the table of the call's own lambda and delta_t.
+    for lam, delta_t, _, g, _ in calls:
+        params = NonlinearParams(lam=lam, delta_t=delta_t)
+        own = gravsim.attack.EveConfig(g, params, sensor, gravsim.attack.EveStrategy())._table
+        table = SENSOR_TABLE(g, sensor)
+        for name in ("count", "sigma", "scale"):
+            assert np.array_equal(getattr(table, name), getattr(own, name))
+
+
+def test_kept_scoring_table_rejects_writes(geom):
+    SENSOR_TABLE.cache_clear()
+    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    table = SENSOR_TABLE(geom, SensorModel())
+    assert SENSOR_TABLE.cache_info().hits == 1
+    for array in table:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_signal_to_noise_formula(geom):
     sensor = SensorModel(sigma=3e-12, samples=4)
     got = signal_to_noise(0.2, 0.5, 2.0, sensor, geom, Bb84Symbol.XP)
@@ -612,6 +668,80 @@ def test_exclusion_limit_halving_noise_halves_the_bound(geom):
     )
     for half, full in zip(fine.b_upper, coarse.b_upper):
         assert half == full / 2.0
+
+
+def scalar_reference_bounds(experiment, grid, confidence):
+    """The bounds of exclusion_limit, one lambda at a time, each sum added left to right."""
+    z = statistics.NormalDist().inv_cdf(confidence)
+    mix_norm = float(np.linalg.norm(experiment.geometry.mix_matrix[experiment.preparation]))
+    root_samples = math.sqrt(experiment.sensor.samples)
+    uppers = []
+    for lam in grid:
+        quadrature_sum = 0.0
+        for t in experiment.delta_t_schedule:
+            quadrature_sum += math.exp(-2.0 * lam * t)
+        snr_per_b = root_samples * mix_norm * math.sqrt(quadrature_sum) / experiment.sensor.sigma
+        uppers.append(min(1.0, z / snr_per_b) if snr_per_b > 0.0 else 1.0)
+    return uppers
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    log10_sigma=st.floats(-323.0, -6.0),
+    samples=st.integers(1, 1000),
+    schedule=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+    grid=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40),
+    preparation=st.sampled_from(list(Bb84Symbol)),
+    confidence=st.floats(0.51, 0.999),
+)
+# Every exp underflows past the first lambda, so the bounds reach the cap at 1.
+@example(
+    log10_sigma=-11.0,
+    samples=1,
+    schedule=[1.0, 2.0],
+    grid=[0.0, 1e3],
+    preparation=Bb84Symbol.Z1,
+    confidence=0.95,
+)
+# A subnormal sigma with several readings: the signal-to-noise overflows to inf, the bound is 0.
+@example(
+    log10_sigma=-323.5,
+    samples=4,
+    schedule=[0.0, 1.0],
+    grid=[0.0, 3.0],
+    preparation=Bb84Symbol.XP,
+    confidence=0.9,
+)
+# Three delays, where sum() of floats differs from Python 3.12 on.
+@example(
+    log10_sigma=math.log10(2.5e-12),
+    samples=1,
+    schedule=[0.5, 1.5, 2.5],
+    grid=[2.25],
+    preparation=Bb84Symbol.Z1,
+    confidence=0.95,
+)
+def test_exclusion_limit_equals_the_scalar_reference(
+    geom, log10_sigma, samples, schedule, grid, preparation, confidence
+):
+    sensor = SensorModel(sigma=max(10.0**log10_sigma, 5e-324), samples=samples)
+    experiment = ExclusionExperiment(sensor, geom, tuple(schedule), preparation)
+    result = exclusion_limit(experiment, grid, confidence)
+    expected = scalar_reference_bounds(experiment, grid, confidence)
+    assert [b.hex() for b in result.b_upper] == [b.hex() for b in expected]
+    assert all(type(b) is float for b in result.b_upper)
+
+
+def test_exclusion_limit_adds_its_delays_left_to_right():
+    # With sum() of floats, Python 3.12 and later give 0.015424954613428483 at lambda = 2.25.
+    config = load_config(
+        '{"session": {"seed": 1}, "limit": {"lambdaGrid": [0.0, 2.25], "deltaTSchedule": [0.5, 1.5, 2.5]}}'
+    )
+    experiment = ExclusionExperiment(
+        config.sensor, config.geometry, config.limit.delta_t_schedule, config.limit.preparation
+    )
+    result = exclusion_limit(experiment, config.limit.lambda_grid, config.limit.confidence)
+    assert result.b_upper[1] == 0.015424954613428484
 
 
 def test_exclusion_limit_from_bundled_null_experiment():

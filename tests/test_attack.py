@@ -458,6 +458,19 @@ def test_analytic_accuracy_at_b0_is_the_same_at_a_subnormal_sigma(geom, sigma):
     assert (est.d_min, est.two_hypothesis_exact) == (0.0, 0.5)
 
 
+def test_analytic_accuracy_adds_its_tails_left_to_right(geom):
+    # With sum() of floats, Python 3.12 and later give 0.013915665666714094
+    # for every bound and for the mean.
+    est = analytic_accuracy(NonlinearParams(b=0.0102), geom, SensorModel())
+    assert est.per_hypothesis == (
+        0.013915665666714094,
+        0.013915665666713983,
+        0.013915665666714094,
+        0.013915665666714094,
+    )
+    assert est.mean == 0.013915665666714067
+
+
 def test_analytic_accuracy_high_separation_bound(geom):
     sensor = SensorModel(sigma=sigma_for_separation(10.0))
     est = analytic_accuracy(NonlinearParams(b=0.1), geom, sensor)

@@ -1,6 +1,7 @@
 """Unit tests for JSON config parsing, overrides, and serialization."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gravsim import (
     serialize_config,
 )
 from gravsim.config import DEFAULT_ROUNDS, DEFAULT_SIGMA
+from gravsim.errors import check_number, check_numbers
 
 
 def minimal(**extra) -> dict:
@@ -366,3 +368,51 @@ def test_load_config_reads_explicit_paths(tmp_path):
     assert cfg.rounds == 9
     cfg = load_config(str(path), rounds=20, seed=1)
     assert (cfg.rounds, cfg.seed) == (20, 1)
+
+
+def per_element_check(values, path, **bounds):
+    """What check_number gives element by element as path[k]: the floats or the message."""
+    try:
+        return tuple(check_number(v, f"{path}[{k}]", **bounds) for k, v in enumerate(values))
+    except ValidationError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, 2.5, 1e300],
+        (0.5,),
+        [-0.0, 5e-324],
+        [],
+        [0, 3, 10**400],
+        [1, 2.5],
+        np.array([0.0, 1.5, 3.0]),
+        np.array([2, 1]),
+        [np.float64(0.25), np.int64(3), np.float32(0.5)],
+        [0.5, math.nan],
+        [math.inf, 1.0],
+        [1.0, -math.inf],
+        [True, 1.0],
+        [1.0, np.bool_(False)],
+        [1.0, -1.0, math.nan],
+        [0.5, 2.0, -3.0],
+        [1.0, "2"],
+        [1.0, None],
+    ],
+)
+@pytest.mark.parametrize(
+    "bounds",
+    [{}, {"low": 0.0}, {"above": 0.0}, {"low": 0.0, "high": 2.5}, {"above": 0.5, "below": 3.0}],
+)
+def test_check_numbers_gives_what_check_number_gives_per_element(values, bounds):
+    expected = per_element_check(values, "limit.lambdaGrid", **bounds)
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as error:
+            check_numbers(values, "limit.lambdaGrid", **bounds)
+        assert str(error.value) == expected
+    else:
+        got = check_numbers(values, "limit.lambdaGrid", **bounds)
+        assert type(got) is tuple
+        assert [type(v) for v in got] == [float] * len(expected)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
