@@ -19,10 +19,7 @@ import numpy as np
 
 from .attack import (
     CHANCE_LEVEL,
-    EveConfig,
-    EveStrategy,
     SensorModel,
-    _AttackTable,
     _check_table,
     _mc_hits,
     _mc_trials,
@@ -107,10 +104,10 @@ def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trial
     their critical amplitudes (attack._critical_amplitudes) on the plane
     alone, so a scan over lambda scores every candidate of step k on one
     draw and its critical amplitudes, computed and sorted once:
-    attack._mc_hits counts the amplitudes below the candidate's rounding
-    band by binary search, or runs the kernel on every trial when the band
-    holds one or no decision can be certain. The arrays are sorted before
-    they are made read-only. Keyed by (seed, step, mc_rounds, geom), the
+    attack._mc_hits, given the call's sensor, counts the amplitudes below
+    the candidate's rounding band by binary search, or runs the kernel on
+    every trial when the band holds one or no decision can be certain. The
+    arrays are sorted before they are made read-only. Keyed by (seed, step, mc_rounds, geom), the
     geometry object whose plane the amplitudes use.
     16 entries hold one bisection at the default tolerance, the b = 1 probe
     and 14 halvings, in at most 16.5 MiB up to _CACHED_TRIALS_MAX trials.
@@ -120,21 +117,6 @@ def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trial
         if array is not None:
             array.setflags(write=False)
     return trials
-
-
-@functools.lru_cache(maxsize=8)
-def _sensor_table(geom: Geometry, sensor: SensorModel) -> _AttackTable:
-    """The read-only EveConfig table whose count, sigma and scale _mc_hits reads, per sensor.
-
-    _mc_hits takes each candidate's decay itself and reads nothing else of
-    the table, which therefore depends on neither lambda nor delta_t: a
-    lambda scan builds it once. Keyed by (geom, sensor), the geometry
-    object and the sensor's values.
-    """
-    table = EveConfig(geom, NonlinearParams(), sensor, EveStrategy())._table
-    for array in table:
-        array.setflags(write=False)
-    return table
 
 
 def min_detectable_b(
@@ -165,10 +147,9 @@ def min_detectable_b(
     b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When the rounding
     band about it holds a trial's critical amplitude, or covers every trial
     (at b = 0 and wherever no decision can be certain), the kernel scores
-    every trial instead, and the count is the kernel's bit for bit. The
-    sensor's count, sigma and scale come from one read-only attack table
-    kept per (geom, sensor) (_sensor_table): the table does not depend on
-    lambda or delta_t, so a scan builds it once.
+    every trial instead, against the residuals decay * geom.plane, and the
+    count is the kernel's bit for bit. _mc_hits computes the sensor's count,
+    sigma and scale from the SensorModel itself.
     Analytic candidates scale the rows of geom.plane, read as floats once
     per call, and take the union bound on plain floats
     (attack._union_bound). Arguments are checked once, and a candidate b is
@@ -191,11 +172,10 @@ def min_detectable_b(
 
     relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
-        table = _sensor_table(geom, sensor)
         draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
 
         def score(b: float, step: int) -> float:
-            return _mc_hits(table, b * relax, draw(seed, step, mc_rounds, geom)) / mc_rounds
+            return _mc_hits(sensor, b * relax, draw(seed, step, mc_rounds, geom)) / mc_rounds
 
     else:
         scale = math.sqrt(sensor.samples) / sensor.sigma
@@ -279,7 +259,7 @@ def signal_to_noise(
     factor = decay_factor(NonlinearParams(b=b, lam=lam, delta_t=delta_t))
     check_instance(sensor, SensorModel, "signal_to_noise.sensor")
     check_instance(geom, Geometry, "signal_to_noise.geom")
-    mix = geom.mix_matrix[as_symbol(preparation, "limit.preparation")]
+    mix = geom.mix_matrix[as_symbol(preparation, "signal_to_noise.preparation")]
     return math.sqrt(sensor.samples) * (factor * float(np.linalg.norm(mix))) / sensor.sigma
 
 

@@ -125,8 +125,9 @@ class EveConfig:
         A field the columns give takes one value per row, every other one
         this configuration's own; a name not in fields fails to unpack. A
         row's residuals are its decay b * exp(-lam * delta_t), formed as
-        decay_factor forms it, times geometry.plane. Its count is the float
-        of samples, so a count beyond int64 runs as any other.
+        decay_factor forms it, times geometry.plane, with their _offsets and
+        reach, their largest |component|. Its count is the float of samples,
+        so a count beyond int64 runs as any other.
         """
         fields = {
             "b": self.params.b,
@@ -146,11 +147,14 @@ class EveConfig:
             for b, lam, t, n, s, m, tau, f, bf in zip(*values.values(), strict=True)
         ]
         decay, count, sigma, scale, resend_from, fraction, born = np.array(rows).T
+        residuals = decay[:, np.newaxis, np.newaxis] * self.geometry.plane
         return _AttackTable(
-            **_decay_columns(decay, count, self.geometry.plane),
+            residuals=residuals,
+            offsets=_offsets(residuals, count[:, np.newaxis]),
             count=count,
             sigma=sigma,
             scale=scale,
+            reach=np.abs(residuals).max(axis=(1, 2)),
             born=born.astype(np.intp),
             resend_from=resend_from,
             fraction=fraction,
@@ -260,7 +264,8 @@ def _check_scores(span: float, reach: float, count: float, sigma: float, dim: in
 class _AttackTable(NamedTuple):
     """Eve's constants for P EveConfigs, stacked on axis 0 for _attack_batch.
 
-    Every table comes from EveConfig._columns; _mc_hits reads only count, sigma and scale.
+    Every table comes from EveConfig._columns and serves the session engine
+    and cloning_fidelity; Monte Carlo reads the sensor itself (_mc_hits).
     Row p holds the constants of configuration p, so that a round gathering
     row p is scored bit for bit as in a batch of that configuration alone:
     residuals decay * geom.plane (P, 4, 2), with decay the decay_factor of
@@ -289,20 +294,6 @@ class _AttackTable(NamedTuple):
 _RESEND_FROM = {StrategyMode.CLONE_INFERRED: -math.inf, StrategyMode.RESEND_MEASURED: math.inf}
 
 
-def _decay_columns(decay, count, plane) -> dict:
-    """The _AttackTable columns that depend on the amplitude, for P rows of decay and count (P,).
-
-    residuals are decay * plane (P, 4, 2), offsets their _offsets (P, 4)
-    and reach their largest |component| (P,).
-    """
-    residuals = decay[:, np.newaxis, np.newaxis] * plane
-    return {
-        "residuals": residuals,
-        "offsets": _offsets(residuals, count[:, np.newaxis]),
-        "reach": np.abs(residuals).max(axis=(1, 2)),
-    }
-
-
 def _gather(values, at) -> np.ndarray:
     """Rows `at` of an _AttackTable column, with the row axis moved last.
 
@@ -323,8 +314,8 @@ def _plane_statistic(table, at, truth, normals) -> np.ndarray:
     projected on the plane, is count * residuals[truth] plus noise of
     standard deviation sigma * sqrt(count) per axis, and the scores depend
     on the readings through that projection alone. Callers first check the
-    table with _check_table, or its rule for one row (_mc_hits), for an
-    extent no normal exceeds.
+    table with _check_table for an extent no normal exceeds. _mc_hits forms
+    the same statistic from a sensor and its shared residuals.
     """
     # Row 4p + h of the flattened residuals is hypothesis h of setting p.
     residuals = table.residuals.reshape(-1, 2).T.take(4 * at + truth, axis=1)
@@ -697,28 +688,30 @@ def _rounding_band(
     return x - tol, x + tol
 
 
-def _mc_hits(table: _AttackTable, decay: float, trials: _Trials) -> int:
-    """How many trials the classifier at amplitude decay, on row 0's sensor, gets right.
+def _mc_hits(sensor: SensorModel, decay: float, trials: _Trials) -> int:
+    """How many trials the classifier at amplitude decay, on the sensor, gets right.
 
-    The table is an EveConfig table, of any strategy: the classifier reads
-    its count, sigma and scale, never its amplitude columns or born,
-    resend_from or fraction; decay (>= 0, a float) is the candidate's, and
-    its residuals decay * trials.plane. The overflow check is _check_table's
-    on those residuals, from the scalar reach decay * trials.reach, which
-    equals their largest |component| bit for bit (rounding is monotone), so
-    it raises the same error at the same candidate. Then, when the rounding
-    band holds no critical amplitude, a trial whose amplitude lies below it
-    is a hit and one above it a miss, counted by binary search in the
-    sorted amplitudes. Otherwise, or where no decision can be certain
-    (_rounding_band None: x is 0 or not finite, two plane rows coincide, or
-    the scores lie within 2**-900 of underflow), the kernel scores every
-    trial, on the residuals' _decay_columns. It samples each statistic from
-    its Gaussian law in the plane of the hypotheses and scores it
-    hypothesis-major, as a (2, n) statistic and (4, n) logits, and ties are
-    broken by the trials' uniforms. Every trial's decision, and so the
-    count, is the kernel's bit for bit.
+    decay (>= 0, a float) is the candidate's, and its residuals decay *
+    trials.plane. The sensor gives count = float(samples), sigma and scale =
+    sigma * sqrt(samples), the numbers EveConfig._columns computes. The
+    overflow check is _check_table's on those residuals, from the scalar
+    reach decay * trials.reach, which equals their largest |component| bit
+    for bit (rounding is monotone), so it raises the same error at the same
+    candidate. Then, when the rounding band holds no critical amplitude, a
+    trial whose amplitude lies below it is a hit and one above it a miss,
+    counted by binary search in the sorted amplitudes. Otherwise, or where
+    no decision can be certain (_rounding_band None: x is 0 or not finite,
+    two plane rows coincide, or the scores lie within 2**-900 of underflow),
+    the kernel scores every trial against the shared (4, 2) residuals. It
+    samples each statistic from its Gaussian law in the plane of the
+    hypotheses, count * residuals[truth] + scale * normals as
+    _plane_statistic forms it, and scores it hypothesis-major, as a (2, n)
+    statistic and (4, n) logits, and ties are broken by the trials'
+    uniforms. Every trial's decision, and so the count, is the kernel's bit
+    for bit.
     """
-    count, sigma, scale = table.count[0].item(), table.sigma[0].item(), table.scale[0].item()
+    count, sigma = float(sensor.samples), sensor.sigma
+    scale = sigma * math.sqrt(sensor.samples)
     reach = decay * trials.reach
     _check_scores(count * reach + scale * trials.extent, reach, count, sigma, 2)
     band = _rounding_band(decay, count, sigma, trials)
@@ -726,10 +719,9 @@ def _mc_hits(table: _AttackTable, decay: float, trials: _Trials) -> int:
         hits = int(trials.critical.searchsorted(band[0], "left"))
         if trials.critical.searchsorted(band[1], "right") == hits:
             return hits
-    table = table._replace(**_decay_columns(np.array([decay]), table.count, trials.plane))
-    statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
-    residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
-    logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
+    residuals = decay * trials.plane
+    statistic = count * residuals.T.take(trials.truths, axis=1) + scale * trials.normals
+    logits = _logits(statistic, residuals, _offsets(residuals, count)[:, np.newaxis], sigma, 0.0)
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
     return int(np.count_nonzero(chosen == trials.truths))
 
@@ -750,18 +742,20 @@ def monte_carlo_accuracy(
     random. Draw order from `rng`, which must be a numpy Generator:
     rng.integers(4, n) for the truths, an (n, 2) standard normal block for
     the noise in the plane and n uniforms for the tie-breaks. _mc_hits
-    counts the hits at decay_factor(params), from the trials' critical
-    amplitudes on the plane, or by the kernel on every trial when one of
-    them lies within the rounding band; the kernel scores hypothesis-major,
-    the transposed noise as a (2, n) statistic and (4, n) logits. The
-    accuracy is the count over n, which is bit for bit the mean of the
-    kernel's hits.
+    counts the hits at decay_factor(params) on the sensor's readings, from
+    the trials' critical amplitudes on the plane, or by the kernel on every
+    trial when one of them lies within the rounding band; the kernel scores
+    hypothesis-major, the transposed noise as a (2, n) statistic and (4, n)
+    logits against the residuals decay * geom.plane. The accuracy is the
+    count over n, which is bit for bit the mean of the kernel's hits.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     rng = check_generator(rng, "monte_carlo_accuracy.rng")
-    table = EveConfig(geom, params, sensor, EveStrategy())._table
+    check_instance(params, NonlinearParams, "monte_carlo_accuracy.params")
+    check_instance(geom, Geometry, "monte_carlo_accuracy.geom")
+    check_instance(sensor, SensorModel, "monte_carlo_accuracy.sensor")
     trials = _mc_trials(rng, n_trials, geom.plane)
-    return _mc_hits(table, decay_factor(params), trials) / n_trials
+    return _mc_hits(sensor, decay_factor(params), trials) / n_trials
 
 
 def cloning_fidelity(

@@ -530,59 +530,6 @@ def test_a_bad_relaxation_rate_is_rejected_before_any_draw(geom, monkeypatch):
     assert scored == []
 
 
-SENSOR_TABLE = gravsim.analysis._sensor_table
-
-
-def test_kept_scoring_table_is_built_once_per_geometry_and_sensor(geom):
-    SENSOR_TABLE.cache_clear()
-    sensor = SensorModel(sigma=1e-11, samples=3)
-    for lam in (0.0, 0.5, 1.0, 2.0):
-        min_detectable_b(lam, 0.3, sensor, geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
-    info = SENSOR_TABLE.cache_info()
-    assert (info.hits, info.misses) == (3, 1)
-    # An equal sensor reads the same table; another geometry object or sensor builds its own.
-    min_detectable_b(1.0, 0.3, SensorModel(sigma=1e-11, samples=3), geom, 0.8, mc_rounds=50, seed=2)
-    min_detectable_b(1.0, 0.3, sensor, Geometry(), 0.8, mc_rounds=50, seed=2)
-    min_detectable_b(1.0, 0.3, SensorModel(sigma=1e-11), geom, 0.8, mc_rounds=50, seed=2)
-    info = SENSOR_TABLE.cache_info()
-    assert (info.hits, info.misses) == (4, 3)
-    # The analytic route keeps no table.
-    min_detectable_b(1.0, 0.3, SensorModel(sigma=2e-11), geom, 0.8)
-    assert SENSOR_TABLE.cache_info().misses == 3
-
-
-def test_kept_scoring_table_gives_what_a_fresh_table_gives(geom):
-    sensor = SensorModel(sigma=2e-12, samples=2)
-    other = Geometry(geom.sites, geom.probes, test_mass=2.0)
-    calls = [(lam, 0.2, sensor, g, 0.85) for g in (geom, other) for lam in (0.0, 0.7, 3.0)]
-    SENSOR_TABLE.cache_clear()
-    kept = [min_detectable_b(*call, mc_rounds=300, seed=1) for call in calls]
-    assert SENSOR_TABLE.cache_info().misses == 2
-    fresh = []
-    for call in calls:
-        SENSOR_TABLE.cache_clear()
-        fresh.append(min_detectable_b(*call, mc_rounds=300, seed=1))
-    assert [b.hex() for b in kept] == [b.hex() for b in fresh]
-    # The columns _mc_hits reads are those of the table of the call's own lambda and delta_t.
-    for lam, delta_t, _, g, _ in calls:
-        params = NonlinearParams(lam=lam, delta_t=delta_t)
-        own = gravsim.attack.EveConfig(g, params, sensor, gravsim.attack.EveStrategy())._table
-        table = SENSOR_TABLE(g, sensor)
-        for name in ("count", "sigma", "scale"):
-            assert np.array_equal(getattr(table, name), getattr(own, name))
-
-
-def test_kept_scoring_table_rejects_writes(geom):
-    SENSOR_TABLE.cache_clear()
-    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
-    table = SENSOR_TABLE(geom, SensorModel())
-    assert SENSOR_TABLE.cache_info().hits == 1
-    for array in table:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-
-
 def test_signal_to_noise_formula(geom):
     sensor = SensorModel(sigma=3e-12, samples=4)
     got = signal_to_noise(0.2, 0.5, 2.0, sensor, geom, Bb84Symbol.XP)

@@ -263,11 +263,11 @@ BOUNDARY = [
     ("min_detectable_b.sensor (Monte Carlo)", "min_detectable_b.sensor",
      lambda v: min_detectable_b(0.0, 0.0, v, GEOM, 0.8, tolerance=0.1, mc_rounds=20),
      SENSOR, PART + (GEOM,)),
-    ("monte_carlo_accuracy.params", "nonlinear",
+    ("monte_carlo_accuracy.params", "monte_carlo_accuracy.params",
      lambda v: monte_carlo_accuracy(v, GEOM, SENSOR, 10, rng()), BASE.nonlinear, PART + (SENSOR,)),
-    ("monte_carlo_accuracy.geom", "geometry",
+    ("monte_carlo_accuracy.geom", "monte_carlo_accuracy.geom",
      lambda v: monte_carlo_accuracy(BASE.nonlinear, v, SENSOR, 10, rng()), GEOM, PART),
-    ("monte_carlo_accuracy.sensor", "sensor",
+    ("monte_carlo_accuracy.sensor", "monte_carlo_accuracy.sensor",
      lambda v: monte_carlo_accuracy(BASE.nonlinear, GEOM, v, 10, rng()),
      SENSOR, PART + (BASE.nonlinear,)),
     ("analytic_accuracy.params", "analytic_accuracy.params",
@@ -309,7 +309,7 @@ BOUNDARY = [
      lambda v: signal_to_noise(0.1, 0.0, 0.0, v, GEOM), SENSOR, PART + (GEOM,)),
     ("signal_to_noise.geom", "signal_to_noise.geom",
      lambda v: signal_to_noise(0.1, 0.0, 0.0, SENSOR, v), GEOM, PART + (SENSOR,)),
-    ("signal_to_noise.preparation", "limit.preparation",
+    ("signal_to_noise.preparation", "signal_to_noise.preparation",
      lambda v: signal_to_noise(0.1, 0.0, 0.0, SENSOR, GEOM, v), np.int64(1), SYMBOL),
     ("ExclusionExperiment.preparation", "limit.preparation",
      lambda v: ExclusionExperiment(SENSOR, GEOM, (1.0,), preparation=v), np.int64(1), SYMBOL),

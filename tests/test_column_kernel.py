@@ -10,14 +10,16 @@ entirely. Any NaN counts as equal to any NaN. _logits must give, bit for
 bit, the transpose of what the same kernel written for rounds of (n, dim)
 statistics (the einsum "...d,...hd->...h") gives, and Monte Carlo hits
 (scored with a 0.0 prior) must count what its logits choose. _mc_hits
-counts trials from their critical amplitudes, or runs the kernel on every
-trial when its rounding band holds one, so its count must equal the
-kernel's on skewed planes, at any sigma and sample count, at amplitudes
-placed on a trial's critical amplitude and one ulp of the decay either
-side, with an end of the band exactly on one, and where the band covers
-every trial; the kernel must run at most once, on every trial, exactly
-when the band holds a trial or covers them all, and a setting whose scores
-overflow must raise _check_table's message.
+takes the sensor and forms the statistic itself; it counts trials from
+their critical amplitudes, or runs the kernel on every trial when its
+rounding band holds one, so its count must equal that of the engine's
+table route (_plane_statistic on an _AttackTable row) on skewed planes,
+at any sigma and sample count, at amplitudes placed on a trial's critical
+amplitude and one ulp of the decay either side, with an end of the band
+exactly on one, and where the band covers every trial; the kernel must run
+at most once, on every trial and on the engine's statistic bit for bit,
+exactly when the band holds a trial or covers them all, and a setting
+whose scores overflow must raise _check_table's message.
 """
 
 import math
@@ -44,13 +46,13 @@ from gravsim import (
 from gravsim.attack import (
     _break_ties,
     _check_table,
-    _decay_columns,
     _gather,
     _hmax,
     _hsum,
     _logits,
     _mc_hits,
     _mc_trials,
+    _offsets,
     _plane_statistic,
     _rounding_band,
 )
@@ -235,7 +237,7 @@ def test_logits_of_one_full_field_row_equal_the_row_major_kernel(data, dim, sigm
 
 
 def kernel_hits(table, trials) -> int:
-    """Hits of row 0 of table on every trial, each scored by the kernel itself."""
+    """Hits of row 0 of table on every trial, each scored by the kernel on the engine's route."""
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
     logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
@@ -260,11 +262,28 @@ def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     elif sigma == 1e-170:
         assert (logits == -np.inf).any()  # scores below the best overflow to -inf
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
-    hits = _mc_hits(table, decay_factor(params), trials)
+    hits = _mc_hits(sensor, decay_factor(params), trials)
     assert hits == np.count_nonzero(chosen == trials.truths) == kernel_hits(table, trials)
+    row = table_row(sensor, decay_factor(params), geom.plane)  # the engine's own table
+    assert all(np.array_equal(a, b) for a, b in zip(row, table, strict=True))
     if b > 0.0:  # a hit is a trial whose critical amplitude lies below x, in noise units
         x = decay_factor(params) * np.sqrt(table.count[0]) / table.sigma[0]
         assert hits == np.count_nonzero(trials.critical < x)
+
+
+def table_row(sensor, decay, plane):
+    """An engine table of one row on the sensor whose residuals are decay * plane, for any plane.
+
+    The amplitude columns are formed as EveConfig._columns forms them from
+    its geometry's plane.
+    """
+    table = EveConfig(Geometry(), NonlinearParams(), sensor, EveStrategy())._table
+    residuals = np.array([decay])[:, np.newaxis, np.newaxis] * plane
+    return table._replace(
+        residuals=residuals,
+        offsets=_offsets(residuals, table.count[:, np.newaxis]),
+        reach=np.abs(residuals).max(axis=(1, 2)),
+    )
 
 
 def plane_of(first, second) -> np.ndarray:
@@ -382,22 +401,23 @@ def at_end(index, toward):
 def test_monte_carlo_hits_are_the_kernel_count_on_every_setting(case):
     plane, trials, sigma, samples, decay = case
     sensor = SensorModel(sigma=sigma, samples=samples)
-    table = EveConfig(Geometry(), NonlinearParams(), sensor, EveStrategy())._table
-    table = table._replace(**_decay_columns(np.array([decay]), table.count, plane))
+    table = table_row(sensor, decay, plane)
     try:
         _check_table(table, trials.extent)
     except ValidationError as error:  # the scores overflow: the kernel is never run
         with pytest.raises(ValidationError, match=f"^{re.escape(str(error))}$"):
-            _mc_hits(table, decay, trials)
+            _mc_hits(sensor, decay, trials)
         return
-    with mock.patch.object(gravsim.attack, "_plane_statistic", wraps=_plane_statistic) as kernel:
-        hits = _mc_hits(table, decay, trials)
+    with mock.patch.object(gravsim.attack, "_logits", wraps=_logits) as kernel:
+        hits = _mc_hits(sensor, decay, trials)
     assert hits == kernel_hits(table, trials)
-    # The kernel runs once, on every trial, exactly when the band holds a trial or is None.
+    # The kernel runs once, on every trial, exactly when the band holds a trial or is None,
+    # on the engine's statistic bit for bit.
     band = _rounding_band(decay, float(samples), sensor.sigma, trials)
     held = band is None or bool(
         ((band[0] <= trials.critical) & (trials.critical <= band[1])).any()
     )
-    scored = [call.args[3] for call in kernel.call_args_list]
+    scored = [call.args[0] for call in kernel.call_args_list]
     assert len(scored) == held
-    assert all(np.array_equal(normals, trials.normals) for normals in scored)
+    engine = _plane_statistic(table, 0, trials.truths, trials.normals)
+    assert all(np.array_equal(bits(statistic), bits(engine)) for statistic in scored)
