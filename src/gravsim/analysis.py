@@ -21,6 +21,7 @@ from .attack import (
     CHANCE_LEVEL,
     SensorModel,
     _check_table,
+    _geometry_plane,
     _mc_hits,
     _mc_trials,
     _Trials,
@@ -103,16 +104,17 @@ def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trial
     The draws depend on neither the amplitude nor the setting scored, and
     their critical amplitudes (attack._critical_amplitudes) on the plane
     alone, so a scan over lambda scores every candidate of step k on one
-    draw and its critical amplitudes, computed and sorted once:
-    attack._mc_hits, given the call's sensor, counts the amplitudes below
-    the candidate's rounding band by binary search, or runs the kernel on
-    every trial when the band holds one or no decision can be certain. The
+    draw and its critical amplitudes, computed from the geometry's _Plane
+    (attack._geometry_plane) and sorted once: attack._mc_hits, given the
+    call's sensor and that _Plane, counts the amplitudes below the
+    candidate's rounding band by binary search, or runs the kernel on every
+    trial when the band holds one or no decision can be certain. The
     arrays are sorted before they are made read-only. Keyed by (seed, step, mc_rounds, geom), the
     geometry object whose plane the amplitudes use.
     16 entries hold one bisection at the default tolerance, the b = 1 probe
     and 14 halvings, in at most 16.5 MiB up to _CACHED_TRIALS_MAX trials.
     """
-    trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds, geom.plane)
+    trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds, _geometry_plane(geom))
     for array in (trials.truths, trials.normals, trials.ties, trials.critical):
         if array is not None:
             array.setflags(write=False)
@@ -141,18 +143,23 @@ def min_detectable_b(
     the calls of a lambda scan share both: up to mc_rounds = 2**15, the 16
     steps drawn last are kept with their critical amplitudes, sorted,
     keyed by (seed, k, mc_rounds, geom), in at most 16.5 MiB (1.1 MB at
-    2000 trials). A candidate is then scalar work (attack._mc_hits): an
-    overflow check on floats and a binary search for the trials whose
-    critical amplitude lies below its amplitude in noise units,
-    b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When the rounding
-    band about it holds a trial's critical amplitude, or covers every trial
-    (at b = 0 and wherever no decision can be certain), the kernel scores
-    every trial instead, against the residuals decay * geom.plane, and the
-    count is the kernel's bit for bit. _mc_hits computes the sensor's count,
-    sigma and scale from the SensorModel itself.
-    Analytic candidates scale the rows of geom.plane, read as floats once
-    per call, and take the union bound on plain floats
-    (attack._union_bound). Arguments are checked once, and a candidate b is
+    2000 trials). What depends on the plane alone (attack._Plane: the
+    critical-amplitude weights, pmax, dmin and the reach) is built once
+    per geometry (attack._geometry_plane), so a step only draws, gathers
+    the weights by truth and sorts. A candidate is then scalar work
+    (attack._mc_hits): an overflow check on floats and a binary search
+    for the trials whose critical amplitude lies below its amplitude in
+    noise units, b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When
+    the rounding band about it holds a trial's critical amplitude, or
+    covers every trial (at b = 0 and wherever no decision can be certain),
+    the kernel scores every trial instead, against the residuals decay *
+    geom.plane, and the count is the kernel's bit for bit. _mc_hits
+    computes the sensor's count, sigma and scale from the SensorModel
+    itself.
+    An analytic candidate passes its decay and the rows of geom.plane,
+    read as floats once per call, to analytic_accuracy's union-bound core
+    (attack._union_bound), so it scores analytic_accuracy's mean at its b
+    bit for bit. Arguments are checked once, and a candidate b is
     scored from the constants of the call: its decay is b * exp(-lambda *
     delta_t), the product decay_factor forms. Returns the upper bracket end
     (the smallest b found with accuracy >= target within tolerance), or None
@@ -173,17 +180,18 @@ def min_detectable_b(
     relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
         draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
+        plane = _geometry_plane(geom)
 
         def score(b: float, step: int) -> float:
-            return _mc_hits(sensor, b * relax, draw(seed, step, mc_rounds, geom)) / mc_rounds
+            trials = draw(seed, step, mc_rounds, geom)
+            return _mc_hits(sensor, b * relax, plane, trials) / mc_rounds
 
     else:
         scale = math.sqrt(sensor.samples) / sensor.sigma
         rows = geom.plane.tolist()
 
         def score(b: float, step: int) -> float:
-            decay = b * relax
-            return _union_bound([[decay * u, decay * v] for u, v in rows], scale)[2]
+            return _union_bound(b * relax, rows, scale)[2]
 
     if score(1.0, 0) < target_accuracy:
         return None

@@ -18,7 +18,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -518,36 +518,52 @@ class AccuracyEstimate:
     two_hypothesis_exact: float
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _normal_tail(x: float) -> float:
     """Standard normal upper tail Q(x) = 1 - Phi(x), accurate in both tails."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 # The hypothesis pairs (i, j), i < j, in order.
 _PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 
-def _union_bound(rows, scale: float) -> tuple[list, list, float]:
-    """The union bound of analytic_accuracy on the four plane residuals, unchecked.
+def _union_bound(decay: float, rows, scale: float) -> tuple[list, list, float]:
+    """The union bound of analytic_accuracy on the plane residuals decay * rows, unchecked.
 
-    rows holds the (4, 2) plane residuals as four [x, y] lists of Python
-    floats, so a caller that scales a plane per candidate forms them
-    without an array; scale is sqrt(samples) / sigma. Returns the
+    rows holds the (4, 2) plane as four [x, y] pairs of Python floats and
+    scale is sqrt(samples) / sigma; each residual coordinate is decay times
+    the plane's, as numpy's decay * plane rounds it. Returns the
     separations d_ij = scale * |r_i - r_j| of the _PAIRS in order, the
     per-hypothesis bounds 1 - min(1, sum over j != i of Q(d_ij / 2)),
-    floored at 0, and their mean; both sums add their terms left to right.
+    floored at 0, and their mean. |r_i - r_j| is math.hypot of the
+    coordinate differences, bit for bit math.dist, and Q(d / 2) is
+    _normal_tail's 0.5 * erfc(d / 2 / sqrt(2)). Both sums add their terms
+    left to right: sum() of floats compensates from Python 3.12 on.
     """
-    separations = []
-    tails = [[], [], [], []]  # tails[i] in the order of j, as the pairs come
-    for i, j in _PAIRS:
-        distance = math.dist(rows[i], rows[j])
-        d = scale * distance if distance else 0.0  # scale may be inf at a subnormal sigma
-        separations.append(d)
-        tail = _normal_tail(d / 2.0)
-        tails[i].append(tail)
-        tails[j].append(tail)
-    # Left to right: sum() of floats compensates from Python 3.12 on.
-    bounds = [max(0.0, 1.0 - min(1.0, a + b + c)) for a, b, c in tails]
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = rows
+    x0, y0, x1, y1 = decay * x0, decay * y0, decay * x1, decay * y1
+    x2, y2, x3, y3 = decay * x2, decay * y2, decay * x3, decay * y3
+    separations = [
+        scale * distance if distance else 0.0  # scale may be inf at a subnormal sigma
+        for distance in (
+            math.hypot(x0 - x1, y0 - y1),
+            math.hypot(x0 - x2, y0 - y2),
+            math.hypot(x0 - x3, y0 - y3),
+            math.hypot(x1 - x2, y1 - y2),
+            math.hypot(x1 - x3, y1 - y3),
+            math.hypot(x2 - x3, y2 - y3),
+        )
+    ]
+    t01, t02, t03, t12, t13, t23 = [0.5 * math.erfc(d / 2.0 / _SQRT2) for d in separations]
+    bounds = [
+        max(0.0, 1.0 - min(1.0, t01 + t02 + t03)),
+        max(0.0, 1.0 - min(1.0, t01 + t12 + t13)),
+        max(0.0, 1.0 - min(1.0, t02 + t12 + t23)),
+        max(0.0, 1.0 - min(1.0, t03 + t13 + t23)),
+    ]
     return separations, bounds, (bounds[0] + bounds[1] + bounds[2] + bounds[3]) / 4
 
 
@@ -560,9 +576,11 @@ def analytic_accuracy(
     hypothesis residuals feed a union bound: the accuracy for true hypothesis
     i is at least 1 - min(1, sum over j != i of Q(d_ij / 2)), with Q the
     standard normal tail. The residuals differ only within the plane of
-    geom.plane, so |r_i - r_j| is taken there, with math.dist, which cannot
-    overflow. Opposite sides of their parallelogram are equally long, so
-    the closest pair is a tie; the later pair in (i, j) order is reported.
+    geom.plane, so |r_i - r_j| is taken there, with math.hypot, which
+    cannot overflow, by the union-bound core _union_bound that
+    min_detectable_b's candidates share. Opposite sides of their
+    parallelogram are equally long, so the closest pair is a tie; the
+    later pair in (i, j) order is reported.
     All separations are zero in the degenerate decay_factor = 0 case, where
     the bound collapses to 0 and only the chance level 1/4 remains
     informative.
@@ -571,8 +589,7 @@ def analytic_accuracy(
     check_instance(geom, Geometry, "analytic_accuracy.geom")
     check_instance(sensor, SensorModel, "analytic_accuracy.sensor")
     scale = math.sqrt(sensor.samples) / sensor.sigma
-    residuals = (decay_factor(params) * geom.plane).tolist()
-    separations, bounds, mean = _union_bound(residuals, scale)
+    separations, bounds, mean = _union_bound(decay_factor(params), geom.plane.tolist(), scale)
     closest = min(reversed(range(len(_PAIRS))), key=separations.__getitem__)  # the later on a tie
     d_min, (a, b) = separations[closest], _PAIRS[closest]
     return AccuracyEstimate(
@@ -585,74 +602,101 @@ def analytic_accuracy(
     )
 
 
-class _Trials(NamedTuple):
-    """One batch of Monte Carlo classifier trials on a plane, as _mc_trials draws it.
+class _Plane(NamedTuple):
+    """A (4, 2) plane with the constants its Monte Carlo trials share, from _plane_constants.
 
-    truths holds the n true hypotheses as int8, normals the (2, n) plane
-    noise (row k is plane axis k), ties n tie-break uniforms, and extent
-    the largest |normal|, for the overflow check. plane is the (4, 2) plane
-    the trials are scored on and reach its largest |component|, the reach
-    of a unit decay. critical holds the trials' critical amplitudes on the
-    plane (_critical_amplitudes) in ascending order, not in the order of
-    the draws, or is None when the plane leaves no decision certain; pmax
-    is the plane's largest row and dmin its smallest distance between two
-    rows.
+    rows is the plane P itself, the residuals of a unit decay, and reach
+    its largest |component|, the reach of a unit decay; pmax is its largest
+    row and dmin its smallest distance between two rows. weights holds the
+    critical-amplitude weights -2 (P_t - P_h) / |P_t - P_h|^2, read-only and
+    laid out (3, 2, 4) for the gather by truth: [k, :, t] for the k-th
+    hypothesis h != t. weights is None when the plane leaves no decision
+    certain: two rows coincide, or a squared row distance leaves the normal
+    range of doubles.
     """
 
-    truths: np.ndarray
-    normals: np.ndarray
-    ties: np.ndarray
-    extent: float
-    plane: np.ndarray
+    rows: np.ndarray
     reach: float
-    critical: np.ndarray | None
     pmax: float
     dmin: float
+    weights: np.ndarray | None
 
 
 # The hypotheses other than each true one, (4, 3): row t lists h != t in order.
 _OTHERS = np.array([[h for h in range(4) if h != t] for t in range(4)])
 
 
-def _critical_amplitudes(truths, normals, plane) -> tuple[np.ndarray | None, float, float]:
-    """Each trial's critical amplitude on the (4, 2) plane P, with the plane's pmax and dmin.
+def _plane_constants(plane) -> _Plane:
+    """The _Plane of the (4, 2) plane; _geometry_plane keeps one per geometry."""
+    rows = plane.tolist()
+    pmax = max(math.hypot(*row) for row in rows)
+    dmin = min(math.dist(rows[i], rows[j]) for i, j in _PAIRS)
+    weights = None
+    if sys.float_info.min <= dmin * dmin and 4.0 * pmax * pmax < math.inf:
+        differences = plane[:, np.newaxis] - plane[_OTHERS]  # P_t - P_h, (4, 3, 2)
+        weights = -2.0 * differences / (differences * differences).sum(axis=-1, keepdims=True)
+        weights = np.ascontiguousarray(weights.transpose(1, 2, 0))
+        weights.setflags(write=False)
+    return _Plane(plane, float(np.abs(plane).max()), pmax, dmin, weights)
+
+
+@lru_cache(maxsize=16)
+def _geometry_plane(geom: Geometry) -> _Plane:
+    """The _Plane of geom.plane, built once per geometry object (Geometry hashes by identity)."""
+    return _plane_constants(geom.plane)
+
+
+class _Trials(NamedTuple):
+    """One batch of Monte Carlo classifier trials on a _Plane, as _mc_trials draws it.
+
+    truths holds the n true hypotheses as int8, normals the (2, n) plane
+    noise (row k is plane axis k), ties n tie-break uniforms, and extent
+    the largest |normal|, for the overflow check. critical holds the
+    trials' critical amplitudes on the plane (_critical_amplitudes) in
+    ascending order, not in the order of the draws, or is None when the
+    plane leaves no decision certain (no weights). The plane's own
+    constants stay with the _Plane, which _mc_hits takes beside the trials.
+    """
+
+    truths: np.ndarray
+    normals: np.ndarray
+    ties: np.ndarray
+    extent: float
+    critical: np.ndarray | None
+
+
+def _critical_amplitudes(truths, normals, weights) -> np.ndarray:
+    """Each trial's critical amplitude, from a _Plane's weights, in the order of the draws.
 
     A trial of true hypothesis t and plane noise N, scored at amplitude
     x = decay * sqrt(count) / sigma in noise units, has the truth strictly
     out-score hypothesis h exactly when x > tau_h = -2 N.(P_t - P_h) /
     |P_t - P_h|^2, so it is a hit for every x above its critical amplitude
-    max over h != t of tau_h, and a miss for every x below it. The
-    amplitudes are None when two rows coincide, or when a squared row
-    distance leaves the normal range of doubles.
+    max over h != t of tau_h, and a miss for every x below it.
     """
-    rows = plane.tolist()
-    pmax = max(math.hypot(*row) for row in rows)
-    dmin = min(math.dist(rows[i], rows[j]) for i, j in _PAIRS)
-    if not (sys.float_info.min <= dmin * dmin and 4.0 * pmax * pmax < math.inf):
-        return None, pmax, dmin
-    differences = plane[:, np.newaxis] - plane[_OTHERS]  # P_t - P_h, (4, 3, 2)
-    weights = -2.0 * differences / (differences * differences).sum(axis=-1, keepdims=True)
-    taus = np.einsum("kcn,cn->kn", weights.transpose(1, 2, 0).take(truths, axis=-1), normals)
-    return np.maximum(np.maximum(taus[0], taus[1]), taus[2]), pmax, dmin
+    taus = np.einsum("kcn,cn->kn", weights.take(truths, axis=-1), normals)
+    return np.maximum(np.maximum(taus[0], taus[1]), taus[2])
 
 
-def _mc_trials(rng: np.random.Generator, n: int, plane) -> _Trials:
-    """n trials drawn from rng, in monte_carlo_accuracy's documented order, on the (4, 2) plane.
+def _mc_trials(rng: np.random.Generator, n: int, plane: _Plane) -> _Trials:
+    """n trials drawn from rng, in monte_carlo_accuracy's documented order, on the _Plane.
 
     rng.integers(4, n) gives the truths, an (n, 2) standard normal block
     the plane noise, stored transposed, and n uniforms the tie-breaks. The
     critical amplitudes are sorted in place, once per batch, so that
-    _mc_hits finds a candidate's count by binary search.
+    _mc_hits finds a candidate's count by binary search. extent is
+    max(normals.max(), -normals.min()), the largest |normal| exactly.
     """
     truths = rng.integers(4, size=n).astype(np.int8)
     noise = rng.standard_normal((n, 2))
     ties = rng.random(n)
     normals = np.ascontiguousarray(noise.T)
-    critical, pmax, dmin = _critical_amplitudes(truths, normals, plane)
-    if critical is not None:
+    critical = None
+    if plane.weights is not None:
+        critical = _critical_amplitudes(truths, normals, plane.weights)
         critical.sort()
-    extent, reach = float(np.abs(noise).max()), float(np.abs(plane).max())
-    return _Trials(truths, normals, ties, extent, plane, reach, critical, pmax, dmin)
+    extent = float(max(normals.max(), -normals.min()))
+    return _Trials(truths, normals, ties, extent, critical)
 
 
 # The half width of the rounding band, relative to the scores: a score and a
@@ -664,38 +708,39 @@ _TINY_SCORES = 2.0**-900
 
 
 def _rounding_band(
-    decay: float, count: float, sigma: float, trials: _Trials
+    decay: float, count: float, sigma: float, plane: _Plane, trials: _Trials
 ) -> tuple[float, float] | None:
     """The amplitudes [x - tol, x + tol] about x; a trial within it sends _mc_hits to the kernel.
 
     decay, count and sigma are the candidate's, as floats, and x = decay *
     sqrt(count) / sigma. tol = 2**-30 * (x * pmax^2 + sqrt(2) * extent *
-    pmax) / dmin^2 bounds, many times over, how far the rounding of the
-    kernel's scores and of a critical amplitude can move a decision. None,
-    for a band that covers every trial, when no decision can be certain: x
-    is 0 or not finite, the trials carry no critical amplitudes, or the
-    scores' magnitude, the squared residual (decay * pmax)^2 or the logits'
-    x * (x * pmax^2 + sqrt(2) * extent * pmax), lies below 2**-900.
+    pmax) / dmin^2, with pmax and dmin the _Plane's, bounds, many times
+    over, how far the rounding of the kernel's scores and of a critical
+    amplitude can move a decision. None, for a band that covers every
+    trial, when no decision can be certain: x is 0 or not finite, the
+    trials carry no critical amplitudes, or the scores' magnitude, the
+    squared residual (decay * pmax)^2 or the logits' x * (x * pmax^2 +
+    sqrt(2) * extent * pmax), lies below 2**-900.
     """
     if trials.critical is None:
         return None
     x = decay * math.sqrt(count) / sigma
-    spread = x * trials.pmax * trials.pmax + math.sqrt(2.0) * trials.extent * trials.pmax
-    tol = _BAND_WIDTH * spread / (trials.dmin * trials.dmin)
-    residual = decay * trials.pmax
+    spread = x * plane.pmax * plane.pmax + math.sqrt(2.0) * trials.extent * plane.pmax
+    tol = _BAND_WIDTH * spread / (plane.dmin * plane.dmin)
+    residual = decay * plane.pmax
     if not (0.0 < x and tol < math.inf) or min(residual * residual, x * spread) < _TINY_SCORES:
         return None
     return x - tol, x + tol
 
 
-def _mc_hits(sensor: SensorModel, decay: float, trials: _Trials) -> int:
-    """How many trials the classifier at amplitude decay, on the sensor, gets right.
+def _mc_hits(sensor: SensorModel, decay: float, plane: _Plane, trials: _Trials) -> int:
+    """How many trials on the _Plane the classifier at amplitude decay, on the sensor, gets right.
 
     decay (>= 0, a float) is the candidate's, and its residuals decay *
-    trials.plane. The sensor gives count = float(samples), sigma and scale =
+    plane.rows. The sensor gives count = float(samples), sigma and scale =
     sigma * sqrt(samples), the numbers EveConfig._columns computes. The
     overflow check is _check_table's on those residuals, from the scalar
-    reach decay * trials.reach, which equals their largest |component| bit
+    reach decay * plane.reach, which equals their largest |component| bit
     for bit (rounding is monotone), so it raises the same error at the same
     candidate. Then, when the rounding band holds no critical amplitude, a
     trial whose amplitude lies below it is a hit and one above it a miss,
@@ -712,14 +757,14 @@ def _mc_hits(sensor: SensorModel, decay: float, trials: _Trials) -> int:
     """
     count, sigma = float(sensor.samples), sensor.sigma
     scale = sigma * math.sqrt(sensor.samples)
-    reach = decay * trials.reach
+    reach = decay * plane.reach
     _check_scores(count * reach + scale * trials.extent, reach, count, sigma, 2)
-    band = _rounding_band(decay, count, sigma, trials)
+    band = _rounding_band(decay, count, sigma, plane, trials)
     if band is not None:
         hits = int(trials.critical.searchsorted(band[0], "left"))
         if trials.critical.searchsorted(band[1], "right") == hits:
             return hits
-    residuals = decay * trials.plane
+    residuals = decay * plane.rows
     statistic = count * residuals.T.take(trials.truths, axis=1) + scale * trials.normals
     logits = _logits(statistic, residuals, _offsets(residuals, count)[:, np.newaxis], sigma, 0.0)
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
@@ -743,7 +788,8 @@ def monte_carlo_accuracy(
     rng.integers(4, n) for the truths, an (n, 2) standard normal block for
     the noise in the plane and n uniforms for the tie-breaks. _mc_hits
     counts the hits at decay_factor(params) on the sensor's readings, from
-    the trials' critical amplitudes on the plane, or by the kernel on every
+    the trials' critical amplitudes on the plane (the geometry's _Plane,
+    built once per geometry by _geometry_plane), or by the kernel on every
     trial when one of them lies within the rounding band; the kernel scores
     hypothesis-major, the transposed noise as a (2, n) statistic and (4, n)
     logits against the residuals decay * geom.plane. The accuracy is the
@@ -754,8 +800,9 @@ def monte_carlo_accuracy(
     check_instance(params, NonlinearParams, "monte_carlo_accuracy.params")
     check_instance(geom, Geometry, "monte_carlo_accuracy.geom")
     check_instance(sensor, SensorModel, "monte_carlo_accuracy.sensor")
-    trials = _mc_trials(rng, n_trials, geom.plane)
-    return _mc_hits(sensor, decay_factor(params), trials) / n_trials
+    plane = _geometry_plane(geom)
+    trials = _mc_trials(rng, n_trials, plane)
+    return _mc_hits(sensor, decay_factor(params), plane, trials) / n_trials
 
 
 def cloning_fidelity(
@@ -777,6 +824,10 @@ def cloning_fidelity(
     """
     n = check_integer(n_trials, "cloning_fidelity.n_trials", minimum=1)
     rng = check_generator(rng, "cloning_fidelity.rng")
+    check_instance(strategy, EveStrategy, "cloning_fidelity.strategy")
+    check_instance(params, NonlinearParams, "cloning_fidelity.params")
+    check_instance(geom, Geometry, "cloning_fidelity.geom")
+    check_instance(sensor, SensorModel, "cloning_fidelity.sensor")
     table = EveConfig(geom, params, sensor, strategy, born_factor=born_factor)._table
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)

@@ -7,6 +7,7 @@ import statistics
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -421,6 +422,84 @@ def test_min_detectable_b_monte_carlo_mode(geom):
     assert mc == min_detectable_b(0.0, 0.0, sensor, geom, 0.8, mc_rounds=4000, seed=3)
 
 
+# A geometry whose plane rows Z0 and Xp coincide, and Z1 and Xm: with one probe
+# at the origin, sites Xp = -Z1 and Xm = -Z0 give equal diagonals exactly.
+COINCIDENT = Geometry(
+    [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, -0.5, 0.0], [-0.5, 0.0, 0.0]], [[0.0, 0.0, 0.0]]
+)
+SHIFTS = st.lists(st.floats(-0.05, 0.05), min_size=12, max_size=12)
+GEOMETRIES = st.builds(
+    lambda shifts, exponent: Geometry(
+        (Geometry().sites + np.reshape(shifts, (4, 3))).tolist(),
+        Geometry().probes,
+        test_mass=10.0**exponent,
+    ),
+    SHIFTS,
+    st.floats(-30.0, 30.0),
+)
+
+
+def analytic_bisection(lam, delta_t, sensor, geom, target, tolerance):
+    """min_detectable_b's bisection written out over analytic_accuracy: the means it scores."""
+
+    def mean(b):
+        params = NonlinearParams(b=b, lam=lam, delta_t=delta_t)
+        means.append(analytic_accuracy(params, geom, sensor).mean)
+        return means[-1]
+
+    means = []
+    if mean(1.0) < target:
+        return means
+    lo, hi = 0.0, 1.0
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mean(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return means
+
+
+@st.composite
+def analytic_settings(draw):
+    """A geometry, lambda, deltaT, sigma, sample count and target for an analytic bisection.
+
+    Most sigmas put the bisection's crossing within [0, 1], where the
+    candidates' means are neither 0 nor 1: their plane's largest row, at
+    the crossing's decay, lies a few noise units from the origin.
+    """
+    geom = draw(st.one_of(st.just(Geometry()), st.just(COINCIDENT), GEOMETRIES))
+    lam, delta_t = draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 2.0))
+    samples = draw(st.integers(1, 10**6))
+    crossing, separation = draw(st.floats(0.01, 1.0)), draw(st.floats(0.5, 6.0))
+    unit = float(np.abs(geom.plane).max()) * math.exp(-lam * delta_t) * math.sqrt(samples)
+    sigma = draw(st.sampled_from([5e-324, crossing * unit / separation]))
+    return geom, lam, delta_t, sigma, samples, draw(st.floats(0.3, 0.99))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=analytic_settings())
+@example(case=(Geometry(), 1e3, 1.0, 2.5e-12, 1, 0.8))  # decay 0
+@example(case=(COINCIDENT, 0.0, 0.0, 2.5e-12, 1, 0.3))
+@example(case=(Geometry(), 0.5, 1.0, 5e-324, 1, 0.9))  # scale inf
+def test_analytic_candidates_score_the_mean_of_analytic_accuracy(case):
+    # Each candidate's score is analytic_accuracy's mean at its b, bit for bit.
+    geom, lam, delta_t, sigma, samples, target = case
+    sensor = SensorModel(sigma=sigma, samples=samples)
+    scored = []
+
+    def core(*args):
+        scored.append(gravsim.attack._union_bound(*args)[2])
+        return [None, None, scored[-1]]
+
+    with mock.patch.object(gravsim.analysis, "_union_bound", core):
+        min_detectable_b(lam, delta_t, sensor, geom, target, tolerance=1e-3)
+    expected = analytic_bisection(lam, delta_t, sensor, geom, target, 1e-3)
+    assert [mean.hex() for mean in scored] == [mean.hex() for mean in expected]
+
+
 STEP_TRIALS = gravsim.analysis._step_trials
 
 
@@ -442,8 +521,9 @@ def test_kept_bisection_trials_hold_their_critical_amplitudes_sorted(geom):
     min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=500, seed=6)
     kept = STEP_TRIALS(6, 2, 500, geom)
     assert STEP_TRIALS.cache_info().hits == 1
-    fresh = gravsim.attack._mc_trials(np.random.default_rng([6, 2]), 500, geom.plane)
-    drawn, *_ = gravsim.attack._critical_amplitudes(fresh.truths, fresh.normals, geom.plane)
+    plane = gravsim.attack._geometry_plane(geom)
+    fresh = gravsim.attack._mc_trials(np.random.default_rng([6, 2]), 500, plane)
+    drawn = gravsim.attack._critical_amplitudes(fresh.truths, fresh.normals, plane.weights)
     assert not (np.diff(drawn) >= 0.0).all()  # the draws come in no order
     for trials in (kept, fresh):
         assert (np.diff(trials.critical) >= 0.0).all()
@@ -465,6 +545,44 @@ def test_kept_bisection_trials_of_another_geometry_are_drawn_anew(geom):
     kept, drawn = STEP_TRIALS(2, 0, 50, geom), STEP_TRIALS(2, 0, 50, other)
     assert np.array_equal(kept.normals, drawn.normals)
     assert np.array_equal(kept.critical, 2.0 * drawn.critical)  # twice the mass, twice the plane
+
+
+GEOMETRY_PLANE = gravsim.attack._geometry_plane
+
+
+def test_a_lambda_scan_builds_its_plane_constants_once(geom):
+    # One _Plane per geometry object, whatever the lambda, the sensor or the caller.
+    STEP_TRIALS.cache_clear()
+    GEOMETRY_PLANE.cache_clear()
+    other = Geometry(geom.sites, geom.probes, test_mass=2.0)
+    constants = gravsim.attack._plane_constants
+    with mock.patch.object(gravsim.attack, "_plane_constants", wraps=constants) as built:
+        for lam in (0.0, 0.5, 1.0, 2.0):
+            min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+        monte_carlo_accuracy(NonlinearParams(b=0.1), geom, SensorModel(), 10, np.random.default_rng(0))
+        assert built.call_count == 1
+        min_detectable_b(0.0, 1.0, SensorModel(), other, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+        assert built.call_count == 2
+    planes = [call.args[0] for call in built.call_args_list]
+    assert planes[0] is geom.plane and planes[1] is other.plane
+    assert GEOMETRY_PLANE.cache_info().misses == 2
+    mine, theirs = GEOMETRY_PLANE(geom), GEOMETRY_PLANE(other)
+    assert mine.rows is geom.plane and theirs.rows is other.plane
+    # Twice the mass, twice the plane: its lengths double and its weights halve, exactly.
+    assert (theirs.reach, theirs.pmax, theirs.dmin) == (2 * mine.reach, 2 * mine.pmax, 2 * mine.dmin)
+    assert np.array_equal(theirs.weights, mine.weights / 2.0)
+    assert not mine.weights.flags.writeable
+    kept, drawn = STEP_TRIALS(2, 0, 50, geom), STEP_TRIALS(2, 0, 50, other)
+    assert np.array_equal(kept.critical, 2.0 * drawn.critical)
+
+
+def test_a_geometry_whose_plane_rows_coincide_has_no_critical_amplitudes():
+    plane = GEOMETRY_PLANE(COINCIDENT)
+    assert plane.dmin == 0.0 and plane.weights is None
+    rng = np.random.default_rng([1, 0])
+    accuracy = monte_carlo_accuracy(NonlinearParams(b=0.5), COINCIDENT, SensorModel(), 400, rng)
+    assert gravsim.attack._mc_trials(np.random.default_rng(0), 10, plane).critical is None
+    assert 0.0 < accuracy < 1.0  # the kernel scores every trial, and the ties split
 
 
 def test_kept_bisection_trials_at_the_cap_stay_within_their_documented_size(geom):

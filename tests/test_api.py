@@ -284,6 +284,17 @@ BOUNDARY = [
     ("cloning_fidelity.n_trials", "cloning_fidelity.n_trials",
      lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, GEOM, SENSOR, v, rng()),
      np.int64(10), NUMBER),
+    ("cloning_fidelity.strategy", "cloning_fidelity.strategy",
+     lambda v: cloning_fidelity(v, BASE.nonlinear, GEOM, SENSOR, 10, rng()),
+     STRATEGY, PART + (SENSOR,)),
+    ("cloning_fidelity.params", "cloning_fidelity.params",
+     lambda v: cloning_fidelity(STRATEGY, v, GEOM, SENSOR, 10, rng()),
+     BASE.nonlinear, PART + (STRATEGY,)),
+    ("cloning_fidelity.geom", "cloning_fidelity.geom",
+     lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, v, SENSOR, 10, rng()), GEOM, PART),
+    ("cloning_fidelity.sensor", "cloning_fidelity.sensor",
+     lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, GEOM, v, 10, rng()),
+     SENSOR, PART + (BASE.nonlinear,)),
     ("cloning_fidelity.born_factor", "eve.bornFactor",
      lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, GEOM, SENSOR, 10, rng(), v),
      np.bool_(False), FLAG),

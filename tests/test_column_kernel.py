@@ -24,6 +24,7 @@ whose scores overflow must raise _check_table's message.
 
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -46,13 +47,16 @@ from gravsim import (
 from gravsim.attack import (
     _break_ties,
     _check_table,
+    _critical_amplitudes,
     _gather,
     _hmax,
     _hsum,
     _logits,
+    _geometry_plane,
     _mc_hits,
     _mc_trials,
     _offsets,
+    _plane_constants,
     _plane_statistic,
     _rounding_band,
 )
@@ -253,7 +257,8 @@ def kernel_hits(table, trials) -> int:
 def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     geom, params, sensor = Geometry(), NonlinearParams(b=b), SensorModel(sigma=sigma)
     table = EveConfig(geom, params, sensor, EveStrategy())._table
-    trials = _mc_trials(np.random.default_rng(7), 2000, geom.plane)
+    plane = _geometry_plane(geom)
+    trials = _mc_trials(np.random.default_rng(7), 2000, plane)
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
     logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
@@ -262,7 +267,7 @@ def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     elif sigma == 1e-170:
         assert (logits == -np.inf).any()  # scores below the best overflow to -inf
     chosen = _break_ties(logits, _hmax(logits), trials.ties)
-    hits = _mc_hits(sensor, decay_factor(params), trials)
+    hits = _mc_hits(sensor, decay_factor(params), plane, trials)
     assert hits == np.count_nonzero(chosen == trials.truths) == kernel_hits(table, trials)
     row = table_row(sensor, decay_factor(params), geom.plane)  # the engine's own table
     assert all(np.array_equal(a, b) for a, b in zip(row, table, strict=True))
@@ -318,7 +323,13 @@ SENSOR_SIGMAS = st.one_of(
 )
 
 
-def on_band_end(trials, amplitude, sigma, samples, end):
+def drawn(plane, seed, n=200):
+    """The _Plane of the (4, 2) plane and n trials on it from default_rng(seed)."""
+    constants = _plane_constants(plane)
+    return constants, _mc_trials(np.random.default_rng(seed), n, constants)
+
+
+def on_band_end(plane, trials, amplitude, sigma, samples, end):
     """A decay whose rounding band has its low (end 0) or high (end 1) end exactly on amplitude.
 
     The band's half width hardly changes over a few ulps of the decay, so
@@ -327,7 +338,7 @@ def on_band_end(trials, amplitude, sigma, samples, end):
     """
     count = float(samples)
     unit = sigma / math.sqrt(count)  # the decay of x = 1
-    band = _rounding_band(amplitude * unit, count, sigma, trials)
+    band = _rounding_band(amplitude * unit, count, sigma, plane, trials)
     if band is None:
         return amplitude * unit
     half = (band[1] - band[0]) / 2.0
@@ -335,7 +346,7 @@ def on_band_end(trials, amplitude, sigma, samples, end):
     up = down = estimate
     for _ in range(64):
         for decay in (up, down):
-            band = _rounding_band(decay, count, sigma, trials)
+            band = _rounding_band(decay, count, sigma, plane, trials)
             if band is not None and band[end] == amplitude:
                 return decay
         up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
@@ -344,15 +355,13 @@ def on_band_end(trials, amplitude, sigma, samples, end):
 
 @st.composite
 def monte_carlo_settings(draw):
-    """A plane, trials on it, a sensor and a decay, often one that puts a trial on the band.
+    """A _Plane, trials on it, a sensor and a decay, often one that puts a trial on the band.
 
     A placed decay puts x on a critical amplitude or one ulp of the decay
     off it, or puts an end of the rounding band exactly on one, where the
     count depends on which end includes its trial.
     """
-    plane = draw(PLANES)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    trials = _mc_trials(rng, draw(st.integers(1, 300)), plane)
+    plane, trials = drawn(draw(PLANES), draw(st.integers(0, 2**32)), draw(st.integers(1, 300)))
     sigma = draw(SENSOR_SIGMAS)
     samples = draw(st.integers(1, 50))
     decay = draw(st.floats(0.0, 1.0))
@@ -365,11 +374,12 @@ def monte_carlo_settings(draw):
             decay = amplitude * sigma / np.sqrt(samples)
             decay = float(np.nextafter(decay, draw(st.sampled_from([-np.inf, decay, np.inf]))))
         else:
-            decay = on_band_end(trials, amplitude, sigma, samples, ["low", "high"].index(place))
+            end = ["low", "high"].index(place)
+            decay = on_band_end(plane, trials, amplitude, sigma, samples, end)
     return plane, trials, sigma, samples, decay
 
 
-END_TRIALS = _mc_trials(np.random.default_rng(4), 200, GEOM_PLANE)
+END_PLANE, END_TRIALS = drawn(GEOM_PLANE, 4)
 
 
 def at_end(index, toward):
@@ -380,17 +390,17 @@ def at_end(index, toward):
     """
     positive = END_TRIALS.critical[END_TRIALS.critical > 0.0]
     decay = float(positive[index]) * 2.5e-12  # sigma 2.5e-12, one sample
-    return GEOM_PLANE, END_TRIALS, 2.5e-12, 1, float(np.nextafter(decay, toward))
+    return END_PLANE, END_TRIALS, 2.5e-12, 1, float(np.nextafter(decay, toward))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=monte_carlo_settings())
-@example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(1), 200, GEOM_PLANE), 2.5e-12, 1, 0.0))
-@example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(2), 200, GEOM_PLANE), 1e-170, 3, 0.05))
-@example(case=(COINCIDENT, _mc_trials(np.random.default_rng(3), 200, COINCIDENT), 0.3, 2, 0.4))
+@example(case=(*drawn(GEOM_PLANE, 1), 2.5e-12, 1, 0.0))
+@example(case=(*drawn(GEOM_PLANE, 2), 1e-170, 3, 0.05))
+@example(case=(*drawn(COINCIDENT, 3), 0.3, 2, 0.4))
 # the scores overflow, and the readings overflow
-@example(case=(HUGE, _mc_trials(np.random.default_rng(5), 200, HUGE), 2.5e-12, 1, 0.5))
-@example(case=(GEOM_PLANE, _mc_trials(np.random.default_rng(6), 200, GEOM_PLANE), 1e308, 4, 0.5))
+@example(case=(*drawn(HUGE, 5), 2.5e-12, 1, 0.5))
+@example(case=(*drawn(GEOM_PLANE, 6), 1e308, 4, 0.5))
 # x on the smallest and on the largest positive critical amplitude, and one ulp either side
 @example(case=at_end(0, -np.inf))
 @example(case=at_end(0, 0.0))
@@ -401,19 +411,19 @@ def at_end(index, toward):
 def test_monte_carlo_hits_are_the_kernel_count_on_every_setting(case):
     plane, trials, sigma, samples, decay = case
     sensor = SensorModel(sigma=sigma, samples=samples)
-    table = table_row(sensor, decay, plane)
+    table = table_row(sensor, decay, plane.rows)
     try:
         _check_table(table, trials.extent)
     except ValidationError as error:  # the scores overflow: the kernel is never run
         with pytest.raises(ValidationError, match=f"^{re.escape(str(error))}$"):
-            _mc_hits(sensor, decay, trials)
+            _mc_hits(sensor, decay, plane, trials)
         return
     with mock.patch.object(gravsim.attack, "_logits", wraps=_logits) as kernel:
-        hits = _mc_hits(sensor, decay, trials)
+        hits = _mc_hits(sensor, decay, plane, trials)
     assert hits == kernel_hits(table, trials)
     # The kernel runs once, on every trial, exactly when the band holds a trial or is None,
     # on the engine's statistic bit for bit.
-    band = _rounding_band(decay, float(samples), sensor.sigma, trials)
+    band = _rounding_band(decay, float(samples), sensor.sigma, plane, trials)
     held = band is None or bool(
         ((band[0] <= trials.critical) & (trials.critical <= band[1])).any()
     )
@@ -421,3 +431,56 @@ def test_monte_carlo_hits_are_the_kernel_count_on_every_setting(case):
     assert len(scored) == held
     engine = _plane_statistic(table, 0, trials.truths, trials.normals)
     assert all(np.array_equal(bits(statistic), bits(engine)) for statistic in scored)
+
+
+def scalar_critical_amplitudes(truths, normals, plane):
+    """Each trial's max over h != t of -2 N.(P_t - P_h) / |P_t - P_h|^2, and a tolerance.
+
+    None when a squared row distance is 0, subnormal or infinite. The
+    tolerance of a trial is 8 ulps of the largest sum of absolute terms,
+    2 (|N_0 d_0| + |N_1 d_1|) / |d|^2, which bounds the rounding of any
+    order of the products and the sum.
+    """
+    rows = plane.tolist()
+    differences = {
+        (t, h): (rows[t][0] - rows[h][0], rows[t][1] - rows[h][1])
+        for t in range(4)
+        for h in range(4)
+        if h != t
+    }
+    squares = {pair: d0 * d0 + d1 * d1 for pair, (d0, d1) in differences.items()}
+    if not all(sys.float_info.min <= square < math.inf for square in squares.values()):
+        return None
+    amplitudes, tolerances = [], []
+    for t, n0, n1 in zip(truths.tolist(), *normals.tolist()):
+        taus, terms = [], []
+        for h in range(4):
+            if h != t:
+                (d0, d1), square = differences[t, h], squares[t, h]
+                taus.append(-2.0 * (n0 * d0 + n1 * d1) / square)
+                terms.append(2.0 * (abs(n0 * d0) + abs(n1 * d1)) / square)
+        amplitudes.append(max(taus))
+        tolerances.append(8 * sys.float_info.epsilon * max(terms))
+    return np.array(amplitudes), np.array(tolerances)
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [GEOM_PLANE, SKEWED.plane, HUGE / 4, GEOM_PLANE * 1e-140, COINCIDENT, HUGE, GEOM_PLANE * 1e-150],
+    ids=["default", "skewed", "quarter-huge", "tiny", "coincident", "huge", "subnormal"],
+)
+def test_critical_amplitudes_match_a_scalar_reference(plane):
+    # The hoisted weights, gathered by truth with take and contracted with
+    # einsum, give each trial's critical amplitude to a few ulps; a plane
+    # with coincident rows or squared distances out of range gives none.
+    constants = _plane_constants(plane)
+    trials = _mc_trials(np.random.default_rng(9), 500, constants)
+    reference = scalar_critical_amplitudes(trials.truths, trials.normals, plane)
+    if reference is None:
+        assert constants.weights is None and trials.critical is None
+        return
+    amplitudes, tolerances = reference
+    critical = _critical_amplitudes(trials.truths, trials.normals, constants.weights)
+    assert (np.abs(critical - amplitudes) <= tolerances).all()
+    assert np.array_equal(trials.critical, np.sort(critical))
+    assert not constants.weights.flags.writeable
