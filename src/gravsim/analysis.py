@@ -9,7 +9,6 @@ threshold at each relaxation rate lambda.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import statistics
@@ -91,33 +90,38 @@ def _checked(section, field: str, value):
         return None
 
 
-# The largest mc_rounds whose bisection steps _step_trials keeps: 16 steps of
-# 2**15 trials hold 16.5 MiB (int8 truths, float64 normals, tie uniforms and
-# critical amplitudes: 33 bytes per trial).
-_CACHED_TRIALS_MAX = 2**15
+# Steps 0 to k of n trials are kept while (k + 1) * 33 * n bytes (int8 truths,
+# float64 normals, ties and critical amplitudes) fit: 16 steps of 2**15 trials.
+_KEPT_BYTES = 33 * 2**19  # 16.5 MiB
+
+# The (mc_rounds, geometry) of the last scan, and step k -> (seed, its read-only _Trials).
+_kept_steps: tuple = (None, {})
 
 
-@functools.lru_cache(maxsize=16)
 def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trials:
     """The read-only trials of bisection step `step` on geom.plane, from default_rng([seed, step]).
 
-    The draws depend on neither the amplitude nor the setting scored, and
-    their critical amplitudes (attack._critical_amplitudes) on the plane
-    alone, so a scan over lambda scores every candidate of step k on one
-    draw and its critical amplitudes, computed from the geometry's _Plane
-    (attack._geometry_plane) and sorted once: attack._mc_hits, given the
-    call's sensor and that _Plane, counts the amplitudes below the
-    candidate's rounding band by binary search, or runs the kernel on every
-    trial when the band holds one or no decision can be certain. The
-    arrays are sorted before they are made read-only. Keyed by (seed, step, mc_rounds, geom), the
-    geometry object whose plane the amplitudes use.
-    16 entries hold one bisection at the default tolerance, the b = 1 probe
-    and 14 halvings, in at most 16.5 MiB up to _CACHED_TRIALS_MAX trials.
+    Slot k of _kept_steps holds step k of the last scan that drew it,
+    tagged with its seed, while _KEPT_BYTES allows: a lambda scan scores
+    every candidate of step k on one draw and its sorted critical
+    amplitudes, which depend on geom.plane alone. A call with another
+    (mc_rounds, geom) first empties the store; a new seed replaces one
+    slot at a time. Threads read only their own key's trials: the store
+    is swapped whole and each slot is one tuple.
     """
+    global _kept_steps
+    pair, slots = _kept_steps
+    if pair != (mc_rounds, geom):
+        pair, slots = _kept_steps = ((mc_rounds, geom), {})
+    slot = slots.get(step)
+    if slot is not None and slot[0] == seed:
+        return slot[1]
     trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds, _geometry_plane(geom))
     for array in (trials.truths, trials.normals, trials.ties, trials.critical):
         if array is not None:
             array.setflags(write=False)
+    if (step + 1) * 33 * mc_rounds <= _KEPT_BYTES:
+        slots[step] = (seed, trials)
     return trials
 
 
@@ -138,24 +142,19 @@ def min_detectable_b(
     by Monte Carlo instead: the candidate of bisection step k (0 for the
     b = 1 probe) gets monte_carlo_accuracy with mc_rounds trials from
     np.random.default_rng([seed, k]). Those trials do not depend on lambda,
-    delta_t, the sensor or the geometry, and each trial's critical
-    amplitude (attack._critical_amplitudes) depends on geom.plane alone, so
-    the calls of a lambda scan share both: up to mc_rounds = 2**15, the 16
-    steps drawn last are kept with their critical amplitudes, sorted,
-    keyed by (seed, k, mc_rounds, geom), in at most 16.5 MiB (1.1 MB at
-    2000 trials). What depends on the plane alone (attack._Plane: the
-    critical-amplitude weights, pmax, dmin and the reach) is built once
-    per geometry (attack._geometry_plane), so a step only draws, gathers
-    the weights by truth and sorts. A candidate is then scalar work
-    (attack._mc_hits): an overflow check on floats and a binary search
-    for the trials whose critical amplitude lies below its amplitude in
-    noise units, b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When
-    the rounding band about it holds a trial's critical amplitude, or
-    covers every trial (at b = 0 and wherever no decision can be certain),
-    the kernel scores every trial instead, against the residuals decay *
-    geom.plane, and the count is the kernel's bit for bit. _mc_hits
-    computes the sensor's count, sigma and scale from the SensorModel
-    itself.
+    delta_t, the sensor or the geometry, and each trial's critical amplitude
+    (attack._critical_amplitudes) depends on geom.plane alone, so the calls
+    of a lambda scan share both: a scan at the last (mc_rounds, geom) reuses
+    step k, with its sorted critical amplitudes, while steps 0 to k hold at
+    most 16.5 MiB (_step_trials). A candidate is then scalar work
+    (attack._mc_hits): an overflow check on floats and a binary search for
+    the trials whose critical amplitude lies below its amplitude in noise
+    units, b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When the
+    rounding band about it holds a trial's critical amplitude, or covers
+    every trial (at b = 0 and wherever no decision can be certain), the
+    kernel scores every trial instead, against the residuals decay *
+    geom.plane, and the count is the kernel's bit for bit. _mc_hits computes
+    the sensor's count, sigma and scale from the SensorModel itself.
     An analytic candidate passes its decay and the rows of geom.plane,
     read as floats once per call, to analytic_accuracy's union-bound core
     (attack._union_bound), so it scores analytic_accuracy's mean at its b
@@ -179,11 +178,10 @@ def min_detectable_b(
 
     relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
-        draw = _step_trials if mc_rounds <= _CACHED_TRIALS_MAX else _step_trials.__wrapped__
         plane = _geometry_plane(geom)
 
         def score(b: float, step: int) -> float:
-            trials = draw(seed, step, mc_rounds, geom)
+            trials = _step_trials(seed, step, mc_rounds, geom)
             return _mc_hits(sensor, b * relax, plane, trials) / mc_rounds
 
     else:

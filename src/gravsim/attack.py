@@ -828,6 +828,7 @@ def cloning_fidelity(
     check_instance(params, NonlinearParams, "cloning_fidelity.params")
     check_instance(geom, Geometry, "cloning_fidelity.geom")
     check_instance(sensor, SensorModel, "cloning_fidelity.sensor")
+    born_factor = check_flag(born_factor, "cloning_fidelity.born_factor")
     table = EveConfig(geom, params, sensor, strategy, born_factor=born_factor)._table
     prepared = rng.integers(4, size=n)
     outcome_draws = rng.random(n)

@@ -1,9 +1,13 @@
-"""Shared pytest plumbing: acceptance-criterion verdicts and the CLI child environment."""
+"""Shared pytest plumbing: acceptance verdicts, the CLI child environment and step draws."""
 
 import os
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 import gravsim
+import gravsim.analysis
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -24,6 +28,15 @@ def gravsim_env() -> dict[str, str]:
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([source_root, existing]) if existing else source_root
     return env
+
+
+@pytest.fixture
+def step_draws(monkeypatch):
+    """The Monte Carlo step draws of min_detectable_b (analysis._mc_trials), from no kept steps."""
+    monkeypatch.setattr(gravsim.analysis, "_kept_steps", (None, {}))
+    draw = gravsim.analysis._mc_trials
+    with mock.patch.object(gravsim.analysis, "_mc_trials", wraps=draw) as draws:
+        yield draws
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

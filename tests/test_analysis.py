@@ -6,6 +6,7 @@ import re
 import statistics
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -503,24 +504,30 @@ def test_analytic_candidates_score_the_mean_of_analytic_accuracy(case):
 STEP_TRIALS = gravsim.analysis._step_trials
 
 
-def test_kept_bisection_trials_reject_writes():
+def kept_steps():
+    """The kept steps of analysis._kept_steps as step -> (seed, trials), and their bytes."""
+    _, slots = gravsim.analysis._kept_steps
+    arrays = [(t.truths, t.normals, t.ties, t.critical) for _, t in slots.values()]
+    return slots, sum(array.nbytes for entry in arrays for array in entry if array is not None)
+
+
+def test_kept_bisection_trials_reject_writes(step_draws):
     geom = Geometry()
-    STEP_TRIALS.cache_clear()
     min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    assert step_draws.call_count == 5
     trials = STEP_TRIALS(2, 0, 50, geom)
-    assert STEP_TRIALS.cache_info().hits == 1
+    assert step_draws.call_count == 5  # kept
     for array in (trials.truths, trials.normals, trials.ties, trials.critical):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
 
-def test_kept_bisection_trials_hold_their_critical_amplitudes_sorted(geom):
+def test_kept_bisection_trials_hold_their_critical_amplitudes_sorted(geom, step_draws):
     # Kept and fresh trials hold the amplitudes of their draws in ascending
     # order, and the in-place sort leaves the kept arrays read-only.
-    STEP_TRIALS.cache_clear()
     min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=500, seed=6)
     kept = STEP_TRIALS(6, 2, 500, geom)
-    assert STEP_TRIALS.cache_info().hits == 1
+    assert step_draws.call_count == 5  # kept
     plane = gravsim.attack._geometry_plane(geom)
     fresh = gravsim.attack._mc_trials(np.random.default_rng([6, 2]), 500, plane)
     drawn = gravsim.attack._critical_amplitudes(fresh.truths, fresh.normals, plane.weights)
@@ -534,15 +541,16 @@ def test_kept_bisection_trials_hold_their_critical_amplitudes_sorted(geom):
         kept.critical.sort()
 
 
-def test_kept_bisection_trials_of_another_geometry_are_drawn_anew(geom):
+def test_kept_bisection_trials_of_another_geometry_are_drawn_anew(geom, step_draws):
     # The critical amplitudes are those of the plane of the geometry they are kept for.
-    STEP_TRIALS.cache_clear()
     min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+    kept = STEP_TRIALS(2, 0, 50, geom)
     other = Geometry(geom.sites, geom.probes, test_mass=2.0)
     min_detectable_b(0.0, 0.0, SensorModel(), other, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
-    info = STEP_TRIALS.cache_info()
-    assert (info.hits, info.misses) == (0, 10)
-    kept, drawn = STEP_TRIALS(2, 0, 50, geom), STEP_TRIALS(2, 0, 50, other)
+    assert step_draws.call_count == 10
+    assert gravsim.analysis._kept_steps[0] == (50, other)  # its steps replace geom's
+    drawn = STEP_TRIALS(2, 0, 50, other)
+    assert step_draws.call_count == 10
     assert np.array_equal(kept.normals, drawn.normals)
     assert np.array_equal(kept.critical, 2.0 * drawn.critical)  # twice the mass, twice the plane
 
@@ -550,9 +558,8 @@ def test_kept_bisection_trials_of_another_geometry_are_drawn_anew(geom):
 GEOMETRY_PLANE = gravsim.attack._geometry_plane
 
 
-def test_a_lambda_scan_builds_its_plane_constants_once(geom):
+def test_a_lambda_scan_builds_its_plane_constants_once(geom, step_draws):
     # One _Plane per geometry object, whatever the lambda, the sensor or the caller.
-    STEP_TRIALS.cache_clear()
     GEOMETRY_PLANE.cache_clear()
     other = Geometry(geom.sites, geom.probes, test_mass=2.0)
     constants = gravsim.attack._plane_constants
@@ -585,66 +592,104 @@ def test_a_geometry_whose_plane_rows_coincide_has_no_critical_amplitudes():
     assert 0.0 < accuracy < 1.0  # the kernel scores every trial, and the ties split
 
 
-def test_kept_bisection_trials_at_the_cap_stay_within_their_documented_size(geom):
-    # 16 steps of _CACHED_TRIALS_MAX trials: truths, normals, ties and critical amplitudes.
-    cap = gravsim.analysis._CACHED_TRIALS_MAX
-    STEP_TRIALS.cache_clear()
-    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=2**-15, mc_rounds=cap, seed=5)
-    kept = [STEP_TRIALS(5, step, cap, geom) for step in range(16)]
-    assert STEP_TRIALS.cache_info().hits == 16
-    arrays = [(t.truths, t.normals, t.ties, t.critical) for t in kept]
-    size = sum(array.nbytes for entry in arrays for array in entry)
-    assert size <= 16.5 * 2**20  # the bound analysis._CACHED_TRIALS_MAX documents
+def test_kept_bisection_trials_at_the_cap_stay_within_their_documented_size(geom, step_draws):
+    # 16 steps of 2**15 trials fill the store: truths, normals, ties and critical amplitudes.
+    n = 2**15
+    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=2**-15, mc_rounds=n, seed=5)
+    for step in range(16):
+        STEP_TRIALS(5, step, n, geom)
+    assert step_draws.call_count == 16  # every step kept
+    slots, size = kept_steps()
+    assert sorted(slots) == list(range(16))
+    assert size == 16.5 * 2**20 == gravsim.analysis._KEPT_BYTES
 
 
-def test_kept_bisection_trials_stay_within_their_bound(geom):
-    STEP_TRIALS.cache_clear()
+def test_kept_bisection_trials_stay_within_their_bound(geom, step_draws):
+    # Each seed's steps replace the last seed's, slot by slot.
     sensor = SensorModel()
     for seed in range(3):
         min_detectable_b(0.0, 0.0, sensor, geom, 0.8, tolerance=1e-6, mc_rounds=30, seed=seed)
-        info = STEP_TRIALS.cache_info()
-        assert info.maxsize == 16
-        assert info.currsize <= 16
-    assert info.misses == 3 * 21  # the b = 1 probe and 20 halvings per seed, none reused
-    assert info.currsize == 16
+        slots, _ = kept_steps()
+        assert {step: tag for step, (tag, _) in slots.items()} == dict.fromkeys(range(21), seed)
+    assert step_draws.call_count == 3 * 21  # the b = 1 probe and 20 halvings per seed, none reused
 
 
-def test_runs_above_the_trial_cap_draw_each_step_afresh(geom):
-    cap = gravsim.analysis._CACHED_TRIALS_MAX
-    STEP_TRIALS.cache_clear()
-    min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=cap, seed=4)
-    before = STEP_TRIALS.cache_info()
-    assert before.currsize == 5  # the b = 1 probe and 4 halvings
-    for _ in range(2):
-        min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=cap + 1, seed=4)
-    assert STEP_TRIALS.cache_info() == before
+def test_steps_beyond_the_kept_bytes_are_drawn_afresh(geom, step_draws):
+    # At 2**15 + 1 trials steps 0 to 14 fit in _KEPT_BYTES and step 15 does not.
+    n = 2**15 + 1
+    for scan in range(1, 4):
+        min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=2**-15, mc_rounds=n, seed=4)
+        assert step_draws.call_count == 16 + scan - 1
+    slots, size = kept_steps()
+    assert sorted(slots) == list(range(15))
+    assert size <= gravsim.analysis._KEPT_BYTES
 
 
-def test_an_overflowing_setting_raises_alike_on_fresh_and_kept_trials():
+def test_scans_at_mixed_trial_counts_and_geometries_keep_at_most_the_kept_bytes(geom, step_draws):
+    other = Geometry(geom.sites, geom.probes, test_mass=2.0)
+    scans = [
+        (geom, 2**15, 2**-20, 16),  # 21 steps, 16 kept
+        (geom, 40_000, 1e-4, 13),  # 15 steps, 13 kept
+        (other, 2**15, 1e-4, 15),
+        (other, 2000, 1e-6, 21),
+        (geom, 2**14 + 1, 2**-40, 31),  # 41 steps, 31 kept
+    ]
+    for g, n, tolerance, kept in scans:
+        min_detectable_b(0.0, 0.0, SensorModel(), g, 0.8, tolerance=tolerance, mc_rounds=n, seed=9)
+        slots, size = kept_steps()
+        assert len(slots) == kept and size == 33 * n * kept
+        assert size <= 16.5 * 2**20
+
+
+def test_threads_scanning_at_once_return_their_sequential_results(geom):
+    def scan(seed, n):
+        sensor = SensorModel()
+        return lambda: [
+            min_detectable_b(lam, 1.0, sensor, geom, 0.8, tolerance=1e-5, mc_rounds=n, seed=seed)
+            for lam in (0.0, 0.5, 1.0)
+        ]
+
+    rounds = [
+        [scan(1, 400), scan(2, 400)],  # one store, two seeds
+        [scan(3, 400), scan(3, 400)],  # one store, one seed
+        [scan(4, 400), scan(4, 300)],  # each scan swaps the store
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for jobs in rounds:
+                sequential = [job() for job in jobs]
+                for _ in range(3):
+                    futures = [pool.submit(job) for job in jobs]
+                    assert [future.result(timeout=60) for future in futures] == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_overflowing_setting_raises_alike_on_fresh_and_kept_trials(step_draws):
     geom = Geometry(test_mass=1e150, grav_const=1e150)
-    STEP_TRIALS.cache_clear()
-    for lam, kept in ((0.0, 0), (0.5, 1)):
+    for lam in (0.0, 0.5):
         with pytest.raises(ValidationError) as probe:
             params = NonlinearParams(b=1.0, lam=lam, delta_t=1.0)
             monte_carlo_accuracy(params, geom, SensorModel(), 2000, np.random.default_rng([1, 0]))
         assert str(probe.value).startswith("geometry.testMass, sensor.sigma: ")
         with pytest.raises(ValidationError, match=f"^{re.escape(str(probe.value))}$"):
             min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, mc_rounds=2000, seed=1)
-        assert STEP_TRIALS.cache_info().hits == kept
+        assert step_draws.call_count == 1  # the b = 1 probe's step, drawn at lambda 0 and then kept
 
 
-def test_a_bad_relaxation_rate_is_rejected_before_any_draw(geom, monkeypatch):
+def test_a_bad_relaxation_rate_is_rejected_before_any_draw(geom, monkeypatch, step_draws):
     # mc_rounds 0 scores each candidate by the union bound, which must not run either.
     scored = []
     monkeypatch.setattr(gravsim.analysis, "_union_bound", lambda *args: scored.append(args))
-    STEP_TRIALS.cache_clear()
     for mc_rounds in (2000, 0):
         for lam in (-1.0, math.nan, True):
             with pytest.raises(ValidationError, match=r"^nonlinear\.lambda: "):
                 min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, mc_rounds=mc_rounds, seed=1)
         with pytest.raises(ValidationError, match=r"^nonlinear\.deltaT: "):
             min_detectable_b(0.0, -1.0, SensorModel(), geom, 0.8, mc_rounds=mc_rounds, seed=1)
-    assert STEP_TRIALS.cache_info().misses == 0
+    assert step_draws.call_count == 0
     assert scored == []
 
 

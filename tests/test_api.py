@@ -295,7 +295,7 @@ BOUNDARY = [
     ("cloning_fidelity.sensor", "cloning_fidelity.sensor",
      lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, GEOM, v, 10, rng()),
      SENSOR, PART + (BASE.nonlinear,)),
-    ("cloning_fidelity.born_factor", "eve.bornFactor",
+    ("cloning_fidelity.born_factor", "cloning_fidelity.born_factor",
      lambda v: cloning_fidelity(STRATEGY, BASE.nonlinear, GEOM, SENSOR, 10, rng(), v),
      np.bool_(False), FLAG),
     ("monte_carlo_accuracy.rng", "monte_carlo_accuracy.rng",

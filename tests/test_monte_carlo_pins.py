@@ -128,21 +128,32 @@ def scan(calls):
 
 
 @pytest.mark.parametrize("calls", [SCAN, INTERLEAVED], ids=["scan", "interleaved"])
-def test_monte_carlo_scans_are_pinned(calls):
-    gravsim.analysis._step_trials.cache_clear()
+def test_monte_carlo_scans_are_pinned(calls, step_draws):
     expected = [pinned for *_, pinned in calls]
     assert scan(calls) == expected
     assert scan(calls) == expected  # every step already drawn once
 
 
-def test_the_interleaved_calls_reuse_draw_and_evict_steps():
-    # 15 steps per bisection (1 where b = 1 misses the target) and 16 kept:
-    # only calls 2 and 6 follow a call with their (seed, mc_rounds) and
-    # reuse its steps; every other call draws all of its steps anew.
-    gravsim.analysis._step_trials.cache_clear()
+def test_the_interleaved_calls_reuse_draw_and_evict_steps(step_draws):
+    # 15 steps per bisection (1 where b = 1 misses the target), kept for the
+    # last (mc_rounds, geometry): only calls 2 and 6 follow a call with their
+    # (seed, mc_rounds) and reuse its steps; every other call draws all of
+    # its steps anew, and the last call's replace those of the seed before.
     scan(INTERLEAVED)
-    info = gravsim.analysis._step_trials.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (30, 121, 16)
+    assert step_draws.call_count == 121
+    pair, slots = gravsim.analysis._kept_steps
+    assert pair == (2000, GEOM)
+    assert {step: seed for step, (seed, _) in slots.items()} == dict.fromkeys(range(15), 8)
+
+
+def test_a_fine_lambda_scan_draws_each_step_once(step_draws):
+    # Tolerance 1e-5 takes the b = 1 probe and 17 halvings: 18 steps, drawn
+    # at the first lambda and kept for the others.
+    sensor = SensorModel()
+    for lam in (0.0, 0.5, 1.0, 1.5):
+        b = min_detectable_b(lam, 1.0, sensor, GEOM, 0.8, tolerance=1e-5, mc_rounds=2000, seed=3)
+        assert b == bisect_over_monte_carlo(lam, sensor, 0.8, 2000, 3, 1e-5)
+    assert step_draws.call_count == 18
 
 
 def bisect_over_monte_carlo(lam, sensor, target, mc_rounds, seed, tolerance):
@@ -171,15 +182,14 @@ def bisect_over_monte_carlo(lam, sensor, target, mc_rounds, seed, tolerance):
     [
         (0.0, 2.5e-12, 1, 0.8, 2000, 3),
         (0.9, 1e-11, 3, 0.6, 700, 12),
-        (0.2, 2.5e-12, 1, 0.95, 40_000, 1),  # above the cap: every step drawn afresh
+        (0.2, 2.5e-12, 1, 0.95, 40_000, 1),  # 13 steps of 40 000 trials fit in the kept bytes
     ],
 )
 def test_min_detectable_b_is_a_bisection_over_monte_carlo_accuracy(
-    lam, sigma, samples, target, mc_rounds, seed
+    lam, sigma, samples, target, mc_rounds, seed, step_draws
 ):
     sensor = SensorModel(sigma=sigma, samples=samples)
     expected = bisect_over_monte_carlo(lam, sensor, target, mc_rounds, seed, 1e-3)
-    gravsim.analysis._step_trials.cache_clear()
     for _ in ("miss", "hit"):
         b = min_detectable_b(
             lam, 1.0, sensor, GEOM, target, tolerance=1e-3, mc_rounds=mc_rounds, seed=seed
