@@ -433,7 +433,7 @@ def infer_alice_state(
             f"infer_alice_state: readings must have shape (k, {geom.field_dim}), got {data.shape}"
         )
     outcome = as_symbol(eve_outcome, "infer_alice_state")
-    born_factor = check_flag(born_factor, "eve.bornFactor")
+    born_factor = check_flag(born_factor, "infer_alice_state.born_factor")
     rng = check_generator(rng, "infer_alice_state.rng")
     count = data.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):

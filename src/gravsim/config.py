@@ -68,7 +68,12 @@ _KEYS = {
     "nullObservation": ("limit", "null_observation", None),
 }
 
-_SECTIONS = tuple(dict.fromkeys(section.partition(".")[0] for section, _, _ in _KEYS.values()))
+# The rows of _KEYS by the document section that holds their keys, in
+# document order: the keys of "eve.strategy" sit in the eve section.
+_SECTIONS = {
+    name: {key: row for key, row in _KEYS.items() if row[0].partition(".")[0] == name}
+    for name in dict.fromkeys(section.partition(".")[0] for section, _, _ in _KEYS.values())
+}
 
 SWEEP_PARAMETERS = tuple(key for key, (_, _, check) in _KEYS.items() if check is not None)
 
@@ -285,11 +290,6 @@ def _read_sites(value, path: str) -> list:
 _CODECS = {"sites": (_read_sites, lambda sites: dict(zip(_LABELS, sites.tolist())))}
 
 
-def _keys(name: str) -> dict:
-    """The rows of _KEYS whose keys section `name` of a document holds."""
-    return {key: row for key, row in _KEYS.items() if row[0].partition(".")[0] == name}
-
-
 def _section(document: dict, name: str, cls):
     """cls built from section `name` of document.
 
@@ -298,7 +298,7 @@ def _section(document: dict, name: str, cls):
     key leaves its field to its default, and is required where the field
     has none.
     """
-    keys = _keys(name)
+    keys = _SECTIONS[name]
     values = _as_object(document.get(name, {}), name, keys)
     required = {field.name for field in fields(cls) if field.default is MISSING}
     settings, strategy = {}, {}
@@ -326,7 +326,7 @@ def config_from_dict(
     nonlinear = _section(document, "nonlinear", NonlinearParams)
     sensor = _section(document, "sensor", SensorModel)
     eve = _section(document, "eve", EveSettings)
-    session = _as_object(document.get("session", {}), "session", _keys("session"))
+    session = _as_object(document.get("session", {}), "session", _SECTIONS["session"])
     rounds = rounds_override if rounds_override is not None else session.get("rounds", DEFAULT_ROUNDS)
     seed = seed_override if seed_override is not None else session.get("seed")
     if seed is None:

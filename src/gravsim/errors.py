@@ -98,6 +98,8 @@ def check_instance(value, cls: type, path: str) -> None:
 
 def is_list(value) -> bool:
     """Whether value is a list of values: a sequence or a numpy array with an axis, not a string."""
+    if isinstance(value, (list, tuple)):  # the common case, without the Sequence ABC's check
+        return True
     if isinstance(value, np.ndarray):
         return value.ndim > 0
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))

@@ -330,7 +330,7 @@ BOUNDARY = [
     ("infer_alice_state.eve_outcome", "infer_alice_state",
      lambda v: infer_alice_state(np.zeros(GEOM.field_dim), v, GEOM, BASE.nonlinear, SENSOR, rng()),
      np.int64(1), SYMBOL),
-    ("infer_alice_state.born_factor", "eve.bornFactor",
+    ("infer_alice_state.born_factor", "infer_alice_state.born_factor",
      lambda v: infer_alice_state(np.zeros(GEOM.field_dim), 0, GEOM, BASE.nonlinear, SENSOR, rng(), v),
      np.bool_(False), FLAG),
     ("infer_alice_state.geom", "infer_alice_state.geom",

@@ -1,9 +1,13 @@
 """Unit tests for point-mass fields, geometry, and the nonlinear field term."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gravsim import (
@@ -16,9 +20,12 @@ from gravsim import (
     EveStrategy,
     SensorModel,
     ValidationError,
+    config_from_dict,
     decay_factor,
+    load_config,
+    serialize_config,
 )
-from gravsim.gravity import NEWTON_G
+from gravsim.gravity import NEWTON_G, _layout
 from gravsim.qubits import BRANCH_WEIGHTS
 
 
@@ -75,13 +82,77 @@ def test_geometry_rejects_a_probe_too_far_to_cube_its_distance(x):
         Geometry(probes=[[0.5, 0.0, 0.0], [x, 0.0, 0.0]])
 
 
+SITES = [[0.1, 0.1, 0.0], [0.1, -0.1, 0.0], [-0.1, 0.1, 0.0], [-0.1, -0.1, 0.0]]
+PROBES = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]
+
+
 def test_geometry_rejects_coordinates_that_are_not_3_vectors_of_numbers():
-    with pytest.raises(ValidationError, match=r"^geometry\.probes\[0\]: expected a 3-vector"):
-        Geometry(probes=[[0.5, 0.0]])
-    with pytest.raises(ValidationError, match=r"^geometry\.sites: expected one 3-vector"):
-        Geometry(sites=np.array(1.0))
-    with pytest.raises(ValidationError, match=r"^geometry\.sites\.Xm\[1\]: expected a number"):
-        Geometry(sites=[[0.1, 0.1, 0.0], [0.1, -0.1, 0.0], [-0.1, 0.1, 0.0], [-0.1, 1j, 0.0]])
+    # Each message names the first bad vector or coordinate, in sites-then-probes order.
+    inf = np.float64(np.inf)
+    cases = [
+        (dict(probes=[[0.5, 0.0]]), "geometry.probes[0]: expected a 3-vector, got [0.5, 0.0]"),
+        (
+            dict(sites=np.array(1.0)),
+            "geometry.sites: expected one 3-vector for each of ['Z0', 'Z1', 'Xp', 'Xm'], "
+            "got array(1.)",
+        ),
+        (
+            dict(sites=[*SITES[:3], [-0.1, 1j, 0.0]]),
+            "geometry.sites.Xm[1]: expected a number, got 1j",
+        ),
+        (
+            dict(sites=[*SITES[:2], (-0.1, True, 0.0), "abc"], probes=[[0.5, 0.0]]),
+            "geometry.sites.Xp[1]: expected a number, got True",
+        ),
+        (dict(probes=[PROBES[0], "abc"]), "geometry.probes[1]: expected a 3-vector, got 'abc'"),
+        (
+            dict(sites=np.array(SITES), probes=np.array([PROBES[0], [0.0, 0.5, inf]])),
+            f"geometry.probes[1][2]: must be finite, got {inf!r}",
+        ),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValidationError) as raised:
+            Geometry(**kwargs)
+        assert str(raised.value) == message
+
+
+# Geometries with two faults, and the message of the one that comes first:
+# coordinates, coincident sites, a probe on a site, a cube beyond double
+# precision, testMass, gravConst, then the field.
+TWO_FAULTS = [
+    ([SITES[0], *SITES], PROBES, 1.0, "G", "geometry.sites: expected one 3-vector"),
+    ([[0.1, 0.1, 1j], *SITES[1:]], PROBES, 0.0, 1.0, "geometry.sites.Z0[2]: expected a number"),
+    ([SITES[0], SITES[0], *SITES[2:]], [SITES[0]], 1.0, 1.0, "geometry.sites: Z0 and Z1 coincide"),
+    ([SITES[0], SITES[0], *SITES[2:]], PROBES, 0.0, 1.0, "geometry.sites: Z0 and Z1 coincide"),
+    (SITES, [PROBES[0], SITES[1]], 1.0, -1.0, "geometry.probes[1]: closer than 1e-06 m to site Z1"),
+    (SITES, [[1e200, 0.0, 0.0]], None, 1.0, "geometry.probes: a probe lies too far from a site"),
+    (SITES, PROBES, 0.0, -1.0, "geometry.testMass: must be > 0, got 0.0"),
+    (SITES, PROBES, 1e300, "G", "geometry.gravConst: expected a number, got 'G'"),
+]
+
+
+@pytest.mark.parametrize(
+    "sites, probes, test_mass, grav_const, message",
+    TWO_FAULTS,
+    ids=["shape", "coordinate", "coincide", "coincide_mass", "probe", "cube", "mass", "const"],
+)
+def test_a_layout_with_two_faults_raises_the_first(sites, probes, test_mass, grav_const, message):
+    with pytest.raises(ValidationError) as raised:
+        Geometry(sites, probes, test_mass, grav_const)
+    assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(probes=[PROBES[0], SITES[2]]), dict(test_mass=1e300, grav_const=1e300)],
+    ids=["probe_on_a_site", "field_beyond_double_precision"],
+)
+def test_an_invalid_layout_raises_on_every_call(kwargs):
+    _layout.cache_clear()
+    for _ in range(3):
+        with pytest.raises(GeometryError):
+            Geometry(**kwargs)
+    assert _layout.cache_info().currsize == 0
 
 
 def test_geometry_rejects_bad_mass_and_constant(geom):
@@ -225,3 +296,67 @@ def test_frozen_mixture_norms(geom):
     for s in SYMBOLS:
         norm = float(np.linalg.norm(geom.mix_matrix[s]))
         assert norm == pytest.approx(8.165808171600106e-10, rel=1e-12)
+
+
+LAYOUT_FIELDS = ("sites", "probes", "config_matrix", "mix_matrix", "plane_basis", "plane")
+
+# Coordinates equal to others of another sign of zero or another type.
+LAYOUT_COORDINATE = st.sampled_from([0.0, -0.0, 0, 1, 1.0, -1, 0.25, -0.5, 2])
+LAYOUT_VECTOR = st.tuples(LAYOUT_COORDINATE, LAYOUT_COORDINATE, LAYOUT_COORDINATE)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    sites=st.lists(LAYOUT_VECTOR, min_size=4, max_size=4),
+    probes=st.lists(LAYOUT_VECTOR, min_size=1, max_size=3),
+    test_mass=st.sampled_from([1, 1.0, 2.5]),
+    as_arrays=st.booleans(),
+    by_replace=st.booleans(),
+)
+def test_a_memoized_layout_has_the_bits_of_a_fresh_build(
+    sites, probes, test_mass, as_arrays, by_replace
+):
+    # Its twin holds equal coordinates, every one a float and every zero +0.0,
+    # and is memoized first: only a key on the coordinates' bits tells them apart.
+    _layout.cache_clear()
+    try:
+        twin = Geometry(*([[c + 0.0 for c in v] for v in vectors] for vectors in (sites, probes)))
+    except GeometryError:
+        assume(False)
+    if as_arrays:
+        sites, probes = np.array(sites), np.array(probes)
+    if by_replace:
+        geom = replace(twin, sites=sites, probes=probes, test_mass=test_mass)
+    else:
+        geom = Geometry(sites, probes, test_mass)
+    _layout.cache_clear()
+    fresh = Geometry(sites, probes, test_mass)
+    for name in LAYOUT_FIELDS:
+        assert getattr(geom, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_a_negative_zero_site_keeps_its_own_layout_through_serialize_config():
+    default = serialize_config(load_config("default.json"))
+    default["geometry"]["sites"]["Z0"][2] = -0.0
+    document = serialize_config(config_from_dict(json.loads(json.dumps(default))))
+    assert math.copysign(1.0, document["geometry"]["sites"]["Z0"][2]) == -1.0
+    assert '"Z0": [0.1, 0.1, -0.0]' in json.dumps(document)
+    assert math.copysign(1.0, Geometry().sites[0, 2]) == 1.0
+
+
+def test_load_config_builds_each_layout_once(tmp_path):
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"geometry": {"testMass": 3.0}, "session": {"seed": 1}}))
+    _layout.cache_clear()
+    first, second = (load_config(str(path)).geometry for _ in range(2))
+    assert (_layout.cache_info().misses, _layout.cache_info().hits) == (1, 1)
+    assert first is not second
+    for name in LAYOUT_FIELDS:
+        assert getattr(second, name) is getattr(first, name)
+        assert not getattr(first, name).flags.writeable
+    # Both bundled configs hold the default layout: they share Geometry()'s arrays.
+    bundled = [load_config(name).geometry for name in ("default.json", "page_geilker.json")]
+    assert _layout.cache_info().misses == 2
+    for geom in bundled:
+        assert all(getattr(geom, name) is getattr(Geometry(), name) for name in LAYOUT_FIELDS)
+        assert geom.config_matrix is not first.config_matrix
