@@ -20,7 +20,6 @@ from .attack import (
     CHANCE_LEVEL,
     SensorModel,
     _check_table,
-    _geometry_plane,
     _mc_hits,
     _mc_trials,
     _Trials,
@@ -94,7 +93,7 @@ def _checked(section, field: str, value):
 # float64 normals, ties and critical amplitudes) fit: 16 steps of 2**15 trials.
 _KEPT_BYTES = 33 * 2**19  # 16.5 MiB
 
-# The (mc_rounds, geometry) of the last scan, and step k -> (seed, its read-only _Trials).
+# The (mc_rounds, layout's _Plane) of the last scan, and step k -> (seed, its read-only _Trials).
 _kept_steps: tuple = (None, {})
 
 
@@ -105,18 +104,20 @@ def _step_trials(seed: int, step: int, mc_rounds: int, geom: Geometry) -> _Trial
     tagged with its seed, while _KEPT_BYTES allows: a lambda scan scores
     every candidate of step k on one draw and its sorted critical
     amplitudes, which depend on geom.plane alone. A call with another
-    (mc_rounds, geom) first empties the store; a new seed replaces one
-    slot at a time. Threads read only their own key's trials: the store
-    is swapped whole and each slot is one tuple.
+    mc_rounds, or on another layout (whose geom.plane_constants is another
+    object), first empties the store; a new seed replaces one slot at a
+    time. Threads read only their own key's trials: the store is swapped
+    whole and each slot is one tuple.
     """
     global _kept_steps
     pair, slots = _kept_steps
-    if pair != (mc_rounds, geom):
-        pair, slots = _kept_steps = ((mc_rounds, geom), {})
+    plane = geom.plane_constants
+    if pair is None or pair[0] != mc_rounds or pair[1] is not plane:  # _Plane's == is ambiguous
+        pair, slots = _kept_steps = ((mc_rounds, plane), {})
     slot = slots.get(step)
     if slot is not None and slot[0] == seed:
         return slot[1]
-    trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds, _geometry_plane(geom))
+    trials = _mc_trials(np.random.default_rng([seed, step]), mc_rounds, plane)
     for array in (trials.truths, trials.normals, trials.ties, trials.critical):
         if array is not None:
             array.setflags(write=False)
@@ -144,9 +145,9 @@ def min_detectable_b(
     np.random.default_rng([seed, k]). Those trials do not depend on lambda,
     delta_t, the sensor or the geometry, and each trial's critical amplitude
     (attack._critical_amplitudes) depends on geom.plane alone, so the calls
-    of a lambda scan share both: a scan at the last (mc_rounds, geom) reuses
-    step k, with its sorted critical amplitudes, while steps 0 to k hold at
-    most 16.5 MiB (_step_trials). A candidate is then scalar work
+    of a lambda scan share both: a scan at the last mc_rounds and layout
+    reuses step k, with its sorted critical amplitudes, while steps 0 to k
+    hold at most 16.5 MiB (_step_trials). A candidate is then scalar work
     (attack._mc_hits): an overflow check on floats and a binary search for
     the trials whose critical amplitude lies below its amplitude in noise
     units, b * exp(-lambda * delta_t) * sqrt(samples) / sigma. When the
@@ -178,7 +179,7 @@ def min_detectable_b(
 
     relax = math.exp(-params.lam * params.delta_t)
     if mc_rounds > 0:
-        plane = _geometry_plane(geom)
+        plane = geom.plane_constants
 
         def score(b: float, step: int) -> float:
             trials = _step_trials(seed, step, mc_rounds, geom)

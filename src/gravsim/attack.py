@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     check_number,
     is_number,
 )
-from .gravity import Geometry, NonlinearParams, decay_factor
+from .gravity import Geometry, NonlinearParams, _Plane, decay_factor
 from .qubits import BRANCH_WEIGHTS, SYMBOLS, Bb84Symbol, as_symbol
 
 POSTERIOR_TOLERANCE = 1e-9
@@ -602,50 +601,6 @@ def analytic_accuracy(
     )
 
 
-class _Plane(NamedTuple):
-    """A (4, 2) plane with the constants its Monte Carlo trials share, from _plane_constants.
-
-    rows is the plane P itself, the residuals of a unit decay, and reach
-    its largest |component|, the reach of a unit decay; pmax is its largest
-    row and dmin its smallest distance between two rows. weights holds the
-    critical-amplitude weights -2 (P_t - P_h) / |P_t - P_h|^2, read-only and
-    laid out (3, 2, 4) for the gather by truth: [k, :, t] for the k-th
-    hypothesis h != t. weights is None when the plane leaves no decision
-    certain: two rows coincide, or a squared row distance leaves the normal
-    range of doubles.
-    """
-
-    rows: np.ndarray
-    reach: float
-    pmax: float
-    dmin: float
-    weights: np.ndarray | None
-
-
-# The hypotheses other than each true one, (4, 3): row t lists h != t in order.
-_OTHERS = np.array([[h for h in range(4) if h != t] for t in range(4)])
-
-
-def _plane_constants(plane) -> _Plane:
-    """The _Plane of the (4, 2) plane; _geometry_plane keeps one per geometry."""
-    rows = plane.tolist()
-    pmax = max(math.hypot(*row) for row in rows)
-    dmin = min(math.dist(rows[i], rows[j]) for i, j in _PAIRS)
-    weights = None
-    if sys.float_info.min <= dmin * dmin and 4.0 * pmax * pmax < math.inf:
-        differences = plane[:, np.newaxis] - plane[_OTHERS]  # P_t - P_h, (4, 3, 2)
-        weights = -2.0 * differences / (differences * differences).sum(axis=-1, keepdims=True)
-        weights = np.ascontiguousarray(weights.transpose(1, 2, 0))
-        weights.setflags(write=False)
-    return _Plane(plane, float(np.abs(plane).max()), pmax, dmin, weights)
-
-
-@lru_cache(maxsize=16)
-def _geometry_plane(geom: Geometry) -> _Plane:
-    """The _Plane of geom.plane, built once per geometry object (Geometry hashes by identity)."""
-    return _plane_constants(geom.plane)
-
-
 class _Trials(NamedTuple):
     """One batch of Monte Carlo classifier trials on a _Plane, as _mc_trials draws it.
 
@@ -788,19 +743,19 @@ def monte_carlo_accuracy(
     rng.integers(4, n) for the truths, an (n, 2) standard normal block for
     the noise in the plane and n uniforms for the tie-breaks. _mc_hits
     counts the hits at decay_factor(params) on the sensor's readings, from
-    the trials' critical amplitudes on the plane (the geometry's _Plane,
-    built once per geometry by _geometry_plane), or by the kernel on every
-    trial when one of them lies within the rounding band; the kernel scores
-    hypothesis-major, the transposed noise as a (2, n) statistic and (4, n)
-    logits against the residuals decay * geom.plane. The accuracy is the
-    count over n, which is bit for bit the mean of the kernel's hits.
+    the trials' critical amplitudes on the plane (geom.plane_constants,
+    built once per layout), or by the kernel on every trial when one of
+    them lies within the rounding band; the kernel scores hypothesis-major,
+    the transposed noise as a (2, n) statistic and (4, n) logits against
+    the residuals decay * geom.plane. The accuracy is the count over n,
+    which is bit for bit the mean of the kernel's hits.
     """
     n_trials = check_integer(n_trials, "monte_carlo_accuracy.n_trials", minimum=1)
     rng = check_generator(rng, "monte_carlo_accuracy.rng")
     check_instance(params, NonlinearParams, "monte_carlo_accuracy.params")
     check_instance(geom, Geometry, "monte_carlo_accuracy.geom")
     check_instance(sensor, SensorModel, "monte_carlo_accuracy.sensor")
-    plane = _geometry_plane(geom)
+    plane = geom.plane_constants
     trials = _mc_trials(rng, n_trials, plane)
     return _mc_hits(sensor, decay_factor(params), plane, trials) / n_trials
 

@@ -10,8 +10,10 @@ the realized configuration.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -125,8 +127,46 @@ def _plane(mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis, np.stack([rows[0], -rows[0], rows[1], -rows[1]])
 
 
+class _Plane(NamedTuple):
+    """A (4, 2) plane with the constants its Monte Carlo trials share, from _plane_constants.
+
+    rows is the plane P itself, the residuals of a unit decay, and reach
+    its largest |component|, the reach of a unit decay; pmax is its largest
+    row and dmin its smallest distance between two rows. weights holds the
+    critical-amplitude weights -2 (P_t - P_h) / |P_t - P_h|^2, read-only and
+    laid out (3, 2, 4) for the gather by truth: [k, :, t] for the k-th
+    hypothesis h != t. weights is None when the plane leaves no decision
+    certain: two rows coincide, or a squared row distance leaves the normal
+    range of doubles.
+    """
+
+    rows: np.ndarray
+    reach: float
+    pmax: float
+    dmin: float
+    weights: np.ndarray | None
+
+
+# The hypotheses other than each true one, (4, 3): row t lists h != t in order.
+_OTHERS = np.array([[h for h in range(4) if h != t] for t in range(4)])
+
+
+def _plane_constants(plane) -> _Plane:
+    """The _Plane of the (4, 2) plane; _layout builds one per layout."""
+    rows = plane.tolist()
+    pmax = max(math.hypot(*row) for row in rows)
+    dmin = min(math.dist(rows[i], rows[j]) for i, j in itertools.combinations(range(4), 2))
+    weights = None
+    if sys.float_info.min <= dmin * dmin and 4.0 * pmax * pmax < math.inf:
+        differences = plane[:, np.newaxis] - plane[_OTHERS]  # P_t - P_h, (4, 3, 2)
+        weights = -2.0 * differences / (differences * differences).sum(axis=-1, keepdims=True)
+        weights = np.ascontiguousarray(weights.transpose(1, 2, 0))
+        weights.setflags(write=False)
+    return _Plane(plane, float(np.abs(plane).max()), pmax, dmin, weights)
+
+
 class _Layout(NamedTuple):
-    """The read-only arrays of one geometry layout, as Geometry holds them."""
+    """The read-only arrays and the _Plane of one geometry layout, as Geometry holds them."""
 
     sites: np.ndarray
     probes: np.ndarray
@@ -134,11 +174,12 @@ class _Layout(NamedTuple):
     mix_matrix: np.ndarray
     plane_basis: np.ndarray
     plane: np.ndarray
+    plane_constants: _Plane
 
 
 @lru_cache(maxsize=32)
 def _layout(coordinates: bytes, test_mass: float, grav_const: float) -> _Layout:
-    """The arrays of the layout whose checked coordinates pack to the bytes `coordinates`.
+    """The _Layout whose checked coordinates pack to the bytes `coordinates`.
 
     The bytes key tells -0.0 from 0.0, which a float key would not. The
     positive test_mass and grav_const are equal exactly when their bits are.
@@ -156,10 +197,10 @@ def _layout(coordinates: bytes, test_mass: float, grav_const: float) -> _Layout:
             f"geometry.testMass, geometry.gravConst: a test mass of {test_mass!r} kg with "
             f"gravConst {grav_const!r} gives a configuration field beyond double precision"
         )
-    layout = _Layout(points[:4], points[4:], matrix, mix, basis, plane)
-    for array in layout:
+    arrays = (points[:4], points[4:], matrix, mix, basis, plane)
+    for array in arrays:
         array.setflags(write=False)
-    return layout
+    return _Layout(*arrays, _plane_constants(plane))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +211,9 @@ class Geometry:
     probes at least one 3-vector; coordinates in meters, test_mass in kg.
     Each coordinate is a number by the errors.check_number rule, named
     geometry.sites.<label>[i] or geometry.probes[k][i]. sites, probes and
-    the four matrices below are read-only arrays, built once per layout:
-    geometries whose coordinates, test_mass and grav_const have the same
-    bits share them.
+    the four matrices below are read-only arrays, built once per layout
+    with plane_constants: geometries whose coordinates, test_mass and
+    grav_const have the same bits share them all.
 
     config_matrix is the (4, field_dim) matrix whose row s is the field of
     the mass at site s, computed from the table of site-probe offsets.
@@ -189,7 +230,8 @@ class Geometry:
     their common centre in plane_basis: row Z1 is minus row Z0 and row Xm
     minus row Xp, differences of mix rows are differences of these rows
     times plane_basis, and the second coordinate is 0 when the diagonals
-    are parallel.
+    are parallel. plane_constants is the _Plane of plane, the constants
+    that Monte Carlo scoring (attack._mc_trials, attack._mc_hits) shares.
     """
 
     sites: np.ndarray = _DEFAULT_SITES
@@ -200,6 +242,7 @@ class Geometry:
     mix_matrix: np.ndarray = field(init=False, repr=False)
     plane_basis: np.ndarray = field(init=False, repr=False)
     plane: np.ndarray = field(init=False, repr=False)
+    plane_constants: _Plane = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not is_list(self.sites) or len(self.sites) != 4:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import gravsim.analysis
 import gravsim.attack
+import gravsim.gravity
 import oracles
 from conftest import gravsim_env
 from gravsim import (
@@ -528,7 +529,7 @@ def test_kept_bisection_trials_hold_their_critical_amplitudes_sorted(geom, step_
     min_detectable_b(0.0, 0.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=500, seed=6)
     kept = STEP_TRIALS(6, 2, 500, geom)
     assert step_draws.call_count == 5  # kept
-    plane = gravsim.attack._geometry_plane(geom)
+    plane = geom.plane_constants
     fresh = gravsim.attack._mc_trials(np.random.default_rng([6, 2]), 500, plane)
     drawn = gravsim.attack._critical_amplitudes(fresh.truths, fresh.normals, plane.weights)
     assert not (np.diff(drawn) >= 0.0).all()  # the draws come in no order
@@ -548,32 +549,32 @@ def test_kept_bisection_trials_of_another_geometry_are_drawn_anew(geom, step_dra
     other = Geometry(geom.sites, geom.probes, test_mass=2.0)
     min_detectable_b(0.0, 0.0, SensorModel(), other, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
     assert step_draws.call_count == 10
-    assert gravsim.analysis._kept_steps[0] == (50, other)  # its steps replace geom's
+    mc_rounds, plane = gravsim.analysis._kept_steps[0]
+    assert mc_rounds == 50 and plane is other.plane_constants  # its steps replace geom's
     drawn = STEP_TRIALS(2, 0, 50, other)
     assert step_draws.call_count == 10
     assert np.array_equal(kept.normals, drawn.normals)
     assert np.array_equal(kept.critical, 2.0 * drawn.critical)  # twice the mass, twice the plane
 
 
-GEOMETRY_PLANE = gravsim.attack._geometry_plane
-
-
-def test_a_lambda_scan_builds_its_plane_constants_once(geom, step_draws):
-    # One _Plane per geometry object, whatever the lambda, the sensor or the caller.
-    GEOMETRY_PLANE.cache_clear()
-    other = Geometry(geom.sites, geom.probes, test_mass=2.0)
-    constants = gravsim.attack._plane_constants
-    with mock.patch.object(gravsim.attack, "_plane_constants", wraps=constants) as built:
+def test_a_lambda_scan_builds_its_plane_constants_once(step_draws):
+    # One _Plane per layout, whatever the lambda, the sensor, the caller or the Geometry object.
+    gravsim.gravity._layout.cache_clear()
+    constants = gravsim.gravity._plane_constants
+    with mock.patch.object(gravsim.gravity, "_plane_constants", wraps=constants) as built:
+        geom = Geometry()
         for lam in (0.0, 0.5, 1.0, 2.0):
-            min_detectable_b(lam, 1.0, SensorModel(), geom, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
+            twin = Geometry()  # another object of geom's layout
+            min_detectable_b(lam, 1.0, SensorModel(), twin, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
         monte_carlo_accuracy(NonlinearParams(b=0.1), geom, SensorModel(), 10, np.random.default_rng(0))
         assert built.call_count == 1
+        other = Geometry(geom.sites, geom.probes, test_mass=2.0)
         min_detectable_b(0.0, 1.0, SensorModel(), other, 0.8, tolerance=0.1, mc_rounds=50, seed=2)
         assert built.call_count == 2
+    assert step_draws.call_count == 10  # five steps per layout
     planes = [call.args[0] for call in built.call_args_list]
     assert planes[0] is geom.plane and planes[1] is other.plane
-    assert GEOMETRY_PLANE.cache_info().misses == 2
-    mine, theirs = GEOMETRY_PLANE(geom), GEOMETRY_PLANE(other)
+    mine, theirs = geom.plane_constants, other.plane_constants
     assert mine.rows is geom.plane and theirs.rows is other.plane
     # Twice the mass, twice the plane: its lengths double and its weights halve, exactly.
     assert (theirs.reach, theirs.pmax, theirs.dmin) == (2 * mine.reach, 2 * mine.pmax, 2 * mine.dmin)
@@ -584,7 +585,7 @@ def test_a_lambda_scan_builds_its_plane_constants_once(geom, step_draws):
 
 
 def test_a_geometry_whose_plane_rows_coincide_has_no_critical_amplitudes():
-    plane = GEOMETRY_PLANE(COINCIDENT)
+    plane = COINCIDENT.plane_constants
     assert plane.dmin == 0.0 and plane.weights is None
     rng = np.random.default_rng([1, 0])
     accuracy = monte_carlo_accuracy(NonlinearParams(b=0.5), COINCIDENT, SensorModel(), 400, rng)

@@ -52,14 +52,13 @@ from gravsim.attack import (
     _hmax,
     _hsum,
     _logits,
-    _geometry_plane,
     _mc_hits,
     _mc_trials,
     _offsets,
-    _plane_constants,
     _plane_statistic,
     _rounding_band,
 )
+from gravsim.gravity import _plane_constants
 
 # A small pool makes exact ties, signed zeros and specials common.
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan, 5e-324, -1e308, 1e308]
@@ -257,7 +256,7 @@ def kernel_hits(table, trials) -> int:
 def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
     geom, params, sensor = Geometry(), NonlinearParams(b=b), SensorModel(sigma=sigma)
     table = EveConfig(geom, params, sensor, EveStrategy())._table
-    plane = _geometry_plane(geom)
+    plane = geom.plane_constants
     trials = _mc_trials(np.random.default_rng(7), 2000, plane)
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)

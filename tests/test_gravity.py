@@ -333,6 +333,14 @@ def test_a_memoized_layout_has_the_bits_of_a_fresh_build(
     fresh = Geometry(sites, probes, test_mass)
     for name in LAYOUT_FIELDS:
         assert getattr(geom, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert plane_constant_bits(geom) == plane_constant_bits(fresh)
+
+
+def plane_constant_bits(geom):
+    """The bits of geom.plane_constants: reach, pmax and dmin, then the weights or None."""
+    constants = geom.plane_constants
+    weights = None if constants.weights is None else constants.weights.tobytes()
+    return constants.reach.hex(), constants.pmax.hex(), constants.dmin.hex(), weights
 
 
 def test_a_negative_zero_site_keeps_its_own_layout_through_serialize_config():
@@ -354,9 +362,12 @@ def test_load_config_builds_each_layout_once(tmp_path):
     for name in LAYOUT_FIELDS:
         assert getattr(second, name) is getattr(first, name)
         assert not getattr(first, name).flags.writeable
+    assert second.plane_constants is first.plane_constants
+    assert not first.plane_constants.weights.flags.writeable
     # Both bundled configs hold the default layout: they share Geometry()'s arrays.
     bundled = [load_config(name).geometry for name in ("default.json", "page_geilker.json")]
     assert _layout.cache_info().misses == 2
+    shared = (*LAYOUT_FIELDS, "plane_constants")
     for geom in bundled:
-        assert all(getattr(geom, name) is getattr(Geometry(), name) for name in LAYOUT_FIELDS)
+        assert all(getattr(geom, name) is getattr(Geometry(), name) for name in shared)
         assert geom.config_matrix is not first.config_matrix

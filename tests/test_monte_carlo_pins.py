@@ -141,17 +141,19 @@ def test_the_interleaved_calls_reuse_draw_and_evict_steps(step_draws):
     # its steps anew, and the last call's replace those of the seed before.
     scan(INTERLEAVED)
     assert step_draws.call_count == 121
-    pair, slots = gravsim.analysis._kept_steps
-    assert pair == (2000, GEOM)
+    (mc_rounds, plane), slots = gravsim.analysis._kept_steps
+    assert mc_rounds == 2000 and plane is GEOM.plane_constants
     assert {step: seed for step, (seed, _) in slots.items()} == dict.fromkeys(range(15), 8)
 
 
 def test_a_fine_lambda_scan_draws_each_step_once(step_draws):
     # Tolerance 1e-5 takes the b = 1 probe and 17 halvings: 18 steps, drawn
-    # at the first lambda and kept for the others.
-    sensor = SensorModel()
-    for lam in (0.0, 0.5, 1.0, 1.5):
-        b = min_detectable_b(lam, 1.0, sensor, GEOM, 0.8, tolerance=1e-5, mc_rounds=2000, seed=3)
+    # at the first lambda and kept for the others, which alternate two
+    # Geometry objects of GEOM's layout: the steps are kept per layout.
+    sensor, geoms = SensorModel(), (Geometry(), Geometry())
+    for k, lam in enumerate((0.0, 0.5, 1.0, 1.5)):
+        geom = geoms[k % 2]
+        b = min_detectable_b(lam, 1.0, sensor, geom, 0.8, tolerance=1e-5, mc_rounds=2000, seed=3)
         assert b == bisect_over_monte_carlo(lam, sensor, 0.8, 2000, 3, 1e-5)
     assert step_draws.call_count == 18
 
