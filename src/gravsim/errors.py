@@ -110,18 +110,16 @@ def check_numbers(values, path: str, **bounds) -> tuple[float, ...]:
 
     A list of plain finite floats is checked in one pass: float(v) is v
     for each, so its least and greatest elements pass check_number exactly
-    when every element does. Any other list is checked element by element.
-    The indexed paths are built only once an element has failed: the check
-    then runs again, and raises under the first failing element's path.
+    when every element does. Any other list, or one that fails that pass,
+    is checked element by element under the indexed paths.
     """
     if not is_list(values):
         raise ValidationError(f"{path}: expected a list of numbers, got {values!r}")
-    try:
-        if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+        try:
             check_number(min(values), path, **bounds)
             check_number(max(values), path, **bounds)
             return tuple(values)
-        return tuple(check_number(v, path, **bounds) for v in values)
-    except ValidationError:
-        pass
+        except ValidationError:
+            pass
     return tuple(check_number(v, f"{path}[{k}]", **bounds) for k, v in enumerate(values))

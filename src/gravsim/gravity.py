@@ -57,21 +57,10 @@ def _vector(value, path: str) -> tuple[float, ...]:
 
 
 def _coordinates(sites, probes) -> tuple[float, ...]:
-    """The coordinates of the four sites, then of the probes, as one checked tuple.
-
-    All of them are checked in one check_numbers pass. When that pass
-    fails, each vector is checked again on its own, by _vector, which
-    raises under the first failing coordinate's path.
-    """
-    vectors = (*sites, *probes)
-    try:
-        if all(is_list(v) and len(v) == 3 for v in vectors):
-            return check_numbers([c for v in vectors for c in v], "geometry")
-    except ValidationError:
-        pass
+    """The coordinates of the four sites, then of the probes, as one tuple; _vector checks each."""
     paths = [f"geometry.sites.{label}" for label in _LABELS]
     paths += [f"geometry.probes[{k}]" for k in range(len(probes))]
-    return tuple(c for v, path in zip(vectors, paths) for c in _vector(v, path))
+    return tuple(c for v, path in zip((*sites, *probes), paths) for c in _vector(v, path))
 
 
 def _offsets_and_cubes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

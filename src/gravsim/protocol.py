@@ -125,14 +125,8 @@ def _key_rates(qber: float, eve_info: float) -> tuple[float, float]:
     return max(0.0, 1.0 - 2.0 * h), max(0.0, 1.0 - h - eve_info)
 
 
-def _mutual_information(table: list[list[int]]) -> float:
-    """Plug-in mutual information (bits) of an empirical joint count table, a list of rows."""
-    rows = [sum(row) for row in table]
-    return _plug_in_information(table, sum(rows), rows, [sum(col) for col in zip(*table)])
-
-
 def _plug_in_information(table, n: int, row_sums, col_sums) -> float:
-    """_mutual_information of a table with n counts and the given row and column sums."""
+    """Plug-in mutual information (bits) of a count table with n counts, row_sums and col_sums."""
     total = 0.0
     for row, row_sum in zip(table, row_sums):
         for c, col_sum in zip(row, col_sums):
@@ -266,12 +260,6 @@ def _box_muller(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 _NORMAL_EXTENT = float(_box_muller(_uniforms(np.array([2**64 - 1], np.uint64)), np.zeros(1))[0, 0])
 
 
-# Chunks of at least this many rounds (128 KiB of draws, glibc's default
-# mmap threshold) draw into the thread's kept buffer (_Buffers); smaller
-# ones into fresh arrays (see _Buffers.take).
-_KEPT_ROUNDS = 2048
-
-
 class _Buffers(threading.local):
     """Each thread's (rounds, 8) chunk draw buffer, kept across passes.
 
@@ -286,15 +274,7 @@ class _Buffers(threading.local):
         self.draws = np.empty((0, _BLOCK))
 
     def take(self, rounds: int) -> np.ndarray:
-        """A draw buffer of at least `rounds` rounds.
-
-        Below _KEPT_ROUNDS it is fresh: the allocator serves it from memory
-        just freed, still in cache, where the kept buffer has gone cold
-        since the thread's last pass (a 2000-round Eve session drew 30 to
-        40 us slower into it, between other work, on a 2-vCPU Xeon VM).
-        """
-        if rounds < _KEPT_ROUNDS:
-            return np.empty((rounds, _BLOCK))
+        """The thread's draw buffer, grown to at least `rounds` rounds."""
         if len(self.draws) < rounds:
             self.draws = np.empty((rounds, _BLOCK))
         return self.draws
@@ -333,9 +313,8 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     A chunk holds 4096 rounds, with Eve or without. An attacked chunk
     carries a fixed cost of numpy calls in _attack_batch whatever its size
     (a 10-round Eve pass takes over three times an honest one), so a
-    2000-round Eve session pays it once. A chunk of _KEPT_ROUNDS rounds or
-    more draws into the buffer its thread keeps, so it does not page-fault
-    it in on every pass.
+    2000-round Eve session pays it once. Every chunk draws into the buffer
+    its thread keeps, so a pass does not page-fault it in anew.
     """
     n_points = len(seeds)
     block = max(1, _CHUNK_VARIATES // _BLOCK)
@@ -362,8 +341,8 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
         uniforms = draws[: hi - lo].T
         # The session of each round within the chunk; with one session, that is 0 for all.
         # Kept: the per-round-settings path on every chunk made a 2000-round Eve
-        # session 3% slower (2327 -> 2399 us) and a 5000-round honest session
-        # 5.5% slower (930 -> 981 us), interleaved medians.
+        # session 38% to 47% slower (552 -> 762 and 559 -> 820 us, in-process
+        # best of 15, two prototypes).
         owner = 0
         if n_sessions > 1:
             owner = np.arange(lo, hi) // n_rounds - sessions.start

@@ -1,14 +1,17 @@
-"""Property tests: the attack kernel's hypothesis folds equal the axis reductions they replace.
+"""Property tests: the attack kernel's reductions over the hypotheses equal the per-round ones.
 
 The kernel is hypothesis-major: it keeps the four hypotheses on axis 0,
-one contiguous row each, and a round's four scores in a column. _hmax,
-_hsum and _break_ties reduce over the hypotheses row by row. Each is fed
-the transpose of (n, 4) rounds and must give, bit for bit, what the
-reduction of each round along the last axis gives, on rounds with exact
-ties, signed zeros, infinities, NaN and rounds that the prior masks
-entirely. Any NaN counts as equal to any NaN. _logits must give, bit for
-bit, the transpose of what the same kernel written for rounds of (n, dim)
-statistics (the einsum "...d,...hd->...h") gives, and Monte Carlo hits
+one contiguous row each, and a round's four scores in a column. It takes
+the maximum and the sum over the hypotheses (hmax, hsum) with numpy's
+axis-0 max and sum, and _break_ties ranks them row by row. On (4, n)
+arrays made from (n, 4) rounds, hmax and hsum must equal, bit for bit,
+both a fold of np.maximum or + over the four rows in order and the
+reduction of each round along the last axis; _break_ties must pick the
+reference choice. This holds on rounds with exact ties, signed zeros,
+infinities, NaN and rounds that the prior masks entirely. Any NaN counts
+as equal to any NaN. _logits must give, bit for bit, the transpose of
+what the same kernel written for rounds of (n, dim) statistics (the
+einsum "...d,...hd->...h") gives, and Monte Carlo hits
 (scored with a 0.0 prior) must count what its logits choose. _mc_hits
 takes the sensor and forms the statistic itself; it counts trials from
 their critical amplitudes, or runs the kernel on every trial when its
@@ -49,8 +52,6 @@ from gravsim.attack import (
     _check_table,
     _critical_amplitudes,
     _gather,
-    _hmax,
-    _hsum,
     _logits,
     _mc_hits,
     _mc_trials,
@@ -76,11 +77,28 @@ def bits(values) -> np.ndarray:
     return np.where(np.isnan(values), -1, values.view(np.int64))
 
 
+def hypothesis_major(rounds) -> np.ndarray:
+    """(n, 4) rounds as the kernel lays them out: a contiguous (4, n) array, one row per hypothesis."""
+    return np.ascontiguousarray(rounds.T)
+
+
+def fold_max(x) -> np.ndarray:
+    """np.maximum folded over the four rows of x in order."""
+    return np.maximum(np.maximum(np.maximum(x[0], x[1]), x[2]), x[3])
+
+
+def fold_sum(x) -> np.ndarray:
+    """The four rows of x added from 0 in order."""
+    return 0 + x[0] + x[1] + x[2] + x[3]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(x=ROWS)
 @example(x=np.array([[0.0, -0.0, -1.0, -2.0], [-0.0, 0.0, -0.0, -0.0], [np.nan, 1.0, np.inf, 1.0]]))
 def test_hmax_is_the_row_max(x):
-    assert np.array_equal(bits(_hmax(x.T)), bits(x.max(axis=-1)))
+    h = hypothesis_major(x)
+    assert np.array_equal(bits(h.max(axis=0)), bits(fold_max(h)))
+    assert np.array_equal(bits(h.max(axis=0)), bits(x.max(axis=-1)))
 
 
 @st.composite
@@ -101,15 +119,17 @@ def masked_rows(draw):
 def test_hmax_under_a_prior_mask_is_the_masked_row_max(case):
     # _logits masks the hypotheses its prior rules out this way.
     x, masked = case
-    prior = np.where(masked, -np.inf, 0.0)
-    fold = _hmax(np.where(prior == -np.inf, -np.inf, x).T)
-    assert np.array_equal(bits(fold), bits(x.max(axis=-1, where=prior != -np.inf, initial=-np.inf)))
+    prior = hypothesis_major(np.where(masked, -np.inf, 0.0))
+    best = np.where(prior == -np.inf, -np.inf, hypothesis_major(x))
+    assert np.array_equal(bits(best.max(axis=0)), bits(fold_max(best)))
+    expected = x.max(axis=-1, where=~masked, initial=-np.inf)
+    assert np.array_equal(bits(best.max(axis=0)), bits(expected))
 
 
 def test_hmax_of_an_all_masked_row_is_minus_infinity():
-    x = np.array([[1.0, np.nan, -0.0, 2.0]])
-    fold = _hmax(np.where(np.full((1, 4), True), -np.inf, x).T)
-    assert fold.tolist() == [-np.inf]
+    x = hypothesis_major(np.array([[1.0, np.nan, -0.0, 2.0]]))
+    best = np.where(np.full((4, 1), True), -np.inf, x)
+    assert best.max(axis=0).tolist() == fold_max(best).tolist() == [-np.inf]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -118,16 +138,10 @@ def test_hmax_of_an_all_masked_row_is_minus_infinity():
     x=np.array([[-0.0, -0.0, -0.0, -0.0], [np.inf, -np.inf, 1.0, 0.0], [1e308, 1e308, -1e308, 0.0]])
 )
 def test_hsum_is_the_row_sum(x):
+    h = hypothesis_major(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(bits(_hsum(x.T)), bits(x.sum(axis=1)))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(flags=arrays(np.bool_, st.tuples(st.integers(0, 40), st.just(4))))
-def test_hsum_counts_true_entries_as_integers(flags):
-    counts = _hsum(flags.T)
-    assert counts.dtype == flags.sum(axis=1).dtype
-    assert np.array_equal(counts, flags.sum(axis=1))
+        assert np.array_equal(bits(h.sum(axis=0)), bits(fold_sum(h)))
+        assert np.array_equal(bits(h.sum(axis=0)), bits(x.sum(axis=1)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -244,7 +258,7 @@ def kernel_hits(table, trials) -> int:
     statistic = _plane_statistic(table, 0, trials.truths, trials.normals)
     residuals, offsets = _gather(table.residuals, 0), _gather(table.offsets, 0)
     logits = _logits(statistic, residuals, offsets, table.sigma[0], 0.0)
-    chosen = _break_ties(logits, _hmax(logits), trials.ties)
+    chosen = _break_ties(logits, logits.max(axis=0), trials.ties)
     return int(np.count_nonzero(chosen == trials.truths))
 
 
@@ -265,7 +279,7 @@ def test_monte_carlo_hits_count_the_choices_of_zero_prior_logits(b, sigma):
         assert (logits == 0.0).all()  # every column a four-way tie
     elif sigma == 1e-170:
         assert (logits == -np.inf).any()  # scores below the best overflow to -inf
-    chosen = _break_ties(logits, _hmax(logits), trials.ties)
+    chosen = _break_ties(logits, logits.max(axis=0), trials.ties)
     hits = _mc_hits(sensor, decay_factor(params), plane, trials)
     assert hits == np.count_nonzero(chosen == trials.truths) == kernel_hits(table, trials)
     row = table_row(sensor, decay_factor(params), geom.plane)  # the engine's own table

@@ -42,7 +42,7 @@ from gravsim import (
     sweep,
 )
 from gravsim import protocol
-from gravsim.attack import _LOG_PRIORS, _check_table, _hmax, _logits, _plane_statistic
+from gravsim.attack import _LOG_PRIORS, _check_table, _logits, _plane_statistic
 
 GEOM = Geometry()
 # Sites off the symmetric square: the four mix rows have different norms, so
@@ -261,11 +261,10 @@ def test_a_pass_runs_full_chunks_across_its_sessions(rounds, chunks):
         assert np.array_equal(transcript[p * rounds : (p + 1) * rounds], alone)
 
 
-def test_kept_buffers_never_show_in_a_result(monkeypatch):
-    # A fresh buffer gives the reference; then every pass, however short,
-    # draws into the buffer its thread keeps.
+def test_kept_buffers_never_show_in_a_result():
+    # Every pass, however short, draws into the buffer its thread keeps.
     expected = run_session(3000, LEAK_CFG, seed=12)
-    monkeypatch.setattr(protocol, "_KEPT_ROUNDS", 1)
+    short = run_session(50, LEAK_CFG, seed=15)
     stats, transcript = run_session(3000, LEAK_CFG, seed=12)
     assert stats == expected[0] and np.array_equal(transcript, expected[1])
     # A larger pass grows the buffer, a smaller one overwrites its start.
@@ -274,6 +273,20 @@ def test_kept_buffers_never_show_in_a_result(monkeypatch):
     assert stats == expected[0] and np.array_equal(transcript, expected[1])
     again = run_session(3000, LEAK_CFG, seed=12)
     assert again[0] == stats and np.array_equal(again[1], transcript)
+    again = run_session(50, LEAK_CFG, seed=15)
+    assert again[0] == short[0] and np.array_equal(again[1], short[1])
+
+
+def test_a_short_session_in_a_new_thread_draws_into_a_kept_buffer():
+    def job():
+        result = run_session(50, LEAK_CFG, seed=16)
+        return result, len(protocol._buffers.draws)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        (stats, transcript), kept_rounds = pool.submit(job).result(timeout=60)
+    assert kept_rounds >= 50
+    alone = run_session(50, LEAK_CFG, seed=16)
+    assert stats == alone[0] and np.array_equal(transcript, alone[1])
 
 
 def test_threads_draw_into_buffers_of_their_own():
@@ -418,4 +431,4 @@ def test_a_setting_the_rule_accepts_scores_every_normal_the_engine_draws(
     logits = _logits(statistic, table.residuals[0], offsets, table.sigma[0], prior)
     assert np.isfinite(statistic).all()
     assert not np.isnan(logits).any() and (logits < np.inf).all()
-    assert np.isfinite(_hmax(logits)).all()
+    assert np.isfinite(logits.max(axis=0)).all()
