@@ -91,8 +91,10 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(out, text)
 
 
-# Transcript rows per block: bounds the byte table and the text of one block.
+# Transcript rows per block: bounds the record array and the bytes of one block.
 _CSV_BLOCK_ROWS = 1024
+# The tail of a round Eve sat out: four blank posterior cells.
+_BLANK_TAIL = b",,,\n"
 
 
 def _row_keys(transcript) -> np.ndarray:
@@ -102,10 +104,14 @@ def _row_keys(transcript) -> np.ndarray:
     inference and resent state, Eve's three shifted by 1 so that the -1 of
     a round she sat out packs as 0. The other cells follow from these six.
     """
-    alice = transcript["alice"].astype(np.intp)
-    key = 4 * alice + 2 * transcript["bob_basis"] + transcript["bob_bit"]
-    for name in ("outcome", "inferred", "resent"):
-        key = 5 * key + (transcript[name] + 1)
+    key = transcript["alice"].astype(np.intp)
+    for base, name in (
+        (2, "bob_basis"), (2, "bob_bit"), (5, "outcome"), (5, "inferred"), (5, "resent")
+    ):
+        key *= base
+        key += transcript[name]
+    # Eve's three +1 shifts, packed: 1 * 25 + 1 * 5 + 1
+    key += 31
     return key
 
 
@@ -114,8 +120,12 @@ _BOB_BASES = tuple(Basis)
 _EVE_LABELS = (None, *(s.label for s in SYMBOLS))
 
 
-def _row_cells(key: int) -> str:
-    """The cells of a row key between round and posteriorZ0, with a comma on each side."""
+@functools.cache
+def _row_cells(key: int) -> bytes:
+    """The cells of a row key between round and posteriorZ0, with a comma on each side.
+
+    Formatted once per process: there are 16 * 125 keys.
+    """
     key, resent = divmod(key, 5)
     key, inferred = divmod(key, 5)
     key, outcome = divmod(key, 5)
@@ -136,14 +146,15 @@ def _row_cells(key: int) -> str:
         _EVE_LABELS[resent],
         resent - 1 == alice if resent else None,
     )
-    return "," + ",".join(map(_fmt, cells)) + ","
+    return ("," + ",".join(map(_fmt, cells)) + ",").encode("ascii")
 
 
 def _index_digits(size: int) -> np.ndarray:
-    """The round indices 0..size-1 as right-aligned ASCII digit rows, NUL for each leading zero.
+    """The round indices 0..size-1 as right-aligned ASCII digit records, NUL for each leading zero.
 
     The digit in place p of consecutive integers runs through "0".."9", each
-    repeated 10**p times, so every column is a tiled pattern.
+    repeated 10**p times, so every column is a tiled pattern. Each row of
+    the digit table is one void record, copied whole into a block.
     """
     width = len(str(max(size - 1, 0)))
     ascii_digits = np.frombuffer(b"0123456789", np.uint8)
@@ -155,49 +166,45 @@ def _index_digits(size: int) -> np.ndarray:
         if place:
             column[:period] = 0
         digits[:, width - 1 - place] = column
-    return digits
+    return digits.view(f"V{width}").reshape(size)
 
 
-def _byte_rows(strings) -> np.ndarray:
-    """ASCII strings as the rows of a uint8 table, each padded with NULs to the longest."""
-    table = np.array(strings, dtype=bytes)
-    return table.view(np.uint8).reshape(table.size, table.itemsize)
+def _transcript_csv_blocks(transcript):
+    """The per-round table under RECORD_COLUMNS as ASCII byte blocks; floats are written with repr.
 
-
-def _transcript_csv(transcript) -> str:
-    """The per-round table under RECORD_COLUMNS; floats are written with repr.
-
-    A line is the round index, the cells of its row key and the posterior.
-    Only the keys that occur are formatted, once each: an honest session has
-    at most 16. Each block of rows is a NUL-padded byte table, one row per
-    line: the index digits, the key's cells taken from a per-key byte table,
-    and the tail (`repr` of the posterior on an attacked round, blanks
-    otherwise). Dropping the NULs leaves the text; no cell contains one.
+    The header comes first, then one block per _CSV_BLOCK_ROWS rows. A line
+    is the round index, the cells of its row key and the posterior. Each
+    block is an array of fixed-width records, one per line, with three
+    NUL-padded fields: the index digits, the key's cells (a void record per
+    key that occurs), and the tail (`repr` of the posterior on an attacked
+    round, blanks otherwise). Dropping the NULs leaves the line; no cell
+    contains one.
     """
+    yield _csv_text(RECORD_COLUMNS, ()).encode("ascii")
     keys = _row_keys(transcript)
     counts = np.bincount(keys)
     present = np.flatnonzero(counts)
-    found = _byte_rows([_row_cells(key) for key in present.tolist()])
-    cells = np.zeros((counts.size, found.shape[1]), np.uint8)
-    cells[present] = found
+    found = np.array([_row_cells(key) for key in present.tolist()], dtype=bytes)
+    cells = np.zeros(counts.size, f"V{found.itemsize}")
+    cells[present] = found.view(cells.dtype)
     digits = _index_digits(transcript.size)
-    tail_at = digits.shape[1] + cells.shape[1]
-    blank = np.frombuffer(b",,,\n", np.uint8)
-    parts = [_csv_text(RECORD_COLUMNS, ())]
     for start in range(0, transcript.size, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, transcript.size)
-        attacked = transcript["attacked"][start:stop]
-        posteriors = transcript["posterior"][start:stop][attacked].tolist()
+        attacked = np.flatnonzero(transcript["attacked"][start:stop])
+        posteriors = transcript["posterior"][start + attacked].tolist()
         # %r is the float repr of the byte contract; one format per row beats a join
-        tails = _byte_rows(["%r,%r,%r,%r\n" % (z0, z1, xp, xm) for z0, z1, xp, xm in posteriors])
-        table = np.zeros((stop - start, tail_at + max(blank.size, tails.shape[1])), np.uint8)
-        table[:, : digits.shape[1]] = digits[start:stop]
-        table[:, digits.shape[1] : tail_at] = cells.take(keys[start:stop], axis=0)
-        # an attacked row's tail, longer than the blanks, overwrites them
-        table[:, tail_at : tail_at + blank.size] = blank
-        table[np.flatnonzero(attacked), tail_at : tail_at + tails.shape[1]] = tails
-        parts.append(table.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        tails = np.array(
+            ["%r,%r,%r,%r\n" % (z0, z1, xp, xm) for z0, z1, xp, xm in posteriors], dtype=bytes
+        )
+        # the tail field is as wide as the block's longest tail, NUL-padded
+        tail = f"S{max(len(_BLANK_TAIL), tails.itemsize)}"
+        fields = [("digits", digits.dtype), ("cells", cells.dtype), ("tail", tail)]
+        block = np.empty(stop - start, fields)
+        block["digits"] = digits[start:stop]
+        block["cells"] = cells[keys[start:stop]]
+        block["tail"] = _BLANK_TAIL
+        block["tail"][attacked] = tails
+        yield block.tobytes().translate(None, b"\0")
 
 
 def _cmd_run(args) -> int:
@@ -216,7 +223,8 @@ def _cmd_run(args) -> int:
     )
     stats_text = _json_text(stats.to_dict())
     if want_records:
-        _write_text(args.out, _transcript_csv(transcript))
+        with open(args.out, "wb") as file:
+            file.writelines(_transcript_csv_blocks(transcript))
         sys.stdout.write(stats_text)
     else:
         _emit(stats_text, args.out)

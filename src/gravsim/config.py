@@ -290,6 +290,13 @@ def _read_sites(value, path: str) -> list:
 _CODECS = {"sites": (_read_sites, lambda sites: dict(zip(_LABELS, sites.tolist())))}
 
 
+# Each section class's fields without a default: their keys are required.
+_REQUIRED = {
+    cls: frozenset(field.name for field in fields(cls) if field.default is MISSING)
+    for cls in (Geometry, NonlinearParams, SensorModel, EveSettings, SweepSpec, LimitSettings)
+}
+
+
 def _section(document: dict, name: str, cls):
     """cls built from section `name` of document.
 
@@ -300,7 +307,6 @@ def _section(document: dict, name: str, cls):
     """
     keys = _SECTIONS[name]
     values = _as_object(document.get(name, {}), name, keys)
-    required = {field.name for field in fields(cls) if field.default is MISSING}
     settings, strategy = {}, {}
     for key, (section, field, _) in keys.items():
         if key in values:
@@ -308,7 +314,7 @@ def _section(document: dict, name: str, cls):
             if key in _CODECS:
                 value = _CODECS[key][0](value, f"{name}.{key}")
             (strategy if section == "eve.strategy" else settings)[field] = value
-        elif field in required:
+        elif field in _REQUIRED[cls]:
             raise ValidationError(f"{name}.{key}: required")
     if strategy:
         settings["strategy"] = EveStrategy(**strategy)

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -237,7 +238,7 @@ def test_transcript_csv_formats_every_reachable_row_key():
         if outcome >= 0:
             row["attacked"] = True
             row["posterior"] = [posteriors[(index + k) % 5] for k in range(4)]
-    lines = cli._transcript_csv(transcript).split("\n")
+    lines = _transcript_text(transcript).split("\n")
     assert lines[0] == ",".join(RECORD_COLUMNS)
     assert lines[-1] == ""
     assert len(lines) == len(combos) + 2
@@ -245,8 +246,15 @@ def test_transcript_csv_formats_every_reachable_row_key():
         assert line == _reference_line(index, record)
 
 
+def _transcript_text(transcript) -> str:
+    """The writer's blocks joined: every block is bytes, and the whole is ASCII."""
+    blocks = list(cli._transcript_csv_blocks(transcript))
+    assert all(type(block) is bytes for block in blocks)
+    return b"".join(blocks).decode("ascii")
+
+
 def _assert_reference_csv(transcript):
-    text = cli._transcript_csv(transcript)
+    text = _transcript_text(transcript)
     assert "\0" not in text
     lines = text.split("\n")
     assert lines[0] == ",".join(RECORD_COLUMNS)
@@ -306,6 +314,51 @@ def test_transcript_csv_matches_the_reference_on_engine_transcripts(rounds):
         if rounds > 1000:
             assert transcript["attacked"].mean() == pytest.approx(fraction, abs=0.1)
         _assert_reference_csv(transcript)
+
+
+def test_transcript_csv_writer_memory_stays_below_the_file_size(tmp_path, monkeypatch, capsys):
+    # The blocks go to the file as they are made: above what the session
+    # itself holds, the writer's traced peak stays below the text's size.
+    held = []
+
+    def traced_session(*args, **kwargs):
+        result = run_session(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(cli, "run_session", traced_session)
+    target = tmp_path / "rounds.csv"
+    config = '{"eve": {"enabled": false}, "session": {"seed": 8}}'
+    argv = ["run", "--config", config, "--rounds", "100000", "--format", "csv"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_main([*argv, "--out", str(target)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rounds"] == 100_000
+    size = target.stat().st_size
+    assert size > 3_000_000
+    assert peak - held[0] < size
+
+
+def test_run_csv_rewrites_a_longer_out_file_whole(tmp_path, capsys):
+    target, fresh = tmp_path / "rounds.csv", tmp_path / "fresh.csv"
+    argv = ["run", "--config", MINIMAL, "--format", "csv", "--rounds"]
+    code, _, _ = run_main([*argv, "3000", "--out", str(target)], capsys)
+    assert code == 0
+    longer = target.stat().st_size
+    code, out, err = run_main([*argv, "50", "--out", str(target)], capsys)
+    assert (code, err) == (0, "")
+    code, fresh_out, _ = run_main([*argv, "50", "--out", str(fresh)], capsys)
+    assert code == 0
+    stats, _ = run_session(50, load_config(MINIMAL).to_eve_config(), seed=3, with_records=False)
+    assert out == fresh_out == json.dumps(stats.to_dict(), indent=2) + "\n"
+    text = target.read_bytes()
+    assert text == fresh.read_bytes()
+    assert len(text) < longer and text.count(b"\n") == 51
 
 
 def test_run_stdout_is_reproducible(capsys):
