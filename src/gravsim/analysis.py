@@ -249,6 +249,17 @@ class LimitResult:
             raise ValidationError(f"limit result: bounds must lie in [0, 1], got {self.b_upper!r}")
 
 
+def _norm(row: np.ndarray) -> float:
+    """|row| as np.linalg.norm gives it, or by math.hypot where its sum of squares could not hold.
+
+    A row beyond about 1e154 squares to inf, and one below about 1e-150 may
+    square into the subnormals; math.hypot scales rather than squares.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(row))
+    return norm if 1e-150 <= norm < math.inf else math.hypot(*row.tolist())
+
+
 def signal_to_noise(
     b: float,
     lam: float,
@@ -267,7 +278,7 @@ def signal_to_noise(
     check_instance(sensor, SensorModel, "signal_to_noise.sensor")
     check_instance(geom, Geometry, "signal_to_noise.geom")
     mix = geom.mix_matrix[as_symbol(preparation, "signal_to_noise.preparation")]
-    return math.sqrt(sensor.samples) * (factor * float(np.linalg.norm(mix))) / sensor.sigma
+    return math.sqrt(sensor.samples) * (factor * _norm(mix)) / sensor.sigma
 
 
 def exclusion_limit(
@@ -298,7 +309,7 @@ def exclusion_limit(
     grid = _lambda_grid(lambda_grid)
     confidence = _confidence(confidence)
     z = statistics.NormalDist().inv_cdf(confidence)
-    mix_norm = float(np.linalg.norm(experiment.geometry.mix_matrix[experiment.preparation]))
+    mix_norm = _norm(experiment.geometry.mix_matrix[experiment.preparation])
     if mix_norm == 0.0:
         raise ValidationError(
             "limit: the geometry gives a vanishing mixture signal; no limit can be set"

@@ -185,7 +185,7 @@ def _eve_outcome(prepared: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return _EVE_OUTCOMES.take(4 * prepared + (4.0 * draws).astype(np.intp))
 
 
-def _logits(statistic, residuals, offsets, sigma, log_prior) -> np.ndarray:
+def _logits(statistic, residuals, offsets, sigma, log_prior, out=None) -> np.ndarray:
     """Hypothesis log-posteriors up to a shared constant, (dim, n) -> (4, n).
 
     The kernel is hypothesis-major: axis 0 of the logits is the hypothesis
@@ -205,13 +205,19 @@ def _logits(statistic, residuals, offsets, sigma, log_prior) -> np.ndarray:
     products go through einsum rather than BLAS, which sums every row in
     the same order whatever the batch shape, so a row's logits depend
     neither on the rows beside it nor on whether its residuals are shared
-    with them.
+    with them. The logits are formed in place on the scores: in out, a
+    C-contiguous (4, n) array, when given, else in a fresh array.
     """
-    score = np.einsum("d...,hd...->h...", statistic, residuals)
+    score = np.einsum("d...,hd...->h...", statistic, residuals, out=out)
     score -= offsets
     best = np.where(log_prior == -np.inf, -np.inf, score).max(axis=0)
+    score -= best
+    np.minimum(score, 0.0, out=score)
     with np.errstate(over="ignore"):  # overflowing to -inf is the intended limit
-        return np.minimum(score - best, 0.0) / sigma / sigma + log_prior
+        score /= sigma
+        score /= sigma
+    score += log_prior
+    return score
 
 
 def _offsets(residuals, count) -> np.ndarray:
@@ -275,15 +281,19 @@ class _AttackTable(NamedTuple):
 _RESEND_FROM = {StrategyMode.CLONE_INFERRED: -math.inf, StrategyMode.RESEND_MEASURED: math.inf}
 
 
-def _gather(values, at) -> np.ndarray:
+def _gather(values, at, out=None) -> np.ndarray:
     """Rows `at` of an _AttackTable column, with the row axis moved last.
 
     (P, ...) -> (..., n) for an array of n rows, and (..., 1) for one row
     `at`, so that the result broadcasts against a hypothesis-major batch.
+    An array of rows is written into out, a C-contiguous (..., n) array,
+    when given. Every `at` is the session engine's, within the table, so
+    mode="clip" gathers the same rows as "raise", which would gather into a
+    temporary buffer and copy it to out.
     """
     if np.ndim(at) == 0:
         return values[at, ..., np.newaxis]
-    return np.moveaxis(values, 0, -1).take(at, axis=-1)
+    return np.moveaxis(values, 0, -1).take(at, axis=-1, out=out, mode="clip")
 
 
 def _plane_statistic(table, at, truth, normals) -> np.ndarray:
@@ -335,10 +345,15 @@ def _break_ties(logits, peak, u) -> np.ndarray:
     return 0 + (rank_0 <= pick) + (rank_1 <= pick) + (rank_2 <= pick)
 
 
-def _posterior(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Peaks, weight totals and posteriors of (4, n) logits; each posterior column is checked."""
+def _posterior(logits, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peaks, weight totals and posteriors of (4, n) logits; each posterior column is checked.
+
+    The weights are formed in out, a C-contiguous (4, n) array, when given;
+    the posteriors are always a fresh array.
+    """
     peak = logits.max(axis=0)
-    weights = np.exp(logits - peak)
+    weights = np.subtract(logits, peak, out=out)
+    np.exp(weights, out=weights)
     total = weights.sum(axis=0)
     posterior = weights / total
     normalized = abs(posterior.sum(axis=0) - 1.0) <= POSTERIOR_TOLERANCE
@@ -443,6 +458,7 @@ def _attack_batch(
     outcome_draws: np.ndarray,
     noise: np.ndarray,
     tie_draws: np.ndarray,
+    scratch=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eve's attack on n rounds at once, fed its variates explicitly.
 
@@ -462,18 +478,24 @@ def _attack_batch(
     indices and an (n, 4) posterior; every posterior row is checked to be
     a distribution. Inside, the kernel is hypothesis-major: noise.T, the
     logits and the weights are (2, n) and (4, n), and the posterior is
-    returned as the .T view of its (4, n) array.
+    returned as the .T view of its (4, n) array. scratch, when given
+    (protocol._Buffers.scratch), holds the kernel's (4, ...) temporaries:
+    the gathered residuals (4, 2, n), then the gathered offsets, the log
+    priors, the logits and the weights, (4, n) each; nothing returned is a
+    view of them.
     """
+    residuals, offsets, priors, scores, weights = scratch or (None,) * 5
     outcome = _eve_outcome(prepared, outcome_draws)
     statistic = _plane_statistic(table, at, prepared, noise.T)
     logits = _logits(
         statistic,
-        _gather(table.residuals, at),
-        _gather(table.offsets, at),
+        _gather(table.residuals, at, residuals),
+        _gather(table.offsets, at, offsets),
         table.sigma[at],
-        _LOG_PRIORS.take(4 * table.born[at] + outcome, axis=1),
+        _LOG_PRIORS.take(4 * table.born[at] + outcome, axis=1, out=priors, mode="clip"),
+        scores,
     )
-    peak, total, posterior = _posterior(logits)
+    peak, total, posterior = _posterior(logits, weights)
     inferred = _break_ties(logits, peak, tie_draws)
     # The peak weight is exp(0) = 1, so 1 / total is each round's largest posterior.
     resent = np.where(1.0 / total >= table.resend_from[at], inferred, outcome)

@@ -261,23 +261,41 @@ _NORMAL_EXTENT = float(_box_muller(_uniforms(np.array([2**64 - 1], np.uint64)), 
 
 
 class _Buffers(threading.local):
-    """Each thread's (rounds, 8) chunk draw buffer, kept across passes.
+    """Each thread's (rounds, 8) chunk draw buffer and kernel scratch, kept across passes.
 
     Fresh arrays of 128 KiB or more come from memory the allocator maps
     for them and hands back to the system when they are freed, so a pass
     that allocates them faults them in again every time; a kept buffer is
-    faulted in once per thread. It grows to the largest chunk a pass needs
-    and never shrinks: at most 256 KiB per thread at 4096-round chunks.
+    faulted in once per thread. The draw buffer grows to the largest chunk
+    a pass needs and never shrinks: at most 256 KiB per thread at
+    4096-round chunks.
+
+    The kernel scratch holds the (4, ...) temporaries of _attack_batch on
+    a chunk of several sessions, whose settings are gathered per round:
+    the (4, 2, n) residual gather, then the (4, n) offset gather, log
+    priors, logits and weights, 24 doubles per attacked round. It grows to
+    the most attacked rounds of such a chunk and never shrinks: at most
+    768 KiB per thread at 4096-round chunks. Freed after every chunk, those
+    temporaries let glibc trim the top of the heap, and the next pass
+    faulted its pages in again.
     """
 
     def __init__(self) -> None:
         self.draws = np.empty((0, _BLOCK))
+        self.kernel = np.empty(0)
 
     def take(self, rounds: int) -> np.ndarray:
         """The thread's draw buffer, grown to at least `rounds` rounds."""
         if len(self.draws) < rounds:
             self.draws = np.empty((rounds, _BLOCK))
         return self.draws
+
+    def scratch(self, rounds: int) -> tuple[np.ndarray, ...]:
+        """The thread's kernel scratch: C-contiguous (4, 2, rounds), then four (4, rounds) views."""
+        if len(self.kernel) < 24 * rounds:
+            self.kernel = np.empty(24 * rounds)
+        residuals = self.kernel[: 8 * rounds].reshape(4, 2, rounds)
+        return residuals, *self.kernel[8 * rounds : 24 * rounds].reshape(4, 4, rounds)
 
 
 _buffers = _Buffers()
@@ -308,13 +326,16 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
     (error, Alice's bit, Eve's guess) table, 2 x 2 x 3 cells, then the
     attacked rounds whose inference was wrong and right. The transcript, if
     given, receives the rounds of all sessions in order. Nothing returned or
-    written to the transcript is a view of the buffer.
+    written to the transcript is a view of the buffer or of the scratch.
 
     A chunk holds 4096 rounds, with Eve or without. An attacked chunk
     carries a fixed cost of numpy calls in _attack_batch whatever its size
     (a 10-round Eve pass takes over three times an honest one), so a
     2000-round Eve session pays it once. Every chunk draws into the buffer
-    its thread keeps, so a pass does not page-fault it in anew.
+    its thread keeps, so a pass does not page-fault it in anew. A chunk of
+    several sessions also scores Eve's rounds in the kernel scratch its
+    thread keeps (_Buffers.scratch); a chunk of one session, whose settings
+    are scalars, allocates its temporaries afresh.
     """
     n_points = len(seeds)
     block = max(1, _CHUNK_VARIATES // _BLOCK)
@@ -352,7 +373,13 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
         guess = np.full(len(alice), _NO_GUESS)
         if table is not None:
             attacked = np.flatnonzero(uniforms[_COIN] < table.fraction[sessions.start + owner])
-            attacked_owner = owner[attacked] if n_sessions > 1 else 0
+            attacked_owner, scratch = 0, None
+            # Kept: with fresh kernel temporaries a 72-point, 50-round sweep
+            # pass took ~100 minor faults (0.1 with the scratch; ru_minflt over
+            # 200 benchmark units). The residual gather and the scores alone
+            # left 20 of 48 fresh-interpreter heap states faulting; all five, none.
+            if n_sessions > 1:
+                attacked_owner, scratch = owner[attacked], _buffers.scratch(len(attacked))
             at = sessions.start + attacked_owner
             prepared = alice.take(attacked)
             outcome, inferred, posterior, resent = _attack_batch(
@@ -362,6 +389,7 @@ def _simulate(n_rounds: int, seeds, table=None, transcript=None) -> np.ndarray:
                 uniforms[_EVE_OUTCOME].take(attacked),
                 _box_muller(uniforms[_NOISE_U].take(attacked), uniforms[_NOISE_V].take(attacked)).T,
                 uniforms[_TIE_BREAK].take(attacked),
+                scratch,
             )
             state[attacked] = resent
             same_basis = inferred >> 1 == prepared >> 1

@@ -704,6 +704,21 @@ def test_signal_to_noise_formula(geom):
     assert mix_norm == pytest.approx(MIX_NORM, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grav_const", [1e299, 1e-300])
+def test_signal_to_noise_of_a_field_whose_squares_leave_double_precision(geom, grav_const):
+    # The signal scales with gravConst, though the mix rows' squares overflow or underflow.
+    sensor = SensorModel(sigma=1e-100)
+    scaled = Geometry(geom.sites, geom.probes, grav_const=grav_const)
+    got = signal_to_noise(1e-100, 0.0, 0.0, sensor, scaled)
+    want = signal_to_noise(1e-100, 0.0, 0.0, sensor, geom) * grav_const / geom.grav_const
+    assert got == pytest.approx(want, rel=1e-12)
+    experiment = ExclusionExperiment(sensor, scaled, delta_t_schedule=(1.0,))
+    (bound,) = exclusion_limit(experiment, [0.0]).b_upper
+    z = statistics.NormalDist().inv_cdf(0.95)
+    assert bound == pytest.approx(min(1.0, z / (want * 1e100)), rel=1e-12)
+
+
 def test_exclusion_experiment_validation(geom):
     sensor = SensorModel(sigma=1e-12)
     with pytest.raises(ValidationError, match="deltaTSchedule"):

@@ -1,5 +1,7 @@
-"""Property tests: posterior, hypothesis plane, exclusion limit, config round trips, sweeps."""
+"""Property tests: posterior, plane, exclusion limit, config round trips, sweeps and the CLI."""
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -10,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gravsim import cli
 from gravsim import (
     SWEEP_PARAMETERS,
     SYMBOLS,
@@ -157,14 +160,19 @@ POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
 COORD = st.floats(-10.0, 10.0)
 VEC3 = st.lists(COORD, min_size=3, max_size=3)
 MODES = st.sampled_from([mode.value for mode in StrategyMode])
+# README's extremes: a sigma so small the scores underflow, one that
+# overflows them at a testMass of 1e200, and the largest that still runs;
+# and sample counts beyond int64.
+SIGMAS = st.one_of(POSITIVE, st.sampled_from([1e-170, 1e190, 1e300]))
+SAMPLES = st.one_of(st.integers(1, 64), st.integers(2**63, 10**30))
 
 # One valid value strategy per sweep parameter.
 SWEEP_VALUES = {
     "b": UNIT,
     "lambda": RATE,
     "deltaT": RATE,
-    "sigma": POSITIVE,
-    "samples": st.integers(1, 64),
+    "sigma": SIGMAS,
+    "samples": SAMPLES,
     "strategy": MODES,
     "tau": st.floats(0.0, 1.0, exclude_min=True),
     "attackFraction": UNIT,
@@ -183,7 +191,9 @@ def geometry_sections(draw):
     for probe in probes:
         assume(min(np.linalg.norm(np.subtract(site, probe)) for site in sites) > 1e-3)
     section = {"sites": dict(zip((s.label for s in SYMBOLS), sites)), "probes": probes}
-    section.update(draw(_optional_keys(testMass=POSITIVE, gravConst=POSITIVE)))
+    section.update(
+        draw(_optional_keys(testMass=st.one_of(POSITIVE, st.just(1e200)), gravConst=POSITIVE))
+    )
     # Probes sit at least 1e-3 m from every site, so this keeps the field finite.
     assume(section.get("testMass", 1.0) * section.get("gravConst", NEWTON_G) <= 1e300)
     return section
@@ -222,7 +232,7 @@ CONFIG_DOCUMENTS = st.fixed_dictionaries(
     optional={
         "geometry": geometry_sections(),
         "nonlinear": _optional_keys(b=UNIT, **{"lambda": RATE, "deltaT": RATE}),
-        "sensor": _optional_keys(sigma=POSITIVE, samples=st.integers(1, 64)),
+        "sensor": _optional_keys(sigma=SIGMAS, samples=SAMPLES),
         "eve": _optional_keys(
             enabled=st.booleans(),
             strategy=MODES,
@@ -249,6 +259,32 @@ def test_serialize_then_parse_is_the_identity(document):
     assert reparsed.geometry.test_mass == config.geometry.test_mass
     assert reparsed.geometry.grav_const == config.geometry.grav_const
     assert serialize_config(reparsed) == serialized
+
+
+# Every document that passes validation runs, or fails with a GravsimError
+# and its exit code; cli.main turns any other exception into exit 4.
+@PROPERTY_SETTINGS
+@given(document=CONFIG_DOCUMENTS, command=st.sampled_from(["run", "sweep", "limit"]))
+# Mix rows whose squares overflow: np.linalg.norm warned of it.
+@example(
+    document={
+        "session": {"seed": 1},
+        "geometry": {"gravConst": 1e299},
+        "limit": {"lambdaGrid": [0.0]},
+    },
+    command="limit",
+)
+def test_every_config_document_runs_or_is_rejected_through_the_cli(document, command):
+    argv = [command, "--config", json.dumps(document)]
+    if command != "limit":
+        argv += ["--rounds", "40"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 3), stderr.getvalue()
+    assert "internal error" not in stderr.getvalue()
+    if code == 0:
+        json.loads(stdout.getvalue())
 
 
 # A signal, so that the scores are not all ties, in a geometry where the

@@ -8,11 +8,14 @@ plane normals z laid into the field as the in-plane noise z @ plane_basis,
 and check the stream contract: a session is a prefix of any longer one
 with the same seed, the chunk size never changes a result, not even a
 sweep's, a pass cuts its sessions' rounds into full chunks, the draw
-buffer a thread keeps between passes never shows in a result, and memory
-does not grow with the session length.
+buffer and kernel scratch a thread keeps between passes never show in a
+result, repeated sweep-shaped passes do not page-fault, and memory does
+not grow with the session length.
 """
 
 import math
+import platform
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -26,12 +29,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import gravsim_env
 from gravsim import (
     EveConfig,
     EveStrategy,
     Geometry,
     NonlinearParams,
     SensorModel,
+    StrategyMode,
     SweepSpec,
     ValidationError,
     cloning_fidelity,
@@ -317,6 +322,92 @@ def test_threads_draw_into_buffers_of_their_own():
                         assert got[0] == want[0] and np.array_equal(got[1], want[1])
     finally:
         sys.setswitchinterval(interval)
+
+
+def _per_round_pass(rounds, seeds, table):
+    """_simulate's counts and transcript for a pass of several sessions, one setting each."""
+    transcript = np.zeros(rounds * len(seeds), protocol._TRANSCRIPT)
+    for name in ("outcome", "inferred", "resent"):
+        transcript[name] = -1
+    return protocol._simulate(rounds, seeds, table, transcript), transcript
+
+
+SCRATCH_TABLE = LEAK_CFG._columns(
+    attack_fraction=[1.0, 0.7, 0.4], mode=list(StrategyMode), samples=[1, 3, 2]
+)
+
+
+def test_kept_kernel_scratch_never_shows_in_a_result():
+    kernel_results = []
+    original = protocol._attack_batch
+
+    def attack_batch(*args):
+        result = original(*args)
+        kernel_results.append((result, protocol._buffers.kernel))
+        return result
+
+    def passes():
+        # A new thread starts with no scratch: the larger pass grows it, the
+        # smaller one overwrites its start.
+        first = _per_round_pass(300, [40, 41, 42], SCRATCH_TABLE)
+        kept = len(protocol._buffers.kernel)
+        _per_round_pass(1500, [43, 44, 45], SCRATCH_TABLE)
+        assert len(protocol._buffers.kernel) > kept
+        _per_round_pass(20, [46, 47, 48], SCRATCH_TABLE)
+        again = _per_round_pass(300, [40, 41, 42], SCRATCH_TABLE)
+        return first, again, protocol._buffers.kernel
+
+    with mock.patch.object(protocol, "_attack_batch", side_effect=attack_batch):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            first, again, kernel = pool.submit(passes).result(timeout=60)
+    main = _per_round_pass(300, [40, 41, 42], SCRATCH_TABLE)
+    for got, other, want in zip(again, main, first):
+        assert np.array_equal(got, want) and np.array_equal(other, want)
+    assert kernel_results and all(scratch is not None for _, scratch in kernel_results)
+    for result, scratch in kernel_results:
+        assert not any(np.shares_memory(array, scratch) for array in result)
+    for array in (*first, *again):
+        assert not np.shares_memory(array, kernel)
+    for array in main:
+        assert not np.shares_memory(array, protocol._buffers.kernel)
+
+
+# Five warmed passes of the benchmark's sweep-grid shape, 72 settings of 50
+# rounds in one 3600-round chunk, in a fresh interpreter: in this process,
+# earlier tests free arrays of many MiB, after which glibc trims the heap
+# too rarely for the count to show anything.
+FAULT_PROBE = """
+import itertools, resource
+from gravsim import StrategyMode, load_config, protocol
+
+grid = itertools.product([0.0, 0.05, 0.5], [1e-30, 1e-12, 2.5e-12, 1e-11], [0.5, 1.0], StrategyMode)
+b, sigma, fraction, mode = (list(column) for column in zip(*grid))
+cfg = load_config("default.json").to_eve_config()
+table = cfg._columns(b=b, sigma=sigma, attack_fraction=fraction, mode=mode)
+seeds = range(500, 500 + len(b))
+for _ in range(3):
+    protocol._simulate(50, seeds, table)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    protocol._simulate(50, seeds, table)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts minor page faults with getrusage; the heap trim they came from is glibc's",
+)
+def test_kept_kernel_scratch_keeps_per_round_passes_from_page_faulting():
+    child = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        env=gravsim_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert int(child.stdout) <= 25
 
 
 def test_round_block_layout():
